@@ -2,9 +2,9 @@
 
 A deterministic framework for multi-agent linear stochastic bandits on
 arbitrary connected graphs: Chebyshev-accelerated average consensus, gossiped
-UCB with pipelined estimate queues, a rarely-communicating variant, safe
-exploration under an unknown linear constraint, and baseline algorithms with
-full regret, communication-cost, and safety accounting.
+UCB over one pipelined consensus of estimates, a rarely-communicating variant,
+safe exploration under an unknown linear constraint, and baseline algorithms
+with full regret, communication-cost, and safety accounting.
 """
 
 from .agents import ALGORITHMS, DlucbAgent, RcDlucbAgent, SafeDlucbAgent
@@ -29,8 +29,6 @@ from .bandit import (
 )
 from .config import ConfigError, ExperimentConfig, load_config, parse_config
 from .consensus import (
-    ConsensusQueue,
-    ConsensusSlot,
     MixingPlan,
     advance_queues,
     chebyshev_weights,
@@ -44,7 +42,6 @@ from .graph import (
     build_topology,
     compute_mixing_rounds,
     load_edge_list,
-    spectral_gap,
 )
 from .sim import (
     Environment,

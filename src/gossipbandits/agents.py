@@ -1,8 +1,9 @@
 """Per-agent state machines for the decentralized bandit algorithms.
 
 Agents advance under a two-phase round contract driven by the simulator:
-absorb fully mixed information, select, observe, requeue, then gossip. State
-is never shared across realizations.
+absorb their slot of the fully mixed generation, select, observe, record.
+The simulator owns the network-wide consensus pipeline (see ``consensus``)
+and enqueues every round's plays. State is never shared across realizations.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .bandit import OrthoStats, SufficientStats, project_components
-from .consensus import ConsensusQueue
 
 ALGORITHMS = ("dlucb", "rc_dlucb", "safe_dlucb", "dlts", "no_comm", "centralized")
 GOSSIP_ALGORITHMS = ("dlucb", "dlts", "safe_dlucb")
@@ -25,35 +25,28 @@ class DlucbAgent:
     information is absorbed.
     """
 
-    def __init__(self, index, n_agents, d, lam, s_rounds, *, safety=False,
-                 keep_warmup_data=False):
-        self.index = index
+    def __init__(self, n_agents, d, lam, s_rounds, *, keep_warmup_data=False):
         self.n = n_agents
         self.d = d
         self.s_rounds = s_rounds
         self.keep_warmup_data = keep_warmup_data
         self.stats = SufficientStats.initial(d, lam)
-        self.queue = ConsensusQueue(n_agents, d, s_rounds, safety=safety)
 
-    def phase(self, t):
-        return "warmup" if t <= self.s_rounds else "main"
-
-    def begin_round(self, t):
-        """Absorb the fully mixed front slot before selecting (main phase only)."""
+    def begin_round(self, t, slot):
+        """Absorb this agent's slot of the generation released after round
+        t - 1 (main phase only). Row k of ``slot`` holds (a_ik / N) times agent
+        k's action, then reward (then shifted safety feedback) from round t - S.
+        """
         if t == self.s_rounds + 1 and not self.keep_warmup_data:
             self.stats.reset()
-        if t > self.s_rounds:
-            actions, rewards, safety = self.queue.dequeue_mixed()
-            self.stats.absorb_mixed(actions, rewards, self.n)
-            return actions, rewards, safety
-        return None
+        if slot is not None:
+            self.stats.absorb_mixed(slot[:, : self.d], slot[:, self.d], self.n)
 
-    def finish_round(self, t, action, reward, safety=None):
-        """Record the played action: warmup keeps it locally, and a fresh slot
-        enters the queue either way."""
+    def finish_round(self, t, action, reward):
+        """Record the played action; warmup keeps it locally (the simulator
+        enqueues it for gossip either way)."""
         if t <= self.s_rounds:
             self.stats.add_observation(action, reward)
-        self.queue.enqueue_round(action, reward, safety, self.index)
 
 
 class SafeDlucbAgent(DlucbAgent):
@@ -64,26 +57,23 @@ class SafeDlucbAgent(DlucbAgent):
     selection time (or is the known safe action).
     """
 
-    def __init__(self, index, n_agents, d, lam, s_rounds, geo, *,
-                 keep_warmup_data=False):
-        super().__init__(index, n_agents, d, lam, s_rounds, safety=True,
-                         keep_warmup_data=keep_warmup_data)
+    def __init__(self, n_agents, d, lam, s_rounds, geo, *, keep_warmup_data=False):
+        super().__init__(n_agents, d, lam, s_rounds, keep_warmup_data=keep_warmup_data)
         self.geo = geo
         self.ortho = OrthoStats.initial(geo, d, lam)
 
-    def begin_round(self, t):
+    def begin_round(self, t, slot):
         if t == self.s_rounds + 1 and not self.keep_warmup_data:
             self.ortho.reset()
-        slot = super().begin_round(t)
+        super().begin_round(t, slot)
         if slot is not None:
-            actions, _, safety = slot
+            actions = slot[:, : self.d]
             if self.geo.is_zero:
                 perp = actions
             else:
                 coefs = actions @ self.geo.x0_unit
                 perp = actions - np.outer(coefs, self.geo.x0_unit)
-            self.ortho.absorb_mixed(perp, safety, self.n)
-        return slot
+            self.ortho.absorb_mixed(perp, slot[:, self.d + 1], self.n)
 
     def shifted_feedback(self, action, z):
         """Remove the known component of the safety measurement along x0."""
@@ -92,12 +82,12 @@ class SafeDlucbAgent(DlucbAgent):
         coef = float(action @ self.geo.x0_unit)
         return z - (coef / self.geo.norm_x0) * self.geo.c0
 
-    def finish_round(self, t, action, reward, safety=None):
-        z_perp = self.shifted_feedback(action, safety)
+    def finish_round(self, t, action, reward, z_perp):
+        """Record the played action with its shifted safety feedback ``z_perp``."""
         if t <= self.s_rounds:
             _, x_perp = project_components(action, self.geo)
             self.ortho.add_observation(x_perp, z_perp)
-        super().finish_round(t, action, reward, safety=z_perp)
+        super().finish_round(t, action, reward)
 
 
 class RcDlucbAgent:

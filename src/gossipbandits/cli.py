@@ -171,7 +171,7 @@ def cmd_graph_info(kind, n, p, edge_file, scheme, epsilon, seed):
     import numpy as np
 
     if kind == "explicit":
-        topology = load_edge_list(edge_file)
+        topology = load_edge_list(edge_file, n)
     else:
         rng = np.random.default_rng(seed)
         topology = build_topology(kind, n, p=p, rng=rng)

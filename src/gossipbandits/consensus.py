@@ -1,14 +1,15 @@
-"""Chebyshev-accelerated gossip step and the pipelined FIFO estimate queues.
+"""Chebyshev-accelerated gossip step and the pipelined consensus of estimates.
 
-Every in-flight generation of action/reward estimates is mixed for exactly S
-synchronous rounds. The accelerated step realizes a rescaled Chebyshev
-polynomial of the gossip matrix, so after S rounds every pairwise gain
-a_ij = N * [q_S(P)]_ij lies within epsilon of 1.
+Every round the agents' fresh action/reward estimates enter one network-wide
+pipeline as a new generation, and every in-flight generation is mixed for
+exactly S synchronous rounds, so up to S generations are mixed at once. The
+accelerated step realizes a rescaled Chebyshev polynomial of the gossip
+matrix, so after S rounds every pairwise gain a_ij = N * [q_S(P)]_ij lies
+within epsilon of 1.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,87 +97,39 @@ def mixed_gain(comm, plan):
     return comm.n * cur
 
 
-class ConsensusSlot:
-    """One in-flight generation of estimates for a single agent.
+def enqueue(queue, own):
+    """Append a fresh generation to the network-wide pipeline.
 
-    ``payload`` rows enumerate network nodes; columns hold the estimated action
-    (d entries), the estimated reward, and optionally the safety measurement.
-    ``prev`` keeps the previous round's values for the two-term recursion.
+    ``own`` is (N, width): agent i's own action, reward and optionally safety
+    feedback. In the generation's (N, N, width) payload, agent i's slot (entry
+    i) holds only row i of ``own``; ``prev`` starts equal to the payload.
     """
-
-    __slots__ = ("payload", "prev", "rounds_mixed")
-
-    def __init__(self, payload):
-        self.payload = payload
-        self.prev = payload
-        self.rounds_mixed = 0
+    n = len(own)
+    payload = np.zeros((n, n, own.shape[1]))
+    payload[np.arange(n), np.arange(n)] = own
+    queue.append([payload, payload])
 
 
-class ConsensusQueue:
-    """Per-agent FIFO of at most S generations being mixed simultaneously."""
+def advance_queues(queue, comm, plan):
+    """Run one gossip round over every in-flight generation of the pipeline.
 
-    def __init__(self, n_agents, d, s_rounds, safety=False):
-        self.n = n_agents
-        self.d = d
-        self.s_rounds = s_rounds
-        self.safety = safety
-        self.width = d + 1 + (1 if safety else 0)
-        self.slots = deque()
-
-    def __len__(self):
-        return len(self.slots)
-
-    def enqueue_round(self, own_action, own_reward, own_safety, agent_index):
-        """Append a fresh slot whose only nonzero row is the agent's own data."""
-        if len(self.slots) >= self.s_rounds:
-            raise RuntimeError("queue overflow: enqueue without a prior dequeue")
-        if self.safety and own_safety is None:
-            raise ValueError("safety channel active but no measurement supplied")
-        payload = np.zeros((self.n, self.width))
-        payload[agent_index, : self.d] = own_action
-        payload[agent_index, self.d] = own_reward
-        if self.safety:
-            payload[agent_index, self.d + 1] = own_safety
-        self.slots.append(ConsensusSlot(payload))
-
-    def dequeue_mixed(self):
-        """Pop the oldest slot; it must have been mixed for the full horizon.
-
-        Returns (action matrix, reward vector, safety vector or None). Row k of
-        the action matrix is (a_ik / N) times agent k's action from S rounds ago.
-        """
-        if not self.slots:
-            raise RuntimeError("dequeue from an empty queue")
-        front = self.slots[0]
-        if front.rounds_mixed != self.s_rounds:
-            raise RuntimeError(
-                f"dequeue before full mixing ({front.rounds_mixed}/{self.s_rounds} rounds)"
-            )
-        self.slots.popleft()
-        actions = front.payload[:, : self.d]
-        rewards = front.payload[:, self.d]
-        safety = front.payload[:, self.d + 1] if self.safety else None
-        return actions, rewards, safety
-
-
-def advance_queues(queues, comm, plan):
-    """Run one gossip round over every aligned slot of all agents' queues.
-
-    All agents publish first, then every update reads only the frozen published
-    set, so the exchange is synchronous and deterministic.
+    ``queue`` is the oldest-first list of [payload, prev] generations with one
+    generation appended per round, so generation g is mixed for the
+    ``len(queue) - g``-th time. All agents publish first, then every update
+    reads only the frozen published set, so the exchange is synchronous and
+    deterministic. Once S generations are in flight the oldest has been mixed
+    for the full horizon: it is popped and returned, and entry i of its
+    payload holds (a_ik / N) times agent k's data in row k. Otherwise returns
+    None.
     """
-    depth = len(queues[0])
-    if any(len(q) != depth for q in queues):
-        raise RuntimeError("scheduler ordering violation: queue depths diverged")
-    for g in range(depth):
-        slots = [q.slots[g] for q in queues]
-        ell = slots[0].rounds_mixed + 1
-        if any(s.rounds_mixed != ell - 1 for s in slots):
-            raise RuntimeError("scheduler ordering violation: slot mixing counts diverged")
-        now = np.stack([s.payload for s in slots])
-        prev = np.stack([s.prev for s in slots])
-        nxt = comm_step(now, prev, ell, comm, plan)
-        for i, slot in enumerate(slots):
-            slot.prev = now[i]
-            slot.payload = nxt[i]
-            slot.rounds_mixed = ell
+    depth = len(queue)
+    if depth > plan.s_rounds:
+        raise RuntimeError(
+            f"pipeline overflow: {depth} generations in flight, at most S={plan.s_rounds}"
+        )
+    for g, gen in enumerate(queue):
+        now, prev = gen
+        gen[0], gen[1] = comm_step(now, prev, depth - g, comm, plan), now
+    if depth == plan.s_rounds:
+        return queue.pop(0)
+    return None

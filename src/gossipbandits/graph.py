@@ -122,7 +122,11 @@ def build_topology(kind, n, p=None, rng=None, edges=None, max_retries=200):
 
 
 def load_edge_list(path, n=None):
-    """Load an explicit topology from a plain-text edge list, one "u v" pair per line."""
+    """Load an explicit topology from a plain-text edge list, one "u v" pair per line.
+
+    Nodes are 0..max label. When ``n`` is given the list must span exactly n
+    nodes; a mismatch is a configuration error.
+    """
     edges = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -136,8 +140,11 @@ def load_edge_list(path, n=None):
     if not edges:
         raise ValueError(f"{path}: no edges found")
     inferred = max(max(u, v) for u, v in edges) + 1
-    n = inferred if n is None else n
-    return build_topology("explicit", n, edges=edges)
+    if n is not None and n != inferred:
+        from .config import ConfigError  # config imports this module
+
+        raise ConfigError(f"edge file {path} spans {inferred} nodes, but N = {n}")
+    return build_topology("explicit", inferred, edges=edges)
 
 
 def _comm_entries(topology, scheme):
@@ -214,11 +221,6 @@ def build_comm_matrix(topology, scheme="laplacian"):
             f"on {topology.kind} graph (N={topology.n_nodes}): " + "; ".join(problems)
         )
     return CommMatrix(entries, topology, scheme)
-
-
-def spectral_gap(comm):
-    """Magnitude of the second-largest-magnitude eigenvalue of the gossip matrix."""
-    return comm.lambda2_abs
 
 
 def compute_mixing_rounds(n, epsilon, lambda2_abs):

@@ -26,7 +26,7 @@ from .bandit import (
     ucb_select_box,
     ucb_select_finite,
 )
-from .consensus import MixingPlan, advance_queues, comm_step
+from .consensus import MixingPlan, advance_queues, comm_step, enqueue
 from .graph import GraphTopology, build_comm_matrix, build_topology, load_edge_list
 
 # substream roles under the master seed
@@ -197,7 +197,7 @@ def build_network(config, master_seed, realization):
         # degenerate single-node network: every kind collapses to it
         topology = GraphTopology(np.zeros((1, 1)), kind=spec.kind)
     elif spec.kind == "explicit":
-        topology = load_edge_list(spec.edge_file)
+        topology = load_edge_list(spec.edge_file, config.n_agents)
     else:
         rng = _stream(master_seed, realization if resample else 0, _GRAPH)
         topology = build_topology(spec.kind, config.n_agents, p=spec.p, rng=rng)
@@ -298,33 +298,34 @@ def _run_gossip(config, env, topology, comm, plan, dset, geo, acct,
     thompson = config.algorithm == "dlts"
     if safe:
         agents = [
-            SafeDlucbAgent(i, n, d, config.lam, s_rounds, geo,
+            SafeDlucbAgent(n, d, config.lam, s_rounds, geo,
                            keep_warmup_data=config.keep_warmup_data)
-            for i in range(n)
+            for _ in range(n)
         ]
         x0_matches = np.all(np.isclose(dset.arms, geo.x0), axis=1)
         if not x0_matches.any():
             raise ValueError("safe mode requires the safe action to be an arm")
     else:
         agents = [
-            DlucbAgent(i, n, d, config.lam, s_rounds,
+            DlucbAgent(n, d, config.lam, s_rounds,
                        keep_warmup_data=config.keep_warmup_data)
-            for i in range(n)
+            for _ in range(n)
         ]
     algo_rngs = (
         [_stream(master_seed, realization, _ALGO, i) for i in range(n)]
         if thompson else None
     )
     _, v_star = optimal_value(env, dset, safe=safe)
-    queues = [agent.queue for agent in agents]
+    queue = []
+    released = None
     directed_edges = int(topology.adjacency.sum())
-    slot_width = n * (d + 1 + (1 if safe else 0))
+    width = d + 1 + (1 if safe else 0)
 
     for t in range(1, config.horizon + 1):
         beta = beta_radius(t, d, n, config.lam, config.delta, config.sigma,
                            config.epsilon)
-        for agent in agents:
-            agent.begin_round(t)
+        for i, agent in enumerate(agents):
+            agent.begin_round(t, None if released is None else released[0][i])
         actions = np.empty((n, d))
         for i, agent in enumerate(agents):
             if safe:
@@ -345,30 +346,30 @@ def _run_gossip(config, env, topology, comm, plan, dset, geo, acct,
                     actions[i] = dset.arms[int(np.argmax(dset.arms @ tilde))]
             else:
                 actions[i] = _select_ucb(agent.stats, beta, dset)
-        rewards = np.empty(n)
-        safety_obs = np.empty(n) if safe else None
+        # own-data rows: action, reward, then the safe agent's shifted feedback
+        own = np.empty((n, width))
+        own[:, :d] = actions
         for i in range(n):
             y, z = feedback(env, actions[i], i, t)
-            rewards[i] = y
+            own[i, d] = y
             if safe:
-                safety_obs[i] = z
+                own[i, d + 1] = agents[i].shifted_feedback(actions[i], z)
         regrets = v_star - actions @ env.theta_star
         acct.record(t, actions, regrets, env)
         if probe is not None:
             probe(t, {"actions": actions.copy(), "agents": agents})
         for i, agent in enumerate(agents):
-            agent.finish_round(t, actions[i], rewards[i],
-                               safety_obs[i] if safe else None)
-        advance_queues(queues, comm, plan)
-        acct.scalars[t - 1] = directed_edges * len(queues[0]) * slot_width
+            # reward, and for the safe agent its shifted feedback too
+            agent.finish_round(t, actions[i], *own[i, d:])
+        enqueue(queue, own)
+        acct.scalars[t - 1] = directed_edges * len(queue) * n * width
+        released = advance_queues(queue, comm, plan)
 
 
 def _run_rare_comm(config, env, topology, comm, plan, dset, acct, probe):
     n, d = config.n_agents, config.d
     s_rounds = plan.s_rounds
-    threshold = getattr(config, "rc_threshold_override", None)
-    if threshold is None:
-        threshold = rc_comm_threshold(config.horizon, n, d, config.lam)
+    threshold = rc_comm_threshold(config.horizon, n, d, config.lam)
     agents = [RcDlucbAgent(i, d, config.lam, threshold) for i in range(n)]
     _, v_star = optimal_value(env, dset)
     directed_edges = int(topology.adjacency.sum())

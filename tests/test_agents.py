@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from gossipbandits.agents import DlucbAgent, RcDlucbAgent
+from gossipbandits import sim
+from gossipbandits.agents import RcDlucbAgent
 from gossipbandits.bandit import (
     ConfidenceSet,
     SafeGeometry,
@@ -11,6 +12,8 @@ from gossipbandits.bandit import (
     ts_perturb,
 )
 from gossipbandits.config import parse_config
+from gossipbandits.consensus import MixingPlan, advance_queues, enqueue
+from gossipbandits.graph import build_comm_matrix, build_topology
 from gossipbandits.sim import build_decision_set, run_realization
 
 
@@ -130,22 +133,25 @@ def test_rc_agent_bookkeeping():
     assert agent.epoch_start == 5
 
 
-def test_rc_trigger_threshold_limits():
+def fix_rc_threshold(monkeypatch, value):
+    monkeypatch.setattr(sim, "rc_comm_threshold", lambda *args: value)
+
+
+def test_rc_trigger_threshold_limits(monkeypatch):
     config = cfg_for(algorithm="rc_dlucb", T=60, N=3)
-    config.rc_threshold_override = float("inf")
+    fix_rc_threshold(monkeypatch, float("inf"))
     trace = run_realization(config, master_seed=2)
     assert trace.phase_count == 0
     assert trace.total_comm_scalars == 0
 
-    config = cfg_for(algorithm="rc_dlucb", T=60, N=3)
-    config.rc_threshold_override = 0.0
+    fix_rc_threshold(monkeypatch, 0.0)
     trace = run_realization(config, master_seed=2)
     assert trace.phases_started[0] == 1
 
 
-def test_rc_without_phases_reduces_to_no_communication():
+def test_rc_without_phases_reduces_to_no_communication(monkeypatch):
     rc = cfg_for(algorithm="rc_dlucb", T=50, N=3, d=2, decision_set={"variant": "box"})
-    rc.rc_threshold_override = float("inf")
+    fix_rc_threshold(monkeypatch, float("inf"))
     t_rc = run_realization(rc, master_seed=7)
     nc = cfg_for(algorithm="no_comm", T=50, N=3, d=2, decision_set={"variant": "box"})
     t_nc = run_realization(nc, master_seed=7)
@@ -307,7 +313,12 @@ def test_no_communication_regret_scales_with_network_size():
 
 
 def test_queue_overflow_is_a_scheduler_bug():
-    agent = DlucbAgent(index=0, n_agents=2, d=1, lam=1.0, s_rounds=1)
-    agent.finish_round(1, np.array([1.0]), 0.0)
+    # S = 1: enqueuing a round's plays twice without a gossip round in between
+    comm = build_comm_matrix(build_topology("complete", 2))
+    plan = MixingPlan.for_network(comm, 0.1)
+    assert plan.s_rounds == 1
+    queue = []
+    enqueue(queue, np.ones((2, 2)))
+    enqueue(queue, np.ones((2, 2)))
     with pytest.raises(RuntimeError, match="overflow"):
-        agent.finish_round(2, np.array([1.0]), 0.0)
+        advance_queues(queue, comm, plan)

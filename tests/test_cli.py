@@ -211,3 +211,23 @@ def test_runtime_failure_exits_3(tmp_path):
                                 "N": 4, "d": 2, "T": 5, "algorithm": "dlucb",
                                 "realizations": 1}))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_edge_file_node_count_mismatch_exits_2(tmp_path, capsys):
+    edges = tmp_path / "path4.txt"
+    edges.write_text("0 1\n1 2\n2 3\n")
+    for n in (6, 2):
+        code = main(["run", "--topology", "explicit", "--edge-file", str(edges),
+                     "--n", str(n), "--d", "2", "--t", "5", "--algorithm", "dlucb",
+                     "--realizations", "1", "--workers", "1",
+                     "--out", str(tmp_path / f"o{n}")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "4 nodes" in err and f"N = {n}" in err
+    code = main(["run", "--topology", "explicit", "--edge-file", str(edges), "--n", "4",
+                 "--d", "2", "--t", "5", "--algorithm", "dlucb", "--realizations", "1",
+                 "--workers", "1", "--out", str(tmp_path / "o4")])
+    assert code == 0
+    assert main(["graph-info", "--topology", "explicit", "--edge-file", str(edges),
+                 "--n", "6"]) == 2
+    assert main(["graph-info", "--topology", "explicit", "--edge-file", str(edges)]) == 0

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from gossipbandits.agents import SafeDlucbAgent
+from gossipbandits.bandit import SafeGeometry
 from gossipbandits.consensus import (
-    ConsensusQueue,
     MixingPlan,
     advance_queues,
     chebyshev_weights,
     comm_step,
+    enqueue,
     mixed_gain,
 )
 from gossipbandits.graph import GraphTopology, build_comm_matrix, build_topology
@@ -136,45 +138,85 @@ def test_recursion_equals_closed_form_polynomial():
 
 
 def test_enqueue_builds_single_row_slot():
-    queue = ConsensusQueue(n_agents=3, d=2, s_rounds=4)
-    queue.enqueue_round(np.array([0.5, -0.5]), 1.25, None, agent_index=1)
-    payload = queue.slots[0].payload
-    assert np.array_equal(payload[1, :2], [0.5, -0.5])
-    assert payload[1, 2] == 1.25
-    assert np.all(payload[[0, 2]] == 0)
-    assert queue.slots[0].rounds_mixed == 0
+    queue = []
+    own = np.array([[0.5, -0.5, 1.25], [1.0, 2.0, 3.0], [-1.0, 0.0, 0.5]])
+    enqueue(queue, own)
+    [(payload, prev)] = queue
+    assert payload.shape == (3, 3, 3)
+    for i in range(3):
+        # agent i's slot holds only its own row
+        assert np.array_equal(payload[i, i], own[i])
+        assert np.all(np.delete(payload[i], i, axis=0) == 0)
+    # not mixed yet: the recursion starts from prev = payload
+    assert np.array_equal(prev, payload)
 
 
 def test_queue_overflow_and_early_dequeue():
-    queue = ConsensusQueue(n_agents=2, d=1, s_rounds=2)
-    queue.enqueue_round(np.array([1.0]), 0.0, None, 0)
-    queue.enqueue_round(np.array([1.0]), 0.0, None, 0)
+    comm, plan = make("ring", 4)
+    s = plan.s_rounds
+    assert s >= 2
+    queue = []
+    own = np.ones((4, 2))
+    # nothing is released before a generation has been mixed S times
+    for _ in range(s - 1):
+        enqueue(queue, own)
+        assert advance_queues(queue, comm, plan) is None
+    # a second enqueue without a gossip round puts S + 1 generations in flight
+    enqueue(queue, own)
+    enqueue(queue, own)
     with pytest.raises(RuntimeError, match="overflow"):
-        queue.enqueue_round(np.array([1.0]), 0.0, None, 0)
-    with pytest.raises(RuntimeError, match="before full mixing"):
-        queue.dequeue_mixed()
+        advance_queues(queue, comm, plan)
 
 
 def test_safety_channel_contract():
-    queue = ConsensusQueue(n_agents=2, d=1, s_rounds=2, safety=True)
-    with pytest.raises(ValueError, match="safety channel"):
-        queue.enqueue_round(np.array([1.0]), 0.0, None, 0)
-    queue.enqueue_round(np.array([1.0]), 0.0, 0.5, 0)
-    assert queue.slots[0].payload.shape == (2, 3)
+    # slot rows are (a_ik / N) * (x_k, y_k, z_k): reward and safety feed the
+    # two statistics with the same N^2-scaled weights
+    geo = SafeGeometry(x0=np.array([0.6, 0.0]), c0=0.1, c=0.5)
+    agent = SafeDlucbAgent(n_agents=3, d=2, lam=1.0, s_rounds=1, geo=geo)
+    slot = np.random.default_rng(5).standard_normal((3, 4))
+    agent.begin_round(2, slot)
+    actions = slot[:, :2]
+    assert np.allclose(agent.stats.gram, np.eye(2) + 9.0 * actions.T @ actions)
+    assert np.allclose(agent.stats.moment, 9.0 * actions.T @ slot[:, 2])
+    perp = actions.copy()
+    perp[:, 0] = 0.0  # the complement of x0 is the second axis
+    assert np.allclose(agent.ortho.moment_perp, 9.0 * perp.T @ slot[:, 3])
+
+
+def test_released_generation_is_scaled_gain_times_data():
+    rng = np.random.default_rng(6)
+    for topo in (build_topology("ring", 7),
+                 GraphTopology(random_connected_adjacency(8, 0.4, rng))):
+        comm = build_comm_matrix(topo)
+        plan = MixingPlan.for_network(comm, 0.1)
+        n = comm.n
+        scaled_gain = mixed_gain(comm, plan) / n
+        # action (d=2), reward and safety columns
+        data = [rng.standard_normal((n, 4)) for _ in range(plan.s_rounds + 3)]
+        queue = []
+        released = []
+        for own in data:
+            enqueue(queue, own)
+            out = advance_queues(queue, comm, plan)
+            if out is not None:
+                released.append(out[0])
+        assert len(released) == 4
+        for k, payload in enumerate(released):
+            expected = scaled_gain[:, :, None] * data[k][None, :, :]
+            assert np.abs(payload - expected).max() <= 1e-12
 
 
 def _drive_queues(comm, plan, actions, rewards):
-    """Replay the enqueue/mix/dequeue pipeline; yields (t, agent, dequeued)."""
-    n = comm.n
-    d = actions.shape[2]
-    queues = [ConsensusQueue(n, d, plan.s_rounds) for _ in range(n)]
+    """Replay the enqueue/mix/release pipeline the way the simulator runs it;
+    yields (t, agent, slot) for every slot absorbed at round t."""
+    queue = []
+    released = None
     for t in range(1, actions.shape[0] + 1):
-        if t > plan.s_rounds:
-            for i, q in enumerate(queues):
-                yield t, i, q.dequeue_mixed()
-        for i, q in enumerate(queues):
-            q.enqueue_round(actions[t - 1, i], rewards[t - 1, i], None, i)
-        advance_queues(queues, comm, plan)
+        if released is not None:
+            for i in range(comm.n):
+                yield t, i, released[0][i]
+        enqueue(queue, np.column_stack([actions[t - 1], rewards[t - 1]]))
+        released = advance_queues(queue, comm, plan)
 
 
 def test_dequeue_complete_graph_is_exact_average():
@@ -183,10 +225,13 @@ def test_dequeue_complete_graph_is_exact_average():
     rng = np.random.default_rng(2)
     actions = rng.standard_normal((6, 3, 2))
     rewards = rng.standard_normal((6, 3))
-    for t, i, (act, rew, _) in _drive_queues(comm, plan, actions, rewards):
+    absorbed = 0
+    for t, i, slot in _drive_queues(comm, plan, actions, rewards):
         src = t - plan.s_rounds
-        assert np.allclose(act, actions[src - 1] / 3.0, atol=1e-12)
-        assert np.allclose(rew, rewards[src - 1] / 3.0, atol=1e-12)
+        assert np.allclose(slot[:, :2], actions[src - 1] / 3.0, atol=1e-12)
+        assert np.allclose(slot[:, 2], rewards[src - 1] / 3.0, atol=1e-12)
+        absorbed += 1
+    assert absorbed == 3 * (6 - plan.s_rounds)
 
 
 def test_dequeue_matches_exact_polynomial_oracle():
@@ -198,7 +243,9 @@ def test_dequeue_matches_exact_polynomial_oracle():
     actions /= np.linalg.norm(actions, axis=2, keepdims=True)
     rewards = rng.standard_normal((10, 3))
     eps = plan.epsilon
-    for t, i, (act, rew, _) in _drive_queues(comm, plan, actions, rewards):
+    absorbed = 0
+    for t, i, slot in _drive_queues(comm, plan, actions, rewards):
+        act, rew = slot[:, :2], slot[:, 2]
         src = t - plan.s_rounds - 1
         for k in range(3):
             expected = q_exact[i, k] * actions[src, k]
@@ -210,6 +257,8 @@ def test_dequeue_matches_exact_polynomial_oracle():
         gains = 3.0 * q_exact[i]
         expected = (gains**2 * rewards[src])[:, None] * actions[src]
         assert np.allclose(moment, expected.sum(axis=0), atol=1e-10)
+        absorbed += 1
+    assert absorbed == 3 * (10 - plan.s_rounds)
 
 
 def test_queue_pipeline_depth_and_mixing_counts():
@@ -217,17 +266,25 @@ def test_queue_pipeline_depth_and_mixing_counts():
     plan = MixingPlan.for_network(comm, 0.1)
     s = plan.s_rounds
     n = comm.n
-    queues = [ConsensusQueue(n, 1, s) for _ in range(n)]
+    # q_ell(P) for every mixing count ell = 1..S
+    q = {ell: mixing_polynomial_eig(comm.entries, comm.lambda2_abs, ell)
+         for ell in range(1, s + 1)}
+    queue = []
+    sent = []
     rng = np.random.default_rng(4)
     for t in range(1, 4 * s):
-        if t > s:
-            for q in queues:
-                q.dequeue_mixed()
-        for i, q in enumerate(queues):
-            q.enqueue_round(rng.standard_normal(1), 0.0, None, i)
-        # mid-round state: depth min(t, S), mixing counts S-1 .. 0
-        depth = min(t, s)
-        for q in queues:
-            assert len(q) == depth
-            assert [slot.rounds_mixed for slot in q.slots] == list(range(depth - 1, -1, -1))
-        advance_queues(queues, comm, plan)
+        sent.append(rng.standard_normal((n, 1)))
+        enqueue(queue, sent[-1])
+        # mid-round state: depth min(t, S)
+        assert len(queue) == min(t, s)
+        released = advance_queues(queue, comm, plan)
+        # the first release follows round S, then one per round
+        assert (released is not None) == (t >= s)
+        if released is not None:
+            assert np.allclose(released[0], q[s][:, :, None] * sent[t - s][None],
+                               atol=1e-10)
+        # generation j (oldest first) has been mixed len(queue) - j times
+        for j, (payload, _) in enumerate(queue):
+            ell = len(queue) - j
+            origin = sent[t - ell]
+            assert np.allclose(payload, q[ell][:, :, None] * origin[None], atol=1e-10)

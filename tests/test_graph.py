@@ -8,7 +8,6 @@ from gossipbandits.graph import (
     check_assumption,
     compute_mixing_rounds,
     load_edge_list,
-    spectral_gap,
     _comm_entries,
 )
 
@@ -84,13 +83,13 @@ def test_ring4_comm_matrix_exact():
     expected += np.eye(4) / 3.0
     assert np.allclose(comm.entries, expected, atol=1e-15)
     assert np.allclose(np.sort(comm.eigenvalues), [-1 / 3, 1 / 3, 1 / 3, 1.0], atol=1e-12)
-    assert abs(spectral_gap(comm) - 1 / 3) < 1e-12
+    assert abs(comm.lambda2_abs - 1 / 3) < 1e-12
 
 
 def test_complete_graph_is_exact_averaging():
     comm = build_comm_matrix(build_topology("complete", 20))
     assert np.allclose(comm.entries, np.full((20, 20), 1 / 20.0), atol=1e-15)
-    assert spectral_gap(comm) == 0.0
+    assert comm.lambda2_abs == 0.0
 
 
 def test_row_stochasticity_on_ones_vector():
