@@ -15,13 +15,7 @@ import sys
 
 from .bandit import theoretical_regret_bound
 from .config import ConfigError, parse_config, resolved_dict
-from .graph import (
-    build_topology,
-    check_assumption,
-    compute_mixing_rounds,
-    load_edge_list,
-    _comm_entries,
-)
+from .graph import CommMatrix, build_topology, compute_mixing_rounds, load_edge_list
 from .sim import aggregate, run_experiment
 
 TRACE_COLUMNS = (
@@ -175,11 +169,10 @@ def cmd_graph_info(kind, n, p, edge_file, scheme, epsilon, seed):
     else:
         rng = np.random.default_rng(seed)
         topology = build_topology(kind, n, p=p, rng=rng)
-    entries = _comm_entries(topology, scheme)
-    problems = check_assumption(entries, topology)
-    eigs = np.linalg.eigvalsh((entries + entries.T) / 2.0)
-    eigs = eigs[np.argsort(-np.abs(eigs))]
-    lambda2 = float(abs(eigs[1])) if topology.n_nodes > 1 else 0.0
+    comm = CommMatrix(topology, scheme)
+    problems = comm.problems
+    # the raw |lambda_2|, before CommMatrix rounds exact averaging to zero
+    lambda2 = float(abs(comm.eigenvalues[1])) if topology.n_nodes > 1 else 0.0
     print(f"nodes:        {topology.n_nodes}")
     print(f"max degree:   {int(topology.max_degree)}")
     print(f"scheme:       {scheme}")

@@ -47,13 +47,17 @@ class ExperimentConfig:
     sigma: float = 0.1
     lam: float = 1.0
     delta: float = 0.1
-    epsilon: float = 0.0
+    epsilon: float | None = None  # None: 1 / (4d + 1)
     realizations: int = 20
     master_seed: int = 0
     keep_warmup_data: bool = False
     comm_scheme: str = "laplacian"
     resample_graph: bool | None = None
     safe: SafeSpec | None = None
+
+    def __post_init__(self):
+        if self.epsilon is None:
+            self.epsilon = 1.0 / (4 * self.d + 1)
 
     def safe_c_min(self):
         return self.safe.c_min if self.safe is not None else 0.0
@@ -175,9 +179,7 @@ def parse_config(data):
         raise ConfigError("lambda must be >= 1")
     if not 0 < float(delta) < 1:
         raise ConfigError("delta must lie in (0, 1)")
-    if epsilon is None:
-        epsilon = 1.0 / (4 * d + 1)
-    if not 0 < float(epsilon) < 1:
+    if epsilon is not None and not 0 < float(epsilon) < 1:
         raise ConfigError("epsilon must lie in (0, 1)")
     if float(sigma) < 0:
         raise ConfigError("sigma must be >= 0")
@@ -201,7 +203,7 @@ def parse_config(data):
         sigma=float(sigma),
         lam=float(lam),
         delta=float(delta),
-        epsilon=float(epsilon),
+        epsilon=None if epsilon is None else float(epsilon),
         realizations=int(realizations),
         master_seed=int(master_seed),
         keep_warmup_data=bool(keep_warmup),

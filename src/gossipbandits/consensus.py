@@ -6,6 +6,19 @@ exactly S synchronous rounds, so up to S generations are mixed at once. The
 accelerated step realizes a rescaled Chebyshev polynomial of the gossip
 matrix, so after S rounds every pairwise gain a_ij = N * [q_S(P)]_ij lies
 within epsilon of 1.
+
+The pipeline is two preallocated arrays, ``now`` and ``prev``, laid out as
+(holder, generation, source, width), plus each generation slot's mixing
+count. A holder's neighbors' rows of all in-flight generations then form one
+contiguous block, and one ``comm_step`` call, one ``tensordot`` per holder,
+mixes every generation with its own Chebyshev coefficients. The step writes
+in place over ``prev`` (``out=prev``), which is safe because holder i's
+update reads only ``prev[i]``; then ``now`` and ``prev`` swap roles.
+
+Each generation comes out as it would from a gossip round of its own, bit
+for bit when N * width is a multiple of 4. Otherwise OpenBLAS's dgemv may sum
+a generation's last N * width mod 4 entries along another path than it
+would for that generation alone, which moves them by about one ulp.
 """
 
 from __future__ import annotations
@@ -58,33 +71,57 @@ class MixingPlan:
         return cls(epsilon=epsilon, s_rounds=s_rounds, lambda2_abs=comm.lambda2_abs)
 
 
-def comm_step(now, prev, ell, comm, plan):
+def comm_step(now, prev, ell, comm, plan, out=None):
     """One synchronous accelerated gossip round over stacked per-agent values.
 
-    ``now[i]`` is agent i's current estimate (any payload shape), ``prev[i]``
-    its estimate from the previous round. Agent i only reads its own values and
-    the freshly published ``now`` values of its structural neighbors.
+    ``now[i]`` is holder i's current estimate (any payload shape), ``prev[i]``
+    its estimate from the previous round. Holder i only reads its own values
+    and the freshly published ``now`` values of its structural neighbors.
+    ``ell`` is the mixing count of this round: a scalar, or one count per
+    entry of the payload's leading axis (the pipeline's generations), and
+    rows with ``ell == 1`` are the plain gossip product, copied exactly.
+
+    The result goes to ``out`` (a new array when None) and is returned.
+    ``out`` may be ``prev`` itself: holder i's new value depends only on
+    ``prev[i]``, which is read before ``out[i]`` is written.
     """
     now = np.asarray(now, dtype=float)
     prev = np.asarray(prev, dtype=float)
+    ell = np.asarray(ell)
     if now.shape != prev.shape:
         raise ValueError("now/prev shape mismatch")
     if now.shape[0] != comm.n:
         raise ValueError("leading axis must enumerate the agents")
-    if not 1 <= ell <= plan.s_rounds:
+    if ell.shape != now.shape[1:1 + ell.ndim]:
+        raise ValueError(f"ell of shape {ell.shape} does not index the payload {now.shape[1:]}")
+    if np.any(ell < 1) or np.any(ell > plan.s_rounds):
         raise ValueError(f"communication round {ell} outside [1, {plan.s_rounds}]")
-    mixed = np.empty_like(now)
+    if out is None:
+        out = np.empty_like(now)
+    fresh = np.flatnonzero(ell == 1) if ell.ndim else None
+    plain_only = not np.any(ell > 1)
+    if not plain_only:
+        w = plan.weights
+        lam2 = plan.lambda2_abs
+        k = np.maximum(ell, 2)  # the coefficients of ell == 1 rows are unused
+        shape = ell.shape + (1,) * (now.ndim - 1 - ell.ndim)
+        c_now = (2.0 * w[k - 1] / (lam2 * w[k])).reshape(shape)
+        c_prev = (w[k - 2] / w[k]).reshape(shape)
     entries = comm.entries
     for i in range(comm.n):
         idx = comm.neighborhoods[i]
-        mixed[i] = np.tensordot(entries[i, idx], now[idx], axes=(0, 0))
-    if ell == 1:
-        return mixed
-    w = plan.weights
-    lam2 = plan.lambda2_abs
-    c_now = 2.0 * w[ell - 1] / (lam2 * w[ell])
-    c_prev = w[ell - 2] / w[ell]
-    return c_now * mixed - c_prev * prev
+        mixed = np.tensordot(entries[i, idx], now[idx], axes=(0, 0))
+        if plain_only:
+            out[i] = mixed
+            continue
+        row = out[i, ...]  # a view, also of a scalar payload
+        plain = None if fresh is None else mixed[fresh]
+        np.multiply(c_prev, prev[i], out=row)
+        mixed *= c_now
+        np.subtract(mixed, row, out=row)
+        if fresh is not None:
+            row[fresh] = plain
+    return out
 
 
 def mixed_gain(comm, plan):
@@ -97,39 +134,87 @@ def mixed_gain(comm, plan):
     return comm.n * cur
 
 
+def new_pipeline(n, width, s_rounds):
+    """An empty network-wide pipeline for N agents and payload rows of ``width``.
+
+    The pipeline is the list [now, prev, age]. ``now`` and ``prev`` are
+    (holder, generation slot, source, width) arrays with S slots: slot g of
+    holder i is agent i's copy of one round's generation, whose row k carries
+    agent k's data. ``age[g]`` counts the gossip rounds slot g has been mixed,
+    -1 for a free slot. In-flight generations occupy consecutive slots
+    (cyclically), oldest first, so a holder's neighbors' rows of every
+    in-flight generation form one (neighbors, generations * N * width) block.
+    """
+    now = np.zeros((n, s_rounds, n, width))
+    return [now, np.zeros_like(now), np.full(s_rounds, -1)]
+
+
+def _window(age):
+    """Slot of the oldest in-flight generation and the number in flight."""
+    depth = int(np.count_nonzero(age >= 0))
+    return (int(np.argmax(age)) if depth else 0), depth
+
+
 def enqueue(queue, own):
-    """Append a fresh generation to the network-wide pipeline.
+    """Start a fresh generation in the slot after the newest in-flight one.
 
     ``own`` is (N, width): agent i's own action, reward and optionally safety
-    feedback. In the generation's (N, N, width) payload, agent i's slot (entry
-    i) holds only row i of ``own``; ``prev`` starts equal to the payload.
+    feedback. Agent i's copy of the generation holds only row i of ``own``.
+    At most one generation starts per gossip round, so the in-flight ones
+    have distinct mixing counts. Raises ``RuntimeError`` when S generations
+    are already in flight.
     """
+    now, _, age = queue
+    first, depth = _window(age)
+    if depth == len(age):
+        raise RuntimeError(
+            f"pipeline overflow: {depth + 1} generations in flight, at most S={len(age)}"
+        )
+    slot = (first + depth) % len(age)
     n = len(own)
-    payload = np.zeros((n, n, own.shape[1]))
-    payload[np.arange(n), np.arange(n)] = own
-    queue.append([payload, payload])
+    now[:, slot] = 0.0
+    now[np.arange(n), slot, np.arange(n)] = own
+    age[slot] = 0
 
 
 def advance_queues(queue, comm, plan):
     """Run one gossip round over every in-flight generation of the pipeline.
 
-    ``queue`` is the oldest-first list of [payload, prev] generations with one
-    generation appended per round, so generation g is mixed for the
-    ``len(queue) - g``-th time. All agents publish first, then every update
-    reads only the frozen published set, so the exchange is synchronous and
-    deterministic. Once S generations are in flight the oldest has been mixed
-    for the full horizon: it is popped and returned, and entry i of its
-    payload holds (a_ik / N) times agent k's data in row k. Otherwise returns
-    None.
+    One ``comm_step`` mixes all in-flight generations at once, each with its
+    own mixing count, and writes the result in place over ``prev`` before the
+    two arrays swap roles. All agents publish first, then every update reads
+    only the frozen published set, so the exchange is synchronous and
+    deterministic. Once the oldest generation has been mixed for the full
+    horizon S it leaves the pipeline: a copy of its (N, N, width) payload is
+    returned, whose entry i holds (a_ik / N) times agent k's data in row k.
+    Otherwise returns None.
+
+    Each generation is mixed as a gossip round over its own (N, N, width)
+    payload would mix it: bit for bit when N * width is a multiple of 4, to
+    about one ulp otherwise (see the module docstring).
     """
-    depth = len(queue)
-    if depth > plan.s_rounds:
-        raise RuntimeError(
-            f"pipeline overflow: {depth} generations in flight, at most S={plan.s_rounds}"
-        )
-    for g, gen in enumerate(queue):
-        now, prev = gen
-        gen[0], gen[1] = comm_step(now, prev, depth - g, comm, plan), now
-    if depth == plan.s_rounds:
-        return queue.pop(0)
-    return None
+    now, prev, age = queue
+    s_rounds = len(age)
+    if s_rounds != plan.s_rounds:
+        raise ValueError(f"pipeline holds {s_rounds} slots, but S={plan.s_rounds}")
+    first, depth = _window(age)
+    if depth == 0:
+        return None
+    if first + depth > s_rounds and depth < s_rounds:
+        # after the last enqueue the window may wrap: rotate it to slot 0, one
+        # holder at a time, so that it stays one slice
+        for arr in (now, prev):
+            for i in range(len(arr)):
+                arr[i] = np.roll(arr[i], -first, axis=0)
+        age[:] = np.roll(age, -first)
+        first = 0
+    live = slice(0, s_rounds) if depth == s_rounds else slice(first, first + depth)
+    ell = age[live] + 1
+    comm_step(now[:, live], prev[:, live], ell, comm, plan, out=prev[:, live])
+    now, prev = prev, now
+    queue[0], queue[1] = now, prev
+    age[live] = ell
+    if age[first] < s_rounds:
+        return None
+    age[first] = -1
+    return now[:, first].copy()

@@ -160,8 +160,18 @@ def _comm_entries(topology, scheme):
     raise ValueError(f"unknown comm scheme {scheme!r}")
 
 
-def check_assumption(entries, topology):
-    """Return diagnostics for every violated gossip-matrix requirement (empty list = valid)."""
+def _spectrum(entries):
+    """Eigenvalues of the symmetrized matrix, sorted by decreasing magnitude."""
+    eigs = np.linalg.eigvalsh((entries + entries.T) / 2.0)
+    return eigs[np.argsort(-np.abs(eigs))]
+
+
+def check_assumption(entries, topology, eigenvalues=None):
+    """Return diagnostics for every violated gossip-matrix requirement (empty list = valid).
+
+    ``eigenvalues`` are the matrix's magnitude-sorted eigenvalues when already
+    known; they are computed otherwise.
+    """
     problems = []
     n = topology.n_nodes
     sym_dev = np.abs(entries - entries.T).max()
@@ -177,8 +187,7 @@ def check_assumption(entries, topology):
     if np.any(off != 0):
         problems.append("nonzero entry between non-adjacent nodes")
     if n > 1:
-        eigs = np.linalg.eigvalsh((entries + entries.T) / 2.0)
-        eigs = eigs[np.argsort(-np.abs(eigs))]
+        eigs = _spectrum(entries) if eigenvalues is None else eigenvalues
         if abs(eigs[0] - 1.0) > 1e-8:
             problems.append(f"largest eigenvalue {eigs[0]:.6f} != 1")
         if abs(eigs[1]) >= 1.0 - 1e-12:
@@ -189,17 +198,20 @@ def check_assumption(entries, topology):
 class CommMatrix:
     """Symmetric doubly stochastic gossip matrix respecting the graph structure.
 
-    Eigenvalues are computed once at construction, sorted by magnitude, and cached.
-    Instances are immutable in spirit: safe to share read-only across realizations.
+    Construction computes the matrix of ``scheme`` for the topology and its
+    eigenvalues once, sorted by magnitude and cached, and lists every violated
+    requirement in ``problems`` (see ``check_assumption``) without raising;
+    ``build_comm_matrix`` rejects a matrix with problems. Instances are
+    immutable in spirit: safe to share read-only across realizations.
     """
 
-    def __init__(self, entries, topology, scheme):
-        self.entries = entries
+    def __init__(self, topology, scheme="laplacian"):
+        self.entries = _comm_entries(topology, scheme)
         self.topology = topology
         self.scheme = scheme
         self.n = topology.n_nodes
-        eigs = np.linalg.eigvalsh((entries + entries.T) / 2.0)
-        self.eigenvalues = eigs[np.argsort(-np.abs(eigs))]
+        self.eigenvalues = _spectrum(self.entries)
+        self.problems = check_assumption(self.entries, topology, self.eigenvalues)
         lam2 = float(abs(self.eigenvalues[1])) if self.n > 1 else 0.0
         # exact-averaging matrices report a clean zero
         self.lambda2_abs = 0.0 if lam2 < 1e-12 else lam2
@@ -213,14 +225,13 @@ def build_comm_matrix(topology, scheme="laplacian"):
     """Build the gossip matrix for a topology, failing loudly when the doubly
     stochastic requirement does not hold (the normalized_laplacian scheme only
     satisfies it on regular graphs)."""
-    entries = _comm_entries(topology, scheme)
-    problems = check_assumption(entries, topology)
-    if problems:
+    comm = CommMatrix(topology, scheme)
+    if comm.problems:
         raise ValueError(
             f"communication-matrix requirement violated for scheme={scheme!r} "
-            f"on {topology.kind} graph (N={topology.n_nodes}): " + "; ".join(problems)
+            f"on {topology.kind} graph (N={topology.n_nodes}): " + "; ".join(comm.problems)
         )
-    return CommMatrix(entries, topology, scheme)
+    return comm
 
 
 def compute_mixing_rounds(n, epsilon, lambda2_abs):

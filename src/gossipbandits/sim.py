@@ -26,7 +26,7 @@ from .bandit import (
     ucb_select_box,
     ucb_select_finite,
 )
-from .consensus import MixingPlan, advance_queues, comm_step, enqueue
+from .consensus import MixingPlan, advance_queues, comm_step, enqueue, new_pipeline
 from .graph import GraphTopology, build_comm_matrix, build_topology, load_edge_list
 
 # substream roles under the master seed
@@ -316,16 +316,16 @@ def _run_gossip(config, env, topology, comm, plan, dset, geo, acct,
         if thompson else None
     )
     _, v_star = optimal_value(env, dset, safe=safe)
-    queue = []
-    released = None
     directed_edges = int(topology.adjacency.sum())
     width = d + 1 + (1 if safe else 0)
+    queue = new_pipeline(n, width, s_rounds)
+    released = None
 
     for t in range(1, config.horizon + 1):
         beta = beta_radius(t, d, n, config.lam, config.delta, config.sigma,
                            config.epsilon)
         for i, agent in enumerate(agents):
-            agent.begin_round(t, None if released is None else released[0][i])
+            agent.begin_round(t, None if released is None else released[i])
         actions = np.empty((n, d))
         for i, agent in enumerate(agents):
             if safe:
@@ -361,8 +361,11 @@ def _run_gossip(config, env, topology, comm, plan, dset, geo, acct,
         for i, agent in enumerate(agents):
             # reward, and for the safe agent its shifted feedback too
             agent.finish_round(t, actions[i], *own[i, d:])
-        enqueue(queue, own)
-        acct.scalars[t - 1] = directed_edges * len(queue) * n * width
+        # a generation started after round T - S is never absorbed; the
+        # accounting still counts the full protocol's messages
+        if t <= config.horizon - s_rounds:
+            enqueue(queue, own)
+        acct.scalars[t - 1] = directed_edges * min(t, s_rounds) * n * width
         released = advance_queues(queue, comm, plan)
 
 

@@ -12,7 +12,7 @@ from gossipbandits.bandit import (
     ts_perturb,
 )
 from gossipbandits.config import parse_config
-from gossipbandits.consensus import MixingPlan, advance_queues, enqueue
+from gossipbandits.consensus import MixingPlan, advance_queues, enqueue, new_pipeline
 from gossipbandits.graph import build_comm_matrix, build_topology
 from gossipbandits.sim import build_decision_set, run_realization
 
@@ -317,8 +317,9 @@ def test_queue_overflow_is_a_scheduler_bug():
     comm = build_comm_matrix(build_topology("complete", 2))
     plan = MixingPlan.for_network(comm, 0.1)
     assert plan.s_rounds == 1
-    queue = []
-    enqueue(queue, np.ones((2, 2)))
+    queue = new_pipeline(2, 2, plan.s_rounds)
     enqueue(queue, np.ones((2, 2)))
     with pytest.raises(RuntimeError, match="overflow"):
-        advance_queues(queue, comm, plan)
+        enqueue(queue, np.ones((2, 2)))
+    # the one generation in flight is released after its single gossip round
+    assert np.allclose(advance_queues(queue, comm, plan), 0.5)

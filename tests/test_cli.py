@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from gossipbandits.cli import main
-from gossipbandits.config import ConfigError, parse_config
+from gossipbandits.config import (
+    ConfigError,
+    DecisionSetSpec,
+    ExperimentConfig,
+    TopologySpec,
+    parse_config,
+)
+from gossipbandits.sim import run_realization
 
 
 MINIMAL = {"topology": "ring", "N": 20, "d": 5, "T": 1000, "algorithm": "dlucb"}
@@ -20,6 +27,16 @@ def test_minimal_config_defaults():
     assert config.comm_scheme == "laplacian"
     assert config.decision_set.variant == "box"
     assert config.keep_warmup_data is False
+
+
+def test_direct_config_resolves_default_epsilon():
+    config = ExperimentConfig(topology=TopologySpec("ring"), n_agents=4, d=3, horizon=12,
+                              algorithm="dlucb", decision_set=DecisionSetSpec("box"),
+                              realizations=1)
+    assert config.epsilon == 1.0 / 13.0
+    assert config == parse_config({"topology": "ring", "N": 4, "d": 3, "T": 12,
+                                   "algorithm": "dlucb", "realizations": 1})
+    assert run_realization(config).horizon == 12
 
 
 def test_config_rejects_bad_epsilon():

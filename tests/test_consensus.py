@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipbandits.agents import SafeDlucbAgent
 from gossipbandits.bandit import SafeGeometry
@@ -10,6 +12,7 @@ from gossipbandits.consensus import (
     comm_step,
     enqueue,
     mixed_gain,
+    new_pipeline,
 )
 from gossipbandits.graph import GraphTopology, build_comm_matrix, build_topology
 
@@ -138,24 +141,26 @@ def test_recursion_equals_closed_form_polynomial():
 
 
 def test_enqueue_builds_single_row_slot():
-    queue = []
+    queue = new_pipeline(3, 3, 2)
+    now, _, age = queue
+    now[:] = np.nan  # a reused slot must not keep stale entries
     own = np.array([[0.5, -0.5, 1.25], [1.0, 2.0, 3.0], [-1.0, 0.0, 0.5]])
     enqueue(queue, own)
-    [(payload, prev)] = queue
+    payload = now[:, 0]
     assert payload.shape == (3, 3, 3)
     for i in range(3):
         # agent i's slot holds only its own row
         assert np.array_equal(payload[i, i], own[i])
         assert np.all(np.delete(payload[i], i, axis=0) == 0)
-    # not mixed yet: the recursion starts from prev = payload
-    assert np.array_equal(prev, payload)
+    # not mixed yet, and the other slot is still free
+    assert age.tolist() == [0, -1]
 
 
 def test_queue_overflow_and_early_dequeue():
     comm, plan = make("ring", 4)
     s = plan.s_rounds
     assert s >= 2
-    queue = []
+    queue = new_pipeline(4, 2, s)
     own = np.ones((4, 2))
     # nothing is released before a generation has been mixed S times
     for _ in range(s - 1):
@@ -163,9 +168,8 @@ def test_queue_overflow_and_early_dequeue():
         assert advance_queues(queue, comm, plan) is None
     # a second enqueue without a gossip round puts S + 1 generations in flight
     enqueue(queue, own)
-    enqueue(queue, own)
     with pytest.raises(RuntimeError, match="overflow"):
-        advance_queues(queue, comm, plan)
+        enqueue(queue, own)
 
 
 def test_safety_channel_contract():
@@ -193,13 +197,13 @@ def test_released_generation_is_scaled_gain_times_data():
         scaled_gain = mixed_gain(comm, plan) / n
         # action (d=2), reward and safety columns
         data = [rng.standard_normal((n, 4)) for _ in range(plan.s_rounds + 3)]
-        queue = []
+        queue = new_pipeline(n, 4, plan.s_rounds)
         released = []
         for own in data:
             enqueue(queue, own)
             out = advance_queues(queue, comm, plan)
             if out is not None:
-                released.append(out[0])
+                released.append(out)
         assert len(released) == 4
         for k, payload in enumerate(released):
             expected = scaled_gain[:, :, None] * data[k][None, :, :]
@@ -209,13 +213,15 @@ def test_released_generation_is_scaled_gain_times_data():
 def _drive_queues(comm, plan, actions, rewards):
     """Replay the enqueue/mix/release pipeline the way the simulator runs it;
     yields (t, agent, slot) for every slot absorbed at round t."""
-    queue = []
+    horizon = actions.shape[0]
+    queue = new_pipeline(comm.n, actions.shape[2] + 1, plan.s_rounds)
     released = None
-    for t in range(1, actions.shape[0] + 1):
+    for t in range(1, horizon + 1):
         if released is not None:
             for i in range(comm.n):
-                yield t, i, released[0][i]
-        enqueue(queue, np.column_stack([actions[t - 1], rewards[t - 1]]))
+                yield t, i, released[i]
+        if t <= horizon - plan.s_rounds:
+            enqueue(queue, np.column_stack([actions[t - 1], rewards[t - 1]]))
         released = advance_queues(queue, comm, plan)
 
 
@@ -269,22 +275,92 @@ def test_queue_pipeline_depth_and_mixing_counts():
     # q_ell(P) for every mixing count ell = 1..S
     q = {ell: mixing_polynomial_eig(comm.entries, comm.lambda2_abs, ell)
          for ell in range(1, s + 1)}
-    queue = []
+    queue = new_pipeline(n, 1, s)
     sent = []
     rng = np.random.default_rng(4)
-    for t in range(1, 4 * s):
-        sent.append(rng.standard_normal((n, 1)))
-        enqueue(queue, sent[-1])
-        # mid-round state: depth min(t, S)
-        assert len(queue) == min(t, s)
+    last = 3 * s + 2  # the last round that starts a generation
+    for t in range(1, last + s):
+        if t <= last:
+            sent.append(rng.standard_normal((n, 1)))
+            enqueue(queue, sent[-1])
+        now, _, age = queue
+        # mid-round state: depth min(t, S) while generations start, then the
+        # pipeline drains by one per round
+        depth = int((age >= 0).sum())
+        assert depth == min(t, s, last + s - t)
         released = advance_queues(queue, comm, plan)
         # the first release follows round S, then one per round
         assert (released is not None) == (t >= s)
         if released is not None:
-            assert np.allclose(released[0], q[s][:, :, None] * sent[t - s][None],
+            assert np.allclose(released, q[s][:, :, None] * sent[t - s][None],
                                atol=1e-10)
-        # generation j (oldest first) has been mixed len(queue) - j times
-        for j, (payload, _) in enumerate(queue):
-            ell = len(queue) - j
+        # every in-flight generation has been mixed age times, and the
+        # generations sit in consecutive slots, oldest first
+        now, _, age = queue
+        live = np.flatnonzero(age >= 0)
+        assert len(live) == depth - (released is not None)
+        ages = age[(np.argmax(age) + np.arange(len(live))) % s]
+        assert np.array_equal(ages, age.max() - np.arange(len(live)))
+        for slot in live:
+            ell = age[slot]
             origin = sent[t - ell]
-            assert np.allclose(payload, q[ell][:, :, None] * origin[None], atol=1e-10)
+            assert np.allclose(now[:, slot], q[ell][:, :, None] * origin[None], atol=1e-10)
+    assert (queue[2] == -1).all()
+
+
+def _list_pipeline_oracle(comm, plan, stream):
+    """The pipeline as a list of [payload, prev] generations, each mixed by its
+    own gossip round; yields the released payload (or None) of every round."""
+    n = comm.n
+    w, lam2 = plan.weights, plan.lambda2_abs
+    queue = []
+    for own in stream:
+        payload = np.zeros((n, n, own.shape[1]))
+        payload[np.arange(n), np.arange(n)] = own
+        queue.append([payload, payload])
+        depth = len(queue)
+        for g, gen in enumerate(queue):
+            now, prev = gen
+            ell = depth - g
+            mixed = np.empty_like(now)
+            for i in range(n):
+                idx = comm.neighborhoods[i]
+                mixed[i] = np.tensordot(comm.entries[i, idx], now[idx], axes=(0, 0))
+            if ell > 1:
+                c_now = 2.0 * w[ell - 1] / (lam2 * w[ell])
+                mixed = c_now * mixed - (w[ell - 2] / w[ell]) * prev
+            gen[0], gen[1] = mixed, now
+        yield queue.pop(0)[0] if depth == plan.s_rounds else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), width=st.integers(1, 7), seed=st.integers(0, 2**32 - 1),
+       extra=st.integers(0, 40))
+def test_pipeline_matches_list_of_generations(n, width, seed, extra):
+    rng = np.random.default_rng(seed)
+    comm = build_comm_matrix(GraphTopology(random_connected_adjacency(n, 0.4, rng)))
+    plan = MixingPlan.for_network(comm, 0.3)
+    s = plan.s_rounds
+    horizon = s + 1 + extra
+    stream = rng.standard_normal((horizon, n, width))
+    # the batched mixing keeps dgemv's summation per element only when every
+    # generation's N * width entries fill whole blocks of four
+    if n * width % 4 == 0:
+        check = np.testing.assert_array_equal
+    else:
+        def check(got, want):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+    queue = new_pipeline(n, width, s)
+    oracle = _list_pipeline_oracle(comm, plan, stream)
+    for t in range(1, horizon + 1):
+        # like the simulator, start no generation that would be released after T
+        if t <= horizon - s:
+            enqueue(queue, stream[t - 1])
+        released = advance_queues(queue, comm, plan)
+        expected = next(oracle)
+        if t == horizon:
+            assert released is None
+        elif expected is None:
+            assert released is None
+        else:
+            check(released, expected)

@@ -125,6 +125,20 @@ def test_check_assumption_diagnoses_row_sums():
     assert any("row sums" in p for p in problems)
 
 
+def test_comm_matrix_solves_its_spectrum_once(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    comm = build_comm_matrix(build_topology("ring", 8))
+    assert calls == [(8, 8)]
+    assert comm.problems == []
+
+
 def test_mixing_rounds_reference_values():
     assert compute_mixing_rounds(20, 1 / 21, 0.9674) == 26
     assert compute_mixing_rounds(20, 1 / 21, 0.9500) == 21

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gossipbandits import consensus
 from gossipbandits.bandit import DecisionSet
 from gossipbandits.config import parse_config
 from gossipbandits.sim import (
@@ -144,6 +145,28 @@ def test_gossip_comm_cost_closed_form():
     for t in range(1, 31):
         expected = directed * min(t, s) * width
         assert trace.scalars[t - 1] == expected
+
+
+@pytest.mark.parametrize("algorithm, horizon", [
+    ("dlucb", 40), ("dlts", 23), ("safe_dlucb", 40), ("dlucb", 7), ("dlucb", 4),
+])
+def test_only_released_generations_are_mixed(monkeypatch, algorithm, horizon):
+    # a generation started after round T - S could not be absorbed by round T:
+    # it is never started, so (T - S) generations are mixed S times each
+    mixes = []
+    step = consensus.comm_step
+
+    def counting_step(now, prev, ell, comm, plan, out=None):
+        mixes.append(np.size(ell))
+        return step(now, prev, ell, comm, plan, out=out)
+
+    monkeypatch.setattr(consensus, "comm_step", counting_step)
+    extra = {"decision_set": {"variant": "finite", "num_arms": 6}} if algorithm == "safe_dlucb" else {}
+    trace = run_realization(cfg(T=horizon, algorithm=algorithm, **extra), master_seed=2)
+    s = trace.s_rounds
+    assert sum(mixes) == max(horizon - s, 0) * s
+    # one gossip call per round that has a generation in flight
+    assert len(mixes) == (horizon - 1 if horizon > s else 0)
 
 
 def test_safe_comm_includes_third_channel():
