@@ -1,9 +1,11 @@
 """Per-agent state machines for the decentralized bandit algorithms.
 
-Agents advance under a two-phase round contract driven by the simulator:
-absorb their slot of the fully mixed generation, select, observe, record.
-The simulator owns the network-wide consensus pipeline (see ``consensus``)
-and enqueues every round's plays. State is never shared across realizations.
+Agents advance under a round contract driven by the simulator's one round
+loop: gossip agents absorb their slot of the fully mixed generation
+(``begin_round``), every agent's ``stats`` drive its selection, and
+``finish_round`` records its play. The simulator owns the network-wide
+consensus pipeline (see ``consensus``) and enqueues every round's plays.
+State is never shared across realizations.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ class DlucbAgent:
     During warmup (t <= S) the statistics hold only the agent's own
     observations; at the first main round they are reset to the ridge prior
     unless ``keep_warmup_data`` is set, after which only fully mixed network
-    information is absorbed.
+    information is absorbed. The baselines set S = T, so their warm-up never
+    ends and they learn only from the plays recorded with them.
     """
 
     def __init__(self, n_agents, d, lam, s_rounds, *, keep_warmup_data=False):
@@ -99,8 +102,7 @@ class RcDlucbAgent:
     sums are gossiped while everyone replays their last action.
     """
 
-    def __init__(self, index, d, lam, threshold):
-        self.index = index
+    def __init__(self, d, lam, threshold):
         self.d = d
         self.lam = lam
         self.threshold = threshold
@@ -124,6 +126,10 @@ class RcDlucbAgent:
         self.w_new += np.outer(action, action)
         self.v_new += reward * action
         self.frozen_action = action
+
+    def finish_round(self, t, action, reward):
+        """Record the played action; it stays unshared until the next phase."""
+        self.record_play(action, reward)
 
     def trigger(self, t):
         """Evaluate the phase trigger after the round-t update."""

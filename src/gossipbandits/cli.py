@@ -138,11 +138,7 @@ def cmd_sweep(base_raw, axis, values, out_dir, workers, overwrite):
         "phase_count_mean,total_comm_scalars_mean,S,lambda2_abs"
     ]
     for value in values:
-        raw = dict(base_raw)
-        raw[axis if axis != "topology" else "topology"] = (
-            int(value) if axis in ("T", "N") else value
-        )
-        config = parse_config(raw)
+        config = parse_config({**base_raw, axis: value})
         point_dir = os.path.join(out_dir, f"{axis}={value}")
         summary = cmd_run(config, point_dir, workers, overwrite)
         rows.append(",".join([

@@ -74,6 +74,15 @@ class ExperimentConfig:
 def _take(data, key, default=None):
     return data.pop(key) if key in data else default
 
+
+def _number(key, value, kind):
+    """``value`` converted by ``kind`` (int or float); a ConfigError names ``key``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+
+
 def _reject_unknown(data, where):
     if data:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(data))}")
@@ -112,31 +121,43 @@ def _parse_decision_set(raw, algorithm):
     if variant not in ("box", "finite"):
         raise ConfigError(f"decision_set.variant must be 'box' or 'finite', got {variant!r}")
     if variant == "finite":
-        if num_arms is None or int(num_arms) < 1:
+        if num_arms is None:
             raise ConfigError("finite decision set requires num_arms >= 1")
-        num_arms = int(num_arms)
+        num_arms = _number("num_arms", num_arms, int)
+        if num_arms < 1:
+            raise ConfigError("finite decision set requires num_arms >= 1")
     if algorithm == "safe_dlucb" and variant != "finite":
         raise ConfigError(
             "safe_dlucb requires a finite decision set: the safe filter is exact "
             "only over an explicit arm list"
         )
-    return DecisionSetSpec(variant=variant, num_arms=num_arms, arm_seed=int(arm_seed))
+    if algorithm == "safe_dlucb" and num_arms < 2:
+        raise ConfigError("safe_dlucb requires num_arms >= 2: one arm besides the safe action")
+    return DecisionSetSpec(variant=variant, num_arms=num_arms,
+                           arm_seed=_number("arm_seed", arm_seed, int))
 
 
-def _parse_safe(raw):
+def _parse_safe(raw, d):
     if raw is None:
         return SafeSpec()
     raw = dict(raw)
     c = _take(raw, "c", "uniform")
-    c_min = float(_take(raw, "c_min", 0.0))
+    c_min = _number("c_min", _take(raw, "c_min", 0.0), float)
     x0 = _take(raw, "x0", "zero")
     _reject_unknown(raw, "safe")
     if c != "uniform":
         raise ConfigError("safe.c currently supports only 'uniform'")
     if not 0.0 <= c_min < 1.0:
         raise ConfigError("safe.c_min must lie in [0, 1)")
-    if x0 != "zero" and not isinstance(x0, (list, tuple)):
-        raise ConfigError("safe.x0 must be 'zero' or an explicit vector")
+    if x0 != "zero":
+        if not isinstance(x0, (list, tuple)):
+            raise ConfigError("safe.x0 must be 'zero' or an explicit vector")
+        vector = [_number("safe.x0", v, float) for v in x0]
+        if len(vector) != d:
+            raise ConfigError(f"safe.x0 must have {d} entries, got {len(vector)}")
+        # a longer safe action would be rescaled with the arms, off the arm list
+        if not np.linalg.norm(vector) <= 1.0 + 1e-9:
+            raise ConfigError("safe.x0 must have norm at most 1")
     return SafeSpec(c=c, c_min=c_min, x0=x0)
 
 
@@ -151,12 +172,12 @@ def parse_config(data):
     horizon = _take(data, "T")
     algorithm = _take(data, "algorithm")
     decision_raw = _take(data, "decision_set")
-    sigma = _take(data, "sigma", 0.1)
-    lam = _take(data, "lambda", 1.0)
-    delta = _take(data, "delta", 0.1)
+    sigma = _number("sigma", _take(data, "sigma", 0.1), float)
+    lam = _number("lambda", _take(data, "lambda", 1.0), float)
+    delta = _number("delta", _take(data, "delta", 0.1), float)
     epsilon = _take(data, "epsilon")
-    realizations = _take(data, "realizations", 20)
-    master_seed = _take(data, "seed", 0)
+    realizations = _number("realizations", _take(data, "realizations", 20), int)
+    master_seed = _number("seed", _take(data, "seed", 0), int)
     keep_warmup = _take(data, "keep_warmup_data", False)
     comm_scheme = _take(data, "comm_scheme", "laplacian")
     resample = _take(data, "resample_graph")
@@ -166,7 +187,10 @@ def parse_config(data):
     for name, value in (("N", n_agents), ("d", d), ("T", horizon), ("algorithm", algorithm)):
         if value is None:
             raise ConfigError(f"missing required key {name!r}")
-    n_agents, d, horizon = int(n_agents), int(d), int(horizon)
+    n_agents, d, horizon = (_number(key, value, int) for key, value in
+                            (("N", n_agents), ("d", d), ("T", horizon)))
+    if epsilon is not None:
+        epsilon = _number("epsilon", epsilon, float)
     if n_agents < 1:
         raise ConfigError("N must be >= 1")
     if d < 1:
@@ -175,15 +199,15 @@ def parse_config(data):
         raise ConfigError("T must be >= 0")
     if algorithm not in ALGORITHMS:
         raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
-    if float(lam) < 1.0:
+    if lam < 1.0:
         raise ConfigError("lambda must be >= 1")
-    if not 0 < float(delta) < 1:
+    if not 0 < delta < 1:
         raise ConfigError("delta must lie in (0, 1)")
-    if epsilon is not None and not 0 < float(epsilon) < 1:
+    if epsilon is not None and not 0 < epsilon < 1:
         raise ConfigError("epsilon must lie in (0, 1)")
-    if float(sigma) < 0:
+    if sigma < 0:
         raise ConfigError("sigma must be >= 0")
-    if int(realizations) < 1:
+    if realizations < 1:
         raise ConfigError("realizations must be >= 1")
     if comm_scheme not in COMM_SCHEMES:
         raise ConfigError(f"comm_scheme must be one of {COMM_SCHEMES}")
@@ -191,7 +215,7 @@ def parse_config(data):
         raise ConfigError("resample_graph must be a boolean")
 
     decision = _parse_decision_set(decision_raw, algorithm)
-    safe = _parse_safe(safe_raw) if (algorithm == "safe_dlucb" or safe_raw is not None) else None
+    safe = _parse_safe(safe_raw, d) if (algorithm == "safe_dlucb" or safe_raw is not None) else None
 
     return ExperimentConfig(
         topology=topology,
@@ -200,12 +224,12 @@ def parse_config(data):
         horizon=horizon,
         algorithm=algorithm,
         decision_set=decision,
-        sigma=float(sigma),
-        lam=float(lam),
-        delta=float(delta),
-        epsilon=None if epsilon is None else float(epsilon),
-        realizations=int(realizations),
-        master_seed=int(master_seed),
+        sigma=sigma,
+        lam=lam,
+        delta=delta,
+        epsilon=epsilon,
+        realizations=realizations,
+        master_seed=master_seed,
         keep_warmup_data=bool(keep_warmup),
         comm_scheme=comm_scheme,
         resample_graph=resample,

@@ -12,12 +12,11 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .agents import DlucbAgent, RcDlucbAgent, SafeDlucbAgent
+from .agents import GOSSIP_ALGORITHMS, DlucbAgent, RcDlucbAgent, SafeDlucbAgent
 from .bandit import (
     ConfidenceSet,
     DecisionSet,
     SafeGeometry,
-    SufficientStats,
     beta_radius,
     greedy_box,
     rc_comm_threshold,
@@ -225,7 +224,10 @@ def build_decision_set(config):
         dirs = rng.standard_normal((k, config.d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         radii = np.arange(1, k + 1) / k
-        return DecisionSet.finite(np.vstack([dirs * radii[:, None], x0]))
+        dset = DecisionSet.finite(np.vstack([dirs * radii[:, None], x0]))
+        if not np.all(np.isclose(dset.arms, x0), axis=1).any():
+            raise ValueError("safe mode requires the safe action to be an arm")
+        return dset
     arms = rng.standard_normal((spec.num_arms, config.d))
     arms /= np.linalg.norm(arms, axis=1, keepdims=True)
     return DecisionSet.finite(arms)
@@ -244,9 +246,18 @@ def run_realization(config, master_seed=None, realization=0, record_actions=Fals
                     probe=None):
     """Execute T synchronous rounds of the configured algorithm, returning a Trace.
 
-    ``probe``, when given, is called as probe(t, info) after each round with
-    the played actions and live agent states; it exists for oracle tests and
-    must not mutate anything.
+    Every algorithm plays the same round: absorb the generation the gossip
+    pipeline released, compute beta_t, select, observe, record, share. They
+    differ only in their agents (see ``_agents``) and in what they share:
+    gossip algorithms start a pipeline generation each round, ``rc_dlucb``
+    runs a communication phase when its trigger fires, and the baselines
+    share nothing.
+
+    ``probe``, when given, is called as probe(t, info) in every round, after
+    the plays are recorded and before any statistics update. For every
+    algorithm ``info`` is {"actions": the (N, d) plays, "agents": the live
+    agents}; for ``centralized`` the N agents are one shared learner. It
+    exists for oracle tests and must not mutate anything.
     """
     if master_seed is None:
         master_seed = config.master_seed
@@ -269,84 +280,39 @@ def run_realization(config, master_seed=None, realization=0, record_actions=Fals
         c0 = float(env.mu_star @ x0)
         geo = SafeGeometry(x0=x0, c0=c0, c=env.c)
 
-    acct = _Accounting(config.horizon, config.n_agents, config.d, record_actions)
-    if config.algorithm in ("dlucb", "dlts", "safe_dlucb"):
-        _run_gossip(config, env, topology, comm, plan, dset, geo, acct,
-                    master_seed, realization, probe)
-    elif config.algorithm == "rc_dlucb":
-        _run_rare_comm(config, env, topology, comm, plan, dset, acct, probe)
-    else:
-        _run_baseline(config, env, dset, acct, probe)
-    return acct.to_trace(plan.s_rounds, comm.lambda2_abs, config.n_agents)
-
-
-def _select_ucb(stats, beta, dset, scale=1.0):
-    if dset.variant == "box":
-        cs = ConfidenceSet.from_stats(stats, beta, "ell1_scaled")
-        x, _ = ucb_select_box(cs, scale=scale)
-        return x
-    cs = ConfidenceSet.from_stats(stats, beta, "ell2")
-    idx, _ = ucb_select_finite(dset.arms, cs, scale=scale)
-    return dset.arms[idx]
-
-
-def _run_gossip(config, env, topology, comm, plan, dset, geo, acct,
-                master_seed, realization, probe):
-    n, d = config.n_agents, config.d
-    s_rounds = plan.s_rounds
-    safe = config.algorithm == "safe_dlucb"
-    thompson = config.algorithm == "dlts"
-    if safe:
-        agents = [
-            SafeDlucbAgent(n, d, config.lam, s_rounds, geo,
-                           keep_warmup_data=config.keep_warmup_data)
-            for _ in range(n)
-        ]
-        x0_matches = np.all(np.isclose(dset.arms, geo.x0), axis=1)
-        if not x0_matches.any():
-            raise ValueError("safe mode requires the safe action to be an arm")
-    else:
-        agents = [
-            DlucbAgent(n, d, config.lam, s_rounds,
-                       keep_warmup_data=config.keep_warmup_data)
-            for _ in range(n)
-        ]
-    algo_rngs = (
-        [_stream(master_seed, realization, _ALGO, i) for i in range(n)]
-        if thompson else None
-    )
+    n, d, horizon, s_rounds = config.n_agents, config.d, config.horizon, plan.s_rounds
+    acct = _Accounting(horizon, n, d, record_actions)
+    agents = _agents(config, plan, geo)
+    rngs = [
+        _stream(master_seed, realization, _ALGO, i) if config.algorithm == "dlts" else None
+        for i in range(n)
+    ]
     _, v_star = optimal_value(env, dset, safe=safe)
-    directed_edges = int(topology.adjacency.sum())
+    # own-data rows: action, reward, then the safe agent's shifted feedback
     width = d + 1 + (1 if safe else 0)
-    queue = new_pipeline(n, width, s_rounds)
+    queue = None
+    if config.algorithm in GOSSIP_ALGORITHMS:
+        queue = new_pipeline(n, width, s_rounds)
+        # the full protocol's messages, also for generations never absorbed
+        in_flight = np.minimum(np.arange(1, horizon + 1), s_rounds)
+        acct.scalars[:] = int(topology.adjacency.sum()) * in_flight * n * width
+    elif config.algorithm == "centralized":
+        acct.scalars[:] = n * (n - 1) * (d + 1)
     released = None
 
-    for t in range(1, config.horizon + 1):
+    t, phases = 1, 0
+    while t <= horizon:
         beta = beta_radius(t, d, n, config.lam, config.delta, config.sigma,
                            config.epsilon)
-        for i, agent in enumerate(agents):
-            agent.begin_round(t, None if released is None else released[i])
+        if queue is not None:
+            for i, agent in enumerate(agents):
+                agent.begin_round(t, None if released is None else released[i])
         actions = np.empty((n, d))
         for i, agent in enumerate(agents):
-            if safe:
-                mu_hat = agent.ortho.mu_hat()
-                keep = safe_filter(dset.arms, mu_hat, agent.ortho, beta, geo)
-                if len(keep) == 0:
-                    actions[i] = geo.x0
-                else:
-                    cs = ConfidenceSet.from_stats(agent.stats, beta, "ell2")
-                    j, _ = ucb_select_finite(dset.arms[keep], cs, scale=geo.kappa_r)
-                    actions[i] = dset.arms[keep[j]]
-            elif thompson:
-                cs = ConfidenceSet.from_stats(agent.stats, beta, "ell2")
-                tilde = ts_perturb(cs, algo_rngs[i])
-                if dset.variant == "box":
-                    actions[i] = greedy_box(tilde)
-                else:
-                    actions[i] = dset.arms[int(np.argmax(dset.arms @ tilde))]
+            if i and agent is agents[i - 1]:  # one shared learner selects once
+                actions[i] = actions[i - 1]
             else:
-                actions[i] = _select_ucb(agent.stats, beta, dset)
-        # own-data rows: action, reward, then the safe agent's shifted feedback
+                actions[i] = _select(agent, beta, dset, geo, rngs[i])
         own = np.empty((n, width))
         own[:, :d] = actions
         for i in range(n):
@@ -354,119 +320,111 @@ def _run_gossip(config, env, topology, comm, plan, dset, geo, acct,
             own[i, d] = y
             if safe:
                 own[i, d + 1] = agents[i].shifted_feedback(actions[i], z)
-        regrets = v_star - actions @ env.theta_star
-        acct.record(t, actions, regrets, env)
+        acct.record(t, actions, v_star - actions @ env.theta_star, env)
         if probe is not None:
             probe(t, {"actions": actions.copy(), "agents": agents})
         for i, agent in enumerate(agents):
-            # reward, and for the safe agent its shifted feedback too
             agent.finish_round(t, actions[i], *own[i, d:])
-        # a generation started after round T - S is never absorbed; the
-        # accounting still counts the full protocol's messages
-        if t <= config.horizon - s_rounds:
-            enqueue(queue, own)
-        acct.scalars[t - 1] = directed_edges * min(t, s_rounds) * n * width
-        released = advance_queues(queue, comm, plan)
+        played = 0
+        if queue is not None:
+            # a generation started after round T - S is never absorbed
+            if t <= horizon - s_rounds:
+                enqueue(queue, own)
+            released = advance_queues(queue, comm, plan)
+        elif config.algorithm == "rc_dlucb":
+            triggered = any(agent.trigger(t) for agent in agents)
+            if triggered and t < horizon:
+                phases += 1
+                played = _rc_phase(t, phases, agents, actions, env, v_star, comm, plan,
+                                   acct, horizon, probe)
+        acct.phases[t - 1] = phases
+        t += 1 + played
+    return acct.to_trace(s_rounds, comm.lambda2_abs, n)
 
 
-def _run_rare_comm(config, env, topology, comm, plan, dset, acct, probe):
-    n, d = config.n_agents, config.d
+def _agents(config, plan, geo):
+    """The N agents of a realization, in agent order.
+
+    Gossip agents reset to the prior after their S-round warm-up. The
+    baselines' warm-up lasts the whole horizon, so they only ever learn from
+    their own plays: ``no_comm`` has N independent learners, ``centralized``
+    one learner listed N times, which every agent's play feeds in agent order.
+    """
+    n, d, lam = config.n_agents, config.d, config.lam
+    if config.algorithm == "rc_dlucb":
+        threshold = rc_comm_threshold(config.horizon, n, d, lam)
+        return [RcDlucbAgent(d, lam, threshold) for _ in range(n)]
+    if config.algorithm == "centralized":
+        return [DlucbAgent(n, d, lam, config.horizon)] * n
+    if config.algorithm == "no_comm":
+        return [DlucbAgent(n, d, lam, config.horizon) for _ in range(n)]
+    keep = config.keep_warmup_data
+    if geo is not None:
+        return [SafeDlucbAgent(n, d, lam, plan.s_rounds, geo, keep_warmup_data=keep)
+                for _ in range(n)]
+    return [DlucbAgent(n, d, lam, plan.s_rounds, keep_warmup_data=keep) for _ in range(n)]
+
+
+def _select(agent, beta, dset, geo, rng):
+    """The agent's play at confidence radius ``beta``.
+
+    With ``geo``: the UCB arm among those the safe filter certifies, else the
+    safe action. With ``rng``: Thompson sampling. Otherwise UCB over the box
+    or the finite arm list.
+    """
+    if geo is not None:
+        keep = safe_filter(dset.arms, agent.ortho.mu_hat(), agent.ortho, beta, geo)
+        if len(keep) == 0:
+            return geo.x0
+        cs = ConfidenceSet.from_stats(agent.stats, beta, "ell2")
+        j, _ = ucb_select_finite(dset.arms[keep], cs, scale=geo.kappa_r)
+        return dset.arms[keep[j]]
+    box = dset.variant == "box"
+    cs = ConfidenceSet.from_stats(agent.stats, beta,
+                                  "ell1_scaled" if box and rng is None else "ell2")
+    if rng is not None:
+        tilde = ts_perturb(cs, rng)
+        return greedy_box(tilde) if box else dset.arms[int(np.argmax(dset.arms @ tilde))]
+    if box:
+        return ucb_select_box(cs)[0]
+    return dset.arms[ucb_select_finite(dset.arms, cs)[0]]
+
+
+def _rc_phase(t, phase, agents, actions, env, v_star, comm, plan, acct, horizon, probe):
+    """Communication phase ``phase`` of ``rc_dlucb``, triggered in round t.
+
+    For up to S rounds after t every agent replays its round-t action while
+    the network gossips the unshared sums W and V. When all S rounds fit in
+    the horizon, each agent folds the mixed sums in. Returns the number of
+    rounds played.
+    """
+    n, d = actions.shape
     s_rounds = plan.s_rounds
-    threshold = rc_comm_threshold(config.horizon, n, d, config.lam)
-    agents = [RcDlucbAgent(i, d, config.lam, threshold) for i in range(n)]
-    _, v_star = optimal_value(env, dset)
-    directed_edges = int(topology.adjacency.sum())
-    phase_round_scalars = directed_edges * d * (d + 1)
-
-    t, phases = 1, 0
-    while t <= config.horizon:
-        beta = beta_radius(t, d, n, config.lam, config.delta, config.sigma,
-                           config.epsilon)
-        actions = np.empty((n, d))
-        for i, agent in enumerate(agents):
-            actions[i] = _select_ucb(agent.stats, beta, dset)
-        rewards = np.empty(n)
+    scalars = int(comm.topology.adjacency.sum()) * d * (d + 1)
+    payloads = [agent.phase_payload() for agent in agents]
+    w_cur = np.stack([p[0] for p in payloads])
+    v_cur = np.stack([p[1] for p in payloads])
+    w_prev, v_prev = w_cur, v_cur
+    y_sums = np.zeros(n)
+    played = min(s_rounds, horizon - t)
+    for s in range(1, played + 1):
+        rnd = t + s
         for i in range(n):
-            rewards[i], _ = feedback(env, actions[i], i, t)
-        regrets = v_star - actions @ env.theta_star
-        acct.record(t, actions, regrets, env)
+            y, _ = feedback(env, actions[i], i, rnd)
+            y_sums[i] += y
+        acct.record(rnd, actions, v_star - actions @ env.theta_star, env)
+        acct.phase_id[rnd - 1] = phase
+        acct.phases[rnd - 1] = phase
+        acct.scalars[rnd - 1] = scalars
+        w_cur, w_prev = comm_step(w_cur, w_prev, s, comm, plan), w_cur
+        v_cur, v_prev = comm_step(v_cur, v_prev, s, comm, plan), v_cur
         if probe is not None:
-            probe(t, {"actions": actions.copy(), "agents": agents})
+            probe(rnd, {"actions": actions.copy(), "agents": agents})
+    if played == s_rounds:
         for i, agent in enumerate(agents):
-            agent.record_play(actions[i], rewards[i])
-
-        triggered = any(agent.trigger(t) for agent in agents)
-        if triggered and t < config.horizon:
-            phases += 1
-            acct.phases[t - 1] = phases
-            payloads = [agent.phase_payload() for agent in agents]
-            w_cur = np.stack([p[0] for p in payloads])
-            v_cur = np.stack([p[1] for p in payloads])
-            w_prev, v_prev = w_cur, v_cur
-            y_sums = np.zeros(n)
-            executed = 0
-            for s in range(1, s_rounds + 1):
-                rnd = t + s
-                if rnd > config.horizon:
-                    break
-                executed += 1
-                for i in range(n):
-                    y, _ = feedback(env, actions[i], i, rnd)
-                    y_sums[i] += y
-                regrets = v_star - actions @ env.theta_star
-                acct.record(rnd, actions, regrets, env)
-                acct.phase_id[rnd - 1] = phases
-                acct.phases[rnd - 1] = phases
-                acct.scalars[rnd - 1] = phase_round_scalars
-                w_cur, w_prev = comm_step(w_cur, w_prev, s, comm, plan), w_cur
-                v_cur, v_prev = comm_step(v_cur, v_prev, s, comm, plan), v_cur
-                if probe is not None:
-                    probe(rnd, {"actions": actions.copy(), "agents": agents})
-            if executed == s_rounds:
-                for i, agent in enumerate(agents):
-                    agent.absorb_phase(w_cur[i], v_cur[i], n, s_rounds,
-                                       y_sums[i], t_end=t + s_rounds)
-            t += executed + 1
-        else:
-            acct.phases[t - 1] = phases
-            t += 1
-
-
-def _run_baseline(config, env, dset, acct, probe):
-    n, d = config.n_agents, config.d
-    centralized = config.algorithm == "centralized"
-    if centralized:
-        shared = SufficientStats.initial(d, config.lam)
-        per_round_scalars = n * (n - 1) * (d + 1)
-    else:
-        stats = [SufficientStats.initial(d, config.lam) for _ in range(n)]
-        per_round_scalars = 0
-    _, v_star = optimal_value(env, dset)
-
-    for t in range(1, config.horizon + 1):
-        beta = beta_radius(t, d, n, config.lam, config.delta, config.sigma,
-                           config.epsilon)
-        actions = np.empty((n, d))
-        if centralized:
-            x = _select_ucb(shared, beta, dset)
-            actions[:] = x
-        else:
-            for i in range(n):
-                actions[i] = _select_ucb(stats[i], beta, dset)
-        rewards = np.empty(n)
-        for i in range(n):
-            rewards[i], _ = feedback(env, actions[i], i, t)
-        regrets = v_star - actions @ env.theta_star
-        acct.record(t, actions, regrets, env)
-        acct.scalars[t - 1] = per_round_scalars
-        if probe is not None:
-            target = shared if centralized else stats
-            probe(t, {"actions": actions.copy(), "stats": target})
-        for i in range(n):
-            if centralized:
-                shared.add_observation(actions[i], rewards[i])
-            else:
-                stats[i].add_observation(actions[i], rewards[i])
+            agent.absorb_phase(w_cur[i], v_cur[i], n, s_rounds, y_sums[i],
+                               t_end=t + s_rounds)
+    return played
 
 
 def _realization_job(args):

@@ -119,7 +119,7 @@ def test_warmup_reset_versus_keep():
 
 
 def test_rc_agent_bookkeeping():
-    agent = RcDlucbAgent(index=0, d=2, lam=1.0, threshold=5.0)
+    agent = RcDlucbAgent(d=2, lam=1.0, threshold=5.0)
     x = np.array([0.6, 0.0])
     agent.record_play(x, 1.0)
     assert np.allclose(agent.stats.gram, np.eye(2) + np.outer(x, x))
@@ -289,7 +289,7 @@ def test_centralized_statistics_are_exact():
     seen = {}
 
     def probe(t, info):
-        seen[t] = info["stats"].gram.copy()
+        seen[t] = info["agents"][0].stats.gram.copy()
 
     trace = run_realization(config, master_seed=12, record_actions=True, probe=probe)
     chain = perfect_gram_chain(trace.actions, 3, 1.0)

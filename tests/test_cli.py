@@ -102,6 +102,49 @@ def test_run_bad_config_exits_2(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+SAFE = {"topology": "ring", "N": 4, "d": 2, "T": 10, "algorithm": "safe_dlucb",
+        "decision_set": {"variant": "finite", "num_arms": 6}, "realizations": 2}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"decision_set": {"variant": "finite", "num_arms": 1}}, "num_arms >= 2"),
+    ({"safe": {"x0": [0.9, 0.9]}}, "norm at most 1"),
+    ({"safe": {"x0": [0.1, 0.1, 0.1]}}, "2 entries"),
+])
+def test_bad_safe_config_exits_2(tmp_path, capsys, change, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config({**SAFE, **change})
+    code, _ = run_cli(tmp_path, {**SAFE, **change})
+    assert code == 2
+    assert message in capsys.readouterr().err
+    # the valid neighbour of each case still runs
+    assert run_cli(tmp_path, {**SAFE, "safe": {"x0": [0.6, 0.0]}})[0] == 0
+
+
+@pytest.mark.parametrize("key", [
+    "N", "d", "T", "sigma", "lambda", "delta", "epsilon", "realizations", "seed",
+    "num_arms", "arm_seed", "c_min",
+])
+def test_non_numeric_scalar_is_config_error(tmp_path, capsys, key):
+    config = {**SAFE, "decision_set": dict(SAFE["decision_set"]), "safe": {}}
+    if key in ("num_arms", "arm_seed"):
+        config["decision_set"][key] = "three"
+    elif key == "c_min":
+        config["safe"][key] = "three"
+    else:
+        config[key] = "three"
+    with pytest.raises(ConfigError, match=f"{key} must be a number, got 'three'"):
+        parse_config(config)
+    code, _ = run_cli(tmp_path, config)
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    if key in ("T", "N"):  # the sweep axes with numeric values
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(SAFE))
+        assert main(["sweep", "--config", str(path), "--axis", key, "--values", "three",
+                     "--out", str(tmp_path / "sweep"), "--workers", "1"]) == 2
+
+
 def test_run_refuses_to_clobber_without_overwrite(tmp_path):
     config = {"topology": "ring", "N": 4, "d": 2, "T": 5, "algorithm": "no_comm",
               "realizations": 1}

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from gossipbandits import consensus
-from gossipbandits.bandit import DecisionSet
+from gossipbandits.agents import ALGORITHMS
+from gossipbandits.bandit import ConfidenceSet, DecisionSet
 from gossipbandits.config import parse_config
 from gossipbandits.sim import (
     Environment,
@@ -193,6 +194,41 @@ def test_rc_comm_cost_bounded_by_phase_budget():
 def test_centralized_comm_cost():
     trace = run_realization(cfg(algorithm="centralized", T=10), master_seed=5)
     assert np.all(trace.scalars == 5 * 4 * (3 + 1))
+
+
+def test_selections_per_round_and_probe_payload(monkeypatch):
+    # one round loop: the shared centralized learner selects once per round,
+    # the N independent no_comm learners once each
+    selected = []
+    from_stats = ConfidenceSet.from_stats.__func__
+
+    def counting(cls, stats, beta, flavor="ell2"):
+        selected.append(stats)
+        return from_stats(cls, stats, beta, flavor)
+
+    monkeypatch.setattr(ConfidenceSet, "from_stats", classmethod(counting))
+    for algorithm, calls, learners in (("centralized", 12, 1), ("no_comm", 5 * 12, 5)):
+        selected.clear()
+        run_realization(cfg(algorithm=algorithm, T=12), master_seed=0)
+        assert len(selected) == calls
+        assert len({id(stats) for stats in selected}) == learners
+
+    for algorithm in ALGORITHMS:
+        extra = {"decision_set": {"variant": "finite", "num_arms": 6}} if algorithm == "safe_dlucb" else {}
+        rounds = []
+
+        def probe(t, info):
+            assert set(info) == {"actions", "agents"}
+            assert info["actions"].shape == (5, 3) and len(info["agents"]) == 5
+            if algorithm == "centralized":
+                assert all(agent is info["agents"][0] for agent in info["agents"])
+            rounds.append(t)
+
+        trace = run_realization(cfg(algorithm=algorithm, T=60, **extra), master_seed=1,
+                                probe=probe)
+        # every round, communication-phase rounds included
+        assert rounds == list(range(1, 61)), algorithm
+        assert (trace.phase_count > 0) == (algorithm == "rc_dlucb")
 
 
 def test_aggregate_single_trace_zero_std():
