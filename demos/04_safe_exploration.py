@@ -37,7 +37,7 @@ def probe(t, info):
         agent = info["agents"][0]
         beta = gb.beta_radius(t, config.d, config.n_agents, config.lam,
                               config.delta, config.sigma, config.epsilon)
-        keep = gb.safe_filter(arms, agent.ortho.mu_hat(), agent.ortho, beta, agent.geo)
+        keep = gb.safe_filter(arms, agent.stats.gram, agent.safety, beta, agent.geo)
         sizes.append((t, len(keep)))
 
 gb.run_realization(config, master_seed=0, probe=probe)

@@ -11,14 +11,11 @@ from .agents import ALGORITHMS, DlucbAgent, RcDlucbAgent, SafeDlucbAgent
 from .bandit import (
     ConfidenceSet,
     DecisionSet,
-    OrthoStats,
     SafeGeometry,
     SufficientStats,
     beta_radius,
     greedy_box,
     mixing_delay_pairs,
-    ortho_norm,
-    project_components,
     rc_comm_threshold,
     rls_estimate,
     safe_filter,

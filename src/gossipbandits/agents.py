@@ -2,17 +2,17 @@
 
 Agents advance under a round contract driven by the simulator's one round
 loop: gossip agents absorb their slot of the fully mixed generation
-(``begin_round``), every agent's ``stats`` drive its selection, and
-``finish_round`` records its play. The simulator owns the network-wide
-consensus pipeline (see ``consensus``) and enqueues every round's plays.
-State is never shared across realizations.
+(``begin_round``), every agent's ``stats`` (and the safe agent's ``safety``)
+drive its selection, and ``finish_round`` records its play. The simulator
+owns the network-wide consensus pipeline (see ``consensus``) and enqueues
+every round's plays. State is never shared across realizations.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bandit import OrthoStats, SufficientStats, project_components
+from .bandit import SufficientStats
 
 ALGORITHMS = ("dlucb", "rc_dlucb", "safe_dlucb", "dlts", "no_comm", "centralized")
 GOSSIP_ALGORITHMS = ("dlucb", "dlts", "safe_dlucb")
@@ -55,28 +55,23 @@ class DlucbAgent:
 class SafeDlucbAgent(DlucbAgent):
     """Gossiped UCB agent that additionally learns the constraint direction.
 
-    Maintains complement-restricted statistics from projected actions and
-    shifted safety feedback; every emitted action passed the safe filter at
-    selection time (or is the known safe action).
+    ``safety`` is the moment of the shifted safety feedback, gathered and reset
+    like the reward moment; ``safe_filter`` pairs it with ``stats.gram``. Every
+    emitted action passed the safe filter at selection time (or is the known
+    safe action).
     """
 
     def __init__(self, n_agents, d, lam, s_rounds, geo, *, keep_warmup_data=False):
         super().__init__(n_agents, d, lam, s_rounds, keep_warmup_data=keep_warmup_data)
         self.geo = geo
-        self.ortho = OrthoStats.initial(geo, d, lam)
+        self.safety = np.zeros(d)
 
     def begin_round(self, t, slot):
         if t == self.s_rounds + 1 and not self.keep_warmup_data:
-            self.ortho.reset()
+            self.safety = np.zeros(self.d)
         super().begin_round(t, slot)
         if slot is not None:
-            actions = slot[:, : self.d]
-            if self.geo.is_zero:
-                perp = actions
-            else:
-                coefs = actions @ self.geo.x0_unit
-                perp = actions - np.outer(coefs, self.geo.x0_unit)
-            self.ortho.absorb_mixed(perp, slot[:, self.d + 1], self.n)
+            self.safety += float(self.n) ** 2 * slot[:, : self.d].T @ slot[:, self.d + 1]
 
     def shifted_feedback(self, action, z):
         """Remove the known component of the safety measurement along x0."""
@@ -88,8 +83,7 @@ class SafeDlucbAgent(DlucbAgent):
     def finish_round(self, t, action, reward, z_perp):
         """Record the played action with its shifted safety feedback ``z_perp``."""
         if t <= self.s_rounds:
-            _, x_perp = project_components(action, self.geo)
-            self.ortho.add_observation(x_perp, z_perp)
+            self.safety += z_perp * action
         super().finish_round(t, action, reward)
 
 

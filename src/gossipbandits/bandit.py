@@ -4,7 +4,7 @@ safe-set geometry over finite and box decision sets."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -188,8 +188,9 @@ def ts_perturb(cs, rng):
 class SafeGeometry:
     """Known safe action with its constraint value and the enlargement factor.
 
-    A zero safe action is the degenerate sentinel: the projection onto it
-    vanishes and the orthogonal complement is the whole space.
+    ``basis`` is an orthonormal basis of the safe direction's complement. A
+    zero safe action is the degenerate sentinel: the projection onto it
+    vanishes and the complement is the whole space.
     """
 
     x0: np.ndarray
@@ -203,113 +204,39 @@ class SafeGeometry:
         self.norm_x0 = float(np.linalg.norm(self.x0))
         self.is_zero = self.norm_x0 == 0.0
         self.x0_unit = np.zeros_like(self.x0) if self.is_zero else self.x0 / self.norm_x0
+        d = self.x0.shape[0]
+        if self.is_zero:
+            self.basis = np.eye(d)
+        else:
+            q, _ = np.linalg.qr(np.column_stack([self.x0_unit, np.eye(d)]))
+            self.basis = q[:, 1:d]
 
     @property
     def kappa_r(self):
         return 2.0 / (self.c - self.c0) + 1.0
 
 
-def project_components(x, geo):
-    """Split x into its component along the safe direction and the remainder."""
-    x = np.asarray(x, dtype=float)
-    if geo.is_zero:
-        return np.zeros_like(x), x.copy()
-    coef = float(x @ geo.x0_unit)
-    x_par = coef * geo.x0_unit
-    return x_par, x - x_par
-
-
-def complement_basis(geo, d):
-    """Orthonormal basis of the subspace orthogonal to the safe direction
-    (the full space for the zero-action sentinel)."""
-    if geo.is_zero:
-        return np.eye(d)
-    stacked = np.column_stack([geo.x0_unit, np.eye(d)])
-    q, _ = np.linalg.qr(stacked)
-    return q[:, 1:d]
-
-
-@dataclass
-class OrthoStats:
-    """Gram/moment statistics restricted to the safe direction's complement."""
-
-    gram_perp: np.ndarray
-    moment_perp: np.ndarray
-    basis: np.ndarray = field(repr=False)
-    lam: float = 1.0
-    geo: SafeGeometry | None = field(default=None, repr=False)
-
-    @classmethod
-    def initial(cls, geo, d, lam):
-        if lam < 1:
-            raise ValueError("ridge parameter must be >= 1")
-        basis = complement_basis(geo, d)
-        gram = lam * (np.eye(d) - np.outer(geo.x0_unit, geo.x0_unit))
-        return cls(gram_perp=gram, moment_perp=np.zeros(d), basis=basis, lam=lam, geo=geo)
-
-    @property
-    def d(self):
-        return self.moment_perp.shape[0]
-
-    def reset(self):
-        geo = self.geo
-        self.gram_perp = self.lam * (np.eye(self.d) - np.outer(geo.x0_unit, geo.x0_unit))
-        self.moment_perp = np.zeros(self.d)
-
-    def add_observation(self, x_perp, z_perp):
-        self.gram_perp += np.outer(x_perp, x_perp)
-        self.moment_perp += z_perp * x_perp
-
-    def absorb_mixed(self, perp_matrix, z_vector, n_agents):
-        scale = float(n_agents) ** 2
-        self.gram_perp += scale * perp_matrix.T @ perp_matrix
-        self.moment_perp += scale * perp_matrix.T @ z_vector
-
-    def restricted_factor(self):
-        reduced = self.basis.T @ self.gram_perp @ self.basis
-        return cho_factor(reduced, lower=True)
-
-    def mu_hat(self):
-        """Constraint-direction estimate, solved in the complement basis only;
-        the full matrix is singular along the safe direction by construction."""
-        factor = self.restricted_factor()
-        return self.basis @ cho_solve(factor, self.basis.T @ self.moment_perp)
-
-
-def ortho_norm(x_perp, stats):
-    """Norm of x_perp under the inverse of the complement-restricted Gram matrix."""
-    x_perp = np.asarray(x_perp, dtype=float)
-    geo = stats.geo
-    if geo is not None and not geo.is_zero:
-        overlap = abs(float(x_perp @ geo.x0_unit))
-        if overlap > 1e-9 * max(1.0, np.linalg.norm(x_perp)):
-            raise ValueError("input is not orthogonal to the safe direction")
-    u = stats.basis.T @ x_perp
-    factor = stats.restricted_factor()
-    return float(math.sqrt(max(u @ cho_solve(factor, u), 0.0)))
-
-
-def safe_filter(arms, mu_perp_hat, stats, beta, geo):
+def safe_filter(arms, gram, safety, beta, geo):
     """Indices of arms certified safe by the conservative inner approximation.
 
-    An arm passes when its projection onto the safe direction, the estimated
-    orthogonal constraint value, and the confidence bonus jointly stay below
-    the constraint level.
+    The constraint is estimated on the safe direction's complement B = basis:
+    mu_hat = B (B^T gram B)^-1 B^T safety, where B^T gram B equals the Gram
+    matrix of the projected actions. An arm passes when its known value along
+    the safe direction, <mu_hat, x> and the bonus beta ||B^T x|| under that
+    inverse jointly stay below the constraint level.
     """
     arms = np.atleast_2d(np.asarray(arms, dtype=float))
-    k = arms.shape[0]
+    basis = geo.basis
+    factor = cho_factor(basis.T @ gram @ basis, lower=True)
+    mu_hat = basis @ cho_solve(factor, basis.T @ safety)
     if geo.is_zero:
-        proj_term = np.zeros(k)
-        perp = arms.copy()
+        proj_term = np.zeros(arms.shape[0])
     else:
-        coefs = arms @ geo.x0_unit
-        proj_term = (coefs / geo.norm_x0) * geo.c0
-        perp = arms - np.outer(coefs, geo.x0_unit)
-    factor = stats.restricted_factor()
-    reduced = stats.basis.T @ perp.T
+        proj_term = (arms @ geo.x0_unit / geo.norm_x0) * geo.c0
+    reduced = basis.T @ arms.T
     solved = cho_solve(factor, reduced)
     norms = np.sqrt(np.maximum(np.einsum("dk,dk->k", reduced, solved), 0.0))
-    values = proj_term + perp @ mu_perp_hat + beta * norms
+    values = proj_term + arms @ mu_hat + beta * norms
     return np.flatnonzero(values <= geo.c)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,6 @@ class DecisionSetSpec:
 
 @dataclass
 class SafeSpec:
-    c: str | float = "uniform"
     c_min: float = 0.0
     x0: str | list = "zero"
 
@@ -76,11 +76,17 @@ def _take(data, key, default=None):
 
 
 def _number(key, value, kind):
-    """``value`` converted by ``kind`` (int or float); a ConfigError names ``key``."""
+    """``value`` converted by ``kind`` (int or float) without truncation and
+    finite; a ConfigError names ``key``."""
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    if kind is int and isinstance(value, float) and number != value:
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return number
 
 
 def _reject_unknown(data, where):
@@ -100,6 +106,8 @@ def _parse_topology(raw):
     _reject_unknown(raw, "topology")
     if kind not in TOPOLOGY_KINDS:
         raise ConfigError(f"topology.kind must be one of {TOPOLOGY_KINDS}, got {kind!r}")
+    if p is not None:
+        p = _number("topology.p", p, float)
     if kind == "erdos_renyi":
         if p is None or not 0 < p <= 1:
             raise ConfigError("erdos_renyi topology requires p in (0, 1]")
@@ -113,6 +121,8 @@ def _parse_decision_set(raw, algorithm):
         raw = {"variant": "box"}
     if isinstance(raw, str):
         raw = {"variant": raw}
+    if not isinstance(raw, dict):
+        raise ConfigError("decision_set must be a variant string or an object")
     raw = dict(raw)
     variant = _take(raw, "variant")
     num_arms = _take(raw, "num_arms")
@@ -140,13 +150,12 @@ def _parse_decision_set(raw, algorithm):
 def _parse_safe(raw, d):
     if raw is None:
         return SafeSpec()
+    if not isinstance(raw, dict):
+        raise ConfigError("safe must be an object")
     raw = dict(raw)
-    c = _take(raw, "c", "uniform")
     c_min = _number("c_min", _take(raw, "c_min", 0.0), float)
     x0 = _take(raw, "x0", "zero")
     _reject_unknown(raw, "safe")
-    if c != "uniform":
-        raise ConfigError("safe.c currently supports only 'uniform'")
     if not 0.0 <= c_min < 1.0:
         raise ConfigError("safe.c_min must lie in [0, 1)")
     if x0 != "zero":
@@ -158,7 +167,7 @@ def _parse_safe(raw, d):
         # a longer safe action would be rescaled with the arms, off the arm list
         if not np.linalg.norm(vector) <= 1.0 + 1e-9:
             raise ConfigError("safe.x0 must have norm at most 1")
-    return SafeSpec(c=c, c_min=c_min, x0=x0)
+    return SafeSpec(c_min=c_min, x0=x0)
 
 
 def parse_config(data):
@@ -274,6 +283,5 @@ def resolved_dict(config):
         "resample_graph": config.resample_graph,
     }
     if config.safe is not None:
-        out["safe"] = {"c": config.safe.c, "c_min": config.safe.c_min,
-                       "x0": config.safe.x0}
+        out["safe"] = {"c_min": config.safe.c_min, "x0": config.safe.x0}
     return out

@@ -373,7 +373,7 @@ def _select(agent, beta, dset, geo, rng):
     or the finite arm list.
     """
     if geo is not None:
-        keep = safe_filter(dset.arms, agent.ortho.mu_hat(), agent.ortho, beta, geo)
+        keep = safe_filter(dset.arms, agent.stats.gram, agent.safety, beta, geo)
         if len(keep) == 0:
             return geo.x0
         cs = ConfidenceSet.from_stats(agent.stats, beta, "ell2")

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own code paths: eigenvalues
 come from a hand-rolled shifted QR iteration, the mixing polynomial from the
-closed Chebyshev form on the eigendecomposition, and connectivity from BFS.
+closed Chebyshev form on the eigendecomposition, connectivity from BFS, and
+the safe filter's restricted norm from a dense solve.
 """
 
 import math
@@ -82,3 +83,15 @@ def random_connected_adjacency(n, p, rng, max_tries=500):
         if bfs_connected(a):
             return a
     raise RuntimeError("could not sample a connected graph")
+
+
+def ortho_norm(x_perp, gram, geo):
+    """Norm of x_perp, orthogonal to the safe direction, under the inverse of
+    ``gram`` restricted to the complement basis ``geo.basis``."""
+    x_perp = np.asarray(x_perp, dtype=float)
+    if not geo.is_zero:
+        overlap = abs(float(x_perp @ geo.x0_unit))
+        if overlap > 1e-9 * max(1.0, np.linalg.norm(x_perp)):
+            raise ValueError("input is not orthogonal to the safe direction")
+    u = geo.basis.T @ x_perp
+    return float(math.sqrt(max(u @ np.linalg.solve(geo.basis.T @ gram @ geo.basis, u), 0.0)))

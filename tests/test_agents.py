@@ -209,7 +209,7 @@ def test_safe_agent_plays_filtered_or_safe_action():
                            config.sigma, config.epsilon)
         for i, agent in enumerate(agents):
             geo = agent.geo
-            keep = safe_filter(dset.arms, agent.ortho.mu_hat(), agent.ortho, beta, geo)
+            keep = safe_filter(dset.arms, agent.stats.gram, agent.safety, beta, geo)
             allowed = [tuple(dset.arms[j]) for j in keep] + [tuple(geo.x0)]
             if tuple(info["actions"][i]) not in allowed:
                 violations.append((t, i))

@@ -2,18 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gossipbandits.agents import SafeDlucbAgent
 from gossipbandits.bandit import (
     ConfidenceSet,
     DecisionSet,
-    OrthoStats,
     SafeGeometry,
     SufficientStats,
     beta_radius,
     greedy_box,
     mixing_delay_pairs,
-    ortho_norm,
-    project_components,
     rls_estimate,
     safe_filter,
     theoretical_regret_bound,
@@ -21,6 +21,7 @@ from gossipbandits.bandit import (
     ucb_select_box,
     ucb_select_finite,
 )
+from helpers import ortho_norm
 
 
 class ZeroRng:
@@ -232,21 +233,27 @@ def test_ts_covariance_monte_carlo():
 
 def test_projection_splits():
     geo = SafeGeometry(x0=np.array([1.0, 0.0]), c0=0.0, c=0.5)
-    x_par, x_perp = project_components(np.array([3.0, 4.0]), geo)
-    assert np.allclose(x_par, [3.0, 0.0])
-    assert np.allclose(x_perp, [0.0, 4.0])
-    x_par, x_perp = project_components(geo.x0, geo)
-    assert np.allclose(x_par, geo.x0) and np.allclose(x_perp, 0.0)
-    x_par, x_perp = project_components(np.array([0.0, 2.0]), geo)
-    assert np.allclose(x_par, 0.0) and np.allclose(x_perp, [0.0, 2.0])
+    # the complement projector B B^T splits off the safe direction
+    assert np.allclose(geo.basis @ geo.basis.T @ np.array([3.0, 4.0]), [0.0, 4.0])
+    assert np.allclose(geo.basis @ geo.basis.T @ geo.x0, 0.0)
+    assert np.allclose(geo.basis @ geo.basis.T @ np.array([0.0, 2.0]), [0.0, 2.0])
+    rng = np.random.default_rng(13)
+    for d in range(2, 7):
+        geo = SafeGeometry(x0=rng.standard_normal(d), c0=0.0, c=1.0)
+        assert geo.basis.shape == (d, d - 1)
+        assert np.allclose(geo.basis.T @ geo.basis, np.eye(d - 1), atol=1e-12)
+        assert np.abs(geo.basis.T @ geo.x0_unit).max() < 1e-12
+        x = rng.standard_normal(d)
+        x_par = (x @ geo.x0_unit) * geo.x0_unit
+        assert np.allclose(x_par + geo.basis @ geo.basis.T @ x, x, atol=1e-12)
 
 
 def test_projection_zero_sentinel():
     geo = SafeGeometry(x0=np.zeros(3), c0=0.0, c=0.4)
     x = np.array([0.1, -0.2, 0.3])
-    x_par, x_perp = project_components(x, geo)
-    assert np.array_equal(x_par, np.zeros(3))
-    assert np.array_equal(x_perp, x)
+    assert np.array_equal(geo.x0_unit, np.zeros(3))
+    assert np.array_equal(geo.basis, np.eye(3))
+    assert np.array_equal(geo.basis @ geo.basis.T @ x, x)
 
 
 def test_kappa_r_values():
@@ -258,50 +265,47 @@ def test_kappa_r_values():
 
 def test_ortho_stats_annihilate_safe_direction():
     geo = SafeGeometry(x0=np.array([0.6, 0.8, 0.0]), c0=0.0, c=0.5)
-    stats = OrthoStats.initial(geo, 3, 1.0)
-    assert np.abs(stats.gram_perp @ geo.x0_unit).max() < 1e-10
-    reduced = stats.basis.T @ stats.gram_perp @ stats.basis
+    gram = np.eye(3)
+    reduced = geo.basis.T @ gram @ geo.basis
     assert np.linalg.eigvalsh(reduced).min() >= 1.0 - 1e-12
+    # plays along the safe direction carry no constraint information
+    along = geo.basis.T @ (gram + 7.0 * np.outer(geo.x0, geo.x0)) @ geo.basis
+    assert np.abs(along - reduced).max() < 1e-12
 
 
 def test_ortho_norm_basics():
     geo = SafeGeometry(x0=np.array([1.0, 0.0]), c0=0.0, c=0.5)
-    stats = OrthoStats.initial(geo, 2, 1.0)
-    assert ortho_norm(np.zeros(2), stats) == 0.0
-    assert abs(ortho_norm(np.array([0.0, 1.0]), stats) - 1.0) < 1e-12
+    assert ortho_norm(np.zeros(2), np.eye(2), geo) == 0.0
+    assert abs(ortho_norm(np.array([0.0, 1.0]), np.eye(2), geo) - 1.0) < 1e-12
     with pytest.raises(ValueError, match="orthogonal"):
-        ortho_norm(np.array([1.0, 1.0]), stats)
+        ortho_norm(np.array([1.0, 1.0]), np.eye(2), geo)
 
 
 def test_ortho_norm_dominated_by_full_norm():
-    # restricted-complement norms never exceed the full-Gram norms when both
-    # statistics grow from the same action history
+    # restricted-complement norms never exceed the full-Gram norms of the
+    # same statistics
     rng = np.random.default_rng(14)
     for _ in range(100):
         d = int(rng.integers(2, 6))
         x0 = rng.standard_normal(d)
         geo = SafeGeometry(x0=x0, c0=0.0, c=1.0)
-        stats = OrthoStats.initial(geo, d, 1.0)
         full = SufficientStats.initial(d, 1.0)
         for _ in range(int(rng.integers(1, 30))):
             x = rng.standard_normal(d)
             x /= max(1.0, np.linalg.norm(x))
-            _, x_perp = project_components(x, geo)
-            stats.add_observation(x_perp, 0.0)
             full.add_observation(x, 0.0)
         probe = rng.standard_normal(d)
         probe /= np.linalg.norm(probe)
-        _, probe_perp = project_components(probe, geo)
-        lhs = ortho_norm(probe_perp, stats)
+        probe_perp = probe - (probe @ geo.x0_unit) * geo.x0_unit
+        lhs = ortho_norm(probe_perp, full.gram, geo)
         rhs = math.sqrt(probe @ np.linalg.inv(full.gram) @ probe)
         assert lhs <= rhs + 1e-12
 
 
 def test_safe_filter_always_keeps_safe_action():
     geo = SafeGeometry(x0=np.array([1.0, 0.0]), c0=0.1, c=0.5)
-    stats = OrthoStats.initial(geo, 2, 1.0)
     arms = np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.9]])
-    keep = safe_filter(arms, np.zeros(2), stats, beta=100.0, geo=geo)
+    keep = safe_filter(arms, np.eye(2), np.zeros(2), beta=100.0, geo=geo)
     assert 0 in keep
     # an enormous radius certifies only actions with no orthogonal component
     assert list(keep) == [0]
@@ -309,8 +313,8 @@ def test_safe_filter_always_keeps_safe_action():
 
 def test_safe_filter_hand_example():
     geo = SafeGeometry(x0=np.array([1.0, 0.0]), c0=0.0, c=0.5)
-    stats = OrthoStats.initial(geo, 2, 1.0)
-    stats.gram_perp += np.diag([0.0, 15.0])  # well-explored orthogonal direction
+    gram = np.eye(2) + np.diag([0.0, 15.0])  # well-explored orthogonal direction
+    safety = np.array([2.0, 6.4])  # mu_hat = (0, 6.4 / 16): the x0 entry drops out
     mu_hat = np.array([0.0, 0.4])
     arms = np.array([
         [1.0, 0.0],    # x0 itself -> value c0 = 0
@@ -319,12 +323,12 @@ def test_safe_filter_hand_example():
         [0.0, -1.0],   # -0.4 + 0.125 <= 0.5
         [0.5, 0.5],    # 0.2 + 0.0625 <= 0.5
     ])
-    keep = safe_filter(arms, mu_hat, stats, beta=0.5, geo=geo)
+    keep = safe_filter(arms, gram, safety, beta=0.5, geo=geo)
     values = []
     for arm in arms:
-        _, perp = project_components(arm, geo)
+        perp = arm - (arm @ geo.x0_unit) * geo.x0_unit
         values.append(float(arm @ geo.x0_unit) / geo.norm_x0 * geo.c0
-                      + mu_hat @ perp + 0.5 * ortho_norm(perp, stats))
+                      + mu_hat @ perp + 0.5 * ortho_norm(perp, gram, geo))
     expected = [k for k, v in enumerate(values) if v <= geo.c]
     assert list(keep) == expected == [0, 2, 3, 4]
 
@@ -332,19 +336,76 @@ def test_safe_filter_hand_example():
 def test_safe_filter_monotone_in_beta():
     rng = np.random.default_rng(15)
     geo = SafeGeometry(x0=np.zeros(3), c0=0.0, c=0.6)
-    stats = OrthoStats.initial(geo, 3, 1.0)
+    stats = SufficientStats.initial(3, 1.0)
+    safety = np.zeros(3)
     for _ in range(20):
         x = rng.standard_normal(3) * 0.4
-        stats.add_observation(x, float(rng.standard_normal()))
+        z = float(rng.standard_normal())
+        stats.add_observation(x, 0.0)
+        safety += z * x
     arms = rng.standard_normal((12, 3))
     arms /= np.maximum(np.linalg.norm(arms, axis=1, keepdims=True), 1.0)
-    mu_hat = stats.mu_hat()
     previous = None
     for beta in (3.0, 1.0, 0.3, 0.0001):
-        keep = set(safe_filter(arms, mu_hat, stats, beta, geo).tolist())
+        keep = set(safe_filter(arms, stats.gram, safety, beta, geo).tolist())
         if previous is not None:
             assert previous <= keep  # shrinking beta never removes arms
         previous = keep
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(2, 6), zero_x0=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       n_warmup=st.integers(0, 8), n_slots=st.integers(0, 4), keep_warmup=st.booleans())
+def test_restricted_statistics_match_projected_replay(d, zero_x0, seed, n_warmup,
+                                                      n_slots, keep_warmup):
+    # rebuild the complement statistics of the projected actions independently,
+    # lam (I - u u^T) + sum x_perp x_perp^T and the moment sum z x_perp:
+    # warm-up plays first, then absorbed mixed slots
+    rng = np.random.default_rng(seed)
+    n, lam = 3, 1.0
+    x0 = np.zeros(d) if zero_x0 else rng.standard_normal(d)
+    x0 *= rng.uniform(0.1, 1.0) / max(np.linalg.norm(x0), 1e-300)
+    geo = SafeGeometry(x0=x0, c0=0.0 if zero_x0 else float(rng.uniform(-0.3, 0.3)), c=0.5)
+    agent = SafeDlucbAgent(n, d, lam, s_rounds=n_warmup, geo=geo,
+                           keep_warmup_data=keep_warmup)
+    unit = geo.x0_unit
+    projector = np.eye(d) - np.outer(unit, unit)
+    gram_perp = lam * projector
+    moment_perp = np.zeros(d)
+    for t in range(1, n_warmup + 1):
+        x = rng.uniform(-1.0, 1.0, d) / math.sqrt(d)
+        z = float(rng.standard_normal())
+        agent.finish_round(t, x, float(rng.standard_normal()), z)
+        gram_perp += np.outer(projector @ x, projector @ x)
+        moment_perp += z * (projector @ x)
+    if not keep_warmup:
+        gram_perp, moment_perp = lam * projector, np.zeros(d)
+    for k in range(max(n_slots, 1)):
+        slot = rng.standard_normal((n, d + 2)) / n if k < n_slots else None
+        agent.begin_round(n_warmup + 1 + k, slot)
+        if slot is not None:
+            perp = slot[:, :d] @ projector
+            gram_perp += n**2 * perp.T @ perp
+            moment_perp += n**2 * perp.T @ slot[:, d + 1]
+
+    basis = geo.basis
+    old = np.linalg.cholesky(basis.T @ gram_perp @ basis)
+    new = np.linalg.cholesky(basis.T @ agent.stats.gram @ basis)
+    assert np.abs(new - old).max() <= 1e-10 * np.abs(old).max()
+
+    arms = rng.standard_normal((15, d))
+    arms *= rng.uniform(0.0, 1.0, (15, 1)) / np.linalg.norm(arms, axis=1, keepdims=True)
+    beta = float(rng.uniform(0.0, 2.0))
+    # the filter on projected arms against the projected statistics
+    reduced = np.linalg.cholesky(basis.T @ gram_perp @ basis)
+    mu_perp = basis @ np.linalg.solve(basis.T @ gram_perp @ basis, basis.T @ moment_perp)
+    perp_arms = arms @ projector
+    widths = np.linalg.solve(reduced, basis.T @ perp_arms.T)
+    values = ((arms @ unit) / max(geo.norm_x0, 1e-300) * geo.c0 + perp_arms @ mu_perp
+              + beta * np.sqrt((widths**2).sum(axis=0)))
+    expected = np.flatnonzero(values <= geo.c)
+    keep = safe_filter(arms, agent.stats.gram, agent.safety, beta, geo)
+    assert np.array_equal(keep, expected)
 
 
 # ------------------------------------------------------------------ bounds

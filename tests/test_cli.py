@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -110,9 +112,12 @@ SAFE = {"topology": "ring", "N": 4, "d": 2, "T": 10, "algorithm": "safe_dlucb",
     ({"decision_set": {"variant": "finite", "num_arms": 1}}, "num_arms >= 2"),
     ({"safe": {"x0": [0.9, 0.9]}}, "norm at most 1"),
     ({"safe": {"x0": [0.1, 0.1, 0.1]}}, "2 entries"),
+    ({"decision_set": 5}, "decision_set must be a variant string or an object"),
+    ({"safe": 5}, "safe must be an object"),
+    ({"safe": {"c": "uniform"}}, "unknown key(s) in safe: c"),
 ])
 def test_bad_safe_config_exits_2(tmp_path, capsys, change, message):
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         parse_config({**SAFE, **change})
     code, _ = run_cli(tmp_path, {**SAFE, **change})
     assert code == 2
@@ -121,28 +126,39 @@ def test_bad_safe_config_exits_2(tmp_path, capsys, change, message):
     assert run_cli(tmp_path, {**SAFE, "safe": {"x0": [0.6, 0.0]}})[0] == 0
 
 
-@pytest.mark.parametrize("key", [
-    "N", "d", "T", "sigma", "lambda", "delta", "epsilon", "realizations", "seed",
-    "num_arms", "arm_seed", "c_min",
+@pytest.mark.parametrize("key, value, message", [
+    *(pytest.param(key, "three", "a number", id=key) for key in (
+        "N", "d", "T", "sigma", "lambda", "delta", "epsilon", "realizations", "seed",
+        "num_arms", "arm_seed", "c_min", "p")),
+    # fractional ints are not truncated, non-finite floats do not pass
+    pytest.param("N", 3.7, "an integer", id="N-fractional"),
+    pytest.param("T", 10.5, "an integer", id="T-fractional"),
+    pytest.param("sigma", math.nan, "finite", id="sigma-nan"),
+    pytest.param("sigma", math.inf, "finite", id="sigma-inf"),
+    pytest.param("lambda", math.nan, "finite", id="lambda-nan"),
 ])
-def test_non_numeric_scalar_is_config_error(tmp_path, capsys, key):
+def test_non_numeric_scalar_is_config_error(tmp_path, capsys, key, value, message):
     config = {**SAFE, "decision_set": dict(SAFE["decision_set"]), "safe": {}}
     if key in ("num_arms", "arm_seed"):
-        config["decision_set"][key] = "three"
+        config["decision_set"][key] = value
     elif key == "c_min":
-        config["safe"][key] = "three"
+        config["safe"][key] = value
+    elif key == "p":
+        config["topology"] = {"kind": "erdos_renyi", "p": value}
     else:
-        config[key] = "three"
-    with pytest.raises(ConfigError, match=f"{key} must be a number, got 'three'"):
+        config[key] = value
+    with pytest.raises(ConfigError, match=re.escape(f"{key} must be {message}, got {value!r}")):
         parse_config(config)
     code, _ = run_cli(tmp_path, config)
     assert code == 2
     assert "config error" in capsys.readouterr().err
-    if key in ("T", "N"):  # the sweep axes with numeric values
+    if key in ("T", "N") and isinstance(value, str):  # the sweep axes with numeric values
         path = tmp_path / "config.json"
         path.write_text(json.dumps(SAFE))
-        assert main(["sweep", "--config", str(path), "--axis", key, "--values", "three",
+        assert main(["sweep", "--config", str(path), "--axis", key, "--values", value,
                      "--out", str(tmp_path / "sweep"), "--workers", "1"]) == 2
+    if isinstance(value, float) and key in ("N", "T"):  # an integral float still counts
+        assert parse_config({**SAFE, key: float(SAFE[key])}) == parse_config(SAFE)
 
 
 def test_run_refuses_to_clobber_without_overwrite(tmp_path):

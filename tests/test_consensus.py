@@ -174,7 +174,8 @@ def test_queue_overflow_and_early_dequeue():
 
 def test_safety_channel_contract():
     # slot rows are (a_ik / N) * (x_k, y_k, z_k): reward and safety feed the
-    # two statistics with the same N^2-scaled weights
+    # reward moment and the safety moment with the same N^2-scaled weights,
+    # over the same (unprojected) actions
     geo = SafeGeometry(x0=np.array([0.6, 0.0]), c0=0.1, c=0.5)
     agent = SafeDlucbAgent(n_agents=3, d=2, lam=1.0, s_rounds=1, geo=geo)
     slot = np.random.default_rng(5).standard_normal((3, 4))
@@ -182,9 +183,7 @@ def test_safety_channel_contract():
     actions = slot[:, :2]
     assert np.allclose(agent.stats.gram, np.eye(2) + 9.0 * actions.T @ actions)
     assert np.allclose(agent.stats.moment, 9.0 * actions.T @ slot[:, 2])
-    perp = actions.copy()
-    perp[:, 0] = 0.0  # the complement of x0 is the second axis
-    assert np.allclose(agent.ortho.moment_perp, 9.0 * perp.T @ slot[:, 3])
+    assert np.allclose(agent.safety, 9.0 * actions.T @ slot[:, 3])
 
 
 def test_released_generation_is_scaled_gain_times_data():
