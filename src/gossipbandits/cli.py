@@ -14,9 +14,10 @@ import os
 import sys
 
 from .bandit import theoretical_regret_bound
-from .config import ConfigError, parse_config, resolved_dict
-from .graph import CommMatrix, build_topology, compute_mixing_rounds, load_edge_list
-from .sim import aggregate, run_experiment
+from .config import KEYS, ConfigError, as_mapping, parse_config, read_config, resolved_dict
+from .consensus import MixingPlan
+from .graph import CommMatrix, load_edge_list
+from .sim import aggregate, build_graph, run_experiment
 
 TRACE_COLUMNS = (
     "t",
@@ -127,6 +128,14 @@ def cmd_run(config, out_dir, workers, overwrite):
 SWEEP_AXES = ("T", "N", "algorithm", "topology")
 
 
+def _literal(text):
+    """A sweep value: the JSON literal ``text`` spells, else the bare string."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
 def cmd_sweep(base_raw, axis, values, out_dir, workers, overwrite):
     if axis not in SWEEP_AXES:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}")
@@ -138,7 +147,7 @@ def cmd_sweep(base_raw, axis, values, out_dir, workers, overwrite):
         "phase_count_mean,total_comm_scalars_mean,S,lambda2_abs"
     ]
     for value in values:
-        config = parse_config({**base_raw, axis: value})
+        config = parse_config({**base_raw, axis: _literal(value)})
         point_dir = os.path.join(out_dir, f"{axis}={value}")
         summary = cmd_run(config, point_dir, workers, overwrite)
         rows.append(",".join([
@@ -157,32 +166,46 @@ def cmd_sweep(base_raw, axis, values, out_dir, workers, overwrite):
     return 0
 
 
-def cmd_graph_info(kind, n, p, edge_file, scheme, epsilon, seed):
-    import numpy as np
+# graph-info describes the network of a run with d = 5, whose default epsilon
+# is 1/21; T and the algorithm do not shape the network
+_GRAPH_INFO_RUN = {"d": 5, "T": 0, "algorithm": "dlucb"}
 
-    if kind == "explicit":
-        topology = load_edge_list(edge_file, n)
-    else:
-        rng = np.random.default_rng(seed)
-        topology = build_topology(kind, n, p=p, rng=rng)
-    comm = CommMatrix(topology, scheme)
-    problems = comm.problems
-    # the raw |lambda_2|, before CommMatrix rounds exact averaging to zero
-    lambda2 = float(abs(comm.eigenvalues[1])) if topology.n_nodes > 1 else 0.0
+
+def cmd_graph_info(raw):
+    """Print the spectrum and mixing horizon of realization 0's network."""
+    topo = raw["topology"]
+    # without --n, an explicit topology has as many nodes as its edge list
+    if "N" not in raw and topo["kind"] == "explicit" and "edge_file" in topo:
+        raw["N"] = load_edge_list(topo["edge_file"]).n_nodes
+    config = parse_config({**_GRAPH_INFO_RUN, **raw})
+    topology = build_graph(config, config.master_seed, 0)
+    comm = CommMatrix(topology, config.comm_scheme)
+    epsilon = config.epsilon
     print(f"nodes:        {topology.n_nodes}")
     print(f"max degree:   {int(topology.max_degree)}")
-    print(f"scheme:       {scheme}")
-    print(f"|lambda_2|:   {lambda2:.6f}")
-    if not problems:
-        s_rounds = compute_mixing_rounds(topology.n_nodes, epsilon, lambda2)
-        print(f"S (eps={epsilon:.6g}): {s_rounds}")
+    print(f"scheme:       {config.comm_scheme}")
+    print(f"|lambda_2|:   {comm.lambda2_abs:.6f}")
+    if not comm.problems:
+        print(f"S (eps={epsilon:.6g}): {MixingPlan.for_network(comm, epsilon).s_rounds}")
         print("doubly stochastic check: PASS")
     else:
         print(f"S (eps={epsilon:.6g}): n/a")
         print("doubly stochastic check: FAIL")
-        for problem in problems:
+        for problem in comm.problems:
             print(f"  - {problem}")
     return 0
+
+
+def _add_flag(parser, key, flag=None, **kwargs):
+    """The flag that sets config ``key``; its value is stored under the key."""
+    text = f"{key.help} (config key {key.name})"
+    if isinstance(key.type, tuple):
+        text += f"; one of {', '.join(key.type)}"
+    if key.type is bool:
+        kwargs.update(action="store_true", default=None)
+    elif key.type in (int, float):
+        kwargs["type"] = key.type
+    parser.add_argument(flag or key.flag, dest=key.name, help=text, **kwargs)
 
 
 def _build_parser():
@@ -194,24 +217,9 @@ def _build_parser():
 
     def add_config_flags(sp):
         sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--topology", help="topology kind (overrides config)")
-        sp.add_argument("--p", type=float, help="edge probability for erdos_renyi")
-        sp.add_argument("--edge-file", help="edge list file for explicit topologies")
-        sp.add_argument("--n", type=int, help="number of agents")
-        sp.add_argument("--d", type=int, help="action dimension")
-        sp.add_argument("--t", type=int, help="horizon (rounds)")
-        sp.add_argument("--algorithm", help="algorithm name")
-        sp.add_argument("--sigma", type=float)
-        sp.add_argument("--lambda", dest="lam", type=float)
-        sp.add_argument("--delta", type=float)
-        sp.add_argument("--epsilon", type=float)
-        sp.add_argument("--realizations", type=int)
-        sp.add_argument("--seed", type=int, help="master seed")
-        sp.add_argument("--keep-warmup-data", action="store_true", default=None)
-        sp.add_argument("--comm-scheme", choices=("laplacian", "normalized_laplacian"))
-        sp.add_argument("--arms", type=int, help="finite decision set with this many arms")
-        sp.add_argument("--arm-seed", type=int)
-        sp.add_argument("--safe-c-min", type=float)
+        for key in KEYS:
+            if key.flag:
+                _add_flag(sp, key)
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--workers", type=int, default=0,
                         help="worker processes (0 = host parallelism)")
@@ -224,66 +232,31 @@ def _build_parser():
     add_config_flags(sweep_p)
     sweep_p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     sweep_p.add_argument("--values", required=True,
-                         help="comma-separated axis values")
+                         help="comma-separated axis values, each a JSON literal or a bare string")
 
     info_p = sub.add_parser("graph-info", help="spectral diagnostics for a topology")
-    info_p.add_argument("--topology", required=True)
-    info_p.add_argument("--n", type=int)
-    info_p.add_argument("--p", type=float)
-    info_p.add_argument("--edge-file")
-    info_p.add_argument("--scheme", default="laplacian",
-                        choices=("laplacian", "normalized_laplacian"))
-    info_p.add_argument("--epsilon", type=float, default=1.0 / 21.0)
-    info_p.add_argument("--seed", type=int, default=0)
+    for key in KEYS:
+        if key.name in ("topology.kind", "topology.p", "topology.edge_file", "N",
+                        "epsilon", "seed", "comm_scheme"):
+            _add_flag(info_p, key, "--scheme" if key.name == "comm_scheme" else None,
+                      required=key.name == "topology.kind")
     return parser
 
 
 def _merge_flags(args):
-    raw = {}
-    if args.config:
-        with open(args.config) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{args.config}: invalid JSON ({exc})") from exc
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be an object")
-    if args.topology is not None or args.p is not None or args.edge_file is not None:
-        topo = raw.get("topology", {})
-        if isinstance(topo, str):
-            topo = {"kind": topo}
-        topo = dict(topo)
-        if args.topology is not None:
-            topo["kind"] = args.topology
-        if args.p is not None:
-            topo["p"] = args.p
-        if args.edge_file is not None:
-            topo["edge_file"] = args.edge_file
-        raw["topology"] = topo
-    for key, value in (
-        ("N", args.n), ("d", args.d), ("T", args.t), ("algorithm", args.algorithm),
-        ("sigma", args.sigma), ("lambda", args.lam), ("delta", args.delta),
-        ("epsilon", args.epsilon), ("realizations", args.realizations),
-        ("seed", args.seed), ("keep_warmup_data", args.keep_warmup_data),
-        ("comm_scheme", args.comm_scheme),
-    ):
-        if value is not None:
-            raw[key] = value
-    if args.arms is not None or args.arm_seed is not None:
-        dset = raw.get("decision_set", {})
-        if isinstance(dset, str):
-            dset = {"variant": dset}
-        dset = dict(dset)
-        if args.arms is not None:
-            dset["variant"] = "finite"
-            dset["num_arms"] = args.arms
-        if args.arm_seed is not None:
-            dset["arm_seed"] = args.arm_seed
-        raw["decision_set"] = dset
-    if args.safe_c_min is not None:
-        safe = dict(raw.get("safe", {}))
-        safe["c_min"] = args.safe_c_min
-        raw["safe"] = safe
+    """The config file's raw mapping with each given flag's value set under its key."""
+    raw = read_config(args.config) if getattr(args, "config", None) else {}
+    for key in KEYS:
+        value = getattr(args, key.name, None)
+        if value is None:
+            continue
+        if not key.section:
+            raw[key.name] = value
+            continue
+        section = raw[key.section] = as_mapping(raw.get(key.section), key.section)
+        section[key.leaf] = value
+        if key.name == "decision_set.num_arms":  # --arms selects the finite set
+            section["variant"] = "finite"
     return raw
 
 
@@ -291,12 +264,9 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "graph-info":
-            if args.topology != "explicit" and args.n is None:
-                raise ConfigError("graph-info needs --n unless the topology is explicit")
-            return cmd_graph_info(args.topology, args.n, args.p, args.edge_file,
-                                  args.scheme, args.epsilon, args.seed)
         raw = _merge_flags(args)
+        if args.command == "graph-info":
+            return cmd_graph_info(raw)
         workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
         if args.command == "run":
             config = parse_config(raw)

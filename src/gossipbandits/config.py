@@ -1,10 +1,17 @@
-"""Experiment configuration: JSON schema, strict validation, and defaults."""
+"""Experiment configuration: JSON schema, strict validation, and defaults.
+
+``KEYS`` lists every config key once, with the dataclass field it sets, the
+type its value must have and its command line flag; defaults live only in the
+dataclasses. Parsing, the resolved echo and the command line all read that
+table.
+"""
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+import sys
+from dataclasses import MISSING, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +50,7 @@ class ExperimentConfig:
     d: int
     horizon: int
     algorithm: str
-    decision_set: DecisionSetSpec
+    decision_set: DecisionSetSpec = field(default_factory=lambda: DecisionSetSpec("box"))
     sigma: float = 0.1
     lam: float = 1.0
     delta: float = 0.1
@@ -71,217 +78,187 @@ class ExperimentConfig:
         return x0
 
 
-def _take(data, key, default=None):
-    return data.pop(key) if key in data else default
+class Key(NamedTuple):
+    """One config key: its JSON name, "section.key" inside a section."""
+
+    name: str
+    field: str  # the field it sets on the section's (or the root's) dataclass
+    type: object  # int, float, bool, str, a tuple of allowed strings, or object
+    flag: str | None = None  # the run/sweep command line flag that sets it
+    help: str = ""
+    low: int | None = None  # the least value a number may take
+
+    @property
+    def section(self):
+        return self.name.rpartition(".")[0]
+
+    @property
+    def leaf(self):
+        return self.name.rpartition(".")[2]
 
 
-def _number(key, value, kind):
-    """``value`` converted by ``kind`` (int or float) without truncation and
-    finite; a ConfigError names ``key``."""
-    try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be a number, got {value!r}") from None
-    if kind is int and isinstance(value, float) and number != value:
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    if not math.isfinite(number):
-        raise ConfigError(f"{key} must be finite, got {value!r}")
-    return number
+KEYS = (
+    Key("topology.kind", "kind", TOPOLOGY_KINDS, "--topology", "topology kind"),
+    Key("topology.p", "p", float, "--p", "edge probability for erdos_renyi"),
+    Key("topology.edge_file", "edge_file", str, "--edge-file",
+        "edge list file for explicit topologies"),
+    Key("N", "n_agents", int, "--n", "number of agents", 1),
+    Key("d", "d", int, "--d", "action dimension", 1),
+    Key("T", "horizon", int, "--t", "horizon in rounds", 0),
+    Key("algorithm", "algorithm", ALGORITHMS, "--algorithm", "algorithm name"),
+    Key("decision_set.variant", "variant", ("box", "finite")),
+    Key("decision_set.num_arms", "num_arms", int, "--arms",
+        "finite decision set with this many arms"),
+    Key("decision_set.arm_seed", "arm_seed", int, "--arm-seed", "seed of the finite arms", 0),
+    Key("sigma", "sigma", float, "--sigma", "noise scale", 0),
+    Key("lambda", "lam", float, "--lambda", "ridge parameter", 1),
+    Key("delta", "delta", float, "--delta", "confidence level"),
+    Key("epsilon", "epsilon", float, "--epsilon", "mixing tolerance"),
+    Key("realizations", "realizations", int, "--realizations", "number of realizations", 1),
+    Key("seed", "master_seed", int, "--seed", "master seed", 0),
+    Key("keep_warmup_data", "keep_warmup_data", bool, "--keep-warmup-data",
+        "keep own pre-mixing observations past round S"),
+    Key("comm_scheme", "comm_scheme", COMM_SCHEMES, "--comm-scheme", "gossip matrix scheme"),
+    Key("resample_graph", "resample_graph", bool),
+    Key("safe.c_min", "c_min", float, "--safe-c-min", "lower end of the safety level"),
+    Key("safe.x0", "x0", object),  # "zero" or a vector: checked with the other safe values
+)
+
+_SECTIONS = {"topology": TopologySpec, "decision_set": DecisionSetSpec, "safe": SafeSpec}
+_SHORTHANDS = {"topology": "kind", "decision_set": "variant"}
+_TYPE_NAMES = {bool: "a boolean", str: "a string"}
 
 
-def _reject_unknown(data, where):
-    if data:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(data))}")
+def as_mapping(value, name="config root"):
+    """A raw config section (or the root) as a new dict: null is empty, and a
+    string is shorthand for the section's kind or variant ("topology": "ring"
+    is {"kind": "ring"})."""
+    shorthand = _SHORTHANDS.get(name)
+    if value is None:
+        return {}
+    if shorthand and isinstance(value, str):
+        return {shorthand: value}
+    if not isinstance(value, dict):
+        kind = f"a {shorthand} string or an object" if shorthand else "an object"
+        raise ConfigError(f"{name} must be {kind}")
+    return dict(value)
 
 
-def _parse_topology(raw):
-    if isinstance(raw, str):
-        raw = {"kind": raw}
-    if not isinstance(raw, dict):
-        raise ConfigError("topology must be a kind string or an object")
-    raw = dict(raw)
-    kind = _take(raw, "kind")
-    p = _take(raw, "p")
-    edge_file = _take(raw, "edge_file")
-    _reject_unknown(raw, "topology")
-    if kind not in TOPOLOGY_KINDS:
-        raise ConfigError(f"topology.kind must be one of {TOPOLOGY_KINDS}, got {kind!r}")
-    if p is not None:
-        p = _number("topology.p", p, float)
-    if kind == "erdos_renyi":
-        if p is None or not 0 < p <= 1:
-            raise ConfigError("erdos_renyi topology requires p in (0, 1]")
-    if kind == "explicit" and not edge_file:
-        raise ConfigError("explicit topology requires edge_file")
-    return TopologySpec(kind=kind, p=p, edge_file=edge_file)
+def _typed(name, value, kind, low=None):
+    """``value`` if it has the declared type ``kind``: numbers reject booleans
+    and strings, an int takes an integral float, and every number is finite
+    and at least ``low``. A ConfigError names the key."""
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        raise ConfigError(f"{name} must be one of {kind}, got {value!r}")
+    if kind in (int, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints past any float
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+        if kind is int and value != int(value):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if low is not None and value < low:
+            raise ConfigError(f"{name} must be >= {low}")
+        return kind(value)
+    if not isinstance(value, kind):
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
-def _parse_decision_set(raw, algorithm):
-    if raw is None:
-        raw = {"variant": "box"}
-    if isinstance(raw, str):
-        raw = {"variant": raw}
-    if not isinstance(raw, dict):
-        raise ConfigError("decision_set must be a variant string or an object")
-    raw = dict(raw)
-    variant = _take(raw, "variant")
-    num_arms = _take(raw, "num_arms")
-    arm_seed = _take(raw, "arm_seed", 0)
-    _reject_unknown(raw, "decision_set")
-    if variant not in ("box", "finite"):
-        raise ConfigError(f"decision_set.variant must be 'box' or 'finite', got {variant!r}")
-    if variant == "finite":
-        if num_arms is None:
-            raise ConfigError("finite decision set requires num_arms >= 1")
-        num_arms = _number("num_arms", num_arms, int)
-        if num_arms < 1:
-            raise ConfigError("finite decision set requires num_arms >= 1")
-    if algorithm == "safe_dlucb" and variant != "finite":
-        raise ConfigError(
-            "safe_dlucb requires a finite decision set: the safe filter is exact "
-            "only over an explicit arm list"
-        )
-    if algorithm == "safe_dlucb" and num_arms < 2:
-        raise ConfigError("safe_dlucb requires num_arms >= 2: one arm besides the safe action")
-    return DecisionSetSpec(variant=variant, num_arms=num_arms,
-                           arm_seed=_number("arm_seed", arm_seed, int))
-
-
-def _parse_safe(raw, d):
-    if raw is None:
-        return SafeSpec()
-    if not isinstance(raw, dict):
-        raise ConfigError("safe must be an object")
-    raw = dict(raw)
-    c_min = _number("c_min", _take(raw, "c_min", 0.0), float)
-    x0 = _take(raw, "x0", "zero")
-    _reject_unknown(raw, "safe")
-    if not 0.0 <= c_min < 1.0:
-        raise ConfigError("safe.c_min must lie in [0, 1)")
-    if x0 != "zero":
-        if not isinstance(x0, (list, tuple)):
-            raise ConfigError("safe.x0 must be 'zero' or an explicit vector")
-        vector = [_number("safe.x0", v, float) for v in x0]
-        if len(vector) != d:
-            raise ConfigError(f"safe.x0 must have {d} entries, got {len(vector)}")
-        # a longer safe action would be rescaled with the arms, off the arm list
-        if not np.linalg.norm(vector) <= 1.0 + 1e-9:
-            raise ConfigError("safe.x0 must have norm at most 1")
-    return SafeSpec(c_min=c_min, x0=x0)
+def _values(cls, name, raw):
+    """The typed values of section ``name``'s keys ("" for the root) in
+    ``raw``, by field of ``cls``. Null counts as absent: the dataclass
+    default applies."""
+    keys = [key for key in KEYS if key.section == name]
+    unknown = set(raw) - {key.leaf for key in keys}
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {name or 'config'}: {', '.join(sorted(unknown))}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    values = {}
+    for key in keys:
+        if raw.get(key.leaf) is not None:
+            values[key.field] = _typed(key.name, raw[key.leaf], key.type, key.low)
+        elif defaults[key.field] is MISSING:
+            raise ConfigError(f"missing required key {key.name!r}")
+    return values
 
 
 def parse_config(data):
     """Validate a raw config mapping and apply defaults; unknown keys are rejected."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
-    data = dict(data)
-    topology = _parse_topology(_take(data, "topology"))
-    n_agents = _take(data, "N")
-    d = _take(data, "d")
-    horizon = _take(data, "T")
-    algorithm = _take(data, "algorithm")
-    decision_raw = _take(data, "decision_set")
-    sigma = _number("sigma", _take(data, "sigma", 0.1), float)
-    lam = _number("lambda", _take(data, "lambda", 1.0), float)
-    delta = _number("delta", _take(data, "delta", 0.1), float)
-    epsilon = _take(data, "epsilon")
-    realizations = _number("realizations", _take(data, "realizations", 20), int)
-    master_seed = _number("seed", _take(data, "seed", 0), int)
-    keep_warmup = _take(data, "keep_warmup_data", False)
-    comm_scheme = _take(data, "comm_scheme", "laplacian")
-    resample = _take(data, "resample_graph")
-    safe_raw = _take(data, "safe")
-    _reject_unknown(data, "config")
+    data = as_mapping(data)
+    raw = {name: data.pop(name, None) for name in _SECTIONS}
+    values = _values(ExperimentConfig, "", data)
+    if values["algorithm"] == "safe_dlucb" and raw["safe"] is None:
+        raw["safe"] = {}
+    for name, cls in _SECTIONS.items():
+        # an absent section takes its default; topology is the required one
+        if raw[name] is not None or name == "topology":
+            values[name] = cls(**_values(cls, name, as_mapping(raw[name], name)))
+    config = ExperimentConfig(**values)
+    _check_domains(config)
+    return config
 
-    for name, value in (("N", n_agents), ("d", d), ("T", horizon), ("algorithm", algorithm)):
-        if value is None:
-            raise ConfigError(f"missing required key {name!r}")
-    n_agents, d, horizon = (_number(key, value, int) for key, value in
-                            (("N", n_agents), ("d", d), ("T", horizon)))
-    if epsilon is not None:
-        epsilon = _number("epsilon", epsilon, float)
-    if n_agents < 1:
-        raise ConfigError("N must be >= 1")
-    if d < 1:
-        raise ConfigError("d must be >= 1")
-    if horizon < 0:
-        raise ConfigError("T must be >= 0")
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
-    if lam < 1.0:
-        raise ConfigError("lambda must be >= 1")
-    if not 0 < delta < 1:
+
+def _check_domains(config):
+    """Raise a ConfigError for the first value outside its domain."""
+    topo, dset, safe = config.topology, config.decision_set, config.safe
+    if not 0 < config.delta < 1:
         raise ConfigError("delta must lie in (0, 1)")
-    if epsilon is not None and not 0 < epsilon < 1:
+    if not 0 < config.epsilon < 1:
         raise ConfigError("epsilon must lie in (0, 1)")
-    if sigma < 0:
-        raise ConfigError("sigma must be >= 0")
-    if realizations < 1:
-        raise ConfigError("realizations must be >= 1")
-    if comm_scheme not in COMM_SCHEMES:
-        raise ConfigError(f"comm_scheme must be one of {COMM_SCHEMES}")
-    if resample is not None and not isinstance(resample, bool):
-        raise ConfigError("resample_graph must be a boolean")
-
-    decision = _parse_decision_set(decision_raw, algorithm)
-    safe = _parse_safe(safe_raw, d) if (algorithm == "safe_dlucb" or safe_raw is not None) else None
-
-    return ExperimentConfig(
-        topology=topology,
-        n_agents=n_agents,
-        d=d,
-        horizon=horizon,
-        algorithm=algorithm,
-        decision_set=decision,
-        sigma=sigma,
-        lam=lam,
-        delta=delta,
-        epsilon=epsilon,
-        realizations=realizations,
-        master_seed=master_seed,
-        keep_warmup_data=bool(keep_warmup),
-        comm_scheme=comm_scheme,
-        resample_graph=resample,
-        safe=safe,
-    )
+    if topo.kind == "erdos_renyi" and (topo.p is None or not 0 < topo.p <= 1):
+        raise ConfigError("erdos_renyi topology requires p in (0, 1]")
+    if topo.kind == "explicit" and not topo.edge_file:
+        raise ConfigError("explicit topology requires edge_file")
+    if topo.kind == "ring" and config.n_agents == 2:
+        raise ConfigError("ring topology needs N >= 3 (or N = 1)")
+    if dset.variant == "finite" and (dset.num_arms is None or dset.num_arms < 1):
+        raise ConfigError("finite decision set requires num_arms >= 1")
+    if config.algorithm == "safe_dlucb" and dset.variant != "finite":
+        raise ConfigError(
+            "safe_dlucb requires a finite decision set: the safe filter is exact "
+            "only over an explicit arm list"
+        )
+    if config.algorithm == "safe_dlucb" and dset.num_arms < 2:
+        raise ConfigError("safe_dlucb requires num_arms >= 2: one arm besides the safe action")
+    if safe is None:
+        return
+    if not 0.0 <= safe.c_min < 1.0:
+        raise ConfigError("safe.c_min must lie in [0, 1)")
+    if safe.x0 != "zero":
+        if not isinstance(safe.x0, (list, tuple)):
+            raise ConfigError("safe.x0 must be 'zero' or an explicit vector")
+        vector = [_typed("safe.x0", v, float) for v in safe.x0]
+        if len(vector) != config.d:
+            raise ConfigError(f"safe.x0 must have {config.d} entries, got {len(vector)}")
+        # a longer safe action would be rescaled with the arms, off the arm list
+        if not np.linalg.norm(vector) <= 1.0 + 1e-9:
+            raise ConfigError("safe.x0 must have norm at most 1")
 
 
-def load_config(path):
+def read_config(path):
+    """The raw config mapping in the JSON file at ``path``."""
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_config(data)
+    return as_mapping(data)
+
+
+def load_config(path):
+    return parse_config(read_config(path))
 
 
 def resolved_dict(config):
-    """Fully resolved, JSON-serializable echo of the configuration."""
-    out = {
-        "topology": {
-            "kind": config.topology.kind,
-            "p": config.topology.p,
-            "edge_file": config.topology.edge_file,
-        },
-        "N": config.n_agents,
-        "d": config.d,
-        "T": config.horizon,
-        "algorithm": config.algorithm,
-        "decision_set": {
-            "variant": config.decision_set.variant,
-            "num_arms": config.decision_set.num_arms,
-            "arm_seed": config.decision_set.arm_seed,
-        },
-        "sigma": config.sigma,
-        "lambda": config.lam,
-        "delta": config.delta,
-        "epsilon": config.epsilon,
-        "realizations": config.realizations,
-        "seed": config.master_seed,
-        "keep_warmup_data": config.keep_warmup_data,
-        "comm_scheme": config.comm_scheme,
-        "resample_graph": config.resample_graph,
-    }
-    if config.safe is not None:
-        out["safe"] = {"c_min": config.safe.c_min, "x0": config.safe.x0}
+    """Fully resolved, JSON-serializable echo of the configuration, one entry
+    per key (no safe section when ``config.safe`` is None)."""
+    out = {}
+    for key in KEYS:
+        holder = getattr(config, key.section) if key.section else config
+        if holder is not None:
+            target = out.setdefault(key.section, {}) if key.section else out
+            target[key.leaf] = getattr(holder, key.field)
     return out

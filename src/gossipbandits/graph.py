@@ -222,12 +222,14 @@ class CommMatrix:
 
 
 def build_comm_matrix(topology, scheme="laplacian"):
-    """Build the gossip matrix for a topology, failing loudly when the doubly
-    stochastic requirement does not hold (the normalized_laplacian scheme only
-    satisfies it on regular graphs)."""
+    """Build the gossip matrix for a topology, failing with a ConfigError when
+    the doubly stochastic requirement does not hold (the normalized_laplacian
+    scheme only satisfies it on regular graphs)."""
+    from .config import ConfigError  # config imports this module
+
     comm = CommMatrix(topology, scheme)
     if comm.problems:
-        raise ValueError(
+        raise ConfigError(
             f"communication-matrix requirement violated for scheme={scheme!r} "
             f"on {topology.kind} graph (N={topology.n_nodes}): " + "; ".join(comm.problems)
         )

@@ -186,20 +186,24 @@ class _Accounting:
         )
 
 
-def build_network(config, master_seed, realization):
-    """Topology, gossip matrix, and mixing plan for one realization."""
+def build_graph(config, master_seed, realization):
+    """The topology of one realization."""
     spec = config.topology
     resample = config.resample_graph
     if resample is None:
         resample = spec.kind == "erdos_renyi"
     if config.n_agents == 1:
         # degenerate single-node network: every kind collapses to it
-        topology = GraphTopology(np.zeros((1, 1)), kind=spec.kind)
-    elif spec.kind == "explicit":
-        topology = load_edge_list(spec.edge_file, config.n_agents)
-    else:
-        rng = _stream(master_seed, realization if resample else 0, _GRAPH)
-        topology = build_topology(spec.kind, config.n_agents, p=spec.p, rng=rng)
+        return GraphTopology(np.zeros((1, 1)), kind=spec.kind)
+    if spec.kind == "explicit":
+        return load_edge_list(spec.edge_file, config.n_agents)
+    rng = _stream(master_seed, realization if resample else 0, _GRAPH)
+    return build_topology(spec.kind, config.n_agents, p=spec.p, rng=rng)
+
+
+def build_network(config, master_seed, realization):
+    """Topology, gossip matrix, and mixing plan for one realization."""
+    topology = build_graph(config, master_seed, realization)
     comm = build_comm_matrix(topology, config.comm_scheme)
     plan = MixingPlan.for_network(comm, config.epsilon)
     return topology, comm, plan

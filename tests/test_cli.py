@@ -4,16 +4,23 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gossipbandits.agents import ALGORITHMS
 from gossipbandits.cli import main
 from gossipbandits.config import (
+    KEYS,
     ConfigError,
     DecisionSetSpec,
     ExperimentConfig,
     TopologySpec,
+    as_mapping,
     parse_config,
+    resolved_dict,
 )
-from gossipbandits.sim import run_realization
+from gossipbandits.graph import COMM_SCHEMES, TOPOLOGY_KINDS, build_comm_matrix, build_topology
+from gossipbandits.sim import build_network, run_realization
 
 
 MINIMAL = {"topology": "ring", "N": 20, "d": 5, "T": 1000, "algorithm": "dlucb"}
@@ -115,6 +122,24 @@ SAFE = {"topology": "ring", "N": 4, "d": 2, "T": 10, "algorithm": "safe_dlucb",
     ({"decision_set": 5}, "decision_set must be a variant string or an object"),
     ({"safe": 5}, "safe must be an object"),
     ({"safe": {"c": "uniform"}}, "unknown key(s) in safe: c"),
+    # values outside their domain that parsing can see
+    pytest.param({"N": 2}, "ring topology needs N >= 3", id="ring-N2"),
+    pytest.param({"seed": -1}, "seed must be >= 0", id="seed-negative"),
+    pytest.param({"decision_set": {"variant": "finite", "num_arms": 6, "arm_seed": -1}},
+                 "decision_set.arm_seed must be >= 0", id="arm_seed-negative"),
+    pytest.param({"topology": {"kind": "explicit", "edge_file": 5}},
+                 "topology.edge_file must be a string, got 5", id="edge_file-int"),
+    # wrongly typed values are rejected by their declared type, never converted
+    pytest.param({"keep_warmup_data": "false"},
+                 "keep_warmup_data must be a boolean, got 'false'", id="keep_warmup_data-str"),
+    pytest.param({"realizations": True}, "realizations must be a number, got True",
+                 id="realizations-bool"),
+    pytest.param({"N": "4"}, "N must be a number, got '4'", id="N-numeric-str"),
+    pytest.param({"sigma": True}, "sigma must be a number, got True", id="sigma-bool"),
+    pytest.param({"decision_set": {"variant": "box", "num_arms": "abc"}},
+                 "decision_set.num_arms must be a number, got 'abc'", id="num_arms-box-str"),
+    pytest.param({"resample_graph": 1}, "resample_graph must be a boolean, got 1",
+                 id="resample_graph-int"),
 ])
 def test_bad_safe_config_exits_2(tmp_path, capsys, change, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -136,6 +161,7 @@ def test_bad_safe_config_exits_2(tmp_path, capsys, change, message):
     pytest.param("sigma", math.nan, "finite", id="sigma-nan"),
     pytest.param("sigma", math.inf, "finite", id="sigma-inf"),
     pytest.param("lambda", math.nan, "finite", id="lambda-nan"),
+    pytest.param("sigma", 10**400, "finite", id="sigma-huge-int"),  # no float holds it
 ])
 def test_non_numeric_scalar_is_config_error(tmp_path, capsys, key, value, message):
     config = {**SAFE, "decision_set": dict(SAFE["decision_set"]), "safe": {}}
@@ -307,3 +333,134 @@ def test_edge_file_node_count_mismatch_exits_2(tmp_path, capsys):
     assert main(["graph-info", "--topology", "explicit", "--edge-file", str(edges),
                  "--n", "6"]) == 2
     assert main(["graph-info", "--topology", "explicit", "--edge-file", str(edges)]) == 0
+
+
+def test_irregular_normalized_laplacian_exits_2(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="row sums"):
+        build_comm_matrix(build_topology("path", 4), "normalized_laplacian")
+    code, _ = run_cli(tmp_path, {"topology": "path", "N": 4, "d": 2, "T": 5,
+                                 "algorithm": "dlucb", "comm_scheme": "normalized_laplacian",
+                                 "realizations": 1})
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["--topology", "erdos_renyi", "--n", "20"],
+    ["--topology", "erdos_renyi", "--n", "20", "--p", "1.5"],
+    ["--topology", "ring", "--n", "2"],
+    ["--topology", "bogus", "--n", "5"],
+    ["--topology", "ring", "--n", "5", "--epsilon", "2"],
+    ["--topology", "explicit"],
+    ["--topology", "explicit", "--n", "4"],
+], ids=["er-no-p", "er-p-1.5", "ring-n2", "bogus", "epsilon-2", "explicit", "explicit-n4"])
+def test_graph_info_bad_input_exits_2(capsys, args):
+    assert main(["graph-info", *args]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_graph_info_describes_the_runs_graph(capsys, seed):
+    assert main(["graph-info", "--topology", "erdos_renyi", "--n", "20", "--p", "0.5",
+                 "--seed", str(seed)]) == 0
+    lines = dict(line.split(":", 1) for line in capsys.readouterr().out.splitlines()
+                 if ":" in line and not line.startswith("  "))
+    config = parse_config({"topology": {"kind": "erdos_renyi", "p": 0.5}, "N": 20, "d": 5,
+                           "T": 10, "algorithm": "dlucb", "seed": seed})
+    _, comm, plan = build_network(config, seed, 0)
+    assert float(lines["|lambda_2|"]) == pytest.approx(comm.lambda2_abs, abs=5e-7)
+    assert int(lines["S (eps=0.047619)"]) == plan.s_rounds
+
+
+# every run/sweep flag: its value, the config key it sets and the echoed value
+FLAG_CASES = [
+    ("--topology", "star", "topology.kind", "star"),
+    ("--p", "0.7", "topology.p", 0.7),
+    ("--edge-file", "edges.txt", "topology.edge_file", "edges.txt"),
+    ("--n", "5", "N", 5),
+    ("--d", "3", "d", 3),
+    ("--t", "4", "T", 4),
+    ("--algorithm", "no_comm", "algorithm", "no_comm"),
+    ("--arms", "6", "decision_set.num_arms", 6),
+    ("--arm-seed", "3", "decision_set.arm_seed", 3),
+    ("--sigma", "0.2", "sigma", 0.2),
+    ("--lambda", "2", "lambda", 2.0),
+    ("--delta", "0.05", "delta", 0.05),
+    ("--epsilon", "0.1", "epsilon", 0.1),
+    ("--realizations", "2", "realizations", 2),
+    ("--seed", "3", "seed", 3),
+    ("--keep-warmup-data", None, "keep_warmup_data", True),
+    ("--comm-scheme", "normalized_laplacian", "comm_scheme", "normalized_laplacian"),
+    ("--safe-c-min", "0.3", "safe.c_min", 0.3),
+]
+
+
+@pytest.mark.parametrize("flag, text, key, expected", FLAG_CASES,
+                         ids=[case[0] for case in FLAG_CASES])
+def test_flag_sets_its_config_key(tmp_path, capsys, flag, text, key, expected):
+    assert {case[0] for case in FLAG_CASES} == {k.flag for k in KEYS if k.flag}
+    base = {"topology": "ring", "N": 4, "d": 2, "T": 3, "algorithm": "dlucb",
+            "decision_set": "box", "realizations": 1}
+    code, out = run_cli(tmp_path, base, [flag] if text is None else [flag, text])
+    assert code == 0
+    echo = json.loads((out / "summary.json").read_text())["config"]
+    section, _, leaf = key.rpartition(".")
+    assert (echo[section] if section else echo)[leaf] == expected
+    if flag == "--arms":
+        assert echo["decision_set"]["variant"] == "finite"
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    entry = re.search(rf"\n  {re.escape(flag)}\b(.*?)(?=\n  -|\Z)", capsys.readouterr().out,
+                      re.S).group(1)
+    assert f"(config key {key})" in " ".join(entry.split())
+
+
+@st.composite
+def raw_configs(draw):
+    """Valid raw configs over every algorithm, topology kind and section form."""
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    kind = draw(st.sampled_from(TOPOLOGY_KINDS))
+    d = draw(st.integers(1, 6))
+    topology = {"kind": kind}
+    if kind == "erdos_renyi" or draw(st.booleans()):  # p is kept for any kind
+        topology["p"] = draw(st.floats(0.01, 1.0))
+    if kind == "explicit":
+        topology["edge_file"] = draw(st.text(min_size=1, max_size=12))
+    if algorithm == "safe_dlucb" or draw(st.booleans()):
+        decision_set = {"variant": "finite", "num_arms": draw(st.integers(2, 40)),
+                        "arm_seed": draw(st.integers(0, 2**32))}
+    else:
+        decision_set = draw(st.sampled_from(["box", {"variant": "box"}, None]))
+    raw = {
+        "topology": kind if topology == {"kind": kind} and draw(st.booleans()) else topology,
+        "N": draw(st.integers(1, 30).filter(lambda n: kind != "ring" or n != 2)),
+        "d": d, "T": draw(st.integers(0, 5000)), "algorithm": algorithm,
+        "decision_set": decision_set,
+        "sigma": draw(st.floats(0.0, 10.0)), "lambda": draw(st.floats(1.0, 100.0)),
+        "delta": draw(st.floats(0.001, 0.999)),
+        "epsilon": draw(st.none() | st.floats(0.001, 0.999)),
+        "realizations": draw(st.integers(1, 50)), "seed": draw(st.integers(0, 2**63)),
+        "keep_warmup_data": draw(st.booleans()),
+        "comm_scheme": draw(st.sampled_from(COMM_SCHEMES)),
+        "resample_graph": draw(st.sampled_from([None, True, False])),
+    }
+    if algorithm == "safe_dlucb" or draw(st.booleans()):
+        bound = d ** -0.5  # entries within 1/sqrt(d) keep the norm at most 1
+        x0 = draw(st.just("zero") | st.lists(st.floats(-bound, bound), min_size=d,
+                                              max_size=d))
+        raw["safe"] = {"c_min": draw(st.floats(0.0, 0.99)), "x0": x0}
+    return raw
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=raw_configs())
+def test_resolved_echo_parses_back_to_the_config(raw):
+    config = parse_config(raw)
+    echo = json.loads(json.dumps(resolved_dict(config)))
+    assert parse_config(echo) == config
+    assert resolved_dict(parse_config(echo)) == echo
+    for key in KEYS:  # every value given comes back under its own key
+        given = as_mapping(raw.get(key.section), key.section) if key.section else raw
+        if given.get(key.leaf) is not None:
+            assert (echo[key.section] if key.section else echo)[key.leaf] == given[key.leaf]

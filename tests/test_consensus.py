@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,27 @@ def test_mixing_guarantee_across_family():
             gain = mixed_gain(comm, plan)
             dev = np.linalg.norm(gain - 1.0, axis=0).max()
             assert dev <= eps, (kind, n, eps, dev)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 40), span=st.integers(1, 40), p=st.floats(0.0, 0.3),
+       d=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+def test_random_graphs_keep_the_gain_band(n, span, p, d, seed):
+    """A random tree (node i joins one of the ``span`` nodes before it; span 1
+    is a path) plus Erdos-Renyi edges mixes every gain into 1 +- eps at the
+    default eps = 1/(4d+1), and compute_mixing_rounds stops at its deviation
+    bound, not at its s * acosh <= 60 cap."""
+    rng = np.random.default_rng(seed)
+    a = np.triu((rng.random((n, n)) < p).astype(float), 1)
+    for i in range(1, n):
+        a[rng.integers(max(0, i - span), i), i] = 1.0
+    comm = build_comm_matrix(GraphTopology(a + a.T))
+    eps = 1.0 / (4 * d + 1)
+    plan = MixingPlan.for_network(comm, eps)
+    assert np.abs(mixed_gain(comm, plan) - 1.0).max() <= eps
+    if plan.lambda2_abs > 0:
+        stretch = plan.s_rounds * math.acosh(1.0 / plan.lambda2_abs)
+        assert n * math.sqrt(1.0 - 1.0 / n) / math.cosh(stretch) <= eps
 
 
 def test_recursion_equals_closed_form_polynomial():
