@@ -38,7 +38,7 @@ def probe(t, info):
         beta = gb.beta_radius(t, config.d, config.n_agents, config.lam,
                               config.delta, config.sigma, config.epsilon)
         keep = gb.safe_filter(arms, agent.stats.gram, agent.safety, beta, agent.geo)
-        sizes.append((t, len(keep)))
+        sizes.append((t, int(keep.sum())))
 
 gb.run_realization(config, master_seed=0, probe=probe)
 print()

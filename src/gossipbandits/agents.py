@@ -2,8 +2,9 @@
 
 Agents advance under a round contract driven by the simulator's one round
 loop: gossip agents absorb their slot of the fully mixed generation
-(``begin_round``), every agent's ``stats`` (and the safe agent's ``safety``)
-drive its selection, and ``finish_round`` records its play. The simulator
+(``begin_round``), the simulator stacks every agent's ``stats`` (and the safe
+agent's ``safety``) to select for all of them in one batched step, and
+``finish_round`` records each play. The simulator
 owns the network-wide consensus pipeline (see ``consensus``) and enqueues
 every round's plays. State is never shared across realizations.
 """
@@ -125,12 +126,19 @@ class RcDlucbAgent:
         """Record the played action; it stays unshared until the next phase."""
         self.record_play(action, reward)
 
-    def trigger(self, t):
-        """Evaluate the phase trigger after the round-t update."""
-        sign, logdet = np.linalg.slogdet(self.stats.gram)
-        if sign <= 0:
+    @classmethod
+    def trigger(cls, agents, t):
+        """Evaluate the phase trigger of every agent after the round-t update,
+        with one batched log-determinant; True when any agent's fires."""
+        first = agents[0]
+        grams = (first.lam * np.eye(first.d) + np.stack([a.w_syn for a in agents])
+                 + np.stack([a.w_new for a in agents]))
+        sign, logdet = np.linalg.slogdet(grams)
+        if np.any(sign <= 0):
             raise RuntimeError("Gram matrix lost positive-definiteness")
-        return (logdet - self.logdet_epoch_start) * (t - self.epoch_start) > self.threshold
+        start = np.array([a.logdet_epoch_start for a in agents])
+        length = t - np.array([a.epoch_start for a in agents])
+        return bool(np.any((logdet - start) * length > first.threshold))
 
     def phase_payload(self):
         return self.w_new.copy(), self.v_new.copy()

@@ -1,5 +1,17 @@
 """Confidence ellipsoids, regularized least squares, UCB/TS selection, and
-safe-set geometry over finite and box decision sets."""
+safe-set geometry over finite and box decision sets.
+
+Estimation and selection take a leading agent axis: Gram matrices (N, d, d)
+with moments (N, d) select for N agents in one call, and a single (d, d)
+Gram matrix is the zero-batch case of the same code. Each agent's slice of a
+stacked result is bit-identical to a call on that agent alone. Cholesky
+factors and solves go through the LAPACK ``potrf``/``potrs`` that
+``scipy.linalg.cho_factor``/``cho_solve`` call, one matrix at a time.
+Eigendecompositions are batched ``np.linalg`` calls, and every
+matrix-vector product is a stacked ``np.matmul`` against a trailing
+(..., d, 1) column, which runs each slice through the same BLAS call as the
+unbatched product.
+"""
 
 from __future__ import annotations
 
@@ -7,14 +19,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import lapack
 
 NORM_FLAVORS = ("ell2", "ell1_scaled")
 
 
 @dataclass
 class SufficientStats:
-    """Regularized Gram matrix and moment vector of a ridge regression."""
+    """Regularized Gram matrix and moment vector of a ridge regression, or a
+    stack of them along leading agent axes."""
 
     gram: np.ndarray
     moment: np.ndarray
@@ -28,7 +41,7 @@ class SufficientStats:
 
     @property
     def d(self):
-        return self.moment.shape[0]
+        return self.moment.shape[-1]
 
     def reset(self):
         self.gram = self.lam * np.eye(self.d)
@@ -52,16 +65,58 @@ class SufficientStats:
         return SufficientStats(self.gram.copy(), self.moment.copy(), self.lam)
 
 
-def rls_estimate(stats):
-    """Ridge estimate solving gram @ theta = moment via a Cholesky factorization."""
-    try:
-        factor = cho_factor(stats.gram, lower=True)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("Gram matrix is not positive-definite") from exc
+def _matvec(mats, vecs):
+    """``mats @ v`` for every vector v on the last axis of ``vecs``."""
+    return (mats @ vecs[..., None])[..., 0]
+
+
+def cho_factor(mats):
+    """Lower Cholesky factor of every matrix of a stack (..., d, d).
+
+    Each matrix goes through the LAPACK ``potrf`` that
+    ``scipy.linalg.cho_factor`` calls; the upper triangle keeps the input's
+    entries. Raises ValueError if an entry is not finite or a matrix is not
+    positive-definite.
+    """
+    mats = np.asarray_chkfinite(mats, dtype=float)
+    factors = np.empty_like(mats)
+    for idx in np.ndindex(mats.shape[:-2]):
+        factors[idx], info = lapack.dpotrf(mats[idx], lower=1, clean=0)
+        if info > 0:
+            raise ValueError("Gram matrix is not positive-definite")
+    return factors
+
+
+def cho_solve(factors, rhs):
+    """Solve L L^T x = b for every factor L of ``cho_factor`` and its
+    right-hand side b: a vector (..., d) or a matrix (..., d, k).
+
+    Each system goes through the LAPACK ``potrs`` that
+    ``scipy.linalg.cho_solve`` calls. Matrix solutions keep its column-major
+    layout, so that later reductions over them sum in the same order.
+    """
+    rhs = np.asarray_chkfinite(rhs, dtype=float)
+    if rhs.ndim == factors.ndim:
+        out = np.empty(rhs.shape[:-2] + rhs.shape[:-3:-1]).swapaxes(-1, -2)
+    else:
+        out = np.empty(rhs.shape)
+    if out.size == 0:  # an empty system (d = 0) has the empty solution
+        return out
+    for idx in np.ndindex(factors.shape[:-2]):
+        out[idx], _ = lapack.dpotrs(factors[idx], rhs[idx], lower=1)
+    return out
+
+
+def rls_estimate(stats, factor=None):
+    """Ridge estimate solving gram @ theta = moment for every agent, from the
+    Cholesky factor of the Gram matrices (computed here when not given)."""
+    if factor is None:
+        factor = cho_factor(stats.gram)
     theta = cho_solve(factor, stats.moment)
-    residual = np.linalg.norm(stats.gram @ theta - stats.moment)
-    if residual > 1e-8 * max(1.0, np.linalg.norm(stats.moment)):
-        raise ValueError(f"ill-conditioned solve, residual {residual:.3e}")
+    residual = np.linalg.norm(_matvec(stats.gram, theta) - stats.moment, axis=-1)
+    bound = 1e-8 * np.maximum(1.0, np.linalg.norm(stats.moment, axis=-1))
+    if np.any(residual > bound):
+        raise ValueError(f"ill-conditioned solve, residual {np.max(residual):.3e}")
     return theta
 
 
@@ -79,16 +134,19 @@ def beta_radius(t, d, n_agents, lam, delta, sigma, epsilon):
 
 @dataclass
 class ConfidenceSet:
-    """Ellipsoid (or its l1 box analogue) around the ridge estimate.
+    """Ellipsoid (or its l1 box analogue) around the ridge estimate, for one
+    agent or a stack of agents sharing the radius.
 
     For the ``ell1_scaled`` flavor the stored radius already carries the
-    sqrt(d) inflation used with box decision sets.
+    sqrt(d) inflation used with box decision sets. ``factor``, the Cholesky
+    factor of ``gram`` when known, is reused by finite UCB.
     """
 
     center: np.ndarray
     radius: float
     gram: np.ndarray
     norm_flavor: str = "ell2"
+    factor: np.ndarray | None = None
 
     def __post_init__(self):
         if self.norm_flavor not in NORM_FLAVORS:
@@ -98,9 +156,11 @@ class ConfidenceSet:
 
     @classmethod
     def from_stats(cls, stats, beta, flavor="ell2"):
-        center = rls_estimate(stats)
+        factor = cho_factor(stats.gram)
+        center = rls_estimate(stats, factor)
         radius = beta * math.sqrt(stats.d) if flavor == "ell1_scaled" else beta
-        return cls(center=center, radius=radius, gram=stats.gram, norm_flavor=flavor)
+        return cls(center=center, radius=radius, gram=stats.gram, norm_flavor=flavor,
+                   factor=factor)
 
 
 @dataclass
@@ -127,49 +187,53 @@ class DecisionSet:
         return cls(variant="finite", d=arms.shape[1], arms=arms)
 
 
-def ucb_select_finite(arms, cs, scale=1.0):
+def ucb_select_finite(arms, cs, scale=1.0, certified=None):
     """Optimistic argmax over a finite arm list, ties broken by lowest index.
 
-    Returns (arm index, optimistic value) for the score
-    <theta_hat, x> + scale * radius * ||x||_{A^-1}.
+    Returns, for every agent of ``cs``, (arm index, optimistic value) for the
+    score <theta_hat, x> + scale * radius * ||x||_{A^-1}. ``certified``, a
+    boolean mask over the arms (per agent), restricts the argmax to the arms
+    it marks; an agent with none gets index 0 and value -inf.
     """
     arms = np.atleast_2d(np.asarray(arms, dtype=float))
     if arms.shape[0] == 0:
         raise ValueError("empty arm set")
     if cs.norm_flavor != "ell2":
         raise ValueError("finite selection expects the ell2 flavor")
-    factor = cho_factor(cs.gram, lower=True)
-    solved = cho_solve(factor, arms.T)
-    norms = np.sqrt(np.maximum(np.einsum("kd,dk->k", arms, solved), 0.0))
-    scores = arms @ cs.center + scale * cs.radius * norms
-    idx = int(np.argmax(scores))
-    return idx, float(scores[idx])
+    factor = cho_factor(cs.gram) if cs.factor is None else cs.factor
+    solved = cho_solve(factor, np.broadcast_to(arms.T, factor.shape[:-2] + arms.T.shape))
+    norms = np.sqrt(np.maximum(np.einsum("kd,...dk->...k", arms, solved), 0.0))
+    scores = _matvec(arms, cs.center) + scale * cs.radius * norms
+    if certified is not None:
+        scores = np.where(certified, scores, -np.inf)
+    return np.argmax(scores, axis=-1), np.max(scores, axis=-1)
 
 
 def inv_sqrt_psd(mat, lam=1.0):
-    """Symmetric inverse square root via eigendecomposition."""
+    """Symmetric inverse square root of every matrix of a stack, via one
+    batched eigendecomposition."""
     vals, vecs = np.linalg.eigh(mat)
-    if vals.min() <= 1e-12 * lam:
+    if not vals.min() > 1e-12 * lam:  # also catches a NaN eigenvalue
         raise ValueError("matrix not positive-definite within tolerance")
-    return (vecs / np.sqrt(vals)) @ vecs.T
+    return (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
 def ucb_select_box(cs, scale=1.0):
     """Optimistic maximizer of <theta_hat, x> + scale * radius * ||A^{-1/2} x||_inf
-    over the box [-1, 1]^d.
+    over the box [-1, 1]^d, for every agent of ``cs``.
 
     The sup-norm bonus is a max of 2d linear functions, each maximized at a sign
     vector, so enumerating the 2d candidates is exact.
     """
     if cs.norm_flavor != "ell1_scaled":
         raise ValueError("box selection expects the ell1_scaled flavor")
-    root = inv_sqrt_psd(cs.gram)
-    c = scale * cs.radius
-    candidates = np.concatenate([cs.center + c * root.T, cs.center - c * root.T])
-    values = np.abs(candidates).sum(axis=1)
-    best = int(np.argmax(values))
-    x = np.where(candidates[best] >= 0.0, 1.0, -1.0)
-    return x, float(values[best])
+    step = scale * cs.radius * np.swapaxes(inv_sqrt_psd(cs.gram), -1, -2)
+    center = cs.center[..., None, :]
+    candidates = np.concatenate([center + step, center - step], axis=-2)
+    values = np.abs(candidates).sum(axis=-1)
+    best = np.argmax(values, axis=-1)[..., None, None]
+    x = np.where(np.take_along_axis(candidates, best, axis=-2)[..., 0, :] >= 0.0, 1.0, -1.0)
+    return x, np.max(values, axis=-1)
 
 
 def greedy_box(theta):
@@ -178,10 +242,16 @@ def greedy_box(theta):
 
 
 def ts_perturb(cs, rng):
-    """Posterior-style perturbation theta_hat + radius * A^{-1/2} rho, rho ~ N(0, I)."""
+    """Posterior-style perturbation theta_hat + radius * A^{-1/2} rho, rho ~ N(0, I).
+
+    ``rng`` is one generator for a single agent, or one generator per agent
+    of a stack; every agent draws its rho from its own.
+    """
     root = inv_sqrt_psd(cs.gram)
-    rho = rng.standard_normal(cs.center.shape[0])
-    return cs.center + cs.radius * root @ rho
+    d = cs.center.shape[-1]
+    rngs = rng if cs.center.ndim > 1 else [rng]
+    rho = np.stack([r.standard_normal(d) for r in rngs]).reshape(cs.center.shape)
+    return cs.center + _matvec(cs.radius * root, rho)
 
 
 @dataclass
@@ -217,7 +287,8 @@ class SafeGeometry:
 
 
 def safe_filter(arms, gram, safety, beta, geo):
-    """Indices of arms certified safe by the conservative inner approximation.
+    """Mask of the arms certified safe by the conservative inner approximation,
+    for every agent's Gram matrix and safety moment.
 
     The constraint is estimated on the safe direction's complement B = basis:
     mu_hat = B (B^T gram B)^-1 B^T safety, where B^T gram B equals the Gram
@@ -227,17 +298,17 @@ def safe_filter(arms, gram, safety, beta, geo):
     """
     arms = np.atleast_2d(np.asarray(arms, dtype=float))
     basis = geo.basis
-    factor = cho_factor(basis.T @ gram @ basis, lower=True)
-    mu_hat = basis @ cho_solve(factor, basis.T @ safety)
+    factor = cho_factor(basis.T @ gram @ basis)
+    mu_hat = _matvec(basis, cho_solve(factor, _matvec(basis.T, safety)))
     if geo.is_zero:
         proj_term = np.zeros(arms.shape[0])
     else:
         proj_term = (arms @ geo.x0_unit / geo.norm_x0) * geo.c0
     reduced = basis.T @ arms.T
-    solved = cho_solve(factor, reduced)
-    norms = np.sqrt(np.maximum(np.einsum("dk,dk->k", reduced, solved), 0.0))
-    values = proj_term + arms @ mu_hat + beta * norms
-    return np.flatnonzero(values <= geo.c)
+    solved = cho_solve(factor, np.broadcast_to(reduced, factor.shape[:-2] + reduced.shape))
+    norms = np.sqrt(np.maximum(np.einsum("dk,...dk->...k", reduced, solved), 0.0))
+    values = proj_term + _matvec(arms, mu_hat) + beta * norms
+    return values <= geo.c
 
 
 def mixing_delay_pairs(s_rounds, d, n_agents, horizon, lam):

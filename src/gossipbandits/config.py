@@ -240,11 +240,13 @@ def _check_domains(config):
 
 def read_config(path):
     """The raw config mapping in the JSON file at ``path``."""
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read config file ({exc.strerror})") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return as_mapping(data)
 
 

@@ -17,6 +17,7 @@ from .bandit import (
     ConfidenceSet,
     DecisionSet,
     SafeGeometry,
+    SufficientStats,
     beta_radius,
     greedy_box,
     rc_comm_threshold,
@@ -287,10 +288,11 @@ def run_realization(config, master_seed=None, realization=0, record_actions=Fals
     n, d, horizon, s_rounds = config.n_agents, config.d, config.horizon, plan.s_rounds
     acct = _Accounting(horizon, n, d, record_actions)
     agents = _agents(config, plan, geo)
-    rngs = [
-        _stream(master_seed, realization, _ALGO, i) if config.algorithm == "dlts" else None
-        for i in range(n)
-    ]
+    # the shared centralized learner selects once, for every agent
+    learners = agents[:1] if config.algorithm == "centralized" else agents
+    rngs = None
+    if config.algorithm == "dlts":
+        rngs = [_stream(master_seed, realization, _ALGO, i) for i in range(n)]
     _, v_star = optimal_value(env, dset, safe=safe)
     # own-data rows: action, reward, then the safe agent's shifted feedback
     width = d + 1 + (1 if safe else 0)
@@ -312,11 +314,7 @@ def run_realization(config, master_seed=None, realization=0, record_actions=Fals
             for i, agent in enumerate(agents):
                 agent.begin_round(t, None if released is None else released[i])
         actions = np.empty((n, d))
-        for i, agent in enumerate(agents):
-            if i and agent is agents[i - 1]:  # one shared learner selects once
-                actions[i] = actions[i - 1]
-            else:
-                actions[i] = _select(agent, beta, dset, geo, rngs[i])
+        actions[:] = _select(learners, beta, dset, geo, rngs)
         own = np.empty((n, width))
         own[:, :d] = actions
         for i in range(n):
@@ -336,7 +334,7 @@ def run_realization(config, master_seed=None, realization=0, record_actions=Fals
                 enqueue(queue, own)
             released = advance_queues(queue, comm, plan)
         elif config.algorithm == "rc_dlucb":
-            triggered = any(agent.trigger(t) for agent in agents)
+            triggered = RcDlucbAgent.trigger(agents, t)
             if triggered and t < horizon:
                 phases += 1
                 played = _rc_phase(t, phases, agents, actions, env, v_star, comm, plan,
@@ -369,26 +367,31 @@ def _agents(config, plan, geo):
     return [DlucbAgent(n, d, lam, plan.s_rounds, keep_warmup_data=keep) for _ in range(n)]
 
 
-def _select(agent, beta, dset, geo, rng):
-    """The agent's play at confidence radius ``beta``.
+def _select(learners, beta, dset, geo, rngs):
+    """Every learner's play at confidence radius ``beta``, as one (L, d) array.
 
-    With ``geo``: the UCB arm among those the safe filter certifies, else the
-    safe action. With ``rng``: Thompson sampling. Otherwise UCB over the box
-    or the finite arm list.
+    The learners' statistics are stacked and selected from in one batched
+    step. With ``geo``: the UCB arm among those the safe filter certifies,
+    else the safe action. With ``rngs`` (one stream per learner): Thompson
+    sampling. Otherwise UCB over the box or the finite arm list.
     """
+    stats = [learner.stats for learner in learners]
+    stack = SufficientStats(np.stack([s.gram for s in stats]),
+                            np.stack([s.moment for s in stats]), stats[0].lam)
     if geo is not None:
-        keep = safe_filter(dset.arms, agent.stats.gram, agent.safety, beta, geo)
-        if len(keep) == 0:
-            return geo.x0
-        cs = ConfidenceSet.from_stats(agent.stats, beta, "ell2")
-        j, _ = ucb_select_finite(dset.arms[keep], cs, scale=geo.kappa_r)
-        return dset.arms[keep[j]]
+        safety = np.stack([learner.safety for learner in learners])
+        certified = safe_filter(dset.arms, stack.gram, safety, beta, geo)
+        cs = ConfidenceSet.from_stats(stack, beta, "ell2")
+        j, _ = ucb_select_finite(dset.arms, cs, scale=geo.kappa_r, certified=certified)
+        return np.where(certified.any(axis=-1)[:, None], dset.arms[j], geo.x0)
     box = dset.variant == "box"
-    cs = ConfidenceSet.from_stats(agent.stats, beta,
-                                  "ell1_scaled" if box and rng is None else "ell2")
-    if rng is not None:
-        tilde = ts_perturb(cs, rng)
-        return greedy_box(tilde) if box else dset.arms[int(np.argmax(dset.arms @ tilde))]
+    cs = ConfidenceSet.from_stats(stack, beta,
+                                  "ell1_scaled" if box and rngs is None else "ell2")
+    if rngs is not None:
+        tilde = ts_perturb(cs, rngs)
+        if box:
+            return greedy_box(tilde)
+        return dset.arms[np.argmax((dset.arms @ tilde[..., None])[..., 0], axis=-1)]
     if box:
         return ucb_select_box(cs)[0]
     return dset.arms[ucb_select_finite(dset.arms, cs)[0]]

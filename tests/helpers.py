@@ -3,12 +3,14 @@
 Everything here deliberately avoids the library's own code paths: eigenvalues
 come from a hand-rolled shifted QR iteration, the mixing polynomial from the
 closed Chebyshev form on the eigendecomposition, connectivity from BFS, and
-the safe filter's restricted norm from a dense solve.
+the safe filter's restricted norm from a dense solve. The per-agent selection
+oracles keep the unbatched selection code, one agent per call.
 """
 
 import math
 
 import numpy as np
+from scipy import linalg as scipy_linalg
 
 
 def bfs_connected(adjacency):
@@ -95,3 +97,76 @@ def ortho_norm(x_perp, gram, geo):
             raise ValueError("input is not orthogonal to the safe direction")
     u = geo.basis.T @ x_perp
     return float(math.sqrt(max(u @ np.linalg.solve(geo.basis.T @ gram @ geo.basis, u), 0.0)))
+
+
+# Per-agent selection as the library did it before selection was batched:
+# one agent per call, through scipy's own Cholesky wrappers. The batched
+# functions of ``bandit`` must reproduce every agent's result bit for bit.
+
+def oracle_center(gram, moment):
+    """Ridge estimate of one agent; raises ValueError like ``rls_estimate``."""
+    try:
+        factor = scipy_linalg.cho_factor(gram, lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError("Gram matrix is not positive-definite") from exc
+    theta = scipy_linalg.cho_solve(factor, moment)
+    residual = np.linalg.norm(gram @ theta - moment)
+    if residual > 1e-8 * max(1.0, np.linalg.norm(moment)):
+        raise ValueError(f"ill-conditioned solve, residual {residual:.3e}")
+    return theta
+
+
+def oracle_select_finite(arms, gram, center, radius, scale=1.0):
+    factor = scipy_linalg.cho_factor(gram, lower=True)
+    solved = scipy_linalg.cho_solve(factor, arms.T)
+    norms = np.sqrt(np.maximum(np.einsum("kd,dk->k", arms, solved), 0.0))
+    scores = arms @ center + scale * radius * norms
+    idx = int(np.argmax(scores))
+    return idx, float(scores[idx])
+
+
+def oracle_inv_sqrt_psd(mat, lam=1.0):
+    vals, vecs = np.linalg.eigh(mat)
+    if vals.min() <= 1e-12 * lam:
+        raise ValueError("matrix not positive-definite within tolerance")
+    return (vecs / np.sqrt(vals)) @ vecs.T
+
+
+def oracle_select_box(gram, center, radius, scale=1.0):
+    root = oracle_inv_sqrt_psd(gram)
+    c = scale * radius
+    candidates = np.concatenate([center + c * root.T, center - c * root.T])
+    values = np.abs(candidates).sum(axis=1)
+    best = int(np.argmax(values))
+    return np.where(candidates[best] >= 0.0, 1.0, -1.0), float(values[best])
+
+
+def oracle_ts_perturb(gram, center, radius, rng):
+    root = oracle_inv_sqrt_psd(gram)
+    rho = rng.standard_normal(center.shape[0])
+    return center + radius * root @ rho
+
+
+def oracle_safe_filter(arms, gram, safety, beta, geo):
+    """Indices of the arms one agent certifies safe."""
+    basis = geo.basis
+    factor = scipy_linalg.cho_factor(basis.T @ gram @ basis, lower=True)
+    mu_hat = basis @ scipy_linalg.cho_solve(factor, basis.T @ safety)
+    if geo.is_zero:
+        proj_term = np.zeros(arms.shape[0])
+    else:
+        proj_term = (arms @ geo.x0_unit / geo.norm_x0) * geo.c0
+    reduced = basis.T @ arms.T
+    solved = scipy_linalg.cho_solve(factor, reduced)
+    norms = np.sqrt(np.maximum(np.einsum("dk,dk->k", reduced, solved), 0.0))
+    values = proj_term + arms @ mu_hat + beta * norms
+    return np.flatnonzero(values <= geo.c)
+
+
+def oracle_safe_select(arms, gram, safety, center, beta, geo):
+    """One safe agent's play: UCB over the certified arms, else the safe action."""
+    keep = oracle_safe_filter(arms, gram, safety, beta, geo)
+    if len(keep) == 0:
+        return geo.x0
+    j, _ = oracle_select_finite(arms[keep], gram, center, beta, scale=geo.kappa_r)
+    return arms[keep[j]]

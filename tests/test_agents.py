@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipbandits import sim
-from gossipbandits.agents import RcDlucbAgent
+from gossipbandits.agents import DlucbAgent, RcDlucbAgent
 from gossipbandits.bandit import (
     ConfidenceSet,
     SafeGeometry,
@@ -13,7 +15,7 @@ from gossipbandits.bandit import (
 )
 from gossipbandits.config import parse_config
 from gossipbandits.consensus import MixingPlan, advance_queues, enqueue, new_pipeline
-from gossipbandits.graph import build_comm_matrix, build_topology
+from gossipbandits.graph import GraphTopology, build_comm_matrix, build_topology
 from gossipbandits.sim import build_decision_set, run_realization
 
 
@@ -95,6 +97,50 @@ def test_gram_sandwich_against_omniscient_replay():
             for gram in row["grams"]:
                 assert np.linalg.eigvalsh(gram - lo * star).min() >= -1e-9
                 assert np.linalg.eigvalsh(hi * star - gram).min() >= -1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), d=st.integers(1, 6), horizon=st.integers(1, 40),
+       keep=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_random_action_streams_keep_the_gram_sandwich(n, d, horizon, keep, seed):
+    """Agents fed an arbitrary action stream through the gossip pipeline, as
+    the round loop feeds them, hold (1-eps)^2 A* <= A_i - K_i <= (1+eps)^2 A*
+    after warm-up. A* is the omniscient Gram matrix of every play up to round
+    t - S and K_i agent i's own warm-up plays, kept only with
+    ``keep_warmup_data``."""
+    rng = np.random.default_rng(seed)
+    adjacency = np.triu((rng.random((n, n)) < 0.3).astype(float), 1)
+    for i in range(1, n):  # a random spanning tree keeps the graph connected
+        adjacency[rng.integers(0, i), i] = 1.0
+    comm = build_comm_matrix(GraphTopology(adjacency + adjacency.T))
+    eps = 1.0 / (4 * d + 1)
+    plan = MixingPlan.for_network(comm, eps)
+    s = plan.s_rounds
+    lo, hi = (1 - eps) ** 2, (1 + eps) ** 2
+    agents = [DlucbAgent(n, d, 1.0, s, keep_warmup_data=keep) for _ in range(n)]
+    queue = new_pipeline(n, d + 1, s)
+    actions = rng.uniform(-1.0, 1.0, (horizon, n, d))
+    rewards = rng.standard_normal((horizon, n))
+    star = np.eye(d)
+    own = np.zeros((n, d, d))
+    released = None
+    for t in range(1, horizon + 1):
+        for i, agent in enumerate(agents):
+            agent.begin_round(t, None if released is None else released[i])
+        if t > s:
+            star += np.einsum("nd,ne->de", actions[t - s - 1], actions[t - s - 1])
+            scale = max(1.0, np.linalg.norm(star, 2))
+            for i, agent in enumerate(agents):
+                gram = agent.stats.gram - (own[i] if keep else 0.0)
+                assert np.linalg.eigvalsh(gram - lo * star).min() >= -1e-9 * scale
+                assert np.linalg.eigvalsh(hi * star - gram).min() >= -1e-9 * scale
+        for i, agent in enumerate(agents):
+            agent.finish_round(t, actions[t - 1, i], rewards[t - 1, i])
+            if t <= s:
+                own[i] += np.outer(actions[t - 1, i], actions[t - 1, i])
+        if t <= horizon - s:
+            enqueue(queue, np.column_stack([actions[t - 1], rewards[t - 1]]))
+        released = advance_queues(queue, comm, plan)
 
 
 def test_warmup_reset_versus_keep():
@@ -210,7 +256,7 @@ def test_safe_agent_plays_filtered_or_safe_action():
         for i, agent in enumerate(agents):
             geo = agent.geo
             keep = safe_filter(dset.arms, agent.stats.gram, agent.safety, beta, geo)
-            allowed = [tuple(dset.arms[j]) for j in keep] + [tuple(geo.x0)]
+            allowed = [tuple(arm) for arm in dset.arms[keep]] + [tuple(geo.x0)]
             if tuple(info["actions"][i]) not in allowed:
                 violations.append((t, i))
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 
 from gossipbandits.agents import SafeDlucbAgent
 from gossipbandits.bandit import (
+    NORM_FLAVORS,
     ConfidenceSet,
     DecisionSet,
     SafeGeometry,
     SufficientStats,
     beta_radius,
     greedy_box,
+    inv_sqrt_psd,
     mixing_delay_pairs,
     rls_estimate,
     safe_filter,
@@ -21,7 +24,16 @@ from gossipbandits.bandit import (
     ucb_select_box,
     ucb_select_finite,
 )
-from helpers import ortho_norm
+from gossipbandits.sim import _select
+from helpers import (
+    oracle_center,
+    oracle_safe_filter,
+    oracle_safe_select,
+    oracle_select_box,
+    oracle_select_finite,
+    oracle_ts_perturb,
+    ortho_norm,
+)
 
 
 class ZeroRng:
@@ -305,7 +317,7 @@ def test_ortho_norm_dominated_by_full_norm():
 def test_safe_filter_always_keeps_safe_action():
     geo = SafeGeometry(x0=np.array([1.0, 0.0]), c0=0.1, c=0.5)
     arms = np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.9]])
-    keep = safe_filter(arms, np.eye(2), np.zeros(2), beta=100.0, geo=geo)
+    keep = np.flatnonzero(safe_filter(arms, np.eye(2), np.zeros(2), beta=100.0, geo=geo))
     assert 0 in keep
     # an enormous radius certifies only actions with no orthogonal component
     assert list(keep) == [0]
@@ -323,7 +335,7 @@ def test_safe_filter_hand_example():
         [0.0, -1.0],   # -0.4 + 0.125 <= 0.5
         [0.5, 0.5],    # 0.2 + 0.0625 <= 0.5
     ])
-    keep = safe_filter(arms, gram, safety, beta=0.5, geo=geo)
+    keep = np.flatnonzero(safe_filter(arms, gram, safety, beta=0.5, geo=geo))
     values = []
     for arm in arms:
         perp = arm - (arm @ geo.x0_unit) * geo.x0_unit
@@ -347,7 +359,7 @@ def test_safe_filter_monotone_in_beta():
     arms /= np.maximum(np.linalg.norm(arms, axis=1, keepdims=True), 1.0)
     previous = None
     for beta in (3.0, 1.0, 0.3, 0.0001):
-        keep = set(safe_filter(arms, stats.gram, safety, beta, geo).tolist())
+        keep = set(np.flatnonzero(safe_filter(arms, stats.gram, safety, beta, geo)).tolist())
         if previous is not None:
             assert previous <= keep  # shrinking beta never removes arms
         previous = keep
@@ -404,8 +416,77 @@ def test_restricted_statistics_match_projected_replay(d, zero_x0, seed, n_warmup
     values = ((arms @ unit) / max(geo.norm_x0, 1e-300) * geo.c0 + perp_arms @ mu_perp
               + beta * np.sqrt((widths**2).sum(axis=0)))
     expected = np.flatnonzero(values <= geo.c)
-    keep = safe_filter(arms, agent.stats.gram, agent.safety, beta, geo)
+    keep = np.flatnonzero(safe_filter(arms, agent.stats.gram, agent.safety, beta, geo))
     assert np.array_equal(keep, expected)
+
+
+# ------------------------------------------------------------------ batched selection
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 60), d=st.integers(1, 7), k=st.integers(1, 20),
+       zero_x0=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_batched_selection_matches_per_agent_oracle(n, d, k, zero_x0, seed):
+    """Every agent's slice of a stacked selection equals the unbatched code's
+    result on that agent alone, bit for bit."""
+    rng = np.random.default_rng(seed)
+    plays = rng.uniform(-1.0, 1.0, (n, int(rng.integers(0, 30)), d))
+    grams = np.eye(d) + np.einsum("npd,npe->nde", plays, plays)
+    moments = 3.0 * rng.standard_normal((n, d))
+    safety = rng.standard_normal((n, d))
+    arms = rng.standard_normal((k, d))
+    arms *= rng.uniform(0.0, 1.0, (k, 1)) / np.linalg.norm(arms, axis=1, keepdims=True)
+    beta = float(rng.uniform(0.0, 3.0))
+    x0 = np.zeros(d) if zero_x0 else 0.3 * rng.standard_normal(d)
+    geo = SafeGeometry(x0=x0, c0=0.0 if zero_x0 else float(rng.uniform(-0.3, 0.3)), c=0.5)
+    streams = rng.integers(0, 2**32, n)
+
+    stats = SufficientStats(grams, moments, 1.0)
+    cs = ConfidenceSet.from_stats(stats, beta)
+    finite_idx, finite_value = ucb_select_finite(arms, cs, scale=1.3)
+    box_x, box_value = ucb_select_box(ConfidenceSet.from_stats(stats, beta, "ell1_scaled"))
+    tilde = ts_perturb(cs, [np.random.default_rng(s) for s in streams])
+    certified = safe_filter(arms, grams, safety, beta, geo)
+    learners = [SimpleNamespace(stats=SufficientStats(g, m, 1.0), safety=s)
+                for g, m, s in zip(grams, moments, safety)]
+    safe_plays = _select(learners, beta, DecisionSet.finite(arms), geo, None)
+    for i in range(n):
+        center = oracle_center(grams[i], moments[i])
+        assert np.array_equal(cs.center[i], center)
+        idx, value = oracle_select_finite(arms, grams[i], center, beta, scale=1.3)
+        assert finite_idx[i] == idx and finite_value[i] == value
+        x, value = oracle_select_box(grams[i], center, beta * math.sqrt(d))
+        assert np.array_equal(box_x[i], x) and box_value[i] == value
+        own = np.random.default_rng(streams[i])
+        assert np.array_equal(tilde[i], oracle_ts_perturb(grams[i], center, beta, own))
+        keep = oracle_safe_filter(arms, grams[i], safety[i], beta, geo)
+        assert np.array_equal(np.flatnonzero(certified[i]), keep)
+        played = oracle_safe_select(arms, grams[i], safety[i], center, beta, geo)
+        assert np.array_equal(safe_plays[i], played)
+
+
+@pytest.mark.parametrize("bad", ["nan", "indefinite"])
+def test_one_bad_agent_fails_the_whole_stack(bad):
+    n, d = 5, 3
+    grams = np.stack([(1.0 + i) * np.eye(d) for i in range(n)])
+    grams[3] = np.nan if bad == "nan" else np.diag([1.0, -1.0, 1.0])
+    stats = SufficientStats(grams, np.ones((n, d)), 1.0)
+    arms = np.eye(d)
+    geo = SafeGeometry(x0=np.zeros(d), c0=0.0, c=0.5)
+    for flavor in NORM_FLAVORS:
+        with pytest.raises(ValueError):
+            ConfidenceSet.from_stats(stats, 1.0, flavor)
+    with pytest.raises(ValueError):
+        safe_filter(arms, grams, np.zeros((n, d)), 1.0, geo)
+    with pytest.raises(ValueError):
+        inv_sqrt_psd(grams)
+    cs = ConfidenceSet(center=np.zeros((n, d)), radius=1.0, gram=grams)
+    with pytest.raises(ValueError):
+        ucb_select_finite(arms, cs)
+    with pytest.raises(ValueError):
+        ts_perturb(cs, [np.random.default_rng(i) for i in range(n)])
+    with pytest.raises(ValueError):
+        ucb_select_box(ConfidenceSet(center=np.zeros((n, d)), radius=1.0, gram=grams,
+                                     norm_flavor="ell1_scaled"))
 
 
 # ------------------------------------------------------------------ bounds

@@ -315,6 +315,16 @@ def test_runtime_failure_exits_3(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
 
 
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    for command in (["run"], ["sweep", "--axis", "T", "--values", "4"]):
+        code = main([*command, "--config", str(missing), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and str(missing) in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_edge_file_node_count_mismatch_exits_2(tmp_path, capsys):
     edges = tmp_path / "path4.txt"
     edges.write_text("0 1\n1 2\n2 3\n")

@@ -197,8 +197,8 @@ def test_centralized_comm_cost():
 
 
 def test_selections_per_round_and_probe_payload(monkeypatch):
-    # one round loop: the shared centralized learner selects once per round,
-    # the N independent no_comm learners once each
+    # one round loop, one batched selection per round: the shared centralized
+    # learner is a stack of one, the N independent no_comm learners a stack of N
     selected = []
     from_stats = ConfidenceSet.from_stats.__func__
 
@@ -207,11 +207,13 @@ def test_selections_per_round_and_probe_payload(monkeypatch):
         return from_stats(cls, stats, beta, flavor)
 
     monkeypatch.setattr(ConfidenceSet, "from_stats", classmethod(counting))
-    for algorithm, calls, learners in (("centralized", 12, 1), ("no_comm", 5 * 12, 5)):
+    for algorithm, learners in (("centralized", 1), ("no_comm", 5)):
         selected.clear()
         run_realization(cfg(algorithm=algorithm, T=12), master_seed=0)
-        assert len(selected) == calls
-        assert len({id(stats) for stats in selected}) == learners
+        assert len(selected) == 12
+        assert all(stats.gram.shape == (learners, 3, 3) for stats in selected)
+        # the learners are distinct: each row holds its own data
+        assert len({row.tobytes() for row in selected[-1].moment}) == learners
 
     for algorithm in ALGORITHMS:
         extra = {"decision_set": {"variant": "finite", "num_arms": 6}} if algorithm == "safe_dlucb" else {}
