@@ -30,14 +30,14 @@ print(f"final network regret (safe): {agg['regret_mean'][-1]:.1f}")
 
 # the certified arm set grows over one realization
 arms = gb.sim.build_decision_set(config).arms
+_, geo = gb.sim.build_environment(config, master_seed=0, realization=0)
 sizes = []
 
 def probe(t, info):
     if t in (1, 10, 50, 150, 300):
-        agent = info["agents"][0]
         beta = gb.beta_radius(t, config.d, config.n_agents, config.lam,
                               config.delta, config.sigma, config.epsilon)
-        keep = gb.safe_filter(arms, agent.stats.gram, agent.safety, beta, agent.geo)
+        keep = gb.safe_filter(arms, info["grams"][0], info["safety"][0], beta, geo)
         sizes.append((t, int(keep.sum())))
 
 gb.run_realization(config, master_seed=0, probe=probe)

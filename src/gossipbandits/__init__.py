@@ -7,7 +7,7 @@ safe exploration under an unknown linear constraint, and baseline algorithms
 with full regret, communication-cost, and safety accounting.
 """
 
-from .agents import ALGORITHMS, DlucbAgent, RcDlucbAgent, SafeDlucbAgent
+from .agents import ALGORITHMS
 from .bandit import (
     ConfidenceSet,
     DecisionSet,

@@ -1,12 +1,14 @@
-"""Per-agent state machines for the decentralized bandit algorithms.
+"""State of every agent of a realization, as stacked arrays.
 
-Agents advance under a round contract driven by the simulator's one round
-loop: gossip agents absorb their slot of the fully mixed generation
-(``begin_round``), the simulator stacks every agent's ``stats`` (and the safe
-agent's ``safety``) to select for all of them in one batched step, and
-``finish_round`` records each play. The simulator
-owns the network-wide consensus pipeline (see ``consensus``) and enqueues
-every round's plays. State is never shared across realizations.
+One object holds all N agents of a realization: their sufficient statistics
+are (L, d, d) Gram matrices and (L, d) moments with one row per learner, and
+the simulator's one round loop updates them with one call per round. Gossip
+agents absorb the fully mixed generation the pipeline released
+(``begin_round``), the simulator selects for every learner in one batched step
+from ``stats`` (and the safe agents' ``safety``), and ``finish_round`` records
+the round's plays. The simulator owns the network-wide consensus pipeline
+(see ``consensus``) and enqueues every round's plays. State is never shared
+across realizations.
 """
 
 from __future__ import annotations
@@ -20,94 +22,102 @@ GOSSIP_ALGORITHMS = ("dlucb", "dlts", "safe_dlucb")
 
 
 class DlucbAgent:
-    """State of one agent running the gossiped UCB (or TS) protocol.
+    """All N agents running the gossiped UCB (or TS) protocol.
 
-    During warmup (t <= S) the statistics hold only the agent's own
-    observations; at the first main round they are reset to the ridge prior
-    unless ``keep_warmup_data`` is set, after which only fully mixed network
-    information is absorbed. The baselines set S = T, so their warm-up never
-    ends and they learn only from the plays recorded with them.
+    Agent i's plays feed learner ``owner[i]``: ``arange(N)`` gives every agent
+    its own learner, an all-zero ``owner`` makes one learner that every play
+    feeds in agent order (``centralized``). During warmup (t <= S) the
+    statistics hold only the learners' own observations; at the first main
+    round they are reset to the ridge prior unless ``keep_warmup_data`` is
+    set, after which only fully mixed network information is absorbed. The
+    baselines set S = T, so their warm-up never ends and they learn only from
+    the plays recorded with them.
     """
 
-    def __init__(self, n_agents, d, lam, s_rounds, *, keep_warmup_data=False):
-        self.n = n_agents
+    def __init__(self, owner, d, lam, s_rounds, *, keep_warmup_data=False):
+        self.owner = np.asarray(owner)
+        self.n = len(self.owner)
         self.d = d
+        self.lam = lam
         self.s_rounds = s_rounds
         self.keep_warmup_data = keep_warmup_data
-        self.stats = SufficientStats.initial(d, lam)
+        self.learners = int(self.owner.max()) + 1
+        self.stats = SufficientStats.initial(d, lam, (self.learners,))
 
-    def begin_round(self, t, slot):
-        """Absorb this agent's slot of the generation released after round
-        t - 1 (main phase only). Row k of ``slot`` holds (a_ik / N) times agent
-        k's action, then reward (then shifted safety feedback) from round t - S.
+    def begin_round(self, t, released):
+        """Absorb the generation released after round t - 1 (main phase
+        only), every agent its own slot. Row k of ``released[i]`` holds
+        (a_ik / N) times agent k's action, then reward (then shifted safety
+        feedback) from round t - S.
         """
         if t == self.s_rounds + 1 and not self.keep_warmup_data:
-            self.stats.reset()
-        if slot is not None:
-            self.stats.absorb_mixed(slot[:, : self.d], slot[:, self.d], self.n)
+            self.stats = SufficientStats.initial(self.d, self.lam, (self.learners,))
+        if released is not None:
+            self.stats.absorb_mixed(released[..., : self.d], released[..., self.d], self.n)
 
-    def finish_round(self, t, action, reward):
-        """Record the played action; warmup keeps it locally (the simulator
-        enqueues it for gossip either way)."""
+    def finish_round(self, t, actions, rewards):
+        """Record the round's (N, d) plays; warmup keeps them locally (the
+        simulator enqueues them for gossip either way)."""
         if t <= self.s_rounds:
-            self.stats.add_observation(action, reward)
+            self.stats.add_observation(actions, rewards, self.owner)
 
 
 class SafeDlucbAgent(DlucbAgent):
-    """Gossiped UCB agent that additionally learns the constraint direction.
+    """All N gossiped UCB agents, additionally learning the constraint direction.
 
-    ``safety`` is the moment of the shifted safety feedback, gathered and reset
-    like the reward moment; ``safe_filter`` pairs it with ``stats.gram``. Every
-    emitted action passed the safe filter at selection time (or is the known
-    safe action).
+    ``safety`` (N, d) is the moment of the shifted safety feedback, gathered
+    and reset like the reward moment; ``safe_filter`` pairs it with
+    ``stats.gram``. Every emitted action passed the safe filter at selection
+    time (or is the known safe action).
     """
 
-    def __init__(self, n_agents, d, lam, s_rounds, geo, *, keep_warmup_data=False):
-        super().__init__(n_agents, d, lam, s_rounds, keep_warmup_data=keep_warmup_data)
+    def __init__(self, owner, d, lam, s_rounds, geo, *, keep_warmup_data=False):
+        super().__init__(owner, d, lam, s_rounds, keep_warmup_data=keep_warmup_data)
         self.geo = geo
-        self.safety = np.zeros(d)
+        self.safety = np.zeros((self.n, d))
 
-    def begin_round(self, t, slot):
+    def begin_round(self, t, released):
         if t == self.s_rounds + 1 and not self.keep_warmup_data:
-            self.safety = np.zeros(self.d)
-        super().begin_round(t, slot)
-        if slot is not None:
-            self.safety += float(self.n) ** 2 * slot[:, : self.d].T @ slot[:, self.d + 1]
+            self.safety = np.zeros((self.n, self.d))
+        super().begin_round(t, released)
+        if released is not None:
+            scaled = float(self.n) ** 2 * np.swapaxes(released[..., : self.d], -1, -2)
+            self.safety += (scaled @ released[..., self.d + 1, None])[..., 0]
 
-    def shifted_feedback(self, action, z):
-        """Remove the known component of the safety measurement along x0."""
+    def shifted_feedback(self, actions, z):
+        """Remove the known component of the (N,) safety measurements along x0."""
         if self.geo.is_zero:
             return z
-        coef = float(action @ self.geo.x0_unit)
+        coef = (actions[:, None, :] @ self.geo.x0_unit[:, None])[:, 0, 0]
         return z - (coef / self.geo.norm_x0) * self.geo.c0
 
-    def finish_round(self, t, action, reward, z_perp):
-        """Record the played action with its shifted safety feedback ``z_perp``."""
+    def finish_round(self, t, actions, rewards, z_perp):
+        """Record the round's plays with their shifted safety feedback ``z_perp``."""
         if t <= self.s_rounds:
-            self.safety += z_perp * action
-        super().finish_round(t, action, reward)
+            self.safety += z_perp[:, None] * actions
+        super().finish_round(t, actions, rewards)
 
 
 class RcDlucbAgent:
-    """Agent for the rarely-communicating variant.
+    """All N agents of the rarely-communicating variant.
 
-    Outside communication phases it accumulates unshared data and watches the
-    log-determinant growth of its Gram matrix; once any agent's growth exceeds
-    the threshold, the network enters an S-round phase in which the unshared
-    sums are gossiped while everyone replays their last action.
+    Outside communication phases each agent accumulates unshared data W_new,
+    V_new and watches the log-determinant growth of its Gram matrix; once any
+    agent's growth exceeds the threshold, the network enters an S-round phase
+    in which the unshared sums are gossiped while everyone replays their last
+    action. All agents share the epoch start.
     """
 
-    def __init__(self, d, lam, threshold):
+    def __init__(self, n_agents, d, lam, threshold):
         self.d = d
         self.lam = lam
         self.threshold = threshold
-        self.w_syn = np.zeros((d, d))
-        self.w_new = np.zeros((d, d))
-        self.v_syn = np.zeros(d)
-        self.v_new = np.zeros(d)
+        self.w_syn = np.zeros((n_agents, d, d))
+        self.w_new = np.zeros((n_agents, d, d))
+        self.v_syn = np.zeros((n_agents, d))
+        self.v_new = np.zeros((n_agents, d))
         self.epoch_start = 0
-        self.logdet_epoch_start = d * np.log(lam)
-        self.frozen_action = None
+        self.logdet_epoch_start = np.full(n_agents, d * np.log(lam))
 
     @property
     def stats(self):
@@ -117,38 +127,31 @@ class RcDlucbAgent:
             lam=self.lam,
         )
 
-    def record_play(self, action, reward):
-        self.w_new += np.outer(action, action)
-        self.v_new += reward * action
-        self.frozen_action = action
+    def record_play(self, actions, rewards):
+        """Add the round's (N, d) plays to the unshared sums."""
+        self.w_new += actions[:, :, None] * actions[:, None, :]
+        self.v_new += rewards[:, None] * actions
 
-    def finish_round(self, t, action, reward):
-        """Record the played action; it stays unshared until the next phase."""
-        self.record_play(action, reward)
+    def finish_round(self, t, actions, rewards):
+        """Record the round's plays; they stay unshared until the next phase."""
+        self.record_play(actions, rewards)
 
-    @classmethod
-    def trigger(cls, agents, t):
-        """Evaluate the phase trigger of every agent after the round-t update,
-        with one batched log-determinant; True when any agent's fires."""
-        first = agents[0]
-        grams = (first.lam * np.eye(first.d) + np.stack([a.w_syn for a in agents])
-                 + np.stack([a.w_new for a in agents]))
-        sign, logdet = np.linalg.slogdet(grams)
+    def trigger(self, t):
+        """Evaluate every agent's phase trigger after the round-t update, with
+        one batched log-determinant; True when any agent's fires."""
+        sign, logdet = np.linalg.slogdet(self.stats.gram)
         if np.any(sign <= 0):
             raise RuntimeError("Gram matrix lost positive-definiteness")
-        start = np.array([a.logdet_epoch_start for a in agents])
-        length = t - np.array([a.epoch_start for a in agents])
-        return bool(np.any((logdet - start) * length > first.threshold))
+        return bool(np.any((logdet - self.logdet_epoch_start) * (t - self.epoch_start)
+                           > self.threshold))
 
-    def phase_payload(self):
-        return self.w_new.copy(), self.v_new.copy()
-
-    def absorb_phase(self, mixed_w, mixed_v, n_agents, s_rounds, frozen_reward_sum, t_end):
-        """Fold the gossiped sums in and restart the epoch with the frozen plays."""
-        self.w_syn += n_agents * mixed_w
-        self.v_syn += n_agents * mixed_v
-        x = self.frozen_action
-        self.w_new = s_rounds * np.outer(x, x)
-        self.v_new = frozen_reward_sum * x
+    def absorb_phase(self, mixed_w, mixed_v, frozen, reward_sums, s_rounds, t_end):
+        """Fold the gossiped (N, ...) sums in and restart the epoch with the S
+        frozen plays: agent i replayed ``frozen[i]`` for ``reward_sums[i]``."""
+        n = len(frozen)
+        self.w_syn += n * mixed_w
+        self.v_syn += n * mixed_v
+        self.w_new = s_rounds * (frozen[:, :, None] * frozen[:, None, :])
+        self.v_new = reward_sums[:, None] * frozen
         self.epoch_start = t_end
         _, self.logdet_epoch_start = np.linalg.slogdet(self.stats.gram)

@@ -34,35 +34,33 @@ class SufficientStats:
     lam: float
 
     @classmethod
-    def initial(cls, d, lam):
+    def initial(cls, d, lam, shape=()):
+        """The ridge prior, for a stack of the given leading ``shape``."""
         if lam < 1:
             raise ValueError("ridge parameter must be >= 1")
-        return cls(gram=lam * np.eye(d), moment=np.zeros(d), lam=lam)
+        return cls(gram=lam * np.broadcast_to(np.eye(d), (*shape, d, d)),
+                   moment=np.zeros((*shape, d)), lam=lam)
 
     @property
     def d(self):
         return self.moment.shape[-1]
 
-    def reset(self):
-        self.gram = self.lam * np.eye(self.d)
-        self.moment = np.zeros(self.d)
-
-    def add_observation(self, x, y):
-        self.gram += np.outer(x, x)
-        self.moment += y * x
+    def add_observation(self, x, y, owner=()):
+        """Add play x with reward y; with a stack of plays, play k goes to the
+        statistics ``owner[k]``, and plays of one owner are added in order."""
+        np.add.at(self.gram, owner, x[..., :, None] * x[..., None, :])
+        np.add.at(self.moment, owner, np.expand_dims(y, -1) * x)
 
     def absorb_mixed(self, action_matrix, reward_vector, n_agents):
-        """Fold a fully mixed estimate slot into the statistics.
+        """Fold a fully mixed estimate slot (or a stack of them) into the
+        statistics.
 
         Rows of ``action_matrix`` carry (a_ik / N) x_k, so the N^2-scaled outer
         product reconstructs the gain-squared weighted Gram contribution.
         """
-        scale = float(n_agents) ** 2
-        self.gram += scale * action_matrix.T @ action_matrix
-        self.moment += scale * action_matrix.T @ reward_vector
-
-    def copy(self):
-        return SufficientStats(self.gram.copy(), self.moment.copy(), self.lam)
+        scaled = float(n_agents) ** 2 * np.swapaxes(action_matrix, -1, -2)
+        self.gram += scaled @ action_matrix
+        self.moment += _matvec(scaled, reward_vector)
 
 
 def _matvec(mats, vecs):

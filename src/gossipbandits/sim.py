@@ -17,7 +17,6 @@ from .bandit import (
     ConfidenceSet,
     DecisionSet,
     SafeGeometry,
-    SufficientStats,
     beta_radius,
     greedy_box,
     rc_comm_threshold,
@@ -87,16 +86,16 @@ def sample_environment(d, safe, rng, c_min=0.0, x0=None, sigma=0.0, max_tries=10
     return Environment(theta_star=theta, sigma=sigma)
 
 
-def feedback(env, x, agent, t):
-    """Reward (and safety measurement) for playing x at round t."""
-    x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x) > env.action_norm_bound + 1e-9:
+def feedback(env, actions, t):
+    """The (N,) rewards (and safety measurements) for the (N, d) plays of
+    round t, agent i playing row i."""
+    actions = np.asarray(actions, dtype=float)
+    if np.any(np.linalg.norm(actions, axis=-1) > env.action_norm_bound + 1e-9):
         raise ValueError("action norm exceeds the decision-set bound")
-    y = float(env.theta_star @ x) + float(env.noise_y[agent, t - 1])
+    y = (actions[:, None, :] @ env.theta_star[:, None])[:, 0, 0] + env.noise_y[:, t - 1]
     if env.mu_star is None:
         return y, None
-    z = float(env.mu_star @ x) + float(env.noise_z[agent, t - 1])
-    return y, z
+    return y, (actions[:, None, :] @ env.mu_star[:, None])[:, 0, 0] + env.noise_z[:, t - 1]
 
 
 def optimal_value(env, decision_set, safe=False):
@@ -238,6 +237,21 @@ def build_decision_set(config):
     return DecisionSet.finite(arms)
 
 
+def build_environment(config, master_seed, realization):
+    """The hidden environment of one realization, its noise drawn, and for
+    ``safe_dlucb`` the known safe geometry (else None)."""
+    safe = config.algorithm == "safe_dlucb"
+    x0 = config.safe_x0_vector() if safe else None
+    env = sample_environment(config.d, safe, _stream(master_seed, realization, _ENV),
+                             c_min=config.safe_c_min(), x0=x0, sigma=config.sigma)
+    if config.decision_set.variant == "box":
+        env.action_norm_bound = float(np.sqrt(config.d))
+    noise_y, noise_z = _draw_noise(config, master_seed, realization)
+    env.attach_noise(noise_y, noise_z if safe else None)
+    geo = SafeGeometry(x0=x0, c0=float(env.mu_star @ x0), c=env.c) if safe else None
+    return env, geo
+
+
 def _draw_noise(config, master_seed, realization):
     n, horizon = config.n_agents, config.horizon
     noise = np.empty((n, horizon, 2))
@@ -259,10 +273,11 @@ def run_realization(config, master_seed=None, realization=0, record_actions=Fals
     share nothing.
 
     ``probe``, when given, is called as probe(t, info) in every round, after
-    the plays are recorded and before any statistics update. For every
-    algorithm ``info`` is {"actions": the (N, d) plays, "agents": the live
-    agents}; for ``centralized`` the N agents are one shared learner. It
-    exists for oracle tests and must not mutate anything.
+    the plays are recorded and before any statistics update. ``info`` holds
+    read-only copies: "actions", the (N, d) plays, and the learners'
+    statistics "grams" (L, d, d) and "moments" (L, d), with L = 1 for the
+    shared ``centralized`` learner and L = N otherwise; for ``safe_dlucb``
+    also "safety", the (N, d) safety moments. It exists for oracle tests.
     """
     if master_seed is None:
         master_seed = config.master_seed
@@ -270,26 +285,10 @@ def run_realization(config, master_seed=None, realization=0, record_actions=Fals
     dset = build_decision_set(config)
 
     safe = config.algorithm == "safe_dlucb"
-    env_rng = _stream(master_seed, realization, _ENV)
-    x0 = config.safe_x0_vector() if safe else None
-    env = sample_environment(
-        config.d, safe, env_rng, c_min=config.safe_c_min(), x0=x0, sigma=config.sigma
-    )
-    if dset.variant == "box":
-        env.action_norm_bound = float(np.sqrt(config.d))
-    noise_y, noise_z = _draw_noise(config, master_seed, realization)
-    env.attach_noise(noise_y, noise_z if safe else None)
-
-    geo = None
-    if safe:
-        c0 = float(env.mu_star @ x0)
-        geo = SafeGeometry(x0=x0, c0=c0, c=env.c)
-
+    env, geo = build_environment(config, master_seed, realization)
     n, d, horizon, s_rounds = config.n_agents, config.d, config.horizon, plan.s_rounds
     acct = _Accounting(horizon, n, d, record_actions)
     agents = _agents(config, plan, geo)
-    # the shared centralized learner selects once, for every agent
-    learners = agents[:1] if config.algorithm == "centralized" else agents
     rngs = None
     if config.algorithm == "dlts":
         rngs = [_stream(master_seed, realization, _ALGO, i) for i in range(n)]
@@ -311,22 +310,19 @@ def run_realization(config, master_seed=None, realization=0, record_actions=Fals
         beta = beta_radius(t, d, n, config.lam, config.delta, config.sigma,
                            config.epsilon)
         if queue is not None:
-            for i, agent in enumerate(agents):
-                agent.begin_round(t, None if released is None else released[i])
+            agents.begin_round(t, released)
+        # the shared centralized learner selects once, for every agent
         actions = np.empty((n, d))
-        actions[:] = _select(learners, beta, dset, geo, rngs)
+        actions[:] = _select(agents, beta, dset, geo, rngs)
         own = np.empty((n, width))
         own[:, :d] = actions
-        for i in range(n):
-            y, z = feedback(env, actions[i], i, t)
-            own[i, d] = y
-            if safe:
-                own[i, d + 1] = agents[i].shifted_feedback(actions[i], z)
+        own[:, d], z = feedback(env, actions, t)
+        if safe:
+            own[:, d + 1] = agents.shifted_feedback(actions, z)
         acct.record(t, actions, v_star - actions @ env.theta_star, env)
         if probe is not None:
-            probe(t, {"actions": actions.copy(), "agents": agents})
-        for i, agent in enumerate(agents):
-            agent.finish_round(t, actions[i], *own[i, d:])
+            probe(t, _probe_info(actions, agents))
+        agents.finish_round(t, actions, *own[:, d:].T)
         played = 0
         if queue is not None:
             # a generation started after round T - S is never absorbed
@@ -334,8 +330,7 @@ def run_realization(config, master_seed=None, realization=0, record_actions=Fals
                 enqueue(queue, own)
             released = advance_queues(queue, comm, plan)
         elif config.algorithm == "rc_dlucb":
-            triggered = RcDlucbAgent.trigger(agents, t)
-            if triggered and t < horizon:
+            if agents.trigger(t) and t < horizon:
                 phases += 1
                 played = _rc_phase(t, phases, agents, actions, env, v_star, comm, plan,
                                    acct, horizon, probe)
@@ -345,42 +340,49 @@ def run_realization(config, master_seed=None, realization=0, record_actions=Fals
 
 
 def _agents(config, plan, geo):
-    """The N agents of a realization, in agent order.
+    """The state of a realization's N agents, as one object.
 
     Gossip agents reset to the prior after their S-round warm-up. The
     baselines' warm-up lasts the whole horizon, so they only ever learn from
     their own plays: ``no_comm`` has N independent learners, ``centralized``
-    one learner listed N times, which every agent's play feeds in agent order.
+    one learner, which every agent's play feeds in agent order.
     """
     n, d, lam = config.n_agents, config.d, config.lam
     if config.algorithm == "rc_dlucb":
-        threshold = rc_comm_threshold(config.horizon, n, d, lam)
-        return [RcDlucbAgent(d, lam, threshold) for _ in range(n)]
+        return RcDlucbAgent(n, d, lam, rc_comm_threshold(config.horizon, n, d, lam))
     if config.algorithm == "centralized":
-        return [DlucbAgent(n, d, lam, config.horizon)] * n
+        return DlucbAgent(np.zeros(n, dtype=int), d, lam, config.horizon)
     if config.algorithm == "no_comm":
-        return [DlucbAgent(n, d, lam, config.horizon) for _ in range(n)]
+        return DlucbAgent(np.arange(n), d, lam, config.horizon)
     keep = config.keep_warmup_data
     if geo is not None:
-        return [SafeDlucbAgent(n, d, lam, plan.s_rounds, geo, keep_warmup_data=keep)
-                for _ in range(n)]
-    return [DlucbAgent(n, d, lam, plan.s_rounds, keep_warmup_data=keep) for _ in range(n)]
+        return SafeDlucbAgent(np.arange(n), d, lam, plan.s_rounds, geo, keep_warmup_data=keep)
+    return DlucbAgent(np.arange(n), d, lam, plan.s_rounds, keep_warmup_data=keep)
 
 
-def _select(learners, beta, dset, geo, rngs):
+def _probe_info(actions, agents):
+    """Read-only copies of the plays and of the learners' statistics."""
+    stats = agents.stats
+    info = {"actions": actions, "grams": stats.gram, "moments": stats.moment}
+    if isinstance(agents, SafeDlucbAgent):
+        info["safety"] = agents.safety
+    for key, value in info.items():
+        info[key] = value.copy()
+        info[key].flags.writeable = False
+    return info
+
+
+def _select(agents, beta, dset, geo, rngs):
     """Every learner's play at confidence radius ``beta``, as one (L, d) array.
 
-    The learners' statistics are stacked and selected from in one batched
-    step. With ``geo``: the UCB arm among those the safe filter certifies,
-    else the safe action. With ``rngs`` (one stream per learner): Thompson
-    sampling. Otherwise UCB over the box or the finite arm list.
+    All learners are selected for in one batched step from the stacked
+    statistics. With ``geo``: the UCB arm among those the safe filter
+    certifies, else the safe action. With ``rngs`` (one stream per learner):
+    Thompson sampling. Otherwise UCB over the box or the finite arm list.
     """
-    stats = [learner.stats for learner in learners]
-    stack = SufficientStats(np.stack([s.gram for s in stats]),
-                            np.stack([s.moment for s in stats]), stats[0].lam)
+    stack = agents.stats
     if geo is not None:
-        safety = np.stack([learner.safety for learner in learners])
-        certified = safe_filter(dset.arms, stack.gram, safety, beta, geo)
+        certified = safe_filter(dset.arms, stack.gram, agents.safety, beta, geo)
         cs = ConfidenceSet.from_stats(stack, beta, "ell2")
         j, _ = ucb_select_finite(dset.arms, cs, scale=geo.kappa_r, certified=certified)
         return np.where(certified.any(axis=-1)[:, None], dset.arms[j], geo.x0)
@@ -408,17 +410,14 @@ def _rc_phase(t, phase, agents, actions, env, v_star, comm, plan, acct, horizon,
     n, d = actions.shape
     s_rounds = plan.s_rounds
     scalars = int(comm.topology.adjacency.sum()) * d * (d + 1)
-    payloads = [agent.phase_payload() for agent in agents]
-    w_cur = np.stack([p[0] for p in payloads])
-    v_cur = np.stack([p[1] for p in payloads])
+    # the unshared sums stay unchanged during the phase
+    w_cur, v_cur = agents.w_new, agents.v_new
     w_prev, v_prev = w_cur, v_cur
     y_sums = np.zeros(n)
     played = min(s_rounds, horizon - t)
     for s in range(1, played + 1):
         rnd = t + s
-        for i in range(n):
-            y, _ = feedback(env, actions[i], i, rnd)
-            y_sums[i] += y
+        y_sums += feedback(env, actions, rnd)[0]
         acct.record(rnd, actions, v_star - actions @ env.theta_star, env)
         acct.phase_id[rnd - 1] = phase
         acct.phases[rnd - 1] = phase
@@ -426,11 +425,9 @@ def _rc_phase(t, phase, agents, actions, env, v_star, comm, plan, acct, horizon,
         w_cur, w_prev = comm_step(w_cur, w_prev, s, comm, plan), w_cur
         v_cur, v_prev = comm_step(v_cur, v_prev, s, comm, plan), v_cur
         if probe is not None:
-            probe(rnd, {"actions": actions.copy(), "agents": agents})
+            probe(rnd, _probe_info(actions, agents))
     if played == s_rounds:
-        for i, agent in enumerate(agents):
-            agent.absorb_phase(w_cur[i], v_cur[i], n, s_rounds, y_sums[i],
-                               t_end=t + s_rounds)
+        agents.absorb_phase(w_cur, v_cur, actions, y_sums, s_rounds, t_end=t + s_rounds)
     return played
 
 

@@ -170,3 +170,100 @@ def oracle_safe_select(arms, gram, safety, center, beta, geo):
         return geo.x0
     j, _ = oracle_select_finite(arms[keep], gram, center, beta, scale=geo.kappa_r)
     return arms[keep[j]]
+
+
+# Per-agent state as the library kept it before the agents' state was
+# stacked: one object per agent, updated one agent at a time. The stacked
+# classes of ``agents`` must hold every agent's statistics bit for bit.
+# ``centralized`` lists one OracleDlucbAgent N times.
+
+class OracleDlucbAgent:
+    """One agent of the gossiped UCB (or TS) protocol, or a baseline learner."""
+
+    def __init__(self, n_agents, d, lam, s_rounds, keep_warmup_data=False):
+        self.n, self.d, self.lam, self.s_rounds = n_agents, d, lam, s_rounds
+        self.keep_warmup_data = keep_warmup_data
+        self.gram = lam * np.eye(d)
+        self.moment = np.zeros(d)
+
+    def begin_round(self, t, slot):
+        if t == self.s_rounds + 1 and not self.keep_warmup_data:
+            self.gram = self.lam * np.eye(self.d)
+            self.moment = np.zeros(self.d)
+        if slot is not None:
+            scale = float(self.n) ** 2
+            self.gram += scale * slot[:, : self.d].T @ slot[:, : self.d]
+            self.moment += scale * slot[:, : self.d].T @ slot[:, self.d]
+
+    def finish_round(self, t, action, reward):
+        if t <= self.s_rounds:
+            self.gram += np.outer(action, action)
+            self.moment += reward * action
+
+
+class OracleSafeDlucbAgent(OracleDlucbAgent):
+    """One gossiped UCB agent that also gathers the safety moment."""
+
+    def __init__(self, n_agents, d, lam, s_rounds, geo, keep_warmup_data=False):
+        super().__init__(n_agents, d, lam, s_rounds, keep_warmup_data)
+        self.geo = geo
+        self.safety = np.zeros(d)
+
+    def begin_round(self, t, slot):
+        if t == self.s_rounds + 1 and not self.keep_warmup_data:
+            self.safety = np.zeros(self.d)
+        super().begin_round(t, slot)
+        if slot is not None:
+            self.safety += float(self.n) ** 2 * slot[:, : self.d].T @ slot[:, self.d + 1]
+
+    def shifted_feedback(self, action, z):
+        if self.geo.is_zero:
+            return z
+        coef = float(action @ self.geo.x0_unit)
+        return z - (coef / self.geo.norm_x0) * self.geo.c0
+
+    def finish_round(self, t, action, reward, z_perp):
+        if t <= self.s_rounds:
+            self.safety += z_perp * action
+        super().finish_round(t, action, reward)
+
+
+class OracleRcDlucbAgent:
+    """One agent of the rarely-communicating variant."""
+
+    def __init__(self, d, lam, threshold):
+        self.d, self.lam, self.threshold = d, lam, threshold
+        self.w_syn = np.zeros((d, d))
+        self.w_new = np.zeros((d, d))
+        self.v_syn = np.zeros(d)
+        self.v_new = np.zeros(d)
+        self.epoch_start = 0
+        self.logdet_epoch_start = d * np.log(lam)
+        self.frozen_action = None
+
+    @property
+    def gram(self):
+        return self.lam * np.eye(self.d) + self.w_syn + self.w_new
+
+    @property
+    def moment(self):
+        return self.v_syn + self.v_new
+
+    def finish_round(self, t, action, reward):
+        self.w_new += np.outer(action, action)
+        self.v_new += reward * action
+        self.frozen_action = action
+
+    def fires(self, t):
+        sign, logdet = np.linalg.slogdet(self.gram)
+        assert sign > 0
+        return (logdet - self.logdet_epoch_start) * (t - self.epoch_start) > self.threshold
+
+    def absorb_phase(self, mixed_w, mixed_v, n_agents, s_rounds, frozen_reward_sum, t_end):
+        self.w_syn += n_agents * mixed_w
+        self.v_syn += n_agents * mixed_v
+        x = self.frozen_action
+        self.w_new = s_rounds * np.outer(x, x)
+        self.v_new = frozen_reward_sum * x
+        self.epoch_start = t_end
+        _, self.logdet_epoch_start = np.linalg.slogdet(self.gram)

@@ -88,8 +88,7 @@ def test_criterion_3_gram_sandwich_oracle():
         rows = []
 
         def probe(t, info):
-            rows.append((t, info["actions"].copy(),
-                         [a.stats.gram.copy() for a in info["agents"]]))
+            rows.append((t, info["actions"].copy(), list(info["grams"])))
 
         trace = run_realization(config, master_seed=seed, probe=probe)
         s = trace.s_rounds

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipbandits import sim
-from gossipbandits.agents import DlucbAgent, RcDlucbAgent
+from gossipbandits.agents import DlucbAgent, RcDlucbAgent, SafeDlucbAgent
 from gossipbandits.bandit import (
     ConfidenceSet,
     SafeGeometry,
@@ -14,9 +14,17 @@ from gossipbandits.bandit import (
     ts_perturb,
 )
 from gossipbandits.config import parse_config
-from gossipbandits.consensus import MixingPlan, advance_queues, enqueue, new_pipeline
+from gossipbandits.consensus import (
+    MixingPlan,
+    advance_queues,
+    comm_step,
+    enqueue,
+    new_pipeline,
+)
 from gossipbandits.graph import GraphTopology, build_comm_matrix, build_topology
-from gossipbandits.sim import build_decision_set, run_realization
+from gossipbandits.sim import build_decision_set, build_environment, run_realization
+
+from helpers import OracleDlucbAgent, OracleRcDlucbAgent, OracleSafeDlucbAgent
 
 
 def cfg_for(**overrides):
@@ -33,8 +41,8 @@ def capture_run(config, seed, keys=("actions", "grams")):
         entry = {"t": t}
         if "actions" in keys:
             entry["actions"] = info["actions"]
-        if "grams" in keys and "agents" in info:
-            entry["grams"] = [a.stats.gram.copy() for a in info["agents"]]
+        if "grams" in keys:
+            entry["grams"] = info["grams"]
         rows.append(entry)
 
     trace = run_realization(config, master_seed=seed, probe=probe)
@@ -99,6 +107,15 @@ def test_gram_sandwich_against_omniscient_replay():
                 assert np.linalg.eigvalsh(hi * star - gram).min() >= -1e-9
 
 
+def random_network(n, d, rng):
+    """Gossip matrix and mixing plan of a random connected graph on n nodes."""
+    adjacency = np.triu((rng.random((n, n)) < 0.3).astype(float), 1)
+    for i in range(1, n):  # a random spanning tree keeps the graph connected
+        adjacency[rng.integers(0, i), i] = 1.0
+    comm = build_comm_matrix(GraphTopology(adjacency + adjacency.T))
+    return comm, MixingPlan.for_network(comm, 1.0 / (4 * d + 1))
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 12), d=st.integers(1, 6), horizon=st.integers(1, 40),
        keep=st.booleans(), seed=st.integers(0, 2**32 - 1))
@@ -109,15 +126,11 @@ def test_random_action_streams_keep_the_gram_sandwich(n, d, horizon, keep, seed)
     t - S and K_i agent i's own warm-up plays, kept only with
     ``keep_warmup_data``."""
     rng = np.random.default_rng(seed)
-    adjacency = np.triu((rng.random((n, n)) < 0.3).astype(float), 1)
-    for i in range(1, n):  # a random spanning tree keeps the graph connected
-        adjacency[rng.integers(0, i), i] = 1.0
-    comm = build_comm_matrix(GraphTopology(adjacency + adjacency.T))
-    eps = 1.0 / (4 * d + 1)
-    plan = MixingPlan.for_network(comm, eps)
+    comm, plan = random_network(n, d, rng)
+    eps = plan.epsilon
     s = plan.s_rounds
     lo, hi = (1 - eps) ** 2, (1 + eps) ** 2
-    agents = [DlucbAgent(n, d, 1.0, s, keep_warmup_data=keep) for _ in range(n)]
+    agents = DlucbAgent(np.arange(n), d, 1.0, s, keep_warmup_data=keep)
     queue = new_pipeline(n, d + 1, s)
     actions = rng.uniform(-1.0, 1.0, (horizon, n, d))
     rewards = rng.standard_normal((horizon, n))
@@ -125,22 +138,143 @@ def test_random_action_streams_keep_the_gram_sandwich(n, d, horizon, keep, seed)
     own = np.zeros((n, d, d))
     released = None
     for t in range(1, horizon + 1):
-        for i, agent in enumerate(agents):
-            agent.begin_round(t, None if released is None else released[i])
+        agents.begin_round(t, released)
         if t > s:
             star += np.einsum("nd,ne->de", actions[t - s - 1], actions[t - s - 1])
             scale = max(1.0, np.linalg.norm(star, 2))
-            for i, agent in enumerate(agents):
-                gram = agent.stats.gram - (own[i] if keep else 0.0)
+            for i in range(n):
+                gram = agents.stats.gram[i] - (own[i] if keep else 0.0)
                 assert np.linalg.eigvalsh(gram - lo * star).min() >= -1e-9 * scale
                 assert np.linalg.eigvalsh(hi * star - gram).min() >= -1e-9 * scale
-        for i, agent in enumerate(agents):
-            agent.finish_round(t, actions[t - 1, i], rewards[t - 1, i])
+        agents.finish_round(t, actions[t - 1], rewards[t - 1])
+        for i in range(n):
             if t <= s:
                 own[i] += np.outer(actions[t - 1, i], actions[t - 1, i])
         if t <= horizon - s:
             enqueue(queue, np.column_stack([actions[t - 1], rewards[t - 1]]))
         released = advance_queues(queue, comm, plan)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), d=st.integers(1, 6), horizon=st.integers(1, 30),
+       keep=st.booleans(), zero_x0=st.booleans(),
+       algorithm=st.sampled_from(("dlucb", "safe_dlucb", "no_comm", "centralized")),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_agents_match_per_agent_oracle(n, d, horizon, keep, zero_x0, algorithm,
+                                               seed):
+    """Fed the same plays, rewards and safety readings, through the gossip
+    pipeline as the round loop feeds them, the stacked state holds every
+    learner's statistics bit for bit as the per-agent objects of
+    ``helpers`` do. ``centralized`` is one learner every play feeds in agent
+    order."""
+    rng = np.random.default_rng(seed)
+    comm, plan = random_network(n, d, rng)
+    s = plan.s_rounds
+    x0 = np.zeros(d) if zero_x0 else rng.uniform(0.1, 1.0) * rng.standard_normal(d)
+    geo = SafeGeometry(x0=x0 / max(np.linalg.norm(x0), 1.0), c0=float(rng.uniform(-0.3, 0.3)),
+                       c=0.5)
+    actions = rng.uniform(-1.0, 1.0, (horizon, n, d))
+    rewards = rng.standard_normal((horizon, n))
+    readings = rng.standard_normal((horizon, n))
+    gossip = algorithm in ("dlucb", "safe_dlucb")
+    safe = algorithm == "safe_dlucb"
+    if safe:
+        stacked = SafeDlucbAgent(np.arange(n), d, 1.0, s, geo, keep_warmup_data=keep)
+        oracle = [OracleSafeDlucbAgent(n, d, 1.0, s, geo, keep) for _ in range(n)]
+    elif gossip:
+        stacked = DlucbAgent(np.arange(n), d, 1.0, s, keep_warmup_data=keep)
+        oracle = [OracleDlucbAgent(n, d, 1.0, s, keep) for _ in range(n)]
+    elif algorithm == "no_comm":
+        stacked = DlucbAgent(np.arange(n), d, 1.0, horizon)
+        oracle = [OracleDlucbAgent(n, d, 1.0, horizon) for _ in range(n)]
+    else:
+        stacked = DlucbAgent(np.zeros(n, dtype=int), d, 1.0, horizon)
+        oracle = [OracleDlucbAgent(n, d, 1.0, horizon)] * n
+    learners = oracle[:1] if algorithm == "centralized" else oracle
+
+    def check():
+        assert np.array_equal(stacked.stats.gram, [a.gram for a in learners])
+        assert np.array_equal(stacked.stats.moment, [a.moment for a in learners])
+        if safe:
+            assert np.array_equal(stacked.safety, [a.safety for a in oracle])
+
+    queue = new_pipeline(n, d + 1 + safe, s) if gossip else None
+    released = None
+    for t in range(1, horizon + 1):
+        x, y = actions[t - 1], rewards[t - 1]
+        if gossip:
+            stacked.begin_round(t, released)
+            for i, agent in enumerate(oracle):
+                agent.begin_round(t, None if released is None else released[i])
+            check()
+        own = np.column_stack([x, y])
+        if safe:
+            z_perp = stacked.shifted_feedback(x, readings[t - 1])
+            assert np.array_equal(z_perp, [a.shifted_feedback(x[i], readings[t - 1, i])
+                                           for i, a in enumerate(oracle)])
+            stacked.finish_round(t, x, y, z_perp)
+            for i, agent in enumerate(oracle):
+                agent.finish_round(t, x[i], y[i], z_perp[i])
+            own = np.column_stack([own, z_perp])
+        else:
+            stacked.finish_round(t, x, y)
+            for i, agent in enumerate(oracle):
+                agent.finish_round(t, x[i], y[i])
+        check()
+        if gossip:
+            if t <= horizon - s:
+                enqueue(queue, own)
+            released = advance_queues(queue, comm, plan)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), d=st.integers(1, 6), horizon=st.integers(1, 30),
+       threshold=st.floats(0.0, 4.0), first_phase=st.integers(1, 30),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_rc_agents_match_per_agent_oracle(n, d, horizon, threshold, first_phase,
+                                                  seed):
+    """The stacked rarely-communicating state, fed the same plays and phases,
+    matches the per-agent objects bit for bit: the synced and unsynced sums,
+    the log-determinants at the epoch starts and every trigger decision. A
+    phase runs when the trigger fires, and at the latest in round
+    ``first_phase`` (capped at T), as the round loop runs one."""
+    rng = np.random.default_rng(seed)
+    comm, plan = random_network(n, d, rng)
+    s = plan.s_rounds
+    stacked = RcDlucbAgent(n, d, 1.0, threshold)
+    oracle = [OracleRcDlucbAgent(d, 1.0, threshold) for _ in range(n)]
+
+    def check():
+        assert np.array_equal(stacked.stats.gram, [a.gram for a in oracle])
+        assert np.array_equal(stacked.stats.moment, [a.moment for a in oracle])
+        for key in ("w_syn", "w_new", "v_syn", "v_new", "logdet_epoch_start"):
+            assert np.array_equal(getattr(stacked, key), [getattr(a, key) for a in oracle])
+        assert all(stacked.epoch_start == a.epoch_start for a in oracle)
+
+    phases, t = 0, 1
+    while t <= horizon:
+        x, y = rng.uniform(-1.0, 1.0, (n, d)), rng.standard_normal(n)
+        stacked.finish_round(t, x, y)
+        for i, agent in enumerate(oracle):
+            agent.finish_round(t, x[i], y[i])
+        fired = stacked.trigger(t)
+        assert fired == any(agent.fires(t) for agent in oracle)
+        check()
+        if fired or (phases == 0 and t >= min(first_phase, horizon)):
+            phases += 1
+            w_cur = w_prev = stacked.w_new
+            v_cur = v_prev = stacked.v_new
+            for ell in range(1, s + 1):
+                w_cur, w_prev = comm_step(w_cur, w_prev, ell, comm, plan), w_cur
+                v_cur, v_prev = comm_step(v_cur, v_prev, ell, comm, plan), v_cur
+            y_sums = rng.standard_normal(n)
+            stacked.absorb_phase(w_cur, v_cur, x, y_sums, s, t_end=t + s)
+            for i, agent in enumerate(oracle):
+                agent.absorb_phase(w_cur[i], v_cur[i], n, s, y_sums[i], t_end=t + s)
+            check()
+            t += s
+        t += 1
+    assert phases >= 1
 
 
 def test_warmup_reset_versus_keep():
@@ -165,13 +299,14 @@ def test_warmup_reset_versus_keep():
 
 
 def test_rc_agent_bookkeeping():
-    agent = RcDlucbAgent(d=2, lam=1.0, threshold=5.0)
+    # three agents that all play x: each row of the stacked state is one agent
+    agent = RcDlucbAgent(n_agents=3, d=2, lam=1.0, threshold=5.0)
     x = np.array([0.6, 0.0])
-    agent.record_play(x, 1.0)
+    agent.record_play(np.tile(x, (3, 1)), np.ones(3))
     assert np.allclose(agent.stats.gram, np.eye(2) + np.outer(x, x))
     assert np.allclose(agent.stats.moment, x)
-    w, v = agent.phase_payload()
-    agent.absorb_phase(w, v, n_agents=3, s_rounds=4, frozen_reward_sum=2.0, t_end=5)
+    w, v = agent.w_new.copy(), agent.v_new.copy()
+    agent.absorb_phase(w, v, np.tile(x, (3, 1)), np.full(3, 2.0), s_rounds=4, t_end=5)
     # mixed sums fold in with the network gain, own frozen plays restart the epoch
     assert np.allclose(agent.w_syn, 3 * np.outer(x, x))
     assert np.allclose(agent.w_new, 4 * np.outer(x, x))
@@ -247,15 +382,14 @@ def test_safe_agent_plays_filtered_or_safe_action():
         "safe": {"c_min": 0.3}, "realizations": 1,
     })
     dset = build_decision_set(config)
+    _, geo = build_environment(config, master_seed=6, realization=0)
     violations = []
 
     def probe(t, info):
-        agents = info["agents"]
         beta = beta_radius(t, config.d, config.n_agents, config.lam, config.delta,
                            config.sigma, config.epsilon)
-        for i, agent in enumerate(agents):
-            geo = agent.geo
-            keep = safe_filter(dset.arms, agent.stats.gram, agent.safety, beta, geo)
+        for i in range(config.n_agents):
+            keep = safe_filter(dset.arms, info["grams"][i], info["safety"][i], beta, geo)
             allowed = [tuple(arm) for arm in dset.arms[keep]] + [tuple(geo.x0)]
             if tuple(info["actions"][i]) not in allowed:
                 violations.append((t, i))
@@ -335,7 +469,7 @@ def test_centralized_statistics_are_exact():
     seen = {}
 
     def probe(t, info):
-        seen[t] = info["agents"][0].stats.gram.copy()
+        seen[t] = info["grams"][0].copy()
 
     trace = run_realization(config, master_seed=12, record_actions=True, probe=probe)
     chain = perfect_gram_chain(trace.actions, 3, 1.0)

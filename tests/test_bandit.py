@@ -378,7 +378,8 @@ def test_restricted_statistics_match_projected_replay(d, zero_x0, seed, n_warmup
     x0 = np.zeros(d) if zero_x0 else rng.standard_normal(d)
     x0 *= rng.uniform(0.1, 1.0) / max(np.linalg.norm(x0), 1e-300)
     geo = SafeGeometry(x0=x0, c0=0.0 if zero_x0 else float(rng.uniform(-0.3, 0.3)), c=0.5)
-    agent = SafeDlucbAgent(n, d, lam, s_rounds=n_warmup, geo=geo,
+    # n agents that all play and receive the same: row 0 is the agent checked
+    agent = SafeDlucbAgent(np.arange(n), d, lam, s_rounds=n_warmup, geo=geo,
                            keep_warmup_data=keep_warmup)
     unit = geo.x0_unit
     projector = np.eye(d) - np.outer(unit, unit)
@@ -387,14 +388,15 @@ def test_restricted_statistics_match_projected_replay(d, zero_x0, seed, n_warmup
     for t in range(1, n_warmup + 1):
         x = rng.uniform(-1.0, 1.0, d) / math.sqrt(d)
         z = float(rng.standard_normal())
-        agent.finish_round(t, x, float(rng.standard_normal()), z)
+        agent.finish_round(t, np.tile(x, (n, 1)), np.full(n, float(rng.standard_normal())),
+                           np.full(n, z))
         gram_perp += np.outer(projector @ x, projector @ x)
         moment_perp += z * (projector @ x)
     if not keep_warmup:
         gram_perp, moment_perp = lam * projector, np.zeros(d)
     for k in range(max(n_slots, 1)):
         slot = rng.standard_normal((n, d + 2)) / n if k < n_slots else None
-        agent.begin_round(n_warmup + 1 + k, slot)
+        agent.begin_round(n_warmup + 1 + k, None if slot is None else np.stack([slot] * n))
         if slot is not None:
             perp = slot[:, :d] @ projector
             gram_perp += n**2 * perp.T @ perp
@@ -402,7 +404,7 @@ def test_restricted_statistics_match_projected_replay(d, zero_x0, seed, n_warmup
 
     basis = geo.basis
     old = np.linalg.cholesky(basis.T @ gram_perp @ basis)
-    new = np.linalg.cholesky(basis.T @ agent.stats.gram @ basis)
+    new = np.linalg.cholesky(basis.T @ agent.stats.gram[0] @ basis)
     assert np.abs(new - old).max() <= 1e-10 * np.abs(old).max()
 
     arms = rng.standard_normal((15, d))
@@ -416,7 +418,7 @@ def test_restricted_statistics_match_projected_replay(d, zero_x0, seed, n_warmup
     values = ((arms @ unit) / max(geo.norm_x0, 1e-300) * geo.c0 + perp_arms @ mu_perp
               + beta * np.sqrt((widths**2).sum(axis=0)))
     expected = np.flatnonzero(values <= geo.c)
-    keep = np.flatnonzero(safe_filter(arms, agent.stats.gram, agent.safety, beta, geo))
+    keep = np.flatnonzero(safe_filter(arms, agent.stats.gram[0], agent.safety[0], beta, geo))
     assert np.array_equal(keep, expected)
 
 
@@ -446,9 +448,8 @@ def test_batched_selection_matches_per_agent_oracle(n, d, k, zero_x0, seed):
     box_x, box_value = ucb_select_box(ConfidenceSet.from_stats(stats, beta, "ell1_scaled"))
     tilde = ts_perturb(cs, [np.random.default_rng(s) for s in streams])
     certified = safe_filter(arms, grams, safety, beta, geo)
-    learners = [SimpleNamespace(stats=SufficientStats(g, m, 1.0), safety=s)
-                for g, m, s in zip(grams, moments, safety)]
-    safe_plays = _select(learners, beta, DecisionSet.finite(arms), geo, None)
+    agents = SimpleNamespace(stats=stats, safety=safety)
+    safe_plays = _select(agents, beta, DecisionSet.finite(arms), geo, None)
     for i in range(n):
         center = oracle_center(grams[i], moments[i])
         assert np.array_equal(cs.center[i], center)

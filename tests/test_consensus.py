@@ -200,9 +200,10 @@ def test_safety_channel_contract():
     # reward moment and the safety moment with the same N^2-scaled weights,
     # over the same (unprojected) actions
     geo = SafeGeometry(x0=np.array([0.6, 0.0]), c0=0.1, c=0.5)
-    agent = SafeDlucbAgent(n_agents=3, d=2, lam=1.0, s_rounds=1, geo=geo)
+    agent = SafeDlucbAgent(np.arange(3), d=2, lam=1.0, s_rounds=1, geo=geo)
     slot = np.random.default_rng(5).standard_normal((3, 4))
-    agent.begin_round(2, slot)
+    # every holder receives the same slot, so each row of the stacked state is checked
+    agent.begin_round(2, np.stack([slot] * 3))
     actions = slot[:, :2]
     assert np.allclose(agent.stats.gram, np.eye(2) + 9.0 * actions.T @ actions)
     assert np.allclose(agent.stats.moment, 9.0 * actions.T @ slot[:, 2])

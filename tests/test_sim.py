@@ -56,7 +56,7 @@ def test_feedback_noiseless_and_deterministic():
     env = Environment(theta_star=np.array([0.6, 0.8]), sigma=0.0)
     env.attach_noise(np.zeros((2, 5)))
     x = np.array([0.5, 0.5])
-    y, z = feedback(env, x, 0, 3)
+    (y, _), z = feedback(env, np.stack([x, x]), 3)  # both agents play x
     assert y == 0.7 and z is None
 
 
@@ -66,7 +66,7 @@ def test_feedback_noise_variance():
     noise = 0.1 * rng.standard_normal((1, n_draws))
     env = Environment(theta_star=np.array([1.0, 0.0]), sigma=0.1)
     env.attach_noise(noise)
-    ys = np.array([feedback(env, np.zeros(2), 0, t)[0] for t in range(1, n_draws + 1)])
+    ys = np.array([feedback(env, np.zeros((1, 2)), t)[0][0] for t in range(1, n_draws + 1)])
     assert abs(ys.var() / 0.01 - 1.0) < 0.03
 
 
@@ -74,7 +74,7 @@ def test_feedback_rejects_oversized_action():
     env = Environment(theta_star=np.array([1.0, 0.0]))
     env.attach_noise(np.zeros((1, 1)))
     with pytest.raises(ValueError, match="norm"):
-        feedback(env, np.array([2.0, 0.0]), 0, 1)
+        feedback(env, np.array([[2.0, 0.0]]), 1)
 
 
 def test_optimal_value_box_sign_rule():
@@ -218,12 +218,18 @@ def test_selections_per_round_and_probe_payload(monkeypatch):
     for algorithm in ALGORITHMS:
         extra = {"decision_set": {"variant": "finite", "num_arms": 6}} if algorithm == "safe_dlucb" else {}
         rounds = []
+        # read-only arrays, no agent objects: one row per learner, safety per agent
+        learners = 1 if algorithm == "centralized" else 5
+        shapes = {"actions": (5, 3), "grams": (learners, 3, 3), "moments": (learners, 3)}
+        if algorithm == "safe_dlucb":
+            shapes["safety"] = (5, 3)
 
         def probe(t, info):
-            assert set(info) == {"actions", "agents"}
-            assert info["actions"].shape == (5, 3) and len(info["agents"]) == 5
-            if algorithm == "centralized":
-                assert all(agent is info["agents"][0] for agent in info["agents"])
+            assert {key: value.shape for key, value in info.items()} == shapes
+            for value in info.values():
+                assert isinstance(value, np.ndarray)
+                with pytest.raises(ValueError):
+                    value[...] = 0.0
             rounds.append(t)
 
         trace = run_realization(cfg(algorithm=algorithm, T=60, **extra), master_seed=1,
