@@ -9,9 +9,10 @@ within epsilon of 1.
 
 The pipeline is two preallocated arrays, ``now`` and ``prev``, laid out as
 (holder, generation, source, width), plus each generation slot's mixing
-count. A holder's neighbors' rows of all in-flight generations then form one
-contiguous block, and one ``comm_step`` call, one ``tensordot`` per holder,
-mixes every generation with its own Chebyshev coefficients. The step writes
+count. A holder's rows of all in-flight generations then form one contiguous
+payload row, and one ``comm_step`` call mixes every generation with its own
+Chebyshev coefficients: one stacked BLAS product per block of holders with
+equal-size neighborhoods (see ``graph.HolderBlock``). The step writes
 in place over ``prev`` (``out=prev``), which is safe because holder i's
 update reads only ``prev[i]``; then ``now`` and ``prev`` swap roles.
 
@@ -26,8 +27,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .graph import compute_mixing_rounds
+
+BLOCK_BYTES = 2 << 20
+"""Bound on the temporaries of one chunk of ``comm_step``: k + 3 payload rows
+per holder (its k neighbor rows, its product, its previous row and that row
+scaled)."""
 
 
 def chebyshev_weights(s_rounds, lambda2_abs):
@@ -84,6 +91,14 @@ def comm_step(now, prev, ell, comm, plan, out=None):
     The result goes to ``out`` (a new array when None) and is returned.
     ``out`` may be ``prev`` itself: holder i's new value depends only on
     ``prev[i]``, which is read before ``out[i]`` is written.
+
+    Holders are mixed a block of ``comm.blocks`` at a time, in chunks of at
+    most ``BLOCK_BYTES`` of temporaries: one stacked ``matmul`` of the
+    holders' (1, k) weight rows against their (k, payload) neighbor rows,
+    read through a strided view where the block allows it and gathered
+    otherwise. That makes the same dgemv call per holder as a ``tensordot``
+    over one holder's rows, so every entry equals the per-holder product bit
+    for bit.
     """
     now = np.asarray(now, dtype=float)
     prev = np.asarray(prev, dtype=float)
@@ -103,24 +118,48 @@ def comm_step(now, prev, ell, comm, plan, out=None):
     if not plain_only:
         w = plan.weights
         lam2 = plan.lambda2_abs
-        k = np.maximum(ell, 2)  # the coefficients of ell == 1 rows are unused
+        m = np.maximum(ell, 2)  # the coefficients of ell == 1 rows are unused
         shape = ell.shape + (1,) * (now.ndim - 1 - ell.ndim)
-        c_now = (2.0 * w[k - 1] / (lam2 * w[k])).reshape(shape)
-        c_prev = (w[k - 2] / w[k]).reshape(shape)
-    entries = comm.entries
-    for i in range(comm.n):
-        idx = comm.neighborhoods[i]
-        mixed = np.tensordot(entries[i, idx], now[idx], axes=(0, 0))
-        if plain_only:
-            out[i] = mixed
-            continue
-        row = out[i, ...]  # a view, also of a scalar payload
-        plain = None if fresh is None else mixed[fresh]
-        np.multiply(c_prev, prev[i], out=row)
-        mixed *= c_now
-        np.subtract(mixed, row, out=row)
-        if fresh is not None:
-            row[fresh] = plain
+        c_now = (2.0 * w[m - 1] / (lam2 * w[m])).reshape(shape)
+        c_prev = (w[m - 2] / w[m]).reshape(shape)
+    flat = now.reshape(comm.n, -1)  # a view for the pipeline's slices
+    row_stride, col_stride = flat.strides
+    # a strided view hands dgemv the operands a gathered copy would only when
+    # payload rows are contiguous and longer than one entry: with one entry
+    # numpy calls ddot, whose strided kernel sums in another order
+    viewable = flat.shape[1] > 1 and col_stride == flat.itemsize
+    for block in comm.blocks:
+        h, k = block.rows.shape
+        chunk = max(1, BLOCK_BYTES // ((k + 3) * max(flat[0].nbytes, 1)))
+        for a in range(0, h, chunk):
+            b = min(a + chunk, h)
+            if block.steps is None or not viewable:
+                holders = block.holders[a:b]
+                mixed = np.matmul(block.weights[a:b], flat[block.rows[a:b]])
+            else:
+                step, shift, spacing = block.steps
+                holders = slice(block.holders[a], block.holders[b - 1] + 1, step)
+                rows = as_strided(flat[block.rows[a, 0]:], shape=(b - a, k, flat.shape[1]),
+                                  strides=(shift * row_stride, spacing * row_stride, col_stride),
+                                  writeable=False)
+                mixed = np.matmul(block.weights[a:b], rows)
+            mixed = mixed.reshape((b - a,) + now.shape[1:])
+            if plain_only:
+                out[holders] = mixed
+            else:
+                # c_now * mixed - c_prev * prev, in place where out[holders] is a view
+                in_place = isinstance(holders, slice)
+                combined = out[holders] if in_place else np.empty_like(mixed)
+                np.multiply(c_prev, prev[holders], out=combined)
+                plain = None if fresh is None else mixed[:, fresh]
+                mixed *= c_now
+                np.subtract(mixed, combined, out=combined)
+                if fresh is not None:
+                    combined[:, fresh] = plain
+                if not in_place:
+                    out[holders] = combined
+                del combined
+            del mixed  # free this chunk's temporaries before the next product
     return out
 
 

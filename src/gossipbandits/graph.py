@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,26 +126,40 @@ def load_edge_list(path, n=None):
     """Load an explicit topology from a plain-text edge list, one "u v" pair per line.
 
     Nodes are 0..max label. When ``n`` is given the list must span exactly n
-    nodes; a mismatch is a configuration error.
+    nodes. A malformed line, a label that is not a nonnegative integer, a
+    self-loop, an empty list, a node-count mismatch and a disconnected graph
+    are configuration errors naming the file (and the line, where there is
+    one).
     """
+    from .config import ConfigError  # config imports this module
+
     edges = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
+            where = f"{path}:{line_no}"
             parts = line.split()
             if len(parts) != 2:
-                raise ValueError(f"{path}:{line_no}: expected 'u v', got {line!r}")
-            edges.append((int(parts[0]), int(parts[1])))
+                raise ConfigError(f"{where}: expected 'u v', got {line!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise ConfigError(f"{where}: node labels must be integers, got {line!r}") from None
+            if u < 0 or v < 0 or u == v:
+                raise ConfigError(f"{where}: invalid edge ({u}, {v}): labels must be "
+                                  "nonnegative and distinct")
+            edges.append((u, v))
     if not edges:
-        raise ValueError(f"{path}: no edges found")
+        raise ConfigError(f"{path}: no edges found")
     inferred = max(max(u, v) for u, v in edges) + 1
     if n is not None and n != inferred:
-        from .config import ConfigError  # config imports this module
-
         raise ConfigError(f"edge file {path} spans {inferred} nodes, but N = {n}")
-    return build_topology("explicit", inferred, edges=edges)
+    try:
+        return build_topology("explicit", inferred, edges=edges)
+    except ValueError as exc:
+        raise ConfigError(f"edge file {path}: {exc}") from None
 
 
 def _comm_entries(topology, scheme):
@@ -195,6 +210,71 @@ def check_assumption(entries, topology, eigenvalues=None):
     return problems
 
 
+class HolderBlock(NamedTuple):
+    """Holders of one closed-neighborhood size k, which the gossip step mixes
+    with one stacked product.
+
+    ``holders`` (h,) lists the holders, ``rows`` (h, k) their neighborhoods
+    and ``weights`` (h, 1, k) their gossip weights. ``steps`` is (holder step,
+    row shift, row spacing) when the holders form an arithmetic progression
+    whose neighborhoods are evenly spaced and shift by a fixed stride, so that
+    their rows can be read as a strided view; it is None for a block whose
+    rows are gathered.
+    """
+
+    holders: np.ndarray
+    rows: np.ndarray
+    weights: np.ndarray
+    steps: tuple[int, int, int] | None
+
+
+def _shift_steps(neighborhoods, i, j):
+    """(holder step, row shift, row spacing) that carry holder i's evenly
+    spaced neighborhood onto holder j's, or None if no forward shift does."""
+    a, b = neighborhoods[i], neighborhoods[j]
+    shift = b[0] - a[0]
+    if shift < 0 or not np.array_equal(b - shift, a):
+        return None
+    return j - i, int(shift), int(a[1] - a[0])
+
+
+def _holder_blocks(entries, neighborhoods):
+    """Group holders by neighborhood size. Runs of at least two holders with
+    evenly spaced neighborhoods that shift by a fixed stride become view
+    blocks; the other holders of each size form one gathered block."""
+    by_size = {}
+    for i, idx in enumerate(neighborhoods):
+        by_size.setdefault(len(idx), []).append(i)
+    groups = []  # (holders, steps)
+    for members in by_size.values():
+        runs, gathered = [], []  # a run is [holders, steps], steps None while alone
+        for i in members:
+            gaps = np.diff(neighborhoods[i])
+            if len(gaps) == 0 or np.any(gaps != gaps[0]):
+                gathered.append(i)
+                continue
+            steps = _shift_steps(neighborhoods, runs[-1][0][-1], i) if runs else None
+            if steps is not None and runs[-1][1] in (None, steps):
+                runs[-1][0].append(i)
+                runs[-1][1] = steps
+            else:
+                runs.append([[i], None])
+        for holders, steps in runs:
+            if steps is None:
+                gathered += holders
+            else:
+                groups.append((holders, steps))
+        if gathered:
+            groups.append((sorted(gathered), None))
+    blocks = []
+    for holders, steps in groups:
+        holders = np.array(holders)
+        rows = np.array([neighborhoods[i] for i in holders])
+        weights = entries[holders[:, None], rows].reshape(len(holders), 1, -1)
+        blocks.append(HolderBlock(holders, rows, weights, steps))
+    return blocks
+
+
 class CommMatrix:
     """Symmetric doubly stochastic gossip matrix respecting the graph structure.
 
@@ -215,10 +295,12 @@ class CommMatrix:
         lam2 = float(abs(self.eigenvalues[1])) if self.n > 1 else 0.0
         # exact-averaging matrices report a clean zero
         self.lambda2_abs = 0.0 if lam2 < 1e-12 else lam2
-        # per-node closed neighborhoods, used by the gossip step to keep reads local
+        # per-node closed neighborhoods, used by the gossip step to keep reads
+        # local, and the holder blocks it mixes them in
         self.neighborhoods = [
             np.sort(np.append(topology.neighbors(i), i)) for i in range(self.n)
         ]
+        self.blocks = _holder_blocks(self.entries, self.neighborhoods)
 
 
 def build_comm_matrix(topology, scheme="laplacian"):

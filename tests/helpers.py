@@ -4,7 +4,8 @@ Everything here deliberately avoids the library's own code paths: eigenvalues
 come from a hand-rolled shifted QR iteration, the mixing polynomial from the
 closed Chebyshev form on the eigendecomposition, connectivity from BFS, and
 the safe filter's restricted norm from a dense solve. The per-agent selection
-oracles keep the unbatched selection code, one agent per call.
+oracles keep the unbatched selection code, one agent per call, and the gossip
+step oracle keeps the per-holder loop.
 """
 
 import math
@@ -85,6 +86,40 @@ def random_connected_adjacency(n, p, rng, max_tries=500):
         if bfs_connected(a):
             return a
     raise RuntimeError("could not sample a connected graph")
+
+
+def oracle_comm_step(now, prev, ell, comm, plan, out=None):
+    """The accelerated gossip step as the library did it before holders were
+    mixed in blocks: one ``tensordot`` over a copy of each holder's neighbor
+    rows, then that holder's Chebyshev combination in place. The blocked
+    ``comm_step`` must reproduce it bit for bit."""
+    now = np.asarray(now, dtype=float)
+    prev = np.asarray(prev, dtype=float)
+    ell = np.asarray(ell)
+    if out is None:
+        out = np.empty_like(now)
+    fresh = np.flatnonzero(ell == 1) if ell.ndim else None
+    plain_only = not np.any(ell > 1)
+    if not plain_only:
+        w = plan.weights
+        k = np.maximum(ell, 2)
+        shape = ell.shape + (1,) * (now.ndim - 1 - ell.ndim)
+        c_now = (2.0 * w[k - 1] / (plan.lambda2_abs * w[k])).reshape(shape)
+        c_prev = (w[k - 2] / w[k]).reshape(shape)
+    for i in range(comm.n):
+        idx = comm.neighborhoods[i]
+        mixed = np.tensordot(comm.entries[i, idx], now[idx], axes=(0, 0))
+        if plain_only:
+            out[i] = mixed
+            continue
+        row = out[i, ...]
+        plain = None if fresh is None else mixed[fresh]
+        np.multiply(c_prev, prev[i], out=row)
+        mixed *= c_now
+        np.subtract(mixed, row, out=row)
+        if fresh is not None:
+            row[fresh] = plain
+    return out
 
 
 def ortho_norm(x_perp, gram, geo):

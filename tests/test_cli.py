@@ -345,6 +345,29 @@ def test_edge_file_node_count_mismatch_exits_2(tmp_path, capsys):
     assert main(["graph-info", "--topology", "explicit", "--edge-file", str(edges)]) == 0
 
 
+@pytest.mark.parametrize("command", ["run", "graph-info"])
+@pytest.mark.parametrize("text, n, line", [
+    ("0 1\n1 x\n", 2, 2),
+    ("0 1\n1 2 3\n", 3, 2),
+    ("0 1\n1 1\n", 2, 2),
+    ("0 1\n-1 1\n1 2\n", 3, 2),
+    ("0 1\n2 3\n", 4, None),
+    ("# no edges\n", 2, None),
+], ids=["non-integer", "three-tokens", "self-loop", "negative", "disconnected", "empty"])
+def test_malformed_edge_file_exits_2(tmp_path, capsys, command, text, n, line):
+    edges = tmp_path / "edges.txt"
+    edges.write_text(text)
+    args = ["--topology", "explicit", "--edge-file", str(edges), "--n", str(n)]
+    if command == "run":
+        args += ["--d", "2", "--t", "5", "--algorithm", "dlucb", "--realizations", "1",
+                 "--workers", "1", "--out", str(tmp_path / "o")]
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(edges) in err
+    if line is not None:
+        assert f"{edges}:{line}:" in err
+
+
 def test_irregular_normalized_laplacian_exits_2(tmp_path, capsys):
     with pytest.raises(ConfigError, match="row sums"):
         build_comm_matrix(build_topology("path", 4), "normalized_laplacian")

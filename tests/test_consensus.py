@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gossipbandits import consensus
 from gossipbandits.agents import SafeDlucbAgent
 from gossipbandits.bandit import SafeGeometry
 from gossipbandits.consensus import (
@@ -16,9 +17,20 @@ from gossipbandits.consensus import (
     mixed_gain,
     new_pipeline,
 )
-from gossipbandits.graph import GraphTopology, build_comm_matrix, build_topology
+from gossipbandits.graph import (
+    TOPOLOGY_KINDS,
+    CommMatrix,
+    GraphTopology,
+    build_comm_matrix,
+    build_topology,
+)
 
-from helpers import chebyshev_closed_form, mixing_polynomial_eig, random_connected_adjacency
+from helpers import (
+    chebyshev_closed_form,
+    mixing_polynomial_eig,
+    oracle_comm_step,
+    random_connected_adjacency,
+)
 
 
 def make(kind, n, eps=0.1):
@@ -104,6 +116,134 @@ def test_locality_never_reads_non_neighbors():
                     poisoned[j] = np.nan
             out = comm_step(poisoned, base_prev, ell, comm, plan)
             assert np.array_equal(out[i], clean[i])
+
+
+def _tree_plus_edges(n, p, rng):
+    """A random tree (node i joins a node before it) plus Erdos-Renyi edges."""
+    a = np.triu((rng.random((n, n)) < p).astype(float), 1)
+    for i in range(1, n):
+        a[rng.integers(0, i), i] = 1.0
+    return a + a.T
+
+
+@st.composite
+def gossip_graphs(draw):
+    """A topology of every kind, or a random connected graph of 1 to 40 nodes."""
+    kind = draw(st.sampled_from(TOPOLOGY_KINDS + ("random",)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        topo = GraphTopology(_tree_plus_edges(draw(st.integers(1, 40)),
+                                              draw(st.floats(0.0, 1.0)), rng))
+    elif kind == "explicit":
+        a = _tree_plus_edges(draw(st.integers(2, 40)), 0.2, rng)
+        edges = list(zip(*np.nonzero(np.triu(a))))
+        topo = build_topology("explicit", len(a), edges=edges)
+    else:
+        topo = build_topology(kind, draw(st.integers(3, 40)), p=0.3, rng=rng)
+    return CommMatrix(topo)
+
+
+def _embedded(rng, shape, data):
+    """A random array of ``shape`` that may be a slice of a wider one, like
+    the pipeline's live slots, and may step over entries of its last axis."""
+    pad, step = data.draw(st.integers(0, 2)), data.draw(st.sampled_from([1, 2]))
+    wide = list(shape)
+    wide[-1] *= step
+    index = [slice(None)] * len(shape)
+    index[-1] = slice(0, shape[-1] * step, step)
+    if len(shape) > 1:
+        wide[1] += pad * (step if len(shape) == 2 else 1)
+        if len(shape) > 2:
+            index[1] = slice(0, shape[1])
+    return rng.standard_normal(wide)[tuple(index)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(comm=gossip_graphs(), data=st.data())
+def test_comm_step_matches_per_holder_oracle(comm, data):
+    """Blocked mixing equals the per-holder tensordot loop bit for bit, for
+    every payload layout the simulator uses, on slices like the pipeline's
+    and on strided payloads, with and without out=prev, and at both extremes
+    of the chunk size."""
+    plan = MixingPlan.for_network(comm, 0.05)
+    n, s = comm.n, plan.s_rounds
+    layout = data.draw(st.sampled_from(["scalar", "matrix", "pipeline"]))
+    if layout == "scalar":
+        shape = (n,)
+    elif layout == "matrix":
+        d = data.draw(st.integers(1, 6))
+        shape = (n, d, d)
+    else:
+        shape = (n, data.draw(st.integers(1, 4)), n, data.draw(st.integers(1, 7)))
+    if layout == "pipeline" and data.draw(st.booleans()):
+        ell = np.array(data.draw(st.lists(st.integers(1, s), min_size=shape[1],
+                                          max_size=shape[1])))
+    else:
+        ell = data.draw(st.integers(1, s))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    now, prev = (_embedded(rng, shape, data) for _ in range(2))
+    block_bytes = data.draw(st.sampled_from([1, consensus.BLOCK_BYTES, 1 << 40]))
+    in_place = data.draw(st.booleans())
+    expected = oracle_comm_step(now, prev, ell, comm, plan, out=prev.copy() if in_place else None)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(consensus, "BLOCK_BYTES", block_bytes)
+        before = now.copy()
+        got = comm_step(now, prev, ell, comm, plan, out=prev if in_place else None)
+    assert (got is prev) == in_place
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(now, before)
+
+
+@settings(max_examples=80, deadline=None)
+@given(comm=gossip_graphs())
+def test_holder_blocks_partition_the_holders(comm):
+    """Every holder lies in exactly one block, holders of a block share one
+    neighborhood size, and a view block's steps describe its holders, rows
+    and weights."""
+    holders = np.concatenate([block.holders for block in comm.blocks])
+    assert sorted(holders.tolist()) == list(range(comm.n))
+    for block in comm.blocks:
+        h, k = block.rows.shape
+        for i, row in zip(block.holders, block.rows):
+            assert np.array_equal(row, comm.neighborhoods[i])
+        assert np.array_equal(block.weights[:, 0], comm.entries[block.holders[:, None], block.rows])
+        if block.steps is not None:
+            step, shift, spacing = block.steps
+            m = np.arange(h)
+            assert h > 1 and step > 0 and shift >= 0 and spacing > 0
+            assert np.array_equal(block.holders, block.holders[0] + step * m)
+            assert np.array_equal(block.rows, block.rows[0, 0] + shift * m[:, None]
+                                  + spacing * np.arange(k))
+
+
+def _gathered(comm):
+    return sorted(i for block in comm.blocks if block.steps is None for i in block.holders)
+
+
+def test_spaced_neighborhoods_match_the_oracle():
+    """Holders 4..8 of this graph see {i - 4, i - 2, ..., i + 4}: a view whose
+    rows are two apart. One-entry payloads make numpy call ddot, whose
+    strided kernel (k >= 4) sums in another order than on a gathered copy."""
+    edges = [(0, 1)] + [(i, i + s) for s in (2, 4) for i in range(13 - s)]
+    comm = CommMatrix(build_topology("explicit", 13, edges=edges))
+    assert (1, 1, 2) in [block.steps for block in comm.blocks if block.rows.shape[1] == 5]
+    plan = MixingPlan.for_network(comm, 0.05)
+    rng = np.random.default_rng(8)
+    for now, prev, ell in [(rng.standard_normal(13), rng.standard_normal(13), 2),
+                           (rng.standard_normal(26)[::2], rng.standard_normal(26)[::2], 3),
+                           (rng.standard_normal((13, 3, 13, 5)),
+                            rng.standard_normal((13, 3, 13, 5)), np.array([3, 2, 1]))]:
+        np.testing.assert_array_equal(comm_step(now, prev, ell, comm, plan),
+                                      oracle_comm_step(now, prev, ell, comm, plan))
+
+
+def test_regular_graphs_read_their_rows_as_views():
+    for n in range(5, 13):
+        assert _gathered(CommMatrix(build_topology("ring", n))) == [0, n - 1]
+    for n in range(3, 13):
+        assert _gathered(CommMatrix(build_topology("complete", n))) == []
+    for n in range(4, 13):
+        assert _gathered(CommMatrix(build_topology("path", n))) == []
 
 
 def test_mixed_gain_complete_graph_exact():
