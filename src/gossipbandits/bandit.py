@@ -6,7 +6,11 @@ with moments (N, d) select for N agents in one call, and a single (d, d)
 Gram matrix is the zero-batch case of the same code. Each agent's slice of a
 stacked result is bit-identical to a call on that agent alone. Cholesky
 factors and solves go through the LAPACK ``potrf``/``potrs`` that
-``scipy.linalg.cho_factor``/``cho_solve`` call, one matrix at a time.
+``scipy.linalg.cho_factor``/``cho_solve`` call, one matrix at a time, in
+place in buffers whose matrices are column-major, so no call copies or
+allocates. Each factor gets one ``potrs`` call with all its right-hand
+sides: the ridge moment together with the arms of finite UCB, and the
+safety moment together with the arms of the safe filter.
 Eigendecompositions are batched ``np.linalg`` calls, and every
 matrix-vector product is a stacked ``np.matmul`` against a trailing
 (..., d, 1) column, which runs each slice through the same BLAS call as the
@@ -71,17 +75,24 @@ def _matvec(mats, vecs):
 def cho_factor(mats):
     """Lower Cholesky factor of every matrix of a stack (..., d, d).
 
-    Each matrix goes through the LAPACK ``potrf`` that
-    ``scipy.linalg.cho_factor`` calls; the upper triangle keeps the input's
-    entries. Raises ValueError if an entry is not finite or a matrix is not
-    positive-definite.
+    The stack is copied once into a buffer whose matrices are column-major,
+    and each matrix is factored in place there by the LAPACK ``potrf`` that
+    ``scipy.linalg.cho_factor`` calls; ``mats`` itself is never written. The
+    upper triangle keeps the input's entries. Raises ValueError if an entry
+    is not finite or a matrix is not positive-definite.
     """
     mats = np.asarray_chkfinite(mats, dtype=float)
-    factors = np.empty_like(mats)
-    for idx in np.ndindex(mats.shape[:-2]):
-        factors[idx], info = lapack.dpotrf(mats[idx], lower=1, clean=0)
-        if info > 0:
-            raise ValueError("Gram matrix is not positive-definite")
+    factors = np.empty(mats.shape).swapaxes(-1, -2)
+    factors[...] = mats
+    if factors.size == 0:  # an empty stack, or d = 0
+        return factors
+    d = mats.shape[-1]
+    # f2py would factor a silent copy of a matrix that is not F-contiguous;
+    # every matrix of the buffer is, so potrf overwrites it
+    info = max(lapack.dpotrf(f, lower=1, clean=0, overwrite_a=1)[1]
+               for f in factors.reshape(-1, d, d))
+    if info > 0:
+        raise ValueError("Gram matrix is not positive-definite")
     return factors
 
 
@@ -89,33 +100,55 @@ def cho_solve(factors, rhs):
     """Solve L L^T x = b for every factor L of ``cho_factor`` and its
     right-hand side b: a vector (..., d) or a matrix (..., d, k).
 
-    Each system goes through the LAPACK ``potrs`` that
-    ``scipy.linalg.cho_solve`` calls. Matrix solutions keep its column-major
-    layout, so that later reductions over them sum in the same order.
+    The solutions are written in place over a copy of ``rhs`` by the LAPACK
+    ``potrs`` that ``scipy.linalg.cho_solve`` calls, one call per factor with
+    all its right-hand sides. Matrix solutions keep its column-major layout,
+    so that later reductions over them sum in the same order.
     """
     rhs = np.asarray_chkfinite(rhs, dtype=float)
     if rhs.ndim == factors.ndim:
         out = np.empty(rhs.shape[:-2] + rhs.shape[:-3:-1]).swapaxes(-1, -2)
     else:
         out = np.empty(rhs.shape)
+    out[...] = rhs
     if out.size == 0:  # an empty system (d = 0) has the empty solution
         return out
-    for idx in np.ndindex(factors.shape[:-2]):
-        out[idx], _ = lapack.dpotrs(factors[idx], rhs[idx], lower=1)
+    d = factors.shape[-1]
+    systems = out.reshape(-1, *out.shape[factors.ndim - 2:])
+    for f, o in zip(factors.reshape(-1, d, d), systems, strict=True):
+        lapack.dpotrs(f, o, lower=1, overwrite_b=1)
     return out
 
 
-def rls_estimate(stats, factor=None):
-    """Ridge estimate solving gram @ theta = moment for every agent, from the
-    Cholesky factor of the Gram matrices (computed here when not given)."""
-    if factor is None:
-        factor = cho_factor(stats.gram)
-    theta = cho_solve(factor, stats.moment)
+def _solve_with_columns(factor, vector, columns):
+    """Solutions of one ``potrs`` call per factor on [vector | columns]: the
+    vector's, copied to the contiguous (..., d) layout a vector solve gives,
+    and the (..., d, k) columns', column-major like a matrix solve's."""
+    columns = np.broadcast_to(columns, vector.shape[:-1] + columns.shape[-2:])
+    solved = cho_solve(factor, np.concatenate([vector[..., None], columns], axis=-1))
+    return solved[..., 0].copy(), solved[..., 1:]
+
+
+def _ridge(stats, arms=None):
+    """Ridge estimate theta of every agent and, given ``arms`` (K, d), the
+    arm solves A^-1 arms^T (..., d, K) from the same ``potrs`` call (else
+    None). Raises ValueError when a solve leaves a large residual."""
+    factor = cho_factor(stats.gram)
+    if arms is None:
+        theta, arm_solves = cho_solve(factor, stats.moment), None
+    else:
+        arms = np.asarray(arms, dtype=float)
+        theta, arm_solves = _solve_with_columns(factor, stats.moment, arms.T)
     residual = np.linalg.norm(_matvec(stats.gram, theta) - stats.moment, axis=-1)
     bound = 1e-8 * np.maximum(1.0, np.linalg.norm(stats.moment, axis=-1))
     if np.any(residual > bound):
         raise ValueError(f"ill-conditioned solve, residual {np.max(residual):.3e}")
-    return theta
+    return theta, arm_solves
+
+
+def rls_estimate(stats):
+    """Ridge estimate solving gram @ theta = moment for every agent."""
+    return _ridge(stats)[0]
 
 
 def beta_radius(t, d, n_agents, lam, delta, sigma, epsilon):
@@ -136,15 +169,15 @@ class ConfidenceSet:
     agent or a stack of agents sharing the radius.
 
     For the ``ell1_scaled`` flavor the stored radius already carries the
-    sqrt(d) inflation used with box decision sets. ``factor``, the Cholesky
-    factor of ``gram`` when known, is reused by finite UCB.
+    sqrt(d) inflation used with box decision sets. ``arm_solves``, A^-1 arms^T
+    for the arms given to ``from_stats``, is read by finite UCB.
     """
 
     center: np.ndarray
     radius: float
     gram: np.ndarray
     norm_flavor: str = "ell2"
-    factor: np.ndarray | None = None
+    arm_solves: np.ndarray | None = None
 
     def __post_init__(self):
         if self.norm_flavor not in NORM_FLAVORS:
@@ -153,12 +186,13 @@ class ConfidenceSet:
             raise ValueError("radius must be finite and non-negative")
 
     @classmethod
-    def from_stats(cls, stats, beta, flavor="ell2"):
-        factor = cho_factor(stats.gram)
-        center = rls_estimate(stats, factor)
+    def from_stats(cls, stats, beta, flavor="ell2", arms=None):
+        """The set around the ridge estimate of ``stats``. Given finite
+        ``arms`` (K, d), their solves come from the center's ``potrs`` call."""
+        center, arm_solves = _ridge(stats, arms)
         radius = beta * math.sqrt(stats.d) if flavor == "ell1_scaled" else beta
         return cls(center=center, radius=radius, gram=stats.gram, norm_flavor=flavor,
-                   factor=factor)
+                   arm_solves=arm_solves)
 
 
 @dataclass
@@ -191,15 +225,21 @@ def ucb_select_finite(arms, cs, scale=1.0, certified=None):
     Returns, for every agent of ``cs``, (arm index, optimistic value) for the
     score <theta_hat, x> + scale * radius * ||x||_{A^-1}. ``certified``, a
     boolean mask over the arms (per agent), restricts the argmax to the arms
-    it marks; an agent with none gets index 0 and value -inf.
+    it marks; an agent with none gets index 0 and value -inf. The arm solves
+    are read from ``cs`` when ``from_stats`` made them, else solved here.
     """
     arms = np.atleast_2d(np.asarray(arms, dtype=float))
     if arms.shape[0] == 0:
         raise ValueError("empty arm set")
     if cs.norm_flavor != "ell2":
         raise ValueError("finite selection expects the ell2 flavor")
-    factor = cho_factor(cs.gram) if cs.factor is None else cs.factor
-    solved = cho_solve(factor, np.broadcast_to(arms.T, factor.shape[:-2] + arms.T.shape))
+    solved = cs.arm_solves
+    if solved is None:
+        factor = cho_factor(cs.gram)
+        solved = cho_solve(factor, np.broadcast_to(arms.T, factor.shape[:-2] + arms.T.shape))
+    elif solved.shape[-1] != arms.shape[0]:
+        raise ValueError(f"the set holds solves for {solved.shape[-1]} arms, "
+                         f"not {arms.shape[0]}")
     norms = np.sqrt(np.maximum(np.einsum("kd,...dk->...k", arms, solved), 0.0))
     scores = _matvec(arms, cs.center) + scale * cs.radius * norms
     if certified is not None:
@@ -292,18 +332,19 @@ def safe_filter(arms, gram, safety, beta, geo):
     mu_hat = B (B^T gram B)^-1 B^T safety, where B^T gram B equals the Gram
     matrix of the projected actions. An arm passes when its known value along
     the safe direction, <mu_hat, x> and the bonus beta ||B^T x|| under that
-    inverse jointly stay below the constraint level.
+    inverse jointly stay below the constraint level. B^T safety and B^T x for
+    every arm x are solved in one ``potrs`` call per agent.
     """
     arms = np.atleast_2d(np.asarray(arms, dtype=float))
     basis = geo.basis
     factor = cho_factor(basis.T @ gram @ basis)
-    mu_hat = _matvec(basis, cho_solve(factor, _matvec(basis.T, safety)))
+    reduced = basis.T @ arms.T
+    nu_hat, solved = _solve_with_columns(factor, _matvec(basis.T, safety), reduced)
+    mu_hat = _matvec(basis, nu_hat)
     if geo.is_zero:
         proj_term = np.zeros(arms.shape[0])
     else:
         proj_term = (arms @ geo.x0_unit / geo.norm_x0) * geo.c0
-    reduced = basis.T @ arms.T
-    solved = cho_solve(factor, np.broadcast_to(reduced, factor.shape[:-2] + reduced.shape))
     norms = np.sqrt(np.maximum(np.einsum("dk,...dk->...k", reduced, solved), 0.0))
     values = proj_term + _matvec(arms, mu_hat) + beta * norms
     return values <= geo.c

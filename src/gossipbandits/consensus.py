@@ -131,18 +131,20 @@ def comm_step(now, prev, ell, comm, plan, out=None):
     for block in comm.blocks:
         h, k = block.rows.shape
         chunk = max(1, BLOCK_BYTES // ((k + 3) * max(flat[0].nbytes, 1)))
+        view = None
+        if block.steps is not None and viewable:
+            step, shift, spacing = block.steps
+            view = as_strided(flat[block.rows[0, 0]:], shape=(h, k, flat.shape[1]),
+                              strides=(shift * row_stride, spacing * row_stride, col_stride),
+                              writeable=False)
         for a in range(0, h, chunk):
             b = min(a + chunk, h)
-            if block.steps is None or not viewable:
+            if view is None:
                 holders = block.holders[a:b]
                 mixed = np.matmul(block.weights[a:b], flat[block.rows[a:b]])
             else:
-                step, shift, spacing = block.steps
                 holders = slice(block.holders[a], block.holders[b - 1] + 1, step)
-                rows = as_strided(flat[block.rows[a, 0]:], shape=(b - a, k, flat.shape[1]),
-                                  strides=(shift * row_stride, spacing * row_stride, col_stride),
-                                  writeable=False)
-                mixed = np.matmul(block.weights[a:b], rows)
+                mixed = np.matmul(block.weights[a:b], view[a:b])
             mixed = mixed.reshape((b - a,) + now.shape[1:])
             if plain_only:
                 out[holders] = mixed

@@ -383,19 +383,18 @@ def _select(agents, beta, dset, geo, rngs):
     stack = agents.stats
     if geo is not None:
         certified = safe_filter(dset.arms, stack.gram, agents.safety, beta, geo)
-        cs = ConfidenceSet.from_stats(stack, beta, "ell2")
+        cs = ConfidenceSet.from_stats(stack, beta, "ell2", dset.arms)
         j, _ = ucb_select_finite(dset.arms, cs, scale=geo.kappa_r, certified=certified)
         return np.where(certified.any(axis=-1)[:, None], dset.arms[j], geo.x0)
     box = dset.variant == "box"
-    cs = ConfidenceSet.from_stats(stack, beta,
-                                  "ell1_scaled" if box and rngs is None else "ell2")
     if rngs is not None:
-        tilde = ts_perturb(cs, rngs)
+        tilde = ts_perturb(ConfidenceSet.from_stats(stack, beta), rngs)
         if box:
             return greedy_box(tilde)
         return dset.arms[np.argmax((dset.arms @ tilde[..., None])[..., 0], axis=-1)]
     if box:
-        return ucb_select_box(cs)[0]
+        return ucb_select_box(ConfidenceSet.from_stats(stack, beta, "ell1_scaled"))[0]
+    cs = ConfidenceSet.from_stats(stack, beta, "ell2", dset.arms)
     return dset.arms[ucb_select_finite(dset.arms, cs)[0]]
 
 

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as scipy_linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,6 +15,8 @@ from gossipbandits.bandit import (
     SafeGeometry,
     SufficientStats,
     beta_radius,
+    cho_factor,
+    cho_solve,
     greedy_box,
     inv_sqrt_psd,
     mixing_delay_pairs,
@@ -44,6 +47,79 @@ class ZeroRng:
 def stats_from(gram, moment, lam=1.0):
     return SufficientStats(gram=np.asarray(gram, float), moment=np.asarray(moment, float),
                            lam=lam)
+
+
+# ------------------------------------------------------------------ LAPACK stacks
+
+def _laid_out(values, layout):
+    """``values`` as an array of the given memory layout, and the array that
+    owns its memory."""
+    if layout == "C":
+        owner = np.ascontiguousarray(values)
+        return owner, owner
+    if layout == "F":
+        owner = np.asfortranarray(values)
+        return owner, owner
+    if layout == "sliced":
+        owner = np.zeros(values.shape[:-2] + (2 * values.shape[-2], 2 * values.shape[-1]))
+        view = owner[..., 1::2, ::2]
+        view[...] = values
+        return view, owner
+    # one read-only matrix repeated along every leading axis
+    owner = values[(slice(0, 1),) * (values.ndim - 2)].copy()
+    return np.broadcast_to(owner, values.shape), owner
+
+
+@settings(max_examples=150, deadline=None)
+@given(lead=st.sampled_from([(), (0,), (1,), (3,), (7,), (2, 3), (3, 1)]), d=st.integers(0, 7),
+       k=st.one_of(st.none(), st.integers(1, 25)),
+       layouts=st.tuples(*[st.sampled_from(["C", "F", "sliced", "broadcast"])] * 2),
+       seed=st.integers(0, 2**32 - 1))
+def test_cho_stack_matches_scipy_per_matrix(lead, d, k, layouts, seed):
+    """Every factor and solution of a stack equals scipy's on that matrix
+    alone, bit for bit, whatever the inputs' layout; the inputs are not
+    written and the factors keep the input's upper triangle."""
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal(lead + (d, d + 2))
+    gram = m @ np.swapaxes(m, -1, -2) + 0.1 * np.eye(d)
+    # potrf reads only the lower triangle: junk above it must come back as is
+    values = np.tril(gram) + np.triu(rng.standard_normal(gram.shape), 1)
+    mats, mats_owner = _laid_out(values, layouts[0])
+    rhs_shape = lead + ((d, 1) if k is None else (d, k))
+    rhs, rhs_owner = _laid_out(rng.standard_normal(rhs_shape), layouts[1])
+    if k is None:
+        rhs = rhs[..., 0]
+    before = mats_owner.tobytes(), rhs_owner.tobytes()
+
+    factors = cho_factor(mats)
+    solved = cho_solve(factors, rhs)
+
+    assert (mats_owner.tobytes(), rhs_owner.tobytes()) == before
+    assert factors.shape == mats.shape and solved.shape == rhs.shape
+    for idx in np.ndindex(lead):
+        own, lower = scipy_linalg.cho_factor(np.array(mats[idx]), lower=True)
+        assert np.array_equal(factors[idx], own)
+        assert np.array_equal(np.triu(factors[idx], 1), np.triu(mats[idx], 1))
+        expected = scipy_linalg.cho_solve((own, lower), np.array(rhs[idx]))
+        assert np.array_equal(solved[idx], expected)
+        if k is not None:  # scipy's column-major layout, for reductions over it
+            assert solved[idx].flags.f_contiguous
+
+
+@pytest.mark.parametrize("bad", ["nan", "indefinite"])
+@pytest.mark.parametrize("where", [0, 2, -1])
+def test_cho_factor_rejects_a_bad_matrix_anywhere_in_the_stack(bad, where):
+    mats = np.stack([(1.0 + i) * np.eye(3) for i in range(5)])
+    mats[where] = np.nan if bad == "nan" else np.diag([1.0, 1.0, -1.0])
+    before = mats.tobytes()
+    with pytest.raises(ValueError):
+        cho_factor(mats)
+    assert mats.tobytes() == before
+
+
+def test_cho_solve_rejects_a_nan_right_hand_side():
+    with pytest.raises(ValueError):
+        cho_solve(cho_factor(np.eye(3)), np.array([1.0, np.nan, 0.0]))
 
 
 # ------------------------------------------------------------------ rls
@@ -170,6 +246,22 @@ def test_finite_argmax_invariances():
     inv = np.linalg.inv(gram)
     scores = arms @ center + 0.7 * np.sqrt(np.einsum("kd,de,ke->k", arms, inv, arms))
     assert int(np.argmax(scores)) == int(np.argmax(scores + 11.0)) == idx
+
+
+def test_finite_arm_solves_belong_to_their_arms():
+    rng = np.random.default_rng(13)
+    arms = 0.4 * rng.standard_normal((6, 3))
+    m = rng.standard_normal((4, 3, 5))
+    stats = stats_from(np.eye(3) + m @ np.swapaxes(m, -1, -2), rng.standard_normal((4, 3)))
+    cs = ConfidenceSet.from_stats(stats, 0.8, arms=arms)
+    assert cs.arm_solves.shape == (4, 3, 6)
+    with pytest.raises(ValueError, match="6 arms"):
+        ucb_select_finite(arms[:5], cs)
+    # a set built without arms solves them itself, to the same bits
+    plain = ConfidenceSet.from_stats(stats, 0.8)
+    assert plain.arm_solves is None and np.array_equal(plain.center, cs.center)
+    for got, expected in zip(ucb_select_finite(arms, cs), ucb_select_finite(arms, plain)):
+        assert np.array_equal(got, expected)
 
 
 # ------------------------------------------------------------------ box UCB
@@ -445,6 +537,11 @@ def test_batched_selection_matches_per_agent_oracle(n, d, k, zero_x0, seed):
     stats = SufficientStats(grams, moments, 1.0)
     cs = ConfidenceSet.from_stats(stats, beta)
     finite_idx, finite_value = ucb_select_finite(arms, cs, scale=1.3)
+    # the center and the arms solved in one potrs call per agent
+    merged = ConfidenceSet.from_stats(stats, beta, arms=arms)
+    assert np.array_equal(merged.center, cs.center)
+    merged_idx, merged_value = ucb_select_finite(arms, merged, scale=1.3)
+    assert np.array_equal(merged_idx, finite_idx) and np.array_equal(merged_value, finite_value)
     box_x, box_value = ucb_select_box(ConfidenceSet.from_stats(stats, beta, "ell1_scaled"))
     tilde = ts_perturb(cs, [np.random.default_rng(s) for s in streams])
     certified = safe_filter(arms, grams, safety, beta, geo)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gossipbandits import consensus
+from gossipbandits import bandit, consensus, sim
 from gossipbandits.agents import ALGORITHMS
 from gossipbandits.bandit import ConfidenceSet, DecisionSet
 from gossipbandits.config import parse_config
@@ -202,9 +202,9 @@ def test_selections_per_round_and_probe_payload(monkeypatch):
     selected = []
     from_stats = ConfidenceSet.from_stats.__func__
 
-    def counting(cls, stats, beta, flavor="ell2"):
+    def counting(cls, stats, beta, flavor="ell2", arms=None):
         selected.append(stats)
-        return from_stats(cls, stats, beta, flavor)
+        return from_stats(cls, stats, beta, flavor, arms)
 
     monkeypatch.setattr(ConfidenceSet, "from_stats", classmethod(counting))
     for algorithm, learners in (("centralized", 1), ("no_comm", 5)):
@@ -251,6 +251,38 @@ def test_aggregate_two_point_formula():
     tripled = aggregate([base, _scale_trace(base, 3.0)])
     assert np.allclose(tripled["regret_mean"], 2.0 * base.cum_regret)
     assert np.allclose(tripled["regret_std"], np.sqrt(2.0) * base.cum_regret)
+
+
+@pytest.mark.parametrize("algorithm, arms, per_round", [
+    ("dlucb", None, 5), ("dlts", None, 5), ("no_comm", None, 5), ("centralized", None, 1),
+    ("dlucb", 6, 5), ("rc_dlucb", 6, 5), ("safe_dlucb", 6, 10),
+])
+def test_lapack_calls_per_selection_round(monkeypatch, algorithm, arms, per_round):
+    # N = 5: one potrf and one potrs per Cholesky factor and learner. Finite
+    # UCB solves the ridge moment and the arms in one potrs call, and the safe
+    # filter the safety moment and the arms
+    calls = {"dpotrf": 0, "dpotrs": 0}
+    for name in calls:
+        def counting(*args, _name=name, _original=getattr(bandit.lapack, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(bandit.lapack, name, counting)
+    rounds = []
+    select = sim._select
+
+    def counting_select(*args, **kwargs):
+        rounds.append(1)
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "_select", counting_select)
+    extra = {} if arms is None else {"decision_set": {"variant": "finite", "num_arms": arms}}
+    trace = run_realization(cfg(algorithm=algorithm, T=60, **extra), master_seed=1)
+    if algorithm == "rc_dlucb":  # communication-phase rounds select nothing
+        assert trace.phase_count > 0 and len(rounds) < 60
+    else:
+        assert len(rounds) == 60
+    assert calls == {"dpotrf": per_round * len(rounds), "dpotrs": per_round * len(rounds)}
 
 
 def _scale_trace(trace, factor):
