@@ -25,8 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-NORM_FLAVORS = ("ell2", "ell1_scaled")
-
 
 @dataclass
 class SufficientStats:
@@ -165,34 +163,29 @@ def beta_radius(t, d, n_agents, lam, delta, sigma, epsilon):
 
 @dataclass
 class ConfidenceSet:
-    """Ellipsoid (or its l1 box analogue) around the ridge estimate, for one
-    agent or a stack of agents sharing the radius.
+    """Ellipsoid around the ridge estimate, for one agent or a stack of agents
+    sharing the radius.
 
-    For the ``ell1_scaled`` flavor the stored radius already carries the
-    sqrt(d) inflation used with box decision sets. ``arm_solves``, A^-1 arms^T
-    for the arms given to ``from_stats``, is read by finite UCB.
+    ``arm_solves``, A^-1 arms^T for the arms given to ``from_stats``, is read
+    by finite UCB.
     """
 
     center: np.ndarray
     radius: float
     gram: np.ndarray
-    norm_flavor: str = "ell2"
     arm_solves: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.norm_flavor not in NORM_FLAVORS:
-            raise ValueError(f"unknown norm flavor {self.norm_flavor!r}")
         if not np.isfinite(self.radius) or self.radius < 0:
             raise ValueError("radius must be finite and non-negative")
 
     @classmethod
-    def from_stats(cls, stats, beta, flavor="ell2", arms=None):
-        """The set around the ridge estimate of ``stats``. Given finite
-        ``arms`` (K, d), their solves come from the center's ``potrs`` call."""
+    def from_stats(cls, stats, beta, arms=None):
+        """The set of radius ``beta`` around the ridge estimate of ``stats``.
+        Given finite ``arms`` (K, d), their solves come from the center's
+        ``potrs`` call."""
         center, arm_solves = _ridge(stats, arms)
-        radius = beta * math.sqrt(stats.d) if flavor == "ell1_scaled" else beta
-        return cls(center=center, radius=radius, gram=stats.gram, norm_flavor=flavor,
-                   arm_solves=arm_solves)
+        return cls(center=center, radius=beta, gram=stats.gram, arm_solves=arm_solves)
 
 
 @dataclass
@@ -231,8 +224,6 @@ def ucb_select_finite(arms, cs, scale=1.0, certified=None):
     arms = np.atleast_2d(np.asarray(arms, dtype=float))
     if arms.shape[0] == 0:
         raise ValueError("empty arm set")
-    if cs.norm_flavor != "ell2":
-        raise ValueError("finite selection expects the ell2 flavor")
     solved = cs.arm_solves
     if solved is None:
         factor = cho_factor(cs.gram)
@@ -261,10 +252,10 @@ def ucb_select_box(cs, scale=1.0):
     over the box [-1, 1]^d, for every agent of ``cs``.
 
     The sup-norm bonus is a max of 2d linear functions, each maximized at a sign
-    vector, so enumerating the 2d candidates is exact.
+    vector, so enumerating the 2d candidates is exact. The l1-ball confidence
+    set that contains the ellipsoid (Dani, Hayes & Kakade, COLT 2008) is
+    ``scale`` = sqrt(d) times wider; the simulator passes that scale.
     """
-    if cs.norm_flavor != "ell1_scaled":
-        raise ValueError("box selection expects the ell1_scaled flavor")
     step = scale * cs.radius * np.swapaxes(inv_sqrt_psd(cs.gram), -1, -2)
     center = cs.center[..., None, :]
     candidates = np.concatenate([center + step, center - step], axis=-2)

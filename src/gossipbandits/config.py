@@ -250,10 +250,6 @@ def read_config(path):
     return as_mapping(data)
 
 
-def load_config(path):
-    return parse_config(read_config(path))
-
-
 def resolved_dict(config):
     """Fully resolved, JSON-serializable echo of the configuration, one entry
     per key (no safe section when ``config.safe`` is None)."""

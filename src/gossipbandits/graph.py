@@ -129,28 +129,34 @@ def load_edge_list(path, n=None):
     nodes. A malformed line, a label that is not a nonnegative integer, a
     self-loop, an empty list, a node-count mismatch and a disconnected graph
     are configuration errors naming the file (and the line, where there is
-    one).
+    one), and so is a file that cannot be read as UTF-8 text.
     """
     from .config import ConfigError  # config imports this module
 
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read edge file ({exc.strerror})") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: edge file is not UTF-8 text ({exc.reason})") from exc
     edges = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = f"{path}:{line_no}"
-            parts = line.split()
-            if len(parts) != 2:
-                raise ConfigError(f"{where}: expected 'u v', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ConfigError(f"{where}: node labels must be integers, got {line!r}") from None
-            if u < 0 or v < 0 or u == v:
-                raise ConfigError(f"{where}: invalid edge ({u}, {v}): labels must be "
-                                  "nonnegative and distinct")
-            edges.append((u, v))
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        where = f"{path}:{line_no}"
+        parts = line.split()
+        if len(parts) != 2:
+            raise ConfigError(f"{where}: expected 'u v', got {line!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ConfigError(f"{where}: node labels must be integers, got {line!r}") from None
+        if u < 0 or v < 0 or u == v:
+            raise ConfigError(f"{where}: invalid edge ({u}, {v}): labels must be "
+                              "nonnegative and distinct")
+        edges.append((u, v))
     if not edges:
         raise ConfigError(f"{path}: no edges found")
     inferred = max(max(u, v) for u, v in edges) + 1

@@ -7,6 +7,7 @@ across worker processes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
@@ -54,10 +55,6 @@ class Environment:
     action_norm_bound: float = 1.0
     noise_y: np.ndarray | None = field(default=None, repr=False)
     noise_z: np.ndarray | None = field(default=None, repr=False)
-
-    def attach_noise(self, noise_y, noise_z=None):
-        self.noise_y = noise_y
-        self.noise_z = noise_z
 
 
 def sample_environment(d, safe, rng, c_min=0.0, x0=None, sigma=0.0, max_tries=1000):
@@ -119,7 +116,8 @@ def optimal_value(env, decision_set, safe=False):
 
 @dataclass
 class Trace:
-    """Per-round accounting of one realization."""
+    """Per-round accounting of one realization, filled in place by
+    ``run_realization``."""
 
     inst_regret: np.ndarray
     cum_regret: np.ndarray
@@ -127,15 +125,13 @@ class Trace:
     phase_id: np.ndarray
     phases_started: np.ndarray
     violations: np.ndarray
-    violation_excess: np.ndarray
     s_rounds: int
     lambda2_abs: float
     n_agents: int
-    actions: np.ndarray | None = None
 
     @property
     def horizon(self):
-        return len(self.cum_regret)
+        return len(self.inst_regret)
 
     @property
     def final_regret(self):
@@ -150,40 +146,11 @@ class Trace:
         return int(self.phases_started[-1]) if self.horizon else 0
 
 
-class _Accounting:
-    def __init__(self, horizon, n_agents, d, record_actions):
-        self.inst = np.zeros(horizon)
-        self.scalars = np.zeros(horizon, dtype=np.int64)
-        self.phase_id = np.zeros(horizon, dtype=np.int64)
-        self.phases = np.zeros(horizon, dtype=np.int64)
-        self.violations = np.zeros(horizon, dtype=np.int64)
-        self.excess = np.zeros(horizon)
-        self.actions = np.zeros((horizon, n_agents, d)) if record_actions else None
-
-    def record(self, t, actions, regrets, env):
-        self.inst[t - 1] = regrets.sum()
-        if self.actions is not None:
-            self.actions[t - 1] = actions
-        if env.mu_star is not None:
-            slack = actions @ env.mu_star - env.c
-            bad = slack > VIOLATION_TOL
-            self.violations[t - 1] = int(bad.sum())
-            self.excess[t - 1] = float(slack[bad].sum())
-
-    def to_trace(self, s_rounds, lambda2_abs, n_agents):
-        return Trace(
-            inst_regret=self.inst,
-            cum_regret=np.cumsum(self.inst),
-            scalars=self.scalars,
-            phase_id=self.phase_id,
-            phases_started=self.phases,
-            violations=self.violations,
-            violation_excess=self.excess,
-            s_rounds=s_rounds,
-            lambda2_abs=lambda2_abs,
-            n_agents=n_agents,
-            actions=self.actions,
-        )
+def _record(trace, t, actions, env, v_star):
+    """Book the regret and safety violations of round t's (N, d) plays."""
+    trace.inst_regret[t - 1] = (v_star - actions @ env.theta_star).sum()
+    if env.mu_star is not None:
+        trace.violations[t - 1] = int((actions @ env.mu_star - env.c > VIOLATION_TOL).sum())
 
 
 def build_graph(config, master_seed, realization):
@@ -246,23 +213,18 @@ def build_environment(config, master_seed, realization):
                              c_min=config.safe_c_min(), x0=x0, sigma=config.sigma)
     if config.decision_set.variant == "box":
         env.action_norm_bound = float(np.sqrt(config.d))
-    noise_y, noise_z = _draw_noise(config, master_seed, realization)
-    env.attach_noise(noise_y, noise_z if safe else None)
+    # every agent draws its (reward, safety) noise pairs from its own stream
+    noise = config.sigma * np.stack([
+        _stream(master_seed, realization, _NOISE, i).standard_normal((config.horizon, 2))
+        for i in range(config.n_agents)])
+    env.noise_y = noise[:, :, 0]
+    if safe:
+        env.noise_z = noise[:, :, 1]
     geo = SafeGeometry(x0=x0, c0=float(env.mu_star @ x0), c=env.c) if safe else None
     return env, geo
 
 
-def _draw_noise(config, master_seed, realization):
-    n, horizon = config.n_agents, config.horizon
-    noise = np.empty((n, horizon, 2))
-    for i in range(n):
-        rng = _stream(master_seed, realization, _NOISE, i)
-        noise[i] = rng.standard_normal((horizon, 2))
-    return config.sigma * noise[:, :, 0], config.sigma * noise[:, :, 1]
-
-
-def run_realization(config, master_seed=None, realization=0, record_actions=False,
-                    probe=None):
+def run_realization(config, master_seed=None, realization=0, probe=None):
     """Execute T synchronous rounds of the configured algorithm, returning a Trace.
 
     Every algorithm plays the same round: absorb the generation the gossip
@@ -277,7 +239,8 @@ def run_realization(config, master_seed=None, realization=0, record_actions=Fals
     read-only copies: "actions", the (N, d) plays, and the learners'
     statistics "grams" (L, d, d) and "moments" (L, d), with L = 1 for the
     shared ``centralized`` learner and L = N otherwise; for ``safe_dlucb``
-    also "safety", the (N, d) safety moments. It exists for oracle tests.
+    also "safety", the (N, d) safety moments. The probe is how to see every
+    round's plays, ``rc_dlucb``'s phase rounds included.
     """
     if master_seed is None:
         master_seed = config.master_seed
@@ -287,7 +250,9 @@ def run_realization(config, master_seed=None, realization=0, record_actions=Fals
     safe = config.algorithm == "safe_dlucb"
     env, geo = build_environment(config, master_seed, realization)
     n, d, horizon, s_rounds = config.n_agents, config.d, config.horizon, plan.s_rounds
-    acct = _Accounting(horizon, n, d, record_actions)
+    trace = Trace(np.zeros(horizon), np.zeros(horizon),
+                  *(np.zeros(horizon, dtype=np.int64) for _ in range(4)),
+                  s_rounds=s_rounds, lambda2_abs=comm.lambda2_abs, n_agents=n)
     agents = _agents(config, plan, geo)
     rngs = None
     if config.algorithm == "dlts":
@@ -300,9 +265,9 @@ def run_realization(config, master_seed=None, realization=0, record_actions=Fals
         queue = new_pipeline(n, width, s_rounds)
         # the full protocol's messages, also for generations never absorbed
         in_flight = np.minimum(np.arange(1, horizon + 1), s_rounds)
-        acct.scalars[:] = int(topology.adjacency.sum()) * in_flight * n * width
+        trace.scalars[:] = int(topology.adjacency.sum()) * in_flight * n * width
     elif config.algorithm == "centralized":
-        acct.scalars[:] = n * (n - 1) * (d + 1)
+        trace.scalars[:] = n * (n - 1) * (d + 1)
     released = None
 
     t, phases = 1, 0
@@ -319,7 +284,7 @@ def run_realization(config, master_seed=None, realization=0, record_actions=Fals
         own[:, d], z = feedback(env, actions, t)
         if safe:
             own[:, d + 1] = agents.shifted_feedback(actions, z)
-        acct.record(t, actions, v_star - actions @ env.theta_star, env)
+        _record(trace, t, actions, env, v_star)
         if probe is not None:
             probe(t, _probe_info(actions, agents))
         agents.finish_round(t, actions, *own[:, d:].T)
@@ -333,10 +298,11 @@ def run_realization(config, master_seed=None, realization=0, record_actions=Fals
             if agents.trigger(t) and t < horizon:
                 phases += 1
                 played = _rc_phase(t, phases, agents, actions, env, v_star, comm, plan,
-                                   acct, horizon, probe)
-        acct.phases[t - 1] = phases
+                                   trace, probe)
+        trace.phases_started[t - 1] = phases
         t += 1 + played
-    return acct.to_trace(s_rounds, comm.lambda2_abs, n)
+    np.cumsum(trace.inst_regret, out=trace.cum_regret)
+    return trace
 
 
 def _agents(config, plan, geo):
@@ -383,7 +349,7 @@ def _select(agents, beta, dset, geo, rngs):
     stack = agents.stats
     if geo is not None:
         certified = safe_filter(dset.arms, stack.gram, agents.safety, beta, geo)
-        cs = ConfidenceSet.from_stats(stack, beta, "ell2", dset.arms)
+        cs = ConfidenceSet.from_stats(stack, beta, dset.arms)
         j, _ = ucb_select_finite(dset.arms, cs, scale=geo.kappa_r, certified=certified)
         return np.where(certified.any(axis=-1)[:, None], dset.arms[j], geo.x0)
     box = dset.variant == "box"
@@ -393,12 +359,13 @@ def _select(agents, beta, dset, geo, rngs):
             return greedy_box(tilde)
         return dset.arms[np.argmax((dset.arms @ tilde[..., None])[..., 0], axis=-1)]
     if box:
-        return ucb_select_box(ConfidenceSet.from_stats(stack, beta, "ell1_scaled"))[0]
-    cs = ConfidenceSet.from_stats(stack, beta, "ell2", dset.arms)
+        # the l1-ball confidence set of a box: sqrt(d) times the ridge radius
+        return ucb_select_box(ConfidenceSet.from_stats(stack, beta), scale=math.sqrt(dset.d))[0]
+    cs = ConfidenceSet.from_stats(stack, beta, dset.arms)
     return dset.arms[ucb_select_finite(dset.arms, cs)[0]]
 
 
-def _rc_phase(t, phase, agents, actions, env, v_star, comm, plan, acct, horizon, probe):
+def _rc_phase(t, phase, agents, actions, env, v_star, comm, plan, trace, probe):
     """Communication phase ``phase`` of ``rc_dlucb``, triggered in round t.
 
     For up to S rounds after t every agent replays its round-t action while
@@ -413,14 +380,14 @@ def _rc_phase(t, phase, agents, actions, env, v_star, comm, plan, acct, horizon,
     w_cur, v_cur = agents.w_new, agents.v_new
     w_prev, v_prev = w_cur, v_cur
     y_sums = np.zeros(n)
-    played = min(s_rounds, horizon - t)
+    played = min(s_rounds, trace.horizon - t)
     for s in range(1, played + 1):
         rnd = t + s
         y_sums += feedback(env, actions, rnd)[0]
-        acct.record(rnd, actions, v_star - actions @ env.theta_star, env)
-        acct.phase_id[rnd - 1] = phase
-        acct.phases[rnd - 1] = phase
-        acct.scalars[rnd - 1] = scalars
+        _record(trace, rnd, actions, env, v_star)
+        trace.phase_id[rnd - 1] = phase
+        trace.phases_started[rnd - 1] = phase
+        trace.scalars[rnd - 1] = scalars
         w_cur, w_prev = comm_step(w_cur, w_prev, s, comm, plan), w_cur
         v_cur, v_prev = comm_step(v_cur, v_prev, s, comm, plan), v_cur
         if probe is not None:
@@ -447,7 +414,7 @@ def run_experiment(config, master_seed=None, workers=1):
     jobs = [(config, master_seed, r) for r in range(config.realizations)]
     if workers <= 1 or config.realizations == 1:
         return [_realization_job(job) for job in jobs]
-    with Pool(processes=workers) as pool:
+    with Pool(processes=min(workers, config.realizations)) as pool:
         return pool.map(_realization_job, jobs)
 
 

@@ -343,9 +343,9 @@ def test_rc_epoch_log_det_telescoping():
     # unit-norm arms: the trace bound behind the budget needs ||x|| <= 1
     config = cfg_for(algorithm="rc_dlucb", T=150, N=4, d=3,
                      decision_set={"variant": "finite", "num_arms": 8})
-    trace = run_realization(config, master_seed=4, record_actions=True)
+    trace, rows = capture_run(config, seed=4, keys=("actions",))
     assert trace.phase_count >= 1
-    chain = perfect_gram_chain(trace.actions, 3, 1.0)
+    chain = perfect_gram_chain(np.stack([row["actions"] for row in rows]), 3, 1.0)
     # phase k ends at the last round carrying its id
     boundaries = [0]
     for k in range(1, trace.phase_count + 1):
@@ -364,7 +364,8 @@ def test_rc_epoch_log_det_telescoping():
 def test_rc_frozen_actions_during_phase():
     config = cfg_for(algorithm="rc_dlucb", T=100, N=3, d=2,
                      decision_set={"variant": "box"})
-    trace = run_realization(config, master_seed=5, record_actions=True)
+    trace, rows = capture_run(config, seed=5, keys=("actions",))
+    actions = [row["actions"] for row in rows]  # phase rounds included
     assert trace.phase_count >= 1
     for k in range(1, trace.phase_count + 1):
         rounds = np.flatnonzero(trace.phase_id == k)
@@ -372,7 +373,7 @@ def test_rc_frozen_actions_during_phase():
             continue
         trigger_round = int(rounds[0]) - 1
         for r in rounds:
-            assert np.array_equal(trace.actions[r], trace.actions[trigger_round])
+            assert np.array_equal(actions[r], actions[trigger_round])
 
 
 def test_safe_agent_plays_filtered_or_safe_action():
@@ -466,16 +467,12 @@ def test_single_node_network_collapses_all_baselines():
 def test_centralized_statistics_are_exact():
     config = cfg_for(algorithm="centralized", N=4, d=3, T=20,
                      decision_set={"variant": "box"})
-    seen = {}
-
-    def probe(t, info):
-        seen[t] = info["grams"][0].copy()
-
-    trace = run_realization(config, master_seed=12, record_actions=True, probe=probe)
-    chain = perfect_gram_chain(trace.actions, 3, 1.0)
+    _, rows = capture_run(config, seed=12)
+    assert [row["t"] for row in rows] == list(range(1, 21))
+    chain = perfect_gram_chain(np.stack([row["actions"] for row in rows]), 3, 1.0)
     # probe runs before the round's updates, so round t shows data through t-1
     for t in range(1, 21):
-        assert np.abs(seen[t] - chain[t - 1]).max() < 1e-12
+        assert np.abs(rows[t - 1]["grams"][0] - chain[t - 1]).max() < 1e-12
 
 
 def test_no_communication_regret_scales_with_network_size():

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from gossipbandits.agents import SafeDlucbAgent
 from gossipbandits.bandit import (
-    NORM_FLAVORS,
     ConfidenceSet,
     DecisionSet,
     SafeGeometry,
@@ -267,17 +266,15 @@ def test_finite_arm_solves_belong_to_their_arms():
 # ------------------------------------------------------------------ box UCB
 
 def test_box_greedy_when_radius_zero():
-    cs = ConfidenceSet(center=np.array([0.3, -0.2, 0.0]), radius=0.0,
-                       gram=np.eye(3), norm_flavor="ell1_scaled")
+    cs = ConfidenceSet(center=np.array([0.3, -0.2, 0.0]), radius=0.0, gram=np.eye(3))
     x, value = ucb_select_box(cs)
     assert np.array_equal(x, [1.0, -1.0, 1.0])
     assert abs(value - 0.5) < 1e-14
 
 
 def test_box_hand_example():
-    # identity gram, scaled radius 0.5: best candidate is the sign vector of theta
-    cs = ConfidenceSet(center=np.array([0.6, -0.2]), radius=0.5,
-                       gram=np.eye(2), norm_flavor="ell1_scaled")
+    # identity gram, radius 0.5: best candidate is the sign vector of theta
+    cs = ConfidenceSet(center=np.array([0.6, -0.2]), radius=0.5, gram=np.eye(2))
     x, value = ucb_select_box(cs)
     assert np.array_equal(x, [1.0, -1.0])
     assert abs(value - 1.3) < 1e-12
@@ -291,8 +288,7 @@ def test_box_matches_lattice_oracle():
             gram = np.eye(d) + m @ m.T
             center = rng.standard_normal(d)
             radius = float(rng.uniform(0.1, 1.5))
-            cs = ConfidenceSet(center=center, radius=radius, gram=gram,
-                               norm_flavor="ell1_scaled")
+            cs = ConfidenceSet(center=center, radius=radius, gram=gram)
             x, value = ucb_select_box(cs)
             vals, vecs = np.linalg.eigh(gram)
             root = (vecs / np.sqrt(vals)) @ vecs.T
@@ -303,12 +299,6 @@ def test_box_matches_lattice_oracle():
             assert value >= objective.max() - 1e-9
             assert abs(value - objective.max()) < 1e-9
             assert np.all(np.abs(x) == 1.0)
-
-
-def test_box_requires_scaled_flavor():
-    cs = ConfidenceSet(center=np.zeros(2), radius=1.0, gram=np.eye(2))
-    with pytest.raises(ValueError, match="ell1_scaled"):
-        ucb_select_box(cs)
 
 
 # ------------------------------------------------------------------ TS perturbation
@@ -542,7 +532,7 @@ def test_batched_selection_matches_per_agent_oracle(n, d, k, zero_x0, seed):
     assert np.array_equal(merged.center, cs.center)
     merged_idx, merged_value = ucb_select_finite(arms, merged, scale=1.3)
     assert np.array_equal(merged_idx, finite_idx) and np.array_equal(merged_value, finite_value)
-    box_x, box_value = ucb_select_box(ConfidenceSet.from_stats(stats, beta, "ell1_scaled"))
+    box_x, box_value = ucb_select_box(cs, scale=math.sqrt(d))
     tilde = ts_perturb(cs, [np.random.default_rng(s) for s in streams])
     certified = safe_filter(arms, grams, safety, beta, geo)
     agents = SimpleNamespace(stats=stats, safety=safety)
@@ -570,9 +560,9 @@ def test_one_bad_agent_fails_the_whole_stack(bad):
     stats = SufficientStats(grams, np.ones((n, d)), 1.0)
     arms = np.eye(d)
     geo = SafeGeometry(x0=np.zeros(d), c0=0.0, c=0.5)
-    for flavor in NORM_FLAVORS:
+    for with_arms in (None, arms):
         with pytest.raises(ValueError):
-            ConfidenceSet.from_stats(stats, 1.0, flavor)
+            ConfidenceSet.from_stats(stats, 1.0, with_arms)
     with pytest.raises(ValueError):
         safe_filter(arms, grams, np.zeros((n, d)), 1.0, geo)
     with pytest.raises(ValueError):
@@ -583,8 +573,7 @@ def test_one_bad_agent_fails_the_whole_stack(bad):
     with pytest.raises(ValueError):
         ts_perturb(cs, [np.random.default_rng(i) for i in range(n)])
     with pytest.raises(ValueError):
-        ucb_select_box(ConfidenceSet(center=np.zeros((n, d)), radius=1.0, gram=grams,
-                                     norm_flavor="ell1_scaled"))
+        ucb_select_box(cs)
 
 
 # ------------------------------------------------------------------ bounds

@@ -307,10 +307,10 @@ def test_topology_sweep(tmp_path):
 
 
 def test_runtime_failure_exits_3(tmp_path):
+    # at p = 0.01 no draw of G(30, p) is connected: the retry budget runs out
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({"topology": {"kind": "explicit",
-                                             "edge_file": str(tmp_path / "missing.txt")},
-                                "N": 4, "d": 2, "T": 5, "algorithm": "dlucb",
+    path.write_text(json.dumps({"topology": {"kind": "erdos_renyi", "p": 0.01},
+                                "N": 30, "d": 2, "T": 5, "algorithm": "dlucb",
                                 "realizations": 1}))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
 
@@ -345,6 +345,9 @@ def test_edge_file_node_count_mismatch_exits_2(tmp_path, capsys):
     assert main(["graph-info", "--topology", "explicit", "--edge-file", str(edges)]) == 0
 
 
+A_DIRECTORY = object()
+
+
 @pytest.mark.parametrize("command", ["run", "graph-info"])
 @pytest.mark.parametrize("text, n, line", [
     ("0 1\n1 x\n", 2, 2),
@@ -353,10 +356,19 @@ def test_edge_file_node_count_mismatch_exits_2(tmp_path, capsys):
     ("0 1\n-1 1\n1 2\n", 3, 2),
     ("0 1\n2 3\n", 4, None),
     ("# no edges\n", 2, None),
-], ids=["non-integer", "three-tokens", "self-loop", "negative", "disconnected", "empty"])
+    (None, 2, None),
+    (A_DIRECTORY, 2, None),
+    (b"0 1\n1 \xff\n", 3, None),
+], ids=["non-integer", "three-tokens", "self-loop", "negative", "disconnected", "empty",
+        "missing", "directory", "not-utf8"])
 def test_malformed_edge_file_exits_2(tmp_path, capsys, command, text, n, line):
     edges = tmp_path / "edges.txt"
-    edges.write_text(text)
+    if text is A_DIRECTORY:
+        edges.mkdir()
+    elif isinstance(text, bytes):
+        edges.write_bytes(text)
+    elif text is not None:  # None leaves no file at all
+        edges.write_text(text)
     args = ["--topology", "explicit", "--edge-file", str(edges), "--n", str(n)]
     if command == "run":
         args += ["--d", "2", "--t", "5", "--algorithm", "dlucb", "--realizations", "1",

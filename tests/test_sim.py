@@ -53,8 +53,7 @@ def test_safe_environment_margin():
 
 
 def test_feedback_noiseless_and_deterministic():
-    env = Environment(theta_star=np.array([0.6, 0.8]), sigma=0.0)
-    env.attach_noise(np.zeros((2, 5)))
+    env = Environment(theta_star=np.array([0.6, 0.8]), sigma=0.0, noise_y=np.zeros((2, 5)))
     x = np.array([0.5, 0.5])
     (y, _), z = feedback(env, np.stack([x, x]), 3)  # both agents play x
     assert y == 0.7 and z is None
@@ -64,15 +63,13 @@ def test_feedback_noise_variance():
     rng = np.random.default_rng(4)
     n_draws = 100_000
     noise = 0.1 * rng.standard_normal((1, n_draws))
-    env = Environment(theta_star=np.array([1.0, 0.0]), sigma=0.1)
-    env.attach_noise(noise)
+    env = Environment(theta_star=np.array([1.0, 0.0]), sigma=0.1, noise_y=noise)
     ys = np.array([feedback(env, np.zeros((1, 2)), t)[0][0] for t in range(1, n_draws + 1)])
     assert abs(ys.var() / 0.01 - 1.0) < 0.03
 
 
 def test_feedback_rejects_oversized_action():
-    env = Environment(theta_star=np.array([1.0, 0.0]))
-    env.attach_noise(np.zeros((1, 1)))
+    env = Environment(theta_star=np.array([1.0, 0.0]), noise_y=np.zeros((1, 1)))
     with pytest.raises(ValueError, match="norm"):
         feedback(env, np.array([[2.0, 0.0]]), 1)
 
@@ -202,9 +199,9 @@ def test_selections_per_round_and_probe_payload(monkeypatch):
     selected = []
     from_stats = ConfidenceSet.from_stats.__func__
 
-    def counting(cls, stats, beta, flavor="ell2", arms=None):
+    def counting(cls, stats, beta, arms=None):
         selected.append(stats)
-        return from_stats(cls, stats, beta, flavor, arms)
+        return from_stats(cls, stats, beta, arms)
 
     monkeypatch.setattr(ConfidenceSet, "from_stats", classmethod(counting))
     for algorithm, learners in (("centralized", 1), ("no_comm", 5)):
@@ -308,6 +305,34 @@ def test_worker_count_does_not_change_traces():
         assert np.array_equal(a.cum_regret, b.cum_regret)
         assert np.array_equal(a.scalars, b.scalars)
         assert a.s_rounds == b.s_rounds
+
+
+@pytest.mark.parametrize("workers, realizations, processes", [(64, 2, 2), (3, 5, 3)])
+def test_pool_opens_at_most_one_process_per_realization(monkeypatch, workers,
+                                                        realizations, processes):
+    opened = []
+
+    class InlinePool:
+        """Records the pool size and runs the jobs here, starting no process."""
+
+        def __init__(self, processes):
+            opened.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, job, jobs):
+            return [job(args) for args in jobs]
+
+    monkeypatch.setattr(sim, "Pool", InlinePool)
+    config = cfg(T=10, realizations=realizations)
+    pooled = run_experiment(config, workers=workers)
+    assert opened == [processes]
+    for a, b in zip(pooled, run_experiment(config, workers=1), strict=True):
+        assert np.array_equal(a.cum_regret, b.cum_regret)
 
 
 def test_erdos_renyi_graph_resampling_flag():

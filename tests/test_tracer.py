@@ -1,4 +1,4 @@
-"""The benchmark's per-layer tracer still finds what it wraps.
+"""The benchmark in ``perfbench/`` still finds what it uses.
 
 ``perfbench/tracer.py`` (run by ``perfbench/run.py --trace 1``) looks up the
 agent classes' round methods, ``sim.feedback`` and the consensus functions by
@@ -7,13 +7,21 @@ realization of every algorithm, and checks that the agent, feedback and
 consensus spans were recorded, one per round that calls them, that each
 gossip step's span carries the size of the array it returned, and that
 ``uninstall`` puts every original back.
+
+``perfbench/harness.py`` reads a fixed set of ``Trace`` attributes, hangs its
+own data on each trace and takes it off again, and catches the traces the
+``run`` command makes by patching ``cli.run_experiment``; the last test here
+checks that contract.
 """
 
 import importlib.util
+import json
 from collections import Counter
 from pathlib import Path
 
-from gossipbandits import agents, consensus, sim
+import numpy as np
+
+from gossipbandits import agents, cli, consensus, sim
 from gossipbandits.agents import ALGORITHMS
 from gossipbandits.config import parse_config
 
@@ -75,3 +83,37 @@ def test_tracer_records_agent_and_feedback_spans_and_restores_originals(monkeypa
     assert bursts > 0 and bursts % 2 == 0
     assert [span[5] for span in steps] == returned
     assert [vars(owner)[attr] for owner, attr in targets] == originals
+
+
+def test_traces_keep_the_harness_contract(monkeypatch, tmp_path):
+    captured = []
+
+    def capture(config, master_seed=None, workers=1):
+        traces = sim.run_experiment(config, master_seed, workers)
+        captured.append(traces)
+        return traces
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    horizon = 12
+    for algorithm in ALGORITHMS:
+        extra = {"decision_set": {"variant": "finite", "num_arms": 6},
+                 "safe": {"c_min": 0.3}} if algorithm == "safe_dlucb" else {}
+        config = tmp_path / f"{algorithm}.json"
+        config.write_text(json.dumps({"topology": "ring", "N": 4, "d": 2, "T": horizon,
+                                      "algorithm": algorithm, "realizations": 1, **extra}))
+        assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / algorithm),
+                         "--workers", "1"]) == 0
+        (trace,) = captured[-1]
+        for counts in (trace.scalars, trace.violations, trace.phase_id,
+                       trace.phases_started):
+            assert counts.dtype == np.int64 and counts.shape == (horizon,)
+        assert isinstance(trace.s_rounds, int) and isinstance(trace.lambda2_abs, float)
+        assert trace.phase_count == trace.phases_started[-1]
+        assert trace.final_regret == trace.cum_regret[-1]
+        assert trace.total_comm_scalars == trace.scalars.sum()
+        # the harness's clock and the tracer's spans ride on the trace
+        trace.bench_clock = (1.0, 1.0, [0.1], 7)
+        trace.bench_spans = []
+        assert trace.__dict__.pop("bench_clock") == (1.0, 1.0, [0.1], 7)
+        assert trace.__dict__.pop("bench_spans", ()) == []
+        assert not hasattr(trace, "bench_clock")
