@@ -1,18 +1,22 @@
 """Chebyshev-accelerated gossip step and the pipelined consensus of estimates.
 
 Every round the agents' fresh action/reward estimates enter one network-wide
-pipeline as a new generation, and every in-flight generation is mixed for
-exactly S synchronous rounds, so up to S generations are mixed at once. The
-accelerated step realizes a rescaled Chebyshev polynomial of the gossip
-matrix, so after S rounds every pairwise gain a_ij = N * [q_S(P)]_ij lies
-within epsilon of 1.
+pipeline as a new generation, and each generation is mixed for exactly S
+synchronous gossip rounds, the round it starts and the S - 1 after it, and
+is released by the last of them. The accelerated step realizes a rescaled
+Chebyshev polynomial of the gossip matrix, so after S rounds every pairwise
+gain a_ij = N * [q_S(P)]_ij lies within epsilon of 1.
 
-The pipeline is two preallocated arrays, ``now`` and ``prev``, laid out as
-(holder, generation, source, width), plus each generation slot's mixing
-count. A holder's rows of all in-flight generations then form one contiguous
-payload row, and one ``comm_step`` call mixes every generation with its own
-Chebyshev coefficients: one stacked BLAS product per block of holders with
-equal-size neighborhoods (see ``graph.HolderBlock``). The step writes
+A generation's S mixing steps read only its own earlier values, so the
+pipeline runs them just in time and in batches. It keeps each pending
+generation's raw (N, width) rows. When the oldest one is due, the oldest B
+pending generations are mixed together: S ``comm_step`` calls over one
+(holder, generation, source, width) payload, after which one of them is
+released per round. B = min(S, BLOCK_BYTES // (N^2 * width * 8)) keeps the
+payload about cache-sized, so the pipeline holds two such payloads and S raw
+rows, whatever S * N^2 is. A holder's rows of the batch form one contiguous
+payload row, and a step is one stacked BLAS product per block of holders
+with equal-size neighborhoods (see ``graph.HolderBlock``). The step writes
 in place over ``prev`` (``out=prev``), which is safe because holder i's
 update reads only ``prev[i]``; then ``now`` and ``prev`` swap roles.
 
@@ -24,6 +28,7 @@ would for that generation alone, which moves them by about one ulp.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +39,7 @@ from .graph import compute_mixing_rounds
 BLOCK_BYTES = 2 << 20
 """Bound on the temporaries of one chunk of ``comm_step``: k + 3 payload rows
 per holder (its k neighbor rows, its product, its previous row and that row
-scaled)."""
+scaled). It also bounds the payload of one pipeline batch."""
 
 
 def chebyshev_weights(s_rounds, lambda2_abs):
@@ -84,9 +89,8 @@ def comm_step(now, prev, ell, comm, plan, out=None):
     ``now[i]`` is holder i's current estimate (any payload shape), ``prev[i]``
     its estimate from the previous round. Holder i only reads its own values
     and the freshly published ``now`` values of its structural neighbors.
-    ``ell`` is the mixing count of this round: a scalar, or one count per
-    entry of the payload's leading axis (the pipeline's generations), and
-    rows with ``ell == 1`` are the plain gossip product, copied exactly.
+    ``ell`` is the mixing count of this round; round 1 is the plain gossip
+    product.
 
     The result goes to ``out`` (a new array when None) and is returned.
     ``out`` may be ``prev`` itself: holder i's new value depends only on
@@ -102,27 +106,19 @@ def comm_step(now, prev, ell, comm, plan, out=None):
     """
     now = np.asarray(now, dtype=float)
     prev = np.asarray(prev, dtype=float)
-    ell = np.asarray(ell)
     if now.shape != prev.shape:
         raise ValueError("now/prev shape mismatch")
     if now.shape[0] != comm.n:
         raise ValueError("leading axis must enumerate the agents")
-    if ell.shape != now.shape[1:1 + ell.ndim]:
-        raise ValueError(f"ell of shape {ell.shape} does not index the payload {now.shape[1:]}")
-    if np.any(ell < 1) or np.any(ell > plan.s_rounds):
+    if not 1 <= ell <= plan.s_rounds:
         raise ValueError(f"communication round {ell} outside [1, {plan.s_rounds}]")
     if out is None:
         out = np.empty_like(now)
-    fresh = np.flatnonzero(ell == 1) if ell.ndim else None
-    plain_only = not np.any(ell > 1)
-    if not plain_only:
+    if ell > 1:
         w = plan.weights
-        lam2 = plan.lambda2_abs
-        m = np.maximum(ell, 2)  # the coefficients of ell == 1 rows are unused
-        shape = ell.shape + (1,) * (now.ndim - 1 - ell.ndim)
-        c_now = (2.0 * w[m - 1] / (lam2 * w[m])).reshape(shape)
-        c_prev = (w[m - 2] / w[m]).reshape(shape)
-    flat = now.reshape(comm.n, -1)  # a view for the pipeline's slices
+        c_now = 2.0 * w[ell - 1] / (plan.lambda2_abs * w[ell])
+        c_prev = w[ell - 2] / w[ell]
+    flat = now.reshape(comm.n, -1)  # a view for the pipeline's batch slices
     row_stride, col_stride = flat.strides
     # a strided view hands dgemv the operands a gathered copy would only when
     # payload rows are contiguous and longer than one entry: with one entry
@@ -146,18 +142,15 @@ def comm_step(now, prev, ell, comm, plan, out=None):
                 holders = slice(block.holders[a], block.holders[b - 1] + 1, step)
                 mixed = np.matmul(block.weights[a:b], view[a:b])
             mixed = mixed.reshape((b - a,) + now.shape[1:])
-            if plain_only:
+            if ell == 1:
                 out[holders] = mixed
             else:
                 # c_now * mixed - c_prev * prev, in place where out[holders] is a view
                 in_place = isinstance(holders, slice)
                 combined = out[holders] if in_place else np.empty_like(mixed)
                 np.multiply(c_prev, prev[holders], out=combined)
-                plain = None if fresh is None else mixed[:, fresh]
                 mixed *= c_now
                 np.subtract(mixed, combined, out=combined)
-                if fresh is not None:
-                    combined[:, fresh] = plain
                 if not in_place:
                     out[holders] = combined
                 del combined
@@ -178,84 +171,62 @@ def mixed_gain(comm, plan):
 def new_pipeline(n, width, s_rounds):
     """An empty network-wide pipeline for N agents and payload rows of ``width``.
 
-    The pipeline is the list [now, prev, age]. ``now`` and ``prev`` are
-    (holder, generation slot, source, width) arrays with S slots: slot g of
-    holder i is agent i's copy of one round's generation, whose row k carries
-    agent k's data. ``age[g]`` counts the gossip rounds slot g has been mixed,
-    -1 for a free slot. In-flight generations occupy consecutive slots
-    (cyclically), oldest first, so a holder's neighbors' rows of every
-    in-flight generation form one (neighbors, generations * N * width) block.
+    The pipeline is the list [pending, mixed, buffers, clock]. ``clock``
+    counts the gossip rounds run. ``pending`` holds (start, own) for every
+    generation not mixed yet, oldest first: the clock when it started and its
+    (N, width) own rows. ``mixed`` holds (release, payload) for every mixed
+    generation not yet released: the clock that releases it and its
+    (N, N, width) slot of a batch buffer. ``buffers`` are the two
+    (holder, generation, source, width) arrays with room for a batch of
+    B = min(S, BLOCK_BYTES // (N^2 * width * 8)) generations, at least one.
     """
-    now = np.zeros((n, s_rounds, n, width))
-    return [now, np.zeros_like(now), np.full(s_rounds, -1)]
-
-
-def _window(age):
-    """Slot of the oldest in-flight generation and the number in flight."""
-    depth = int(np.count_nonzero(age >= 0))
-    return (int(np.argmax(age)) if depth else 0), depth
+    shape = (n, max(1, min(s_rounds, BLOCK_BYTES // (n * n * width * 8))), n, width)
+    # two allocations: one block of both kept 0.2 MB more resident at ER
+    # N=20, likely through glibc's mmap threshold, which follows freed sizes
+    return [deque(), deque(), (np.empty(shape), np.empty(shape)), 0]
 
 
 def enqueue(queue, own):
-    """Start a fresh generation in the slot after the newest in-flight one.
-
-    ``own`` is (N, width): agent i's own action, reward and optionally safety
-    feedback. Agent i's copy of the generation holds only row i of ``own``.
-    At most one generation starts per gossip round, so the in-flight ones
-    have distinct mixing counts. Raises ``RuntimeError`` when S generations
-    are already in flight.
+    """Start a fresh generation from ``own``, (N, width): agent i's own
+    action, reward and optionally safety feedback. Agent i's copy of the
+    generation holds only row i of ``own``. At most one generation starts
+    per gossip round: a second one raises ``RuntimeError``.
     """
-    now, _, age = queue
-    first, depth = _window(age)
-    if depth == len(age):
-        raise RuntimeError(
-            f"pipeline overflow: {depth + 1} generations in flight, at most S={len(age)}"
-        )
-    slot = (first + depth) % len(age)
-    n = len(own)
-    now[:, slot] = 0.0
-    now[np.arange(n), slot, np.arange(n)] = own
-    age[slot] = 0
+    pending, _, _, clock = queue
+    if pending and pending[-1][0] == clock:
+        raise RuntimeError("pipeline overflow: two generations started in one gossip round")
+    pending.append((clock, np.array(own, dtype=float)))
 
 
 def advance_queues(queue, comm, plan):
-    """Run one gossip round over every in-flight generation of the pipeline.
+    """Run one gossip round of the pipeline; return the generation it
+    releases, or None.
 
-    One ``comm_step`` mixes all in-flight generations at once, each with its
-    own mixing count, and writes the result in place over ``prev`` before the
-    two arrays swap roles. All agents publish first, then every update reads
-    only the frozen published set, so the exchange is synchronous and
-    deterministic. Once the oldest generation has been mixed for the full
-    horizon S it leaves the pipeline: a copy of its (N, N, width) payload is
-    returned, whose entry i holds (a_ik / N) times agent k's data in row k.
-    Otherwise returns None.
+    A generation started S - 1 rounds ago is released: a copy of its
+    (N, N, width) payload, whose entry i holds (a_ik / N) times agent k's
+    data in row k. When the oldest pending generation is due, the oldest B
+    pending ones are first mixed for all S rounds together, in place in the
+    two batch buffers. Every step publishes all agents' values first, then
+    each update reads only the frozen published set, so the exchange is
+    synchronous and deterministic. The next batch is due only after this
+    one is released, so it may reuse the buffers.
 
     Each generation is mixed as a gossip round over its own (N, N, width)
     payload would mix it: bit for bit when N * width is a multiple of 4, to
     about one ulp otherwise (see the module docstring).
     """
-    now, prev, age = queue
-    s_rounds = len(age)
-    if s_rounds != plan.s_rounds:
-        raise ValueError(f"pipeline holds {s_rounds} slots, but S={plan.s_rounds}")
-    first, depth = _window(age)
-    if depth == 0:
-        return None
-    if first + depth > s_rounds and depth < s_rounds:
-        # after the last enqueue the window may wrap: rotate it to slot 0, one
-        # holder at a time, so that it stays one slice
-        for arr in (now, prev):
-            for i in range(len(arr)):
-                arr[i] = np.roll(arr[i], -first, axis=0)
-        age[:] = np.roll(age, -first)
-        first = 0
-    live = slice(0, s_rounds) if depth == s_rounds else slice(first, first + depth)
-    ell = age[live] + 1
-    comm_step(now[:, live], prev[:, live], ell, comm, plan, out=prev[:, live])
-    now, prev = prev, now
-    queue[0], queue[1] = now, prev
-    age[live] = ell
-    if age[first] < s_rounds:
-        return None
-    age[first] = -1
-    return now[:, first].copy()
+    pending, mixed, buffers, clock = queue
+    clock = queue[3] = clock + 1
+    s_rounds = plan.s_rounds
+    if pending and pending[0][0] + s_rounds == clock:
+        batch = [pending.popleft() for _ in range(min(len(pending), buffers[0].shape[1]))]
+        now, prev = (buf[:, :len(batch)] for buf in buffers)
+        now[:] = 0.0
+        diag = np.arange(comm.n)
+        now[diag, :, diag] = np.stack([own for _, own in batch], axis=1)
+        for ell in range(1, s_rounds + 1):
+            now, prev = comm_step(now, prev, ell, comm, plan, out=prev), now
+        mixed.extend((start + s_rounds, now[:, k]) for k, (start, _) in enumerate(batch))
+    if mixed and mixed[0][0] == clock:
+        return mixed.popleft()[1].copy()
+    return None

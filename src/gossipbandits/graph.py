@@ -72,7 +72,8 @@ def build_topology(kind, n, p=None, rng=None, edges=None, max_retries=200):
     """Construct a connected topology of the requested kind.
 
     erdos_renyi draws edges i.i.d. with probability ``p`` from ``rng`` and
-    resamples until connected, failing once ``max_retries`` draws are exhausted.
+    resamples until connected. After ``max_retries`` draws without a connected
+    graph it raises a ``ConfigError`` naming ``topology.p``, too small for ``n``.
     """
     if kind not in TOPOLOGY_KINDS:
         raise ValueError(f"unknown topology kind {kind!r}")
@@ -115,9 +116,11 @@ def build_topology(kind, n, p=None, rng=None, edges=None, max_retries=200):
             if _is_connected(a):
                 break
         else:
-            raise ValueError(
-                f"erdos_renyi retry budget exhausted after {max_retries} draws "
-                f"(n={n}, p={p}); graph too sparse to stay connected"
+            from .config import ConfigError  # config imports this module
+
+            raise ConfigError(
+                f"topology.p = {p} is too small for N = {n}: erdos_renyi retry budget "
+                f"exhausted after {max_retries} draws without a connected graph"
             )
     return GraphTopology(a, kind=kind)
 

@@ -95,30 +95,22 @@ def oracle_comm_step(now, prev, ell, comm, plan, out=None):
     ``comm_step`` must reproduce it bit for bit."""
     now = np.asarray(now, dtype=float)
     prev = np.asarray(prev, dtype=float)
-    ell = np.asarray(ell)
     if out is None:
         out = np.empty_like(now)
-    fresh = np.flatnonzero(ell == 1) if ell.ndim else None
-    plain_only = not np.any(ell > 1)
-    if not plain_only:
+    if ell > 1:
         w = plan.weights
-        k = np.maximum(ell, 2)
-        shape = ell.shape + (1,) * (now.ndim - 1 - ell.ndim)
-        c_now = (2.0 * w[k - 1] / (plan.lambda2_abs * w[k])).reshape(shape)
-        c_prev = (w[k - 2] / w[k]).reshape(shape)
+        c_now = 2.0 * w[ell - 1] / (plan.lambda2_abs * w[ell])
+        c_prev = w[ell - 2] / w[ell]
     for i in range(comm.n):
         idx = comm.neighborhoods[i]
         mixed = np.tensordot(comm.entries[i, idx], now[idx], axes=(0, 0))
-        if plain_only:
+        if ell == 1:
             out[i] = mixed
             continue
         row = out[i, ...]
-        plain = None if fresh is None else mixed[fresh]
         np.multiply(c_prev, prev[i], out=row)
         mixed *= c_now
         np.subtract(mixed, row, out=row)
-        if fresh is not None:
-            row[fresh] = plain
     return out
 
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gossipbandits import sim
 from gossipbandits.agents import ALGORITHMS
 from gossipbandits.cli import main
 from gossipbandits.config import (
@@ -306,13 +307,29 @@ def test_topology_sweep(tmp_path):
     assert s_values["ring"] > s_values["complete"]
 
 
-def test_runtime_failure_exits_3(tmp_path):
+def test_runtime_failure_exits_3(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("invariant breached")
+
+    monkeypatch.setattr(sim, "run_realization", broken)
+    code = main(["run", "--topology", "ring", "--n", "4", "--d", "2", "--t", "5",
+                 "--algorithm", "dlucb", "--realizations", "1", "--workers", "1",
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "runtime error: RuntimeError: invariant breached" in capsys.readouterr().err
+
+
+def test_too_sparse_erdos_renyi_exits_2(tmp_path, capsys):
     # at p = 0.01 no draw of G(30, p) is connected: the retry budget runs out
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"topology": {"kind": "erdos_renyi", "p": 0.01},
                                 "N": 30, "d": 2, "T": 5, "algorithm": "dlucb",
                                 "realizations": 1}))
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    for command in (["run", "--config", str(path), "--out", str(tmp_path / "o")],
+                    ["graph-info", "--topology", "erdos_renyi", "--n", "30", "--p", "0.01"]):
+        assert main(command) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "topology.p" in err
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

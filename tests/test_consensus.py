@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,7 +146,8 @@ def gossip_graphs(draw):
 
 def _embedded(rng, shape, data):
     """A random array of ``shape`` that may be a slice of a wider one, like
-    the pipeline's live slots, and may step over entries of its last axis."""
+    a pipeline batch that fills part of its buffer, and may step over entries
+    of its last axis."""
     pad, step = data.draw(st.integers(0, 2)), data.draw(st.sampled_from([1, 2]))
     wide = list(shape)
     wide[-1] *= step
@@ -175,11 +177,7 @@ def test_comm_step_matches_per_holder_oracle(comm, data):
         shape = (n, d, d)
     else:
         shape = (n, data.draw(st.integers(1, 4)), n, data.draw(st.integers(1, 7)))
-    if layout == "pipeline" and data.draw(st.booleans()):
-        ell = np.array(data.draw(st.lists(st.integers(1, s), min_size=shape[1],
-                                          max_size=shape[1])))
-    else:
-        ell = data.draw(st.integers(1, s))
+    ell = data.draw(st.integers(1, s))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     now, prev = (_embedded(rng, shape, data) for _ in range(2))
     block_bytes = data.draw(st.sampled_from([1, consensus.BLOCK_BYTES, 1 << 40]))
@@ -232,7 +230,7 @@ def test_spaced_neighborhoods_match_the_oracle():
     for now, prev, ell in [(rng.standard_normal(13), rng.standard_normal(13), 2),
                            (rng.standard_normal(26)[::2], rng.standard_normal(26)[::2], 3),
                            (rng.standard_normal((13, 3, 13, 5)),
-                            rng.standard_normal((13, 3, 13, 5)), np.array([3, 2, 1]))]:
+                            rng.standard_normal((13, 3, 13, 5)), 3)]:
         np.testing.assert_array_equal(comm_step(now, prev, ell, comm, plan),
                                       oracle_comm_step(now, prev, ell, comm, plan))
 
@@ -303,20 +301,48 @@ def test_recursion_equals_closed_form_polynomial():
         assert np.abs(q_rec - q_eig).max() < 1e-8
 
 
-def test_enqueue_builds_single_row_slot():
-    queue = new_pipeline(3, 3, 2)
-    now, _, age = queue
-    now[:] = np.nan  # a reused slot must not keep stale entries
+def _recording_steps(monkeypatch):
+    """Wrap ``consensus.comm_step``; returns the list of (ell, now, result)
+    copies of every step the pipeline takes."""
+    steps = []
+    step = consensus.comm_step
+
+    def recording_step(now, prev, ell, comm, plan, out=None):
+        before = np.array(now)
+        result = step(now, prev, ell, comm, plan, out=out)
+        steps.append((ell, before, result.copy()))
+        return result
+
+    monkeypatch.setattr(consensus, "comm_step", recording_step)
+    return steps
+
+
+def test_enqueue_builds_single_row_slot(monkeypatch):
+    comm, plan = make("path", 3)
+    s = plan.s_rounds
+    assert s >= 2
+    steps = _recording_steps(monkeypatch)
+    queue = new_pipeline(3, 3, s)
+    for buffer in queue[2]:
+        buffer[:] = np.nan  # a reused batch buffer must not keep stale entries
     own = np.array([[0.5, -0.5, 1.25], [1.0, 2.0, 3.0], [-1.0, 0.0, 0.5]])
     enqueue(queue, own)
-    payload = now[:, 0]
+    sent = own.copy()
+    own[:] = 0.0  # the pipeline keeps its own copy of the raw rows
+    assert np.array_equal(queue[0][0][1], sent)
+    for _ in range(s):
+        released = advance_queues(queue, comm, plan)
+    # the batch of this one generation was mixed in S steps
+    assert [ell for ell, _, _ in steps] == list(range(1, s + 1))
+    payload = steps[0][1][:, 0]
     assert payload.shape == (3, 3, 3)
     for i in range(3):
         # agent i's slot holds only its own row
-        assert np.array_equal(payload[i, i], own[i])
+        assert np.array_equal(payload[i, i], sent[i])
         assert np.all(np.delete(payload[i], i, axis=0) == 0)
-    # not mixed yet, and the other slot is still free
-    assert age.tolist() == [0, -1]
+    q = mixing_polynomial_eig(comm.entries, comm.lambda2_abs, s)
+    assert np.abs(released - q[:, :, None] * sent[None]).max() <= 1e-12
+    assert not queue[0] and not queue[1]
 
 
 def test_queue_overflow_and_early_dequeue():
@@ -325,14 +351,23 @@ def test_queue_overflow_and_early_dequeue():
     assert s >= 2
     queue = new_pipeline(4, 2, s)
     own = np.ones((4, 2))
-    # nothing is released before a generation has been mixed S times
-    for _ in range(s - 1):
-        enqueue(queue, own)
-        assert advance_queues(queue, comm, plan) is None
-    # a second enqueue without a gossip round puts S + 1 generations in flight
+    # two enqueues without a gossip round, on an empty pipeline
     enqueue(queue, own)
     with pytest.raises(RuntimeError, match="overflow"):
         enqueue(queue, own)
+    # nothing is released before a generation has been mixed S times
+    assert advance_queues(queue, comm, plan) is None
+    for _ in range(s - 2):
+        enqueue(queue, own)
+        assert advance_queues(queue, comm, plan) is None
+    # a second enqueue without a gossip round would put S + 1 generations in flight
+    enqueue(queue, own)
+    with pytest.raises(RuntimeError, match="overflow"):
+        enqueue(queue, own)
+    # the refused generations left no trace: S are in flight, the oldest goes now
+    assert len(queue[0]) + len(queue[1]) == s
+    assert np.allclose(advance_queues(queue, comm, plan).sum(axis=1), 1.0, atol=1e-12)
+    assert len(queue[0]) + len(queue[1]) == s - 1
 
 
 def test_safety_channel_contract():
@@ -430,45 +465,96 @@ def test_dequeue_matches_exact_polynomial_oracle():
     assert absorbed == 3 * (10 - plan.s_rounds)
 
 
-def test_queue_pipeline_depth_and_mixing_counts():
-    comm = build_comm_matrix(build_topology("ring", 4))
-    plan = MixingPlan.for_network(comm, 0.1)
+def _check_depth_and_mixing_counts(comm, plan, steps):
     s = plan.s_rounds
     n = comm.n
     # q_ell(P) for every mixing count ell = 1..S
     q = {ell: mixing_polynomial_eig(comm.entries, comm.lambda2_abs, ell)
          for ell in range(1, s + 1)}
     queue = new_pipeline(n, 1, s)
+    room = queue[2][0].shape[1]
     sent = []
     rng = np.random.default_rng(4)
-    last = 3 * s + 2  # the last round that starts a generation
-    for t in range(1, last + s):
-        if t <= last:
+    horizon = 4 * s + 2
+    for t in range(1, horizon + 1):
+        if t <= horizon - s:
             sent.append(rng.standard_normal((n, 1)))
             enqueue(queue, sent[-1])
-        now, _, age = queue
-        # mid-round state: depth min(t, S) while generations start, then the
-        # pipeline drains by one per round
-        depth = int((age >= 0).sum())
-        assert depth == min(t, s, last + s - t)
+        pending, mixed, _, _ = queue
+        # mid-round state: the generations started in the last S rounds are
+        # in flight, min(t, S) while they start, then the pipeline drains
+        assert len(pending) + len(mixed) == min(t, horizon - s) - max(1, t - s + 1) + 1
+        for start, own in pending:
+            assert np.array_equal(own, sent[start])
         released = advance_queues(queue, comm, plan)
-        # the first release follows round S, then one per round
-        assert (released is not None) == (t >= s)
+        # the first release follows round S, then one per round up to T - 1
+        assert (released is not None) == (s <= t < horizon)
         if released is not None:
-            assert np.allclose(released, q[s][:, :, None] * sent[t - s][None],
-                               atol=1e-10)
-        # every in-flight generation has been mixed age times, and the
-        # generations sit in consecutive slots, oldest first
-        now, _, age = queue
-        live = np.flatnonzero(age >= 0)
-        assert len(live) == depth - (released is not None)
-        ages = age[(np.argmax(age) + np.arange(len(live))) % s]
-        assert np.array_equal(ages, age.max() - np.arange(len(live)))
-        for slot in live:
-            ell = age[slot]
-            origin = sent[t - ell]
-            assert np.allclose(now[:, slot], q[ell][:, :, None] * origin[None], atol=1e-10)
-    assert (queue[2] == -1).all()
+            assert np.allclose(released, q[s][:, :, None] * sent[t - s][None], atol=1e-10)
+    assert not queue[0] and not queue[1]
+    # every batch runs ell = 1..S over its generations: (T - S) * S generation mixes
+    ells = [ell for ell, _, _ in steps]
+    assert ells == list(range(1, s + 1)) * (len(steps) // s)
+    sizes = [now.shape[1] for ell, now, _ in steps if ell == 1]
+    assert max(sizes) == room and sum(sizes) == horizon - s
+    assert sum(now.shape[1] for _, now, _ in steps) == (horizon - s) * s
+    for ell, now, result in steps:
+        if ell == 1:
+            data = now[np.arange(n), :, np.arange(n)]  # (source, generation, width)
+        # after step ell every generation of the batch is q_ell(P)-scaled data
+        expected = q[ell][:, None, :, None] * data.transpose(1, 0, 2)[None]
+        assert np.allclose(result, expected, atol=1e-10)
+
+
+def test_queue_pipeline_depth_and_mixing_counts():
+    """Generations are released at rounds S..T-1, one per round, each as
+    q_S(P)-scaled data, after S gossip steps over batches of at most B
+    generations in which every step ell leaves q_ell(P)-scaled data: with
+    B = S, and with buffers too small for S generations."""
+    comm = build_comm_matrix(build_topology("ring", 4))
+    plan = MixingPlan.for_network(comm, 0.1)
+    assert plan.s_rounds > 2
+    for batch in (None, 2, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            if batch is not None:
+                # room for ``batch`` generations of width 1
+                patch.setattr(consensus, "BLOCK_BYTES", batch * comm.n ** 2 * 8)
+            buffers = new_pipeline(comm.n, 1, plan.s_rounds)[2]
+            assert [b.shape for b in buffers] == [(4, batch or plan.s_rounds, 4, 1)] * 2
+            _check_depth_and_mixing_counts(comm, plan, _recording_steps(patch))
+
+
+def test_pipeline_memory_does_not_grow_with_s_n_squared():
+    """Ring N = 200 at d = 5 needs S = 353: the pipeline holds two batch
+    buffers of at most BLOCK_BYTES and the raw rows of S generations, never
+    an array of S * N^2 entries (the S-slot pipeline held 1.36 GB)."""
+    comm = build_comm_matrix(build_topology("ring", 200))
+    plan = MixingPlan.for_network(comm, 1.0 / 21.0)
+    n, width, s = 200, 6, plan.s_rounds
+    assert s == 353
+    bound = 2 * consensus.BLOCK_BYTES + s * n * width * 8
+    own = np.ones((n, width))
+    tracemalloc.start()
+    try:
+        queue = new_pipeline(n, width, s)
+        for _ in range(1, s):
+            enqueue(queue, own)
+            assert advance_queues(queue, comm, plan) is None
+        enqueue(queue, own)
+        _, filled = tracemalloc.get_traced_memory()
+        arrays = [*queue[2]] + [rows for _, rows in queue[0]]
+        # round S mixes the oldest batch and releases its first generation,
+        # with at most BLOCK_BYTES of gossip temporaries and the released copy
+        released = advance_queues(queue, comm, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(arrays) == s + 2
+    assert sum(a.nbytes for a in arrays) <= bound
+    assert max(a.size for a in arrays) < s * n * n
+    assert filled <= bound
+    assert released.shape == (n, n, width)
+    assert peak <= bound + consensus.BLOCK_BYTES + released.nbytes
 
 
 def _list_pipeline_oracle(comm, plan, stream):

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from gossipbandits.config import ConfigError
 from gossipbandits.graph import (
     GraphTopology,
     build_comm_matrix,
@@ -47,7 +50,7 @@ def test_erdos_renyi_connected_against_bfs_oracle():
 
 def test_erdos_renyi_retry_budget():
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="retry budget"):
+    with pytest.raises(ConfigError, match="topology.p.*retry budget"):
         build_topology("erdos_renyi", 30, p=0.01, rng=rng, max_retries=5)
 
 
@@ -159,6 +162,31 @@ def test_mixing_rounds_domain():
         compute_mixing_rounds(10, 1.5, 0.5)
     with pytest.raises(ValueError):
         compute_mixing_rounds(10, 0.1, 1.0)
+
+
+def _ring_path_lambda2(kind, n):
+    """|lambda2| of the gossip matrix I - L / 3 of a ring or path of n >= 4
+    nodes, from the closed-form Laplacian spectra 2 - 2 cos(2 pi k / n) of
+    the ring and 2 - 2 cos(pi k / n) of the path."""
+    angle = (2.0 if kind == "ring" else 1.0) * math.pi / n
+    return (1.0 + 2.0 * math.cos(angle)) / 3.0
+
+
+def test_mixing_rounds_cap_never_binds_on_rings_and_paths():
+    """compute_mixing_rounds stops at its deviation bound, not at its
+    s * acosh <= 60 cap, on rings and paths of up to 1000 nodes at the
+    default eps = 1/(4d+1): the returned S satisfies the bound."""
+    for kind in ("ring", "path"):
+        for n in (4, 9, 40, 101):
+            comm = build_comm_matrix(build_topology(kind, n))
+            assert abs(_ring_path_lambda2(kind, n) - comm.lambda2_abs) <= 1e-12
+        for n in range(4, 1001):
+            lam2 = _ring_path_lambda2(kind, n)
+            for d in (2, 5):
+                eps = 1.0 / (4 * d + 1)
+                s = compute_mixing_rounds(n, eps, lam2)
+                stretch = s * math.acosh(1.0 / lam2)
+                assert n * math.sqrt(1.0 - 1.0 / n) / math.cosh(stretch) <= eps, (kind, n, d)
 
 
 def test_comm_matrix_structure_invariants():

@@ -151,20 +151,20 @@ def test_gossip_comm_cost_closed_form():
 def test_only_released_generations_are_mixed(monkeypatch, algorithm, horizon):
     # a generation started after round T - S could not be absorbed by round T:
     # it is never started, so (T - S) generations are mixed S times each
-    mixes = []
+    steps = []  # (ell, generations in the payload) of every gossip step
     step = consensus.comm_step
 
     def counting_step(now, prev, ell, comm, plan, out=None):
-        mixes.append(np.size(ell))
+        steps.append((ell, now.shape[1]))
         return step(now, prev, ell, comm, plan, out=out)
 
     monkeypatch.setattr(consensus, "comm_step", counting_step)
     extra = {"decision_set": {"variant": "finite", "num_arms": 6}} if algorithm == "safe_dlucb" else {}
     trace = run_realization(cfg(T=horizon, algorithm=algorithm, **extra), master_seed=2)
     s = trace.s_rounds
-    assert sum(mixes) == max(horizon - s, 0) * s
-    # one gossip call per round that has a generation in flight
-    assert len(mixes) == (horizon - 1 if horizon > s else 0)
+    assert sum(generations for _, generations in steps) == max(horizon - s, 0) * s
+    # each batch of pending generations is mixed by the steps ell = 1..S
+    assert [ell for ell, _ in steps] == list(range(1, s + 1)) * (len(steps) // s)
 
 
 def test_safe_comm_includes_third_channel():
