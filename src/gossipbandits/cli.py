@@ -101,12 +101,14 @@ def _summary(config, traces, curves):
 
 
 def _prepare_out(out_dir, overwrite):
-    if os.path.isdir(out_dir) and os.path.exists(os.path.join(out_dir, "trace.csv")):
-        if not overwrite:
-            raise ConfigError(
-                f"output directory {out_dir!r} already holds results; pass --overwrite"
-            )
-    os.makedirs(out_dir, exist_ok=True)
+    """Create ``out_dir``; earlier results there without ``overwrite``, or a
+    path that cannot be made a directory, are configuration errors."""
+    if not overwrite and os.path.exists(os.path.join(out_dir, "trace.csv")):
+        raise ConfigError(f"output directory {out_dir!r} already holds results; pass --overwrite")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:  # a file in the way, an empty path, no permission
+        raise ConfigError(f"cannot create output directory {out_dir!r} ({exc.strerror})") from None
 
 
 def cmd_run(config, out_dir, workers, overwrite):
@@ -141,7 +143,7 @@ def cmd_sweep(base_raw, axis, values, out_dir, workers, overwrite):
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}")
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
-    os.makedirs(out_dir, exist_ok=True)
+    _prepare_out(out_dir, overwrite=True)  # each point's run checks its own results
     rows = [
         "axis,value,final_regret_mean,final_regret_std,per_agent_regret_final,"
         "phase_count_mean,total_comm_scalars_mean,S,lambda2_abs"
@@ -267,7 +269,9 @@ def main(argv=None):
         raw = _merge_flags(args)
         if args.command == "graph-info":
             return cmd_graph_info(raw)
-        workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
+        if args.workers < 0:
+            raise ConfigError(f"--workers must be >= 0 (0 = host parallelism), got {args.workers}")
+        workers = args.workers or os.cpu_count() or 1
         if args.command == "run":
             config = parse_config(raw)
             cmd_run(config, args.out, workers, args.overwrite)

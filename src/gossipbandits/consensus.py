@@ -99,10 +99,9 @@ def comm_step(now, prev, ell, comm, plan, out=None):
     Holders are mixed a block of ``comm.blocks`` at a time, in chunks of at
     most ``BLOCK_BYTES`` of temporaries: one stacked ``matmul`` of the
     holders' (1, k) weight rows against their (k, payload) neighbor rows,
-    read through a strided view where the block allows it and gathered
-    otherwise. That makes the same dgemv call per holder as a ``tensordot``
-    over one holder's rows, so every entry equals the per-holder product bit
-    for bit.
+    read through a strided view for a window block and gathered otherwise.
+    That makes the same dgemv call per holder as a ``tensordot`` over one
+    holder's rows, so every entry equals the per-holder product bit for bit.
     """
     now = np.asarray(now, dtype=float)
     prev = np.asarray(prev, dtype=float)
@@ -128,18 +127,16 @@ def comm_step(now, prev, ell, comm, plan, out=None):
         h, k = block.rows.shape
         chunk = max(1, BLOCK_BYTES // ((k + 3) * max(flat[0].nbytes, 1)))
         view = None
-        if block.steps is not None and viewable:
-            step, shift, spacing = block.steps
+        if block.window and viewable:
             view = as_strided(flat[block.rows[0, 0]:], shape=(h, k, flat.shape[1]),
-                              strides=(shift * row_stride, spacing * row_stride, col_stride),
-                              writeable=False)
+                              strides=(row_stride, row_stride, col_stride), writeable=False)
         for a in range(0, h, chunk):
             b = min(a + chunk, h)
             if view is None:
                 holders = block.holders[a:b]
                 mixed = np.matmul(block.weights[a:b], flat[block.rows[a:b]])
             else:
-                holders = slice(block.holders[a], block.holders[b - 1] + 1, step)
+                holders = slice(block.holders[a], block.holders[b - 1] + 1)
                 mixed = np.matmul(block.weights[a:b], view[a:b])
             mixed = mixed.reshape((b - a,) + now.shape[1:])
             if ell == 1:
@@ -186,36 +183,28 @@ def new_pipeline(n, width, s_rounds):
     return [deque(), deque(), (np.empty(shape), np.empty(shape)), 0]
 
 
-def enqueue(queue, own):
-    """Start a fresh generation from ``own``, (N, width): agent i's own
-    action, reward and optionally safety feedback. Agent i's copy of the
-    generation holds only row i of ``own``. At most one generation starts
-    per gossip round: a second one raises ``RuntimeError``.
-    """
-    pending, _, _, clock = queue
-    if pending and pending[-1][0] == clock:
-        raise RuntimeError("pipeline overflow: two generations started in one gossip round")
-    pending.append((clock, np.array(own, dtype=float)))
+def advance_queues(queue, own, comm, plan):
+    """Start a generation from ``own`` and run one gossip round of the
+    pipeline; return the generation it releases, or None.
 
-
-def advance_queues(queue, comm, plan):
-    """Run one gossip round of the pipeline; return the generation it
-    releases, or None.
-
-    A generation started S - 1 rounds ago is released: a copy of its
-    (N, N, width) payload, whose entry i holds (a_ik / N) times agent k's
-    data in row k. When the oldest pending generation is due, the oldest B
-    pending ones are first mixed for all S rounds together, in place in the
-    two batch buffers. Every step publishes all agents' values first, then
-    each update reads only the frozen published set, so the exchange is
-    synchronous and deterministic. The next batch is due only after this
-    one is released, so it may reuse the buffers.
+    ``own`` (N, width) holds each agent's action, reward and optionally
+    safety feedback; agent i's copy holds only row i. None starts nothing,
+    as after round T - S. A generation started S - 1 rounds ago is released:
+    a copy of its (N, N, width) payload, whose entry i holds (a_ik / N) times
+    agent k's data in row k. When the oldest pending generation is due, the
+    oldest B pending ones are first mixed for all S rounds together, in place
+    in the two batch buffers. Every step publishes all agents' values first,
+    then each update reads only the frozen published set, so the exchange is
+    synchronous and deterministic. The next batch is due only after this one
+    is released, so it may reuse the buffers.
 
     Each generation is mixed as a gossip round over its own (N, N, width)
     payload would mix it: bit for bit when N * width is a multiple of 4, to
     about one ulp otherwise (see the module docstring).
     """
     pending, mixed, buffers, clock = queue
+    if own is not None:
+        pending.append((clock, np.array(own, dtype=float)))
     clock = queue[3] = clock + 1
     s_rounds = plan.s_rounds
     if pending and pending[0][0] + s_rounds == clock:
@@ -223,7 +212,7 @@ def advance_queues(queue, comm, plan):
         now, prev = (buf[:, :len(batch)] for buf in buffers)
         now[:] = 0.0
         diag = np.arange(comm.n)
-        now[diag, :, diag] = np.stack([own for _, own in batch], axis=1)
+        now[diag, :, diag] = np.stack([rows for _, rows in batch], axis=1)
         for ell in range(1, s_rounds + 1):
             now, prev = comm_step(now, prev, ell, comm, plan, out=prev), now
         mixed.extend((start + s_rounds, now[:, k]) for k, (start, _) in enumerate(batch))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -224,63 +225,40 @@ class HolderBlock(NamedTuple):
     with one stacked product.
 
     ``holders`` (h,) lists the holders, ``rows`` (h, k) their neighborhoods
-    and ``weights`` (h, 1, k) their gossip weights. ``steps`` is (holder step,
-    row shift, row spacing) when the holders form an arithmetic progression
-    whose neighborhoods are evenly spaced and shift by a fixed stride, so that
-    their rows can be read as a strided view; it is None for a block whose
-    rows are gathered.
+    and ``weights`` (h, 1, k) their gossip weights. ``window`` is True when
+    the holders are consecutive and each one's neighborhood is the k = 2r + 1
+    consecutive nodes centred on it, so that their rows can be read as a
+    strided view; the rows of other blocks are gathered.
     """
 
     holders: np.ndarray
     rows: np.ndarray
     weights: np.ndarray
-    steps: tuple[int, int, int] | None
-
-
-def _shift_steps(neighborhoods, i, j):
-    """(holder step, row shift, row spacing) that carry holder i's evenly
-    spaced neighborhood onto holder j's, or None if no forward shift does."""
-    a, b = neighborhoods[i], neighborhoods[j]
-    shift = b[0] - a[0]
-    if shift < 0 or not np.array_equal(b - shift, a):
-        return None
-    return j - i, int(shift), int(a[1] - a[0])
+    window: bool
 
 
 def _holder_blocks(entries, neighborhoods):
-    """Group holders by neighborhood size. Runs of at least two holders with
-    evenly spaced neighborhoods that shift by a fixed stride become view
-    blocks; the other holders of each size form one gathered block."""
-    by_size = {}
-    for i, idx in enumerate(neighborhoods):
-        by_size.setdefault(len(idx), []).append(i)
-    groups = []  # (holders, steps)
-    for members in by_size.values():
-        runs, gathered = [], []  # a run is [holders, steps], steps None while alone
-        for i in members:
-            gaps = np.diff(neighborhoods[i])
-            if len(gaps) == 0 or np.any(gaps != gaps[0]):
-                gathered.append(i)
-                continue
-            steps = _shift_steps(neighborhoods, runs[-1][0][-1], i) if runs else None
-            if steps is not None and runs[-1][1] in (None, steps):
-                runs[-1][0].append(i)
-                runs[-1][1] = steps
-            else:
-                runs.append([[i], None])
-        for holders, steps in runs:
-            if steps is None:
-                gathered += holders
-            else:
-                groups.append((holders, steps))
-        if gathered:
-            groups.append((sorted(gathered), None))
+    """Runs of at least two consecutive holders whose neighborhoods are the
+    k = 2r + 1 nodes centred on them, of one k, become window blocks; the
+    other holders of each neighborhood size form one gathered block."""
+
+    def size_and_window(i):
+        k = len(neighborhoods[i])  # an even k spans no centred window
+        return k, np.array_equal(neighborhoods[i], np.arange(i - k // 2, i + k // 2 + 1))
+
+    groups, gathered = [], {}
+    for (k, window), run in groupby(range(len(neighborhoods)), size_and_window):
+        run = list(run)
+        if window and len(run) > 1:
+            groups.append((run, True))
+        else:
+            gathered.setdefault(k, []).extend(run)
     blocks = []
-    for holders, steps in groups:
+    for holders, window in groups + [(run, False) for run in gathered.values()]:
         holders = np.array(holders)
         rows = np.array([neighborhoods[i] for i in holders])
         weights = entries[holders[:, None], rows].reshape(len(holders), 1, -1)
-        blocks.append(HolderBlock(holders, rows, weights, steps))
+        blocks.append(HolderBlock(holders, rows, weights, window))
     return blocks
 
 

@@ -26,7 +26,7 @@ from .bandit import (
     ucb_select_box,
     ucb_select_finite,
 )
-from .consensus import MixingPlan, advance_queues, comm_step, enqueue, new_pipeline
+from .consensus import MixingPlan, advance_queues, comm_step, new_pipeline
 from .graph import GraphTopology, build_comm_matrix, build_topology, load_edge_list
 
 # substream roles under the master seed
@@ -291,9 +291,7 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
         played = 0
         if queue is not None:
             # a generation started after round T - S is never absorbed
-            if t <= horizon - s_rounds:
-                enqueue(queue, own)
-            released = advance_queues(queue, comm, plan)
+            released = advance_queues(queue, own if t <= horizon - s_rounds else None, comm, plan)
         elif config.algorithm == "rc_dlucb":
             if agents.trigger(t) and t < horizon:
                 phases += 1

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +17,6 @@ from gossipbandits.consensus import (
     MixingPlan,
     advance_queues,
     comm_step,
-    enqueue,
     new_pipeline,
 )
 from gossipbandits.graph import GraphTopology, build_comm_matrix, build_topology
@@ -150,9 +148,8 @@ def test_random_action_streams_keep_the_gram_sandwich(n, d, horizon, keep, seed)
         for i in range(n):
             if t <= s:
                 own[i] += np.outer(actions[t - 1, i], actions[t - 1, i])
-        if t <= horizon - s:
-            enqueue(queue, np.column_stack([actions[t - 1], rewards[t - 1]]))
-        released = advance_queues(queue, comm, plan)
+        sent = np.column_stack([actions[t - 1], rewards[t - 1]]) if t <= horizon - s else None
+        released = advance_queues(queue, sent, comm, plan)
 
 
 @settings(max_examples=60, deadline=None)
@@ -222,9 +219,7 @@ def test_stacked_agents_match_per_agent_oracle(n, d, horizon, keep, zero_x0, alg
                 agent.finish_round(t, x[i], y[i])
         check()
         if gossip:
-            if t <= horizon - s:
-                enqueue(queue, own)
-            released = advance_queues(queue, comm, plan)
+            released = advance_queues(queue, own if t <= horizon - s else None, comm, plan)
 
 
 @settings(max_examples=60, deadline=None)
@@ -487,16 +482,3 @@ def test_no_communication_regret_scales_with_network_size():
         single.append(run_realization(cfg_1, master_seed=seed).final_regret)
     ratio = np.mean(multi) / np.mean(single)
     assert 0.5 * n <= ratio <= 1.8 * n
-
-
-def test_queue_overflow_is_a_scheduler_bug():
-    # S = 1: enqueuing a round's plays twice without a gossip round in between
-    comm = build_comm_matrix(build_topology("complete", 2))
-    plan = MixingPlan.for_network(comm, 0.1)
-    assert plan.s_rounds == 1
-    queue = new_pipeline(2, 2, plan.s_rounds)
-    enqueue(queue, np.ones((2, 2)))
-    with pytest.raises(RuntimeError, match="overflow"):
-        enqueue(queue, np.ones((2, 2)))
-    # the one generation in flight is released after its single gossip round
-    assert np.allclose(advance_queues(queue, comm, plan), 0.5)

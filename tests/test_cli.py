@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipbandits import sim
+from gossipbandits import cli, sim
 from gossipbandits.agents import ALGORITHMS
 from gossipbandits.cli import main
 from gossipbandits.config import (
@@ -340,6 +341,45 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "config error" in err and str(missing) in err
     assert not (tmp_path / "o").exists()
+
+
+def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"topology": "ring", "N": 4, "d": 2, "T": 5,
+                                "algorithm": "no_comm", "realizations": 1}))
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    for out in (str(taken), str(taken / "below"), ""):
+        for command in (["run"], ["sweep", "--axis", "T", "--values", "4"]):
+            code = main([*command, "--config", str(path), "--out", out, "--workers", "1"])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "config error" in err and repr(out) in err
+    assert taken.read_text() == "kept"
+
+
+def test_negative_workers_exits_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"topology": "ring", "N": 4, "d": 2, "T": 5,
+                                "algorithm": "no_comm", "realizations": 2}))
+    for command in (["run"], ["sweep", "--axis", "T", "--values", "4"]):
+        code = main([*command, "--config", str(path), "--out", str(tmp_path / "o"),
+                     "--workers", "-3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "--workers" in err
+    assert not (tmp_path / "o").exists()
+    # 0 asks for one worker per host CPU
+    asked = []
+
+    def serial(config, workers):
+        asked.append(workers)
+        return sim.run_experiment(config, workers=1)
+
+    monkeypatch.setattr(cli, "run_experiment", serial)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--workers", "0"]) == 0
+    assert asked == [os.cpu_count() or 1]
 
 
 def test_edge_file_node_count_mismatch_exits_2(tmp_path, capsys):

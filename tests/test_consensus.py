@@ -14,7 +14,6 @@ from gossipbandits.consensus import (
     advance_queues,
     chebyshev_weights,
     comm_step,
-    enqueue,
     mixed_gain,
     new_pipeline,
 )
@@ -196,8 +195,8 @@ def test_comm_step_matches_per_holder_oracle(comm, data):
 @given(comm=gossip_graphs())
 def test_holder_blocks_partition_the_holders(comm):
     """Every holder lies in exactly one block, holders of a block share one
-    neighborhood size, and a view block's steps describe its holders, rows
-    and weights."""
+    neighborhood size, and a window block holds consecutive holders whose
+    rows run from holder - r to holder + r."""
     holders = np.concatenate([block.holders for block in comm.blocks])
     assert sorted(holders.tolist()) == list(range(comm.n))
     for block in comm.blocks:
@@ -205,30 +204,32 @@ def test_holder_blocks_partition_the_holders(comm):
         for i, row in zip(block.holders, block.rows):
             assert np.array_equal(row, comm.neighborhoods[i])
         assert np.array_equal(block.weights[:, 0], comm.entries[block.holders[:, None], block.rows])
-        if block.steps is not None:
-            step, shift, spacing = block.steps
-            m = np.arange(h)
-            assert h > 1 and step > 0 and shift >= 0 and spacing > 0
-            assert np.array_equal(block.holders, block.holders[0] + step * m)
-            assert np.array_equal(block.rows, block.rows[0, 0] + shift * m[:, None]
-                                  + spacing * np.arange(k))
+        if block.window:
+            r = k // 2
+            assert h > 1 and k == 2 * r + 1
+            assert np.array_equal(block.holders, block.holders[0] + np.arange(h))
+            assert np.array_equal(block.rows, block.holders[:, None] + np.arange(-r, r + 1))
 
 
 def _gathered(comm):
-    return sorted(i for block in comm.blocks if block.steps is None for i in block.holders)
+    return sorted(i for block in comm.blocks if not block.window for i in block.holders)
 
 
-def test_spaced_neighborhoods_match_the_oracle():
-    """Holders 4..8 of this graph see {i - 4, i - 2, ..., i + 4}: a view whose
-    rows are two apart. One-entry payloads make numpy call ddot, whose
-    strided kernel (k >= 4) sums in another order than on a gathered copy."""
-    edges = [(0, 1)] + [(i, i + s) for s in (2, 4) for i in range(13 - s)]
+def test_window_neighborhoods_match_the_oracle():
+    """Holders 2..10 of this graph see {i - 2, ..., i + 2}: a k = 5 window.
+    One-entry payloads make numpy call ddot, whose strided kernel (k >= 4)
+    sums in another order than on a gathered copy, and payload rows with
+    strided entries take numpy's non-BLAS loop through a view."""
+    edges = [(i, i + s) for s in (1, 2) for i in range(13 - s)]
     comm = CommMatrix(build_topology("explicit", 13, edges=edges))
-    assert (1, 1, 2) in [block.steps for block in comm.blocks if block.rows.shape[1] == 5]
+    assert [block.holders.tolist() for block in comm.blocks if block.window] == [
+        list(range(2, 11))]
     plan = MixingPlan.for_network(comm, 0.05)
     rng = np.random.default_rng(8)
     for now, prev, ell in [(rng.standard_normal(13), rng.standard_normal(13), 2),
                            (rng.standard_normal(26)[::2], rng.standard_normal(26)[::2], 3),
+                           (rng.standard_normal((13, 14))[:, ::2],
+                            rng.standard_normal((13, 14))[:, ::2], 3),
                            (rng.standard_normal((13, 3, 13, 5)),
                             rng.standard_normal((13, 3, 13, 5)), 3)]:
         np.testing.assert_array_equal(comm_step(now, prev, ell, comm, plan),
@@ -236,12 +237,15 @@ def test_spaced_neighborhoods_match_the_oracle():
 
 
 def test_regular_graphs_read_their_rows_as_views():
+    """Ring and path interiors are windows. Ring and path ends are gathered,
+    and so is every holder of a complete graph: only its middle holder, at
+    odd N, is centred, and a lone window holder is gathered."""
     for n in range(5, 13):
         assert _gathered(CommMatrix(build_topology("ring", n))) == [0, n - 1]
-    for n in range(3, 13):
-        assert _gathered(CommMatrix(build_topology("complete", n))) == []
     for n in range(4, 13):
-        assert _gathered(CommMatrix(build_topology("path", n))) == []
+        assert _gathered(CommMatrix(build_topology("path", n))) == [0, n - 1]
+    for n in range(4, 13):
+        assert _gathered(CommMatrix(build_topology("complete", n))) == list(range(n))
 
 
 def test_mixed_gain_complete_graph_exact():
@@ -326,12 +330,12 @@ def test_enqueue_builds_single_row_slot(monkeypatch):
     for buffer in queue[2]:
         buffer[:] = np.nan  # a reused batch buffer must not keep stale entries
     own = np.array([[0.5, -0.5, 1.25], [1.0, 2.0, 3.0], [-1.0, 0.0, 0.5]])
-    enqueue(queue, own)
+    assert advance_queues(queue, own, comm, plan) is None
     sent = own.copy()
     own[:] = 0.0  # the pipeline keeps its own copy of the raw rows
     assert np.array_equal(queue[0][0][1], sent)
-    for _ in range(s):
-        released = advance_queues(queue, comm, plan)
+    for _ in range(s - 1):
+        released = advance_queues(queue, None, comm, plan)
     # the batch of this one generation was mixed in S steps
     assert [ell for ell, _, _ in steps] == list(range(1, s + 1))
     payload = steps[0][1][:, 0]
@@ -345,28 +349,21 @@ def test_enqueue_builds_single_row_slot(monkeypatch):
     assert not queue[0] and not queue[1]
 
 
-def test_queue_overflow_and_early_dequeue():
+def test_early_dequeue():
     comm, plan = make("ring", 4)
     s = plan.s_rounds
     assert s >= 2
     queue = new_pipeline(4, 2, s)
     own = np.ones((4, 2))
-    # two enqueues without a gossip round, on an empty pipeline
-    enqueue(queue, own)
-    with pytest.raises(RuntimeError, match="overflow"):
-        enqueue(queue, own)
+    # a gossip round with nothing in flight releases nothing
+    assert advance_queues(queue, None, comm, plan) is None
+    assert not queue[0] and not queue[1]
     # nothing is released before a generation has been mixed S times
-    assert advance_queues(queue, comm, plan) is None
-    for _ in range(s - 2):
-        enqueue(queue, own)
-        assert advance_queues(queue, comm, plan) is None
-    # a second enqueue without a gossip round would put S + 1 generations in flight
-    enqueue(queue, own)
-    with pytest.raises(RuntimeError, match="overflow"):
-        enqueue(queue, own)
-    # the refused generations left no trace: S are in flight, the oldest goes now
-    assert len(queue[0]) + len(queue[1]) == s
-    assert np.allclose(advance_queues(queue, comm, plan).sum(axis=1), 1.0, atol=1e-12)
+    for _ in range(s - 1):
+        assert advance_queues(queue, own, comm, plan) is None
+    assert len(queue[0]) + len(queue[1]) == s - 1
+    # S are in flight after the next start, and the oldest goes now
+    assert np.allclose(advance_queues(queue, own, comm, plan).sum(axis=1), 1.0, atol=1e-12)
     assert len(queue[0]) + len(queue[1]) == s - 1
 
 
@@ -398,8 +395,7 @@ def test_released_generation_is_scaled_gain_times_data():
         queue = new_pipeline(n, 4, plan.s_rounds)
         released = []
         for own in data:
-            enqueue(queue, own)
-            out = advance_queues(queue, comm, plan)
+            out = advance_queues(queue, own, comm, plan)
             if out is not None:
                 released.append(out)
         assert len(released) == 4
@@ -409,7 +405,7 @@ def test_released_generation_is_scaled_gain_times_data():
 
 
 def _drive_queues(comm, plan, actions, rewards):
-    """Replay the enqueue/mix/release pipeline the way the simulator runs it;
+    """Replay the start/mix/release pipeline the way the simulator runs it;
     yields (t, agent, slot) for every slot absorbed at round t."""
     horizon = actions.shape[0]
     queue = new_pipeline(comm.n, actions.shape[2] + 1, plan.s_rounds)
@@ -418,9 +414,9 @@ def _drive_queues(comm, plan, actions, rewards):
         if released is not None:
             for i in range(comm.n):
                 yield t, i, released[i]
-        if t <= horizon - plan.s_rounds:
-            enqueue(queue, np.column_stack([actions[t - 1], rewards[t - 1]]))
-        released = advance_queues(queue, comm, plan)
+        own = np.column_stack([actions[t - 1], rewards[t - 1]])
+        released = advance_queues(queue, own if t <= horizon - plan.s_rounds else None,
+                                  comm, plan)
 
 
 def test_dequeue_complete_graph_is_exact_average():
@@ -477,16 +473,17 @@ def _check_depth_and_mixing_counts(comm, plan, steps):
     rng = np.random.default_rng(4)
     horizon = 4 * s + 2
     for t in range(1, horizon + 1):
+        own = None
         if t <= horizon - s:
-            sent.append(rng.standard_normal((n, 1)))
-            enqueue(queue, sent[-1])
+            own = rng.standard_normal((n, 1))
+            sent.append(own)
+        released = advance_queues(queue, own, comm, plan)
         pending, mixed, _, _ = queue
-        # mid-round state: the generations started in the last S rounds are
-        # in flight, min(t, S) while they start, then the pipeline drains
-        assert len(pending) + len(mixed) == min(t, horizon - s) - max(1, t - s + 1) + 1
-        for start, own in pending:
-            assert np.array_equal(own, sent[start])
-        released = advance_queues(queue, comm, plan)
+        # after round t, the generations started after round t - S + 1 are in
+        # flight, min(t, S - 1) while they start, then the pipeline drains
+        assert len(pending) + len(mixed) == max(0, min(t, horizon - s) - max(0, t - s + 1))
+        for start, rows in pending:
+            assert np.array_equal(rows, sent[start])
         # the first release follows round S, then one per round up to T - 1
         assert (released is not None) == (s <= t < horizon)
         if released is not None:
@@ -538,14 +535,13 @@ def test_pipeline_memory_does_not_grow_with_s_n_squared():
     try:
         queue = new_pipeline(n, width, s)
         for _ in range(1, s):
-            enqueue(queue, own)
-            assert advance_queues(queue, comm, plan) is None
-        enqueue(queue, own)
+            assert advance_queues(queue, own, comm, plan) is None
         _, filled = tracemalloc.get_traced_memory()
-        arrays = [*queue[2]] + [rows for _, rows in queue[0]]
-        # round S mixes the oldest batch and releases its first generation,
-        # with at most BLOCK_BYTES of gossip temporaries and the released copy
-        released = advance_queues(queue, comm, plan)
+        arrays = [*queue[2]] + [rows for _, rows in queue[0]] + [own]
+        # round S starts the S-th generation, mixes the oldest batch and
+        # releases its first generation, with at most BLOCK_BYTES of gossip
+        # temporaries and the released copy
+        released = advance_queues(queue, own, comm, plan)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -603,9 +599,8 @@ def test_pipeline_matches_list_of_generations(n, width, seed, extra):
     oracle = _list_pipeline_oracle(comm, plan, stream)
     for t in range(1, horizon + 1):
         # like the simulator, start no generation that would be released after T
-        if t <= horizon - s:
-            enqueue(queue, stream[t - 1])
-        released = advance_queues(queue, comm, plan)
+        released = advance_queues(queue, stream[t - 1] if t <= horizon - s else None,
+                                  comm, plan)
         expected = next(oracle)
         if t == horizon:
             assert released is None
