@@ -1,21 +1,19 @@
 """State of every agent of a realization, as stacked arrays.
 
-One object holds all N agents of a realization: their sufficient statistics
-are (L, d, d) Gram matrices and (L, d) moments with one row per learner, and
-the simulator's one round loop updates them with one call per round. Gossip
-agents absorb the fully mixed generation the pipeline released
-(``begin_round``), the simulator selects for every learner in one batched step
-from ``stats`` (and the safe agents' ``safety``), and ``finish_round`` records
-the round's plays. The simulator owns the network-wide consensus pipeline
-(see ``consensus``) and enqueues every round's plays. State is never shared
-across realizations.
+One object holds all N agents of a realization: their ridge statistics are
+(L, d, d) regularized Gram matrices ``gram`` and (L, d) moments ``moment``
+with one row per learner, and the simulator's one round loop updates them
+with one call per round. Gossip agents absorb the fully mixed generation the
+pipeline released (``begin_round``), the simulator selects for every learner
+in one batched step from ``gram`` and ``moment`` (and the safe agents'
+``safety``), and ``finish_round`` records the round's plays. The simulator
+owns the network-wide consensus pipeline (see ``consensus``) and enqueues
+every round's plays. State is never shared across realizations.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .bandit import SufficientStats
 
 ALGORITHMS = ("dlucb", "rc_dlucb", "safe_dlucb", "dlts", "no_comm", "centralized")
 GOSSIP_ALGORITHMS = ("dlucb", "dlts", "safe_dlucb")
@@ -42,7 +40,14 @@ class DlucbAgent:
         self.s_rounds = s_rounds
         self.keep_warmup_data = keep_warmup_data
         self.learners = int(self.owner.max()) + 1
-        self.stats = SufficientStats.initial(d, lam, (self.learners,))
+        if lam < 1:
+            raise ValueError("ridge parameter must be >= 1")
+        self._reset()
+
+    def _reset(self):
+        """Every learner's statistics back to the ridge prior."""
+        self.gram = self.lam * np.broadcast_to(np.eye(self.d), (self.learners, self.d, self.d))
+        self.moment = np.zeros((self.learners, self.d))
 
     def begin_round(self, t, released):
         """Absorb the generation released after round t - 1 (main phase
@@ -51,15 +56,20 @@ class DlucbAgent:
         feedback) from round t - S.
         """
         if t == self.s_rounds + 1 and not self.keep_warmup_data:
-            self.stats = SufficientStats.initial(self.d, self.lam, (self.learners,))
+            self._reset()
         if released is not None:
-            self.stats.absorb_mixed(released[..., : self.d], released[..., self.d], self.n)
+            # rows carry (a_ik / N) x_k: N^2-scaled products give the gain-weighted sums
+            scaled = float(self.n) ** 2 * np.swapaxes(released[..., : self.d], -1, -2)
+            self.gram += scaled @ released[..., : self.d]
+            self.moment += (scaled @ released[..., self.d, None])[..., 0]
 
     def finish_round(self, t, actions, rewards):
         """Record the round's (N, d) plays; warmup keeps them locally (the
         simulator enqueues them for gossip either way)."""
         if t <= self.s_rounds:
-            self.stats.add_observation(actions, rewards, self.owner)
+            # plays of one learner are added in agent order
+            np.add.at(self.gram, self.owner, actions[:, :, None] * actions[:, None, :])
+            np.add.at(self.moment, self.owner, rewards[:, None] * actions)
 
 
 class SafeDlucbAgent(DlucbAgent):
@@ -67,7 +77,7 @@ class SafeDlucbAgent(DlucbAgent):
 
     ``safety`` (N, d) is the moment of the shifted safety feedback, gathered
     and reset like the reward moment; ``safe_filter`` pairs it with
-    ``stats.gram``. Every emitted action passed the safe filter at selection
+    ``gram``. Every emitted action passed the safe filter at selection
     time (or is the known safe action).
     """
 
@@ -120,12 +130,12 @@ class RcDlucbAgent:
         self.logdet_epoch_start = np.full(n_agents, d * np.log(lam))
 
     @property
-    def stats(self):
-        return SufficientStats(
-            gram=self.lam * np.eye(self.d) + self.w_syn + self.w_new,
-            moment=self.v_syn + self.v_new,
-            lam=self.lam,
-        )
+    def gram(self):
+        return self.lam * np.eye(self.d) + self.w_syn + self.w_new
+
+    @property
+    def moment(self):
+        return self.v_syn + self.v_new
 
     def record_play(self, actions, rewards):
         """Add the round's (N, d) plays to the unshared sums."""
@@ -139,7 +149,7 @@ class RcDlucbAgent:
     def trigger(self, t):
         """Evaluate every agent's phase trigger after the round-t update, with
         one batched log-determinant; True when any agent's fires."""
-        sign, logdet = np.linalg.slogdet(self.stats.gram)
+        sign, logdet = np.linalg.slogdet(self.gram)
         if np.any(sign <= 0):
             raise RuntimeError("Gram matrix lost positive-definiteness")
         return bool(np.any((logdet - self.logdet_epoch_start) * (t - self.epoch_start)
@@ -154,4 +164,4 @@ class RcDlucbAgent:
         self.w_new = s_rounds * (frozen[:, :, None] * frozen[:, None, :])
         self.v_new = reward_sums[:, None] * frozen
         self.epoch_start = t_end
-        _, self.logdet_epoch_start = np.linalg.slogdet(self.stats.gram)
+        _, self.logdet_epoch_start = np.linalg.slogdet(self.gram)

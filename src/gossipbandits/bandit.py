@@ -26,45 +26,6 @@ import numpy as np
 from scipy.linalg import lapack
 
 
-@dataclass
-class SufficientStats:
-    """Regularized Gram matrix and moment vector of a ridge regression, or a
-    stack of them along leading agent axes."""
-
-    gram: np.ndarray
-    moment: np.ndarray
-    lam: float
-
-    @classmethod
-    def initial(cls, d, lam, shape=()):
-        """The ridge prior, for a stack of the given leading ``shape``."""
-        if lam < 1:
-            raise ValueError("ridge parameter must be >= 1")
-        return cls(gram=lam * np.broadcast_to(np.eye(d), (*shape, d, d)),
-                   moment=np.zeros((*shape, d)), lam=lam)
-
-    @property
-    def d(self):
-        return self.moment.shape[-1]
-
-    def add_observation(self, x, y, owner=()):
-        """Add play x with reward y; with a stack of plays, play k goes to the
-        statistics ``owner[k]``, and plays of one owner are added in order."""
-        np.add.at(self.gram, owner, x[..., :, None] * x[..., None, :])
-        np.add.at(self.moment, owner, np.expand_dims(y, -1) * x)
-
-    def absorb_mixed(self, action_matrix, reward_vector, n_agents):
-        """Fold a fully mixed estimate slot (or a stack of them) into the
-        statistics.
-
-        Rows of ``action_matrix`` carry (a_ik / N) x_k, so the N^2-scaled outer
-        product reconstructs the gain-squared weighted Gram contribution.
-        """
-        scaled = float(n_agents) ** 2 * np.swapaxes(action_matrix, -1, -2)
-        self.gram += scaled @ action_matrix
-        self.moment += _matvec(scaled, reward_vector)
-
-
 def _matvec(mats, vecs):
     """``mats @ v`` for every vector v on the last axis of ``vecs``."""
     return (mats @ vecs[..., None])[..., 0]
@@ -95,58 +56,34 @@ def cho_factor(mats):
 
 
 def cho_solve(factors, rhs):
-    """Solve L L^T x = b for every factor L of ``cho_factor`` and its
-    right-hand side b: a vector (..., d) or a matrix (..., d, k).
+    """Solve L L^T X = B for every factor L of ``cho_factor`` and its
+    right-hand sides B, a (..., d, k) stack.
 
     The solutions are written in place over a copy of ``rhs`` by the LAPACK
     ``potrs`` that ``scipy.linalg.cho_solve`` calls, one call per factor with
-    all its right-hand sides. Matrix solutions keep its column-major layout,
-    so that later reductions over them sum in the same order.
+    all its right-hand sides. The solutions keep its column-major layout, so
+    that later reductions over them sum in the same order.
     """
     rhs = np.asarray_chkfinite(rhs, dtype=float)
-    if rhs.ndim == factors.ndim:
-        out = np.empty(rhs.shape[:-2] + rhs.shape[:-3:-1]).swapaxes(-1, -2)
-    else:
-        out = np.empty(rhs.shape)
+    out = np.empty(rhs.shape[:-2] + rhs.shape[:-3:-1]).swapaxes(-1, -2)
     out[...] = rhs
     if out.size == 0:  # an empty system (d = 0) has the empty solution
         return out
     d = factors.shape[-1]
-    systems = out.reshape(-1, *out.shape[factors.ndim - 2:])
-    for f, o in zip(factors.reshape(-1, d, d), systems, strict=True):
+    for f, o in zip(factors.reshape(-1, d, d), out.reshape(-1, *out.shape[-2:]), strict=True):
         lapack.dpotrs(f, o, lower=1, overwrite_b=1)
     return out
 
 
 def _solve_with_columns(factor, vector, columns):
     """Solutions of one ``potrs`` call per factor on [vector | columns]: the
-    vector's, copied to the contiguous (..., d) layout a vector solve gives,
-    and the (..., d, k) columns', column-major like a matrix solve's."""
-    columns = np.broadcast_to(columns, vector.shape[:-1] + columns.shape[-2:])
-    solved = cho_solve(factor, np.concatenate([vector[..., None], columns], axis=-1))
+    vector's, copied to a contiguous (..., d) array, and the (..., d, k)
+    columns', column-major like every ``cho_solve`` solution."""
+    rhs = np.empty(vector.shape + (1 + columns.shape[-1],))
+    rhs[..., 0] = vector
+    rhs[..., 1:] = columns
+    solved = cho_solve(factor, rhs)
     return solved[..., 0].copy(), solved[..., 1:]
-
-
-def _ridge(stats, arms=None):
-    """Ridge estimate theta of every agent and, given ``arms`` (K, d), the
-    arm solves A^-1 arms^T (..., d, K) from the same ``potrs`` call (else
-    None). Raises ValueError when a solve leaves a large residual."""
-    factor = cho_factor(stats.gram)
-    if arms is None:
-        theta, arm_solves = cho_solve(factor, stats.moment), None
-    else:
-        arms = np.asarray(arms, dtype=float)
-        theta, arm_solves = _solve_with_columns(factor, stats.moment, arms.T)
-    residual = np.linalg.norm(_matvec(stats.gram, theta) - stats.moment, axis=-1)
-    bound = 1e-8 * np.maximum(1.0, np.linalg.norm(stats.moment, axis=-1))
-    if np.any(residual > bound):
-        raise ValueError(f"ill-conditioned solve, residual {np.max(residual):.3e}")
-    return theta, arm_solves
-
-
-def rls_estimate(stats):
-    """Ridge estimate solving gram @ theta = moment for every agent."""
-    return _ridge(stats)[0]
 
 
 def beta_radius(t, d, n_agents, lam, delta, sigma, epsilon):
@@ -180,12 +117,19 @@ class ConfidenceSet:
             raise ValueError("radius must be finite and non-negative")
 
     @classmethod
-    def from_stats(cls, stats, beta, arms=None):
-        """The set of radius ``beta`` around the ridge estimate of ``stats``.
-        Given finite ``arms`` (K, d), their solves come from the center's
-        ``potrs`` call."""
-        center, arm_solves = _ridge(stats, arms)
-        return cls(center=center, radius=beta, gram=stats.gram, arm_solves=arm_solves)
+    def from_stats(cls, gram, moment, beta, arms=None):
+        """The set of radius ``beta`` around the ridge estimate solving
+        gram @ theta = moment for every agent. Given finite ``arms`` (K, d),
+        their solves come from the center's ``potrs`` call. Raises ValueError
+        when a solve leaves a large residual."""
+        columns = np.zeros((moment.shape[-1], 0)) if arms is None else np.asarray(arms, float).T
+        center, arm_solves = _solve_with_columns(cho_factor(gram), moment, columns)
+        residual = np.linalg.norm(_matvec(gram, center) - moment, axis=-1)
+        bound = 1e-8 * np.maximum(1.0, np.linalg.norm(moment, axis=-1))
+        if np.any(residual > bound):
+            raise ValueError(f"ill-conditioned solve, residual {np.max(residual):.3e}")
+        return cls(center=center, radius=beta, gram=gram,
+                   arm_solves=None if arms is None else arm_solves)
 
 
 @dataclass
@@ -238,11 +182,11 @@ def ucb_select_finite(arms, cs, scale=1.0, certified=None):
     return np.argmax(scores, axis=-1), np.max(scores, axis=-1)
 
 
-def inv_sqrt_psd(mat, lam=1.0):
+def inv_sqrt_psd(mat):
     """Symmetric inverse square root of every matrix of a stack, via one
     batched eigendecomposition."""
     vals, vecs = np.linalg.eigh(mat)
-    if not vals.min() > 1e-12 * lam:  # also catches a NaN eigenvalue
+    if not vals.min() > 1e-12:  # also catches a NaN eigenvalue
         raise ValueError("matrix not positive-definite within tolerance")
     return (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 

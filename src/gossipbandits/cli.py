@@ -130,12 +130,17 @@ def cmd_run(config, out_dir, workers, overwrite):
 SWEEP_AXES = ("T", "N", "algorithm", "topology")
 
 
-def _literal(text):
-    """A sweep value: the JSON literal ``text`` spells, else the bare string."""
+def _sweep_point(base_raw, axis, text):
+    """The raw config of one sweep point. ``text`` is read as a JSON literal,
+    else as the bare string. A topology value is merged into the base's
+    section: a string sets its kind, an object the keys it names."""
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError:
-        return text
+        value = text
+    if axis == "topology":
+        value = {**as_mapping(base_raw.get(axis), axis), **as_mapping(value, axis)}
+    return {**base_raw, axis: value}
 
 
 def cmd_sweep(base_raw, axis, values, out_dir, workers, overwrite):
@@ -143,13 +148,14 @@ def cmd_sweep(base_raw, axis, values, out_dir, workers, overwrite):
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}")
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
+    # every point is checked before the first one runs
+    configs = [parse_config(_sweep_point(base_raw, axis, value)) for value in values]
     _prepare_out(out_dir, overwrite=True)  # each point's run checks its own results
     rows = [
         "axis,value,final_regret_mean,final_regret_std,per_agent_regret_final,"
         "phase_count_mean,total_comm_scalars_mean,S,lambda2_abs"
     ]
-    for value in values:
-        config = parse_config({**base_raw, axis: _literal(value)})
+    for value, config in zip(values, configs):
         point_dir = os.path.join(out_dir, f"{axis}={value}")
         summary = cmd_run(config, point_dir, workers, overwrite)
         rows.append(",".join([

@@ -9,6 +9,7 @@ table.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from typing import NamedTuple
@@ -16,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .agents import ALGORITHMS
+from .bandit import beta_radius
 from .graph import COMM_SCHEMES, TOPOLOGY_KINDS
 
 
@@ -59,12 +61,15 @@ class ExperimentConfig:
     master_seed: int = 0
     keep_warmup_data: bool = False
     comm_scheme: str = "laplacian"
-    resample_graph: bool | None = None
+    resample_graph: bool | None = None  # None: resample for erdos_renyi only
     safe: SafeSpec | None = None
 
     def __post_init__(self):
         if self.epsilon is None:
             self.epsilon = 1.0 / (4 * self.d + 1)
+        if self.resample_graph is None:
+            # no other topology kind reads the graph stream
+            self.resample_graph = self.topology.kind == "erdos_renyi"
 
     def safe_c_min(self):
         return self.safe.c_min if self.safe is not None else 0.0
@@ -208,6 +213,11 @@ def _check_domains(config):
         raise ConfigError("delta must lie in (0, 1)")
     if not 0 < config.epsilon < 1:
         raise ConfigError("epsilon must lie in (0, 1)")
+    beta = beta_radius(max(config.horizon, 1), config.d, config.n_agents, config.lam,
+                       config.delta, config.sigma, config.epsilon)
+    if not math.isfinite(beta):
+        raise ConfigError(f"delta {config.delta:g}, lambda {config.lam:g} and sigma "
+                          f"{config.sigma:g} give a confidence radius beta_T that is not finite")
     if topo.kind == "erdos_renyi" and (topo.p is None or not 0 < topo.p <= 1):
         raise ConfigError("erdos_renyi topology requires p in (0, 1]")
     if topo.kind == "explicit" and not topo.edge_file:

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .config import ConfigError
 from .graph import compute_mixing_rounds
 
 BLOCK_BYTES = 2 << 20
@@ -46,7 +47,8 @@ def chebyshev_weights(s_rounds, lambda2_abs):
     """Weights w_0..w_S of the accelerated recursion: w_l = T_l(1/|lambda2|).
 
     w_0 = 1 and w_1 = 1/|lambda2|; the two-term recursion
-    w_{l+1} = 2 w_l / |lambda2| - w_{l-1} continues the sequence.
+    w_{l+1} = 2 w_l / |lambda2| - w_{l-1} continues the sequence. Weights
+    past the float range come out inf or nan.
     """
     if s_rounds < 1:
         raise ValueError("need at least one mixing round")
@@ -55,8 +57,9 @@ def chebyshev_weights(s_rounds, lambda2_abs):
     w = np.empty(s_rounds + 1)
     w[0] = 1.0
     w[1] = 1.0 / lambda2_abs
-    for ell in range(1, s_rounds):
-        w[ell + 1] = 2.0 * w[ell] / lambda2_abs - w[ell - 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ell in range(1, s_rounds):
+            w[ell + 1] = 2.0 * w[ell] / lambda2_abs - w[ell - 1]
     return w
 
 
@@ -73,6 +76,9 @@ class MixingPlan:
         if self.weights is None and self.lambda2_abs > 0:
             self.weights = chebyshev_weights(self.s_rounds, self.lambda2_abs)
         if self.weights is not None:
+            if not np.all(np.isfinite(self.weights)):
+                raise ConfigError(f"epsilon {self.epsilon:g} needs S = {self.s_rounds} gossip "
+                                  "rounds, whose Chebyshev weights overflow")
             diffs = np.diff(self.weights[1:])
             if self.weights[0] != 1.0 or np.any(self.weights < 1.0) or np.any(diffs <= 0):
                 raise ValueError("invalid Chebyshev weight sequence")

@@ -156,15 +156,12 @@ def _record(trace, t, actions, env, v_star):
 def build_graph(config, master_seed, realization):
     """The topology of one realization."""
     spec = config.topology
-    resample = config.resample_graph
-    if resample is None:
-        resample = spec.kind == "erdos_renyi"
     if config.n_agents == 1:
         # degenerate single-node network: every kind collapses to it
         return GraphTopology(np.zeros((1, 1)), kind=spec.kind)
     if spec.kind == "explicit":
         return load_edge_list(spec.edge_file, config.n_agents)
-    rng = _stream(master_seed, realization if resample else 0, _GRAPH)
+    rng = _stream(master_seed, realization if config.resample_graph else 0, _GRAPH)
     return build_topology(spec.kind, config.n_agents, p=spec.p, rng=rng)
 
 
@@ -326,8 +323,7 @@ def _agents(config, plan, geo):
 
 def _probe_info(actions, agents):
     """Read-only copies of the plays and of the learners' statistics."""
-    stats = agents.stats
-    info = {"actions": actions, "grams": stats.gram, "moments": stats.moment}
+    info = {"actions": actions, "grams": agents.gram, "moments": agents.moment}
     if isinstance(agents, SafeDlucbAgent):
         info["safety"] = agents.safety
     for key, value in info.items():
@@ -344,22 +340,20 @@ def _select(agents, beta, dset, geo, rngs):
     certifies, else the safe action. With ``rngs`` (one stream per learner):
     Thompson sampling. Otherwise UCB over the box or the finite arm list.
     """
-    stack = agents.stats
+    cs = ConfidenceSet.from_stats(agents.gram, agents.moment, beta, dset.arms)
     if geo is not None:
-        certified = safe_filter(dset.arms, stack.gram, agents.safety, beta, geo)
-        cs = ConfidenceSet.from_stats(stack, beta, dset.arms)
+        certified = safe_filter(dset.arms, cs.gram, agents.safety, beta, geo)
         j, _ = ucb_select_finite(dset.arms, cs, scale=geo.kappa_r, certified=certified)
         return np.where(certified.any(axis=-1)[:, None], dset.arms[j], geo.x0)
     box = dset.variant == "box"
     if rngs is not None:
-        tilde = ts_perturb(ConfidenceSet.from_stats(stack, beta), rngs)
+        tilde = ts_perturb(cs, rngs)
         if box:
             return greedy_box(tilde)
         return dset.arms[np.argmax((dset.arms @ tilde[..., None])[..., 0], axis=-1)]
     if box:
         # the l1-ball confidence set of a box: sqrt(d) times the ridge radius
-        return ucb_select_box(ConfidenceSet.from_stats(stack, beta), scale=math.sqrt(dset.d))[0]
-    cs = ConfidenceSet.from_stats(stack, beta, dset.arms)
+        return ucb_select_box(cs, scale=math.sqrt(dset.d))[0]
     return dset.arms[ucb_select_finite(dset.arms, cs)[0]]
 
 
@@ -367,30 +361,30 @@ def _rc_phase(t, phase, agents, actions, env, v_star, comm, plan, trace, probe):
     """Communication phase ``phase`` of ``rc_dlucb``, triggered in round t.
 
     For up to S rounds after t every agent replays its round-t action while
-    the network gossips the unshared sums W and V. When all S rounds fit in
-    the horizon, each agent folds the mixed sums in. Returns the number of
-    rounds played.
+    the network gossips the unshared sums W and V. Only when all S rounds fit
+    in the horizon are the sums mixed, and each agent folds them in. Returns
+    the number of rounds played.
     """
     n, d = actions.shape
     s_rounds = plan.s_rounds
-    scalars = int(comm.topology.adjacency.sum()) * d * (d + 1)
-    # the unshared sums stay unchanged during the phase
-    w_cur, v_cur = agents.w_new, agents.v_new
-    w_prev, v_prev = w_cur, v_cur
     y_sums = np.zeros(n)
     played = min(s_rounds, trace.horizon - t)
-    for s in range(1, played + 1):
-        rnd = t + s
+    for rnd in range(t + 1, t + played + 1):
         y_sums += feedback(env, actions, rnd)[0]
         _record(trace, rnd, actions, env, v_star)
-        trace.phase_id[rnd - 1] = phase
-        trace.phases_started[rnd - 1] = phase
-        trace.scalars[rnd - 1] = scalars
-        w_cur, w_prev = comm_step(w_cur, w_prev, s, comm, plan), w_cur
-        v_cur, v_prev = comm_step(v_cur, v_prev, s, comm, plan), v_cur
         if probe is not None:
             probe(rnd, _probe_info(actions, agents))
+    # a cut-short phase still sends its messages
+    trace.phase_id[t:t + played] = phase
+    trace.phases_started[t:t + played] = phase
+    trace.scalars[t:t + played] = int(comm.topology.adjacency.sum()) * d * (d + 1)
     if played == s_rounds:
+        # the replays are not added to the unshared sums, which are still round t's
+        w_cur = w_prev = agents.w_new
+        v_cur = v_prev = agents.v_new
+        for s in range(1, s_rounds + 1):
+            w_cur, w_prev = comm_step(w_cur, w_prev, s, comm, plan), w_cur
+            v_cur, v_prev = comm_step(v_cur, v_prev, s, comm, plan), v_cur
         agents.absorb_phase(w_cur, v_cur, actions, y_sums, s_rounds, t_end=t + s_rounds)
     return played
 

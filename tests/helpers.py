@@ -131,7 +131,7 @@ def ortho_norm(x_perp, gram, geo):
 # functions of ``bandit`` must reproduce every agent's result bit for bit.
 
 def oracle_center(gram, moment):
-    """Ridge estimate of one agent; raises ValueError like ``rls_estimate``."""
+    """Ridge estimate of one agent; raises ValueError like ``ConfidenceSet.from_stats``."""
     try:
         factor = scipy_linalg.cho_factor(gram, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -152,9 +152,9 @@ def oracle_select_finite(arms, gram, center, radius, scale=1.0):
     return idx, float(scores[idx])
 
 
-def oracle_inv_sqrt_psd(mat, lam=1.0):
+def oracle_inv_sqrt_psd(mat):
     vals, vecs = np.linalg.eigh(mat)
-    if vals.min() <= 1e-12 * lam:
+    if vals.min() <= 1e-12:
         raise ValueError("matrix not positive-definite within tolerance")
     return (vecs / np.sqrt(vals)) @ vecs.T
 

@@ -141,7 +141,7 @@ def test_random_action_streams_keep_the_gram_sandwich(n, d, horizon, keep, seed)
             star += np.einsum("nd,ne->de", actions[t - s - 1], actions[t - s - 1])
             scale = max(1.0, np.linalg.norm(star, 2))
             for i in range(n):
-                gram = agents.stats.gram[i] - (own[i] if keep else 0.0)
+                gram = agents.gram[i] - (own[i] if keep else 0.0)
                 assert np.linalg.eigvalsh(gram - lo * star).min() >= -1e-9 * scale
                 assert np.linalg.eigvalsh(hi * star - gram).min() >= -1e-9 * scale
         agents.finish_round(t, actions[t - 1], rewards[t - 1])
@@ -190,8 +190,8 @@ def test_stacked_agents_match_per_agent_oracle(n, d, horizon, keep, zero_x0, alg
     learners = oracle[:1] if algorithm == "centralized" else oracle
 
     def check():
-        assert np.array_equal(stacked.stats.gram, [a.gram for a in learners])
-        assert np.array_equal(stacked.stats.moment, [a.moment for a in learners])
+        assert np.array_equal(stacked.gram, [a.gram for a in learners])
+        assert np.array_equal(stacked.moment, [a.moment for a in learners])
         if safe:
             assert np.array_equal(stacked.safety, [a.safety for a in oracle])
 
@@ -240,8 +240,8 @@ def test_stacked_rc_agents_match_per_agent_oracle(n, d, horizon, threshold, firs
     oracle = [OracleRcDlucbAgent(d, 1.0, threshold) for _ in range(n)]
 
     def check():
-        assert np.array_equal(stacked.stats.gram, [a.gram for a in oracle])
-        assert np.array_equal(stacked.stats.moment, [a.moment for a in oracle])
+        assert np.array_equal(stacked.gram, [a.gram for a in oracle])
+        assert np.array_equal(stacked.moment, [a.moment for a in oracle])
         for key in ("w_syn", "w_new", "v_syn", "v_new", "logdet_epoch_start"):
             assert np.array_equal(getattr(stacked, key), [getattr(a, key) for a in oracle])
         assert all(stacked.epoch_start == a.epoch_start for a in oracle)
@@ -298,8 +298,8 @@ def test_rc_agent_bookkeeping():
     agent = RcDlucbAgent(n_agents=3, d=2, lam=1.0, threshold=5.0)
     x = np.array([0.6, 0.0])
     agent.record_play(np.tile(x, (3, 1)), np.ones(3))
-    assert np.allclose(agent.stats.gram, np.eye(2) + np.outer(x, x))
-    assert np.allclose(agent.stats.moment, x)
+    assert np.allclose(agent.gram, np.eye(2) + np.outer(x, x))
+    assert np.allclose(agent.moment, x)
     w, v = agent.w_new.copy(), agent.v_new.copy()
     agent.absorb_phase(w, v, np.tile(x, (3, 1)), np.full(3, 2.0), s_rounds=4, t_end=5)
     # mixed sums fold in with the network gain, own frozen plays restart the epoch

@@ -7,19 +7,17 @@ import scipy.linalg as scipy_linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipbandits.agents import SafeDlucbAgent
+from gossipbandits.agents import DlucbAgent, SafeDlucbAgent
 from gossipbandits.bandit import (
     ConfidenceSet,
     DecisionSet,
     SafeGeometry,
-    SufficientStats,
     beta_radius,
     cho_factor,
     cho_solve,
     greedy_box,
     inv_sqrt_psd,
     mixing_delay_pairs,
-    rls_estimate,
     safe_filter,
     theoretical_regret_bound,
     ts_perturb,
@@ -41,11 +39,6 @@ from helpers import (
 class ZeroRng:
     def standard_normal(self, n):
         return np.zeros(n)
-
-
-def stats_from(gram, moment, lam=1.0):
-    return SufficientStats(gram=np.asarray(gram, float), moment=np.asarray(moment, float),
-                           lam=lam)
 
 
 # ------------------------------------------------------------------ LAPACK stacks
@@ -71,7 +64,7 @@ def _laid_out(values, layout):
 
 @settings(max_examples=150, deadline=None)
 @given(lead=st.sampled_from([(), (0,), (1,), (3,), (7,), (2, 3), (3, 1)]), d=st.integers(0, 7),
-       k=st.one_of(st.none(), st.integers(1, 25)),
+       k=st.integers(1, 25),
        layouts=st.tuples(*[st.sampled_from(["C", "F", "sliced", "broadcast"])] * 2),
        seed=st.integers(0, 2**32 - 1))
 def test_cho_stack_matches_scipy_per_matrix(lead, d, k, layouts, seed):
@@ -84,10 +77,7 @@ def test_cho_stack_matches_scipy_per_matrix(lead, d, k, layouts, seed):
     # potrf reads only the lower triangle: junk above it must come back as is
     values = np.tril(gram) + np.triu(rng.standard_normal(gram.shape), 1)
     mats, mats_owner = _laid_out(values, layouts[0])
-    rhs_shape = lead + ((d, 1) if k is None else (d, k))
-    rhs, rhs_owner = _laid_out(rng.standard_normal(rhs_shape), layouts[1])
-    if k is None:
-        rhs = rhs[..., 0]
+    rhs, rhs_owner = _laid_out(rng.standard_normal(lead + (d, k)), layouts[1])
     before = mats_owner.tobytes(), rhs_owner.tobytes()
 
     factors = cho_factor(mats)
@@ -101,8 +91,8 @@ def test_cho_stack_matches_scipy_per_matrix(lead, d, k, layouts, seed):
         assert np.array_equal(np.triu(factors[idx], 1), np.triu(mats[idx], 1))
         expected = scipy_linalg.cho_solve((own, lower), np.array(rhs[idx]))
         assert np.array_equal(solved[idx], expected)
-        if k is not None:  # scipy's column-major layout, for reductions over it
-            assert solved[idx].flags.f_contiguous
+        # scipy's column-major layout, for reductions over it
+        assert solved[idx].flags.f_contiguous
 
 
 @pytest.mark.parametrize("bad", ["nan", "indefinite"])
@@ -118,20 +108,20 @@ def test_cho_factor_rejects_a_bad_matrix_anywhere_in_the_stack(bad, where):
 
 def test_cho_solve_rejects_a_nan_right_hand_side():
     with pytest.raises(ValueError):
-        cho_solve(cho_factor(np.eye(3)), np.array([1.0, np.nan, 0.0]))
+        cho_solve(cho_factor(np.eye(3)), np.array([[1.0], [np.nan], [0.0]]))
 
 
 # ------------------------------------------------------------------ rls
 
 def test_rls_zero_moment():
-    stats = SufficientStats.initial(4, 1.0)
-    assert np.array_equal(rls_estimate(stats), np.zeros(4))
+    cs = ConfidenceSet.from_stats(np.eye(4), np.zeros(4), 0.0)
+    assert np.array_equal(cs.center, np.zeros(4))
 
 
 def test_rls_single_observation():
-    stats = SufficientStats.initial(3, 1.0)
-    stats.add_observation(np.array([1.0, 0, 0]), 1.0)
-    assert np.allclose(rls_estimate(stats), [0.5, 0, 0], atol=1e-14)
+    x = np.array([1.0, 0, 0])
+    cs = ConfidenceSet.from_stats(np.eye(3) + np.outer(x, x), 1.0 * x, 0.0)
+    assert np.allclose(cs.center, [0.5, 0, 0], atol=1e-14)
 
 
 def test_rls_matches_dense_inverse_oracle():
@@ -140,20 +130,23 @@ def test_rls_matches_dense_inverse_oracle():
         m = rng.standard_normal((5, 5))
         gram = np.eye(5) + m @ m.T
         moment = rng.standard_normal(5)
-        stats = stats_from(gram, moment)
+        center = ConfidenceSet.from_stats(gram, moment, 0.0).center
         oracle = np.linalg.inv(gram) @ moment
-        assert np.abs(rls_estimate(stats) - oracle).max() < 1e-10
+        assert np.abs(center - oracle).max() < 1e-10
+        assert np.array_equal(center, oracle_center(gram, moment))
 
 
 def test_rls_rejects_indefinite_gram():
-    stats = stats_from(np.diag([1.0, -1.0]), np.zeros(2))
+    gram, moment = np.diag([1.0, -1.0]), np.zeros(2)
     with pytest.raises(ValueError):
-        rls_estimate(stats)
+        ConfidenceSet.from_stats(gram, moment, 0.0)
+    with pytest.raises(ValueError):
+        oracle_center(gram, moment)
 
 
 def test_stats_require_unit_ridge():
     with pytest.raises(ValueError, match=">= 1"):
-        SufficientStats.initial(3, 0.5)
+        DlucbAgent(np.arange(2), 3, 0.5, 1)
 
 
 # ------------------------------------------------------------------ beta
@@ -251,13 +244,13 @@ def test_finite_arm_solves_belong_to_their_arms():
     rng = np.random.default_rng(13)
     arms = 0.4 * rng.standard_normal((6, 3))
     m = rng.standard_normal((4, 3, 5))
-    stats = stats_from(np.eye(3) + m @ np.swapaxes(m, -1, -2), rng.standard_normal((4, 3)))
-    cs = ConfidenceSet.from_stats(stats, 0.8, arms=arms)
+    gram, moment = np.eye(3) + m @ np.swapaxes(m, -1, -2), rng.standard_normal((4, 3))
+    cs = ConfidenceSet.from_stats(gram, moment, 0.8, arms=arms)
     assert cs.arm_solves.shape == (4, 3, 6)
     with pytest.raises(ValueError, match="6 arms"):
         ucb_select_finite(arms[:5], cs)
     # a set built without arms solves them itself, to the same bits
-    plain = ConfidenceSet.from_stats(stats, 0.8)
+    plain = ConfidenceSet.from_stats(gram, moment, 0.8)
     assert plain.arm_solves is None and np.array_equal(plain.center, cs.center)
     for got, expected in zip(ucb_select_finite(arms, cs), ucb_select_finite(arms, plain)):
         assert np.array_equal(got, expected)
@@ -383,16 +376,16 @@ def test_ortho_norm_dominated_by_full_norm():
         d = int(rng.integers(2, 6))
         x0 = rng.standard_normal(d)
         geo = SafeGeometry(x0=x0, c0=0.0, c=1.0)
-        full = SufficientStats.initial(d, 1.0)
+        gram = np.eye(d)
         for _ in range(int(rng.integers(1, 30))):
             x = rng.standard_normal(d)
             x /= max(1.0, np.linalg.norm(x))
-            full.add_observation(x, 0.0)
+            gram += np.outer(x, x)
         probe = rng.standard_normal(d)
         probe /= np.linalg.norm(probe)
         probe_perp = probe - (probe @ geo.x0_unit) * geo.x0_unit
-        lhs = ortho_norm(probe_perp, full.gram, geo)
-        rhs = math.sqrt(probe @ np.linalg.inv(full.gram) @ probe)
+        lhs = ortho_norm(probe_perp, gram, geo)
+        rhs = math.sqrt(probe @ np.linalg.inv(gram) @ probe)
         assert lhs <= rhs + 1e-12
 
 
@@ -430,18 +423,18 @@ def test_safe_filter_hand_example():
 def test_safe_filter_monotone_in_beta():
     rng = np.random.default_rng(15)
     geo = SafeGeometry(x0=np.zeros(3), c0=0.0, c=0.6)
-    stats = SufficientStats.initial(3, 1.0)
+    gram = np.eye(3)
     safety = np.zeros(3)
     for _ in range(20):
         x = rng.standard_normal(3) * 0.4
         z = float(rng.standard_normal())
-        stats.add_observation(x, 0.0)
+        gram += np.outer(x, x)
         safety += z * x
     arms = rng.standard_normal((12, 3))
     arms /= np.maximum(np.linalg.norm(arms, axis=1, keepdims=True), 1.0)
     previous = None
     for beta in (3.0, 1.0, 0.3, 0.0001):
-        keep = set(np.flatnonzero(safe_filter(arms, stats.gram, safety, beta, geo)).tolist())
+        keep = set(np.flatnonzero(safe_filter(arms, gram, safety, beta, geo)).tolist())
         if previous is not None:
             assert previous <= keep  # shrinking beta never removes arms
         previous = keep
@@ -486,7 +479,7 @@ def test_restricted_statistics_match_projected_replay(d, zero_x0, seed, n_warmup
 
     basis = geo.basis
     old = np.linalg.cholesky(basis.T @ gram_perp @ basis)
-    new = np.linalg.cholesky(basis.T @ agent.stats.gram[0] @ basis)
+    new = np.linalg.cholesky(basis.T @ agent.gram[0] @ basis)
     assert np.abs(new - old).max() <= 1e-10 * np.abs(old).max()
 
     arms = rng.standard_normal((15, d))
@@ -500,7 +493,7 @@ def test_restricted_statistics_match_projected_replay(d, zero_x0, seed, n_warmup
     values = ((arms @ unit) / max(geo.norm_x0, 1e-300) * geo.c0 + perp_arms @ mu_perp
               + beta * np.sqrt((widths**2).sum(axis=0)))
     expected = np.flatnonzero(values <= geo.c)
-    keep = np.flatnonzero(safe_filter(arms, agent.stats.gram[0], agent.safety[0], beta, geo))
+    keep = np.flatnonzero(safe_filter(arms, agent.gram[0], agent.safety[0], beta, geo))
     assert np.array_equal(keep, expected)
 
 
@@ -524,18 +517,17 @@ def test_batched_selection_matches_per_agent_oracle(n, d, k, zero_x0, seed):
     geo = SafeGeometry(x0=x0, c0=0.0 if zero_x0 else float(rng.uniform(-0.3, 0.3)), c=0.5)
     streams = rng.integers(0, 2**32, n)
 
-    stats = SufficientStats(grams, moments, 1.0)
-    cs = ConfidenceSet.from_stats(stats, beta)
+    cs = ConfidenceSet.from_stats(grams, moments, beta)
     finite_idx, finite_value = ucb_select_finite(arms, cs, scale=1.3)
     # the center and the arms solved in one potrs call per agent
-    merged = ConfidenceSet.from_stats(stats, beta, arms=arms)
+    merged = ConfidenceSet.from_stats(grams, moments, beta, arms=arms)
     assert np.array_equal(merged.center, cs.center)
     merged_idx, merged_value = ucb_select_finite(arms, merged, scale=1.3)
     assert np.array_equal(merged_idx, finite_idx) and np.array_equal(merged_value, finite_value)
     box_x, box_value = ucb_select_box(cs, scale=math.sqrt(d))
     tilde = ts_perturb(cs, [np.random.default_rng(s) for s in streams])
     certified = safe_filter(arms, grams, safety, beta, geo)
-    agents = SimpleNamespace(stats=stats, safety=safety)
+    agents = SimpleNamespace(gram=grams, moment=moments, safety=safety)
     safe_plays = _select(agents, beta, DecisionSet.finite(arms), geo, None)
     for i in range(n):
         center = oracle_center(grams[i], moments[i])
@@ -557,12 +549,11 @@ def test_one_bad_agent_fails_the_whole_stack(bad):
     n, d = 5, 3
     grams = np.stack([(1.0 + i) * np.eye(d) for i in range(n)])
     grams[3] = np.nan if bad == "nan" else np.diag([1.0, -1.0, 1.0])
-    stats = SufficientStats(grams, np.ones((n, d)), 1.0)
     arms = np.eye(d)
     geo = SafeGeometry(x0=np.zeros(d), c0=0.0, c=0.5)
     for with_arms in (None, arms):
         with pytest.raises(ValueError):
-            ConfidenceSet.from_stats(stats, 1.0, with_arms)
+            ConfidenceSet.from_stats(grams, np.ones((n, d)), 1.0, with_arms)
     with pytest.raises(ValueError):
         safe_filter(arms, grams, np.zeros((n, d)), 1.0, geo)
     with pytest.raises(ValueError):

@@ -308,6 +308,67 @@ def test_topology_sweep(tmp_path):
     assert s_values["ring"] > s_values["complete"]
 
 
+def test_topology_sweep_merges_into_the_base_section(tmp_path):
+    # a bare kind keeps the base's p, an object overrides the keys it names
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"topology": {"kind": "ring", "p": 0.5}, "N": 5, "d": 2,
+                                "T": 4, "algorithm": "no_comm", "realizations": 1}))
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(path), "--axis", "topology",
+                 "--values", 'ring,erdos_renyi,{"kind":"erdos_renyi"},{"p":1}',
+                 "--out", str(out), "--workers", "1"])
+    assert code == 0
+    assert len((out / "sweep.csv").read_text().splitlines()) == 5
+    echoed = {point.name: json.loads((point / "summary.json").read_text())["config"]["topology"]
+              for point in out.iterdir() if point.is_dir()}
+    assert echoed == {
+        "topology=ring": {"kind": "ring", "p": 0.5, "edge_file": None},
+        "topology=erdos_renyi": {"kind": "erdos_renyi", "p": 0.5, "edge_file": None},
+        'topology={"kind":"erdos_renyi"}': {"kind": "erdos_renyi", "p": 0.5, "edge_file": None},
+        'topology={"p":1}': {"kind": "ring", "p": 1.0, "edge_file": None},
+    }
+
+
+def test_sweep_checks_every_point_before_running(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"topology": "ring", "N": 5, "d": 2, "T": 4,
+                                "algorithm": "no_comm", "realizations": 1}))
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(path), "--axis", "topology",
+                 "--values", "ring,erdos_renyi", "--out", str(out), "--workers", "1"])
+    assert code == 2
+    assert "erdos_renyi topology requires p" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, key", [
+    # S = 467 rounds: T_S(1/|lambda2|) is past the float range
+    ("run", ["--epsilon", "1e-300"], "epsilon"),
+    ("graph-info", ["--epsilon", "1e-300"], "epsilon"),
+    # the log argument of beta_T is past it
+    ("run", ["--delta", "1e-310"], "delta"),
+])
+def test_radius_past_the_float_range_exits_2(tmp_path, capsys, command, flags, key):
+    args = [command, "--topology", "ring", "--n", "4", *flags]
+    if command == "run":
+        args += ["--d", "2", "--t", "2000", "--algorithm", "dlucb", "--realizations", "1",
+                 "--workers", "1", "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+
+
+@pytest.mark.parametrize("topology, resample", [
+    ("ring", False),
+    ({"kind": "erdos_renyi", "p": 0.5}, True),
+])
+def test_resample_graph_echo_is_a_boolean(topology, resample):
+    echo = resolved_dict(parse_config({**MINIMAL, "topology": topology}))
+    assert echo["resample_graph"] is resample
+    explicit = {**MINIMAL, "topology": topology, "resample_graph": not resample}
+    assert resolved_dict(parse_config(explicit))["resample_graph"] is (not resample)
+
+
 def test_runtime_failure_exits_3(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("invariant breached")

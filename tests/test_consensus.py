@@ -377,8 +377,8 @@ def test_safety_channel_contract():
     # every holder receives the same slot, so each row of the stacked state is checked
     agent.begin_round(2, np.stack([slot] * 3))
     actions = slot[:, :2]
-    assert np.allclose(agent.stats.gram, np.eye(2) + 9.0 * actions.T @ actions)
-    assert np.allclose(agent.stats.moment, 9.0 * actions.T @ slot[:, 2])
+    assert np.allclose(agent.gram, np.eye(2) + 9.0 * actions.T @ actions)
+    assert np.allclose(agent.moment, 9.0 * actions.T @ slot[:, 2])
     assert np.allclose(agent.safety, 9.0 * actions.T @ slot[:, 3])
 
 

@@ -188,6 +188,29 @@ def test_rc_comm_cost_bounded_by_phase_budget():
     assert np.all(trace.scalars[trace.phase_id == 0] == 0)
 
 
+def test_cut_short_rc_phase_mixes_nothing(monkeypatch):
+    # the horizon cuts the last phase short: its sums are never absorbed, so
+    # they are never mixed, but its rounds still send their messages
+    steps = []
+    comm_step = sim.comm_step
+
+    def counting(*args, **kwargs):
+        steps.append(args[2])
+        return comm_step(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "comm_step", counting)
+    config = cfg(topology={"kind": "erdos_renyi", "p": 0.5}, N=20, d=5, T=120,
+                 algorithm="rc_dlucb", decision_set={"variant": "finite", "num_arms": 20})
+    trace = run_realization(config, master_seed=2)
+    s = trace.s_rounds
+    rounds = np.bincount(trace.phase_id)[1:]
+    assert 0 < rounds[-1] < s and np.all(rounds[:-1] == s)
+    # W and V, S steps each, for every complete phase
+    assert steps == [ell for ell in range(1, s + 1) for _ in "WV"] * (len(rounds) - 1)
+    directed = int(sim.build_network(config, 2, 0)[0].adjacency.sum())
+    assert np.array_equal(trace.scalars, np.where(trace.phase_id > 0, directed * 5 * 6, 0))
+
+
 def test_centralized_comm_cost():
     trace = run_realization(cfg(algorithm="centralized", T=10), master_seed=5)
     assert np.all(trace.scalars == 5 * 4 * (3 + 1))
@@ -199,18 +222,18 @@ def test_selections_per_round_and_probe_payload(monkeypatch):
     selected = []
     from_stats = ConfidenceSet.from_stats.__func__
 
-    def counting(cls, stats, beta, arms=None):
-        selected.append(stats)
-        return from_stats(cls, stats, beta, arms)
+    def counting(cls, gram, moment, beta, arms=None):
+        selected.append((gram, moment))
+        return from_stats(cls, gram, moment, beta, arms)
 
     monkeypatch.setattr(ConfidenceSet, "from_stats", classmethod(counting))
     for algorithm, learners in (("centralized", 1), ("no_comm", 5)):
         selected.clear()
         run_realization(cfg(algorithm=algorithm, T=12), master_seed=0)
         assert len(selected) == 12
-        assert all(stats.gram.shape == (learners, 3, 3) for stats in selected)
+        assert all(gram.shape == (learners, 3, 3) for gram, _ in selected)
         # the learners are distinct: each row holds its own data
-        assert len({row.tobytes() for row in selected[-1].moment}) == learners
+        assert len({row.tobytes() for row in selected[-1][1]}) == learners
 
     for algorithm in ALGORITHMS:
         extra = {"decision_set": {"variant": "finite", "num_arms": 6}} if algorithm == "safe_dlucb" else {}
