@@ -9,6 +9,7 @@ error, 3 runtime invariant breach.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ from .bandit import theoretical_regret_bound
 from .config import KEYS, ConfigError, as_mapping, parse_config, read_config, resolved_dict
 from .consensus import MixingPlan
 from .graph import CommMatrix, load_edge_list
-from .sim import aggregate, build_graph, run_experiment
+from .sim import aggregate, build_graph, build_network, run_experiment
 
 TRACE_COLUMNS = (
     "t",
@@ -39,15 +40,7 @@ def _fmt(value):
 def write_trace_csv(path, curves, horizon):
     rows = [",".join(TRACE_COLUMNS)]
     for t in range(horizon):
-        rows.append(",".join([
-            str(t + 1),
-            _fmt(curves["regret_mean"][t]),
-            _fmt(curves["regret_std"][t]),
-            _fmt(curves["per_agent_regret_mean"][t]),
-            _fmt(curves["comm_scalars_cum"][t]),
-            _fmt(curves["phases_cum"][t]),
-            _fmt(curves["violations_cum"][t]),
-        ]))
+        rows.append(",".join([str(t + 1)] + [_fmt(curves[name][t]) for name in TRACE_COLUMNS[1:]]))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(rows) + "\n")
 
@@ -112,6 +105,8 @@ def _prepare_out(out_dir, overwrite):
 
 
 def cmd_run(config, out_dir, workers, overwrite):
+    # a network that cannot be built is a config error: find it before any output
+    build_network(config, config.master_seed, 0)
     _prepare_out(out_dir, overwrite)
     traces = run_experiment(config, workers=workers)
     curves = aggregate(traces)
@@ -128,6 +123,24 @@ def cmd_run(config, out_dir, workers, overwrite):
 
 
 SWEEP_AXES = ("T", "N", "algorithm", "topology")
+
+
+def _split_values(text):
+    """The items of a ``--values`` list: each is a JSON value followed by a
+    comma or the end of ``text``, else a bare string up to the next comma.
+    Empty items are dropped."""
+    decoder, items = json.JSONDecoder(), []
+    while text:
+        end = (text + ",").index(",")
+        try:
+            json_end = decoder.raw_decode(text)[1]
+            if text[json_end:json_end + 1] in ("", ","):
+                end = json_end
+        except json.JSONDecodeError:
+            pass
+        items.append(text[:end])
+        text = text[end + 1:]
+    return [item for item in items if item]
 
 
 def _sweep_point(base_raw, axis, text):
@@ -148,29 +161,22 @@ def cmd_sweep(base_raw, axis, values, out_dir, workers, overwrite):
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}")
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
-    # every point is checked before the first one runs
+    # every point and its network are checked before the first one runs
     configs = [parse_config(_sweep_point(base_raw, axis, value)) for value in values]
+    for config in configs:
+        build_network(config, config.master_seed, 0)
     _prepare_out(out_dir, overwrite=True)  # each point's run checks its own results
-    rows = [
-        "axis,value,final_regret_mean,final_regret_std,per_agent_regret_final,"
-        "phase_count_mean,total_comm_scalars_mean,S,lambda2_abs"
-    ]
+    rows = [["axis", "value", "final_regret_mean", "final_regret_std", "per_agent_regret_final",
+             "phase_count_mean", "total_comm_scalars_mean", "S", "lambda2_abs"]]
     for value, config in zip(values, configs):
         point_dir = os.path.join(out_dir, f"{axis}={value}")
         summary = cmd_run(config, point_dir, workers, overwrite)
-        rows.append(",".join([
-            axis,
-            str(value),
-            _fmt(summary["final_regret"]["mean"]),
-            _fmt(summary["final_regret"]["std"]),
-            _fmt(summary["final_regret"]["per_agent_mean"]),
-            _fmt(summary["phase_count_mean"]),
-            _fmt(summary["total_comm_scalars_mean"]),
-            str(summary["S"]),
-            _fmt(summary["lambda2_abs"]),
-        ]))
+        final = summary["final_regret"]
+        rows.append([axis, value] + [_fmt(number) for number in (
+            final["mean"], final["std"], final["per_agent_mean"], summary["phase_count_mean"],
+            summary["total_comm_scalars_mean"], summary["S"], summary["lambda2_abs"])])
     with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
-        fh.write("\n".join(rows) + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(rows)
     return 0
 
 
@@ -240,7 +246,8 @@ def _build_parser():
     add_config_flags(sweep_p)
     sweep_p.add_argument("--axis", required=True, choices=SWEEP_AXES)
     sweep_p.add_argument("--values", required=True,
-                         help="comma-separated axis values, each a JSON literal or a bare string")
+                         help="comma-separated axis values, each a JSON value (which may "
+                              "hold commas) or a bare string")
 
     info_p = sub.add_parser("graph-info", help="spectral diagnostics for a topology")
     for key in KEYS:
@@ -282,7 +289,7 @@ def main(argv=None):
             config = parse_config(raw)
             cmd_run(config, args.out, workers, args.overwrite)
             return 0
-        values = [v for v in args.values.split(",") if v]
+        values = _split_values(args.values)
         return cmd_sweep(raw, args.axis, values, args.out, workers, args.overwrite)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

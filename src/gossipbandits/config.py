@@ -18,7 +18,9 @@ import numpy as np
 
 from .agents import ALGORITHMS
 from .bandit import beta_radius
-from .graph import COMM_SCHEMES, TOPOLOGY_KINDS
+
+TOPOLOGY_KINDS = ("ring", "star", "complete", "path", "erdos_renyi", "explicit")
+COMM_SCHEMES = ("laplacian", "normalized_laplacian")
 
 
 class ConfigError(ValueError):

@@ -70,12 +70,11 @@ class MixingPlan:
     epsilon: float
     s_rounds: int
     lambda2_abs: float
-    weights: np.ndarray | None = field(default=None, repr=False)
+    weights: np.ndarray | None = field(default=None, init=False, repr=False)  # None: |lambda2| = 0
 
     def __post_init__(self):
-        if self.weights is None and self.lambda2_abs > 0:
+        if self.lambda2_abs > 0:
             self.weights = chebyshev_weights(self.s_rounds, self.lambda2_abs)
-        if self.weights is not None:
             if not np.all(np.isfinite(self.weights)):
                 raise ConfigError(f"epsilon {self.epsilon:g} needs S = {self.s_rounds} gossip "
                                   "rounds, whose Chebyshev weights overflow")

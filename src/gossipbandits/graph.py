@@ -8,8 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-TOPOLOGY_KINDS = ("ring", "star", "complete", "path", "erdos_renyi", "explicit")
-COMM_SCHEMES = ("laplacian", "normalized_laplacian")
+from .config import TOPOLOGY_KINDS, ConfigError
 
 STOCHASTICITY_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
@@ -117,8 +116,6 @@ def build_topology(kind, n, p=None, rng=None, edges=None, max_retries=200):
             if _is_connected(a):
                 break
         else:
-            from .config import ConfigError  # config imports this module
-
             raise ConfigError(
                 f"topology.p = {p} is too small for N = {n}: erdos_renyi retry budget "
                 f"exhausted after {max_retries} draws without a connected graph"
@@ -135,8 +132,6 @@ def load_edge_list(path, n=None):
     are configuration errors naming the file (and the line, where there is
     one), and so is a file that cannot be read as UTF-8 text.
     """
-    from .config import ConfigError  # config imports this module
-
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -275,7 +270,6 @@ class CommMatrix:
     def __init__(self, topology, scheme="laplacian"):
         self.entries = _comm_entries(topology, scheme)
         self.topology = topology
-        self.scheme = scheme
         self.n = topology.n_nodes
         self.eigenvalues = _spectrum(self.entries)
         self.problems = check_assumption(self.entries, topology, self.eigenvalues)
@@ -294,8 +288,6 @@ def build_comm_matrix(topology, scheme="laplacian"):
     """Build the gossip matrix for a topology, failing with a ConfigError when
     the doubly stochastic requirement does not hold (the normalized_laplacian
     scheme only satisfies it on regular graphs)."""
-    from .config import ConfigError  # config imports this module
-
     comm = CommMatrix(topology, scheme)
     if comm.problems:
         raise ConfigError(

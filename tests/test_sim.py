@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipbandits import bandit, consensus, sim
 from gossipbandits.agents import ALGORITHMS
 from gossipbandits.bandit import ConfidenceSet, DecisionSet
 from gossipbandits.config import parse_config
+from gossipbandits.consensus import MixingPlan
+from gossipbandits.graph import GraphTopology, build_comm_matrix
 from gossipbandits.sim import (
     Environment,
     aggregate,
@@ -53,7 +57,7 @@ def test_safe_environment_margin():
 
 
 def test_feedback_noiseless_and_deterministic():
-    env = Environment(theta_star=np.array([0.6, 0.8]), sigma=0.0, noise_y=np.zeros((2, 5)))
+    env = Environment(theta_star=np.array([0.6, 0.8]), noise_y=np.zeros((2, 5)))
     x = np.array([0.5, 0.5])
     (y, _), z = feedback(env, np.stack([x, x]), 3)  # both agents play x
     assert y == 0.7 and z is None
@@ -63,7 +67,7 @@ def test_feedback_noise_variance():
     rng = np.random.default_rng(4)
     n_draws = 100_000
     noise = 0.1 * rng.standard_normal((1, n_draws))
-    env = Environment(theta_star=np.array([1.0, 0.0]), sigma=0.1, noise_y=noise)
+    env = Environment(theta_star=np.array([1.0, 0.0]), noise_y=noise)
     ys = np.array([feedback(env, np.zeros((1, 2)), t)[0][0] for t in range(1, n_draws + 1)])
     assert abs(ys.var() / 0.01 - 1.0) < 0.03
 
@@ -191,24 +195,65 @@ def test_rc_comm_cost_bounded_by_phase_budget():
 def test_cut_short_rc_phase_mixes_nothing(monkeypatch):
     # the horizon cuts the last phase short: its sums are never absorbed, so
     # they are never mixed, but its rounds still send their messages
-    steps = []
-    comm_step = sim.comm_step
+    gains = []
+    mixed_gain = sim.mixed_gain
 
-    def counting(*args, **kwargs):
-        steps.append(args[2])
-        return comm_step(*args, **kwargs)
+    def counting(comm, plan):
+        gains.append(plan.s_rounds)
+        return mixed_gain(comm, plan)
 
-    monkeypatch.setattr(sim, "comm_step", counting)
+    monkeypatch.setattr(sim, "mixed_gain", counting)
     config = cfg(topology={"kind": "erdos_renyi", "p": 0.5}, N=20, d=5, T=120,
                  algorithm="rc_dlucb", decision_set={"variant": "finite", "num_arms": 20})
     trace = run_realization(config, master_seed=2)
     s = trace.s_rounds
     rounds = np.bincount(trace.phase_id)[1:]
     assert 0 < rounds[-1] < s and np.all(rounds[:-1] == s)
-    # W and V, S steps each, for every complete phase
-    assert steps == [ell for ell in range(1, s + 1) for _ in "WV"] * (len(rounds) - 1)
+    # one S-round gain for every complete phase
+    assert gains == [s] * (len(rounds) - 1)
     directed = int(sim.build_network(config, 2, 0)[0].adjacency.sum())
     assert np.array_equal(trace.scalars, np.where(trace.phase_id > 0, directed * 5 * 6, 0))
+
+
+class _UnsharedSums:
+    """The W and V of an rc phase; keeps what the phase hands back."""
+
+    def __init__(self, w_new, v_new):
+        self.w_new, self.v_new = w_new, v_new
+        self.absorbed = None
+
+    def absorb_phase(self, mixed_w, mixed_v, frozen, reward_sums, s_rounds, t_end):
+        self.absorbed = mixed_w, mixed_v
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 30), p=st.floats(0.0, 0.5), d=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_rc_phase_exchange_matches_the_gossip_recursion(n, p, d, seed):
+    # a phase folds in q_S(P) = mixed_gain / N times W and V: what 2 S rounds
+    # of accelerated gossip, S on each sum, would leave at every agent. The
+    # graph is a random tree (node i joins a node before it) plus ER edges
+    rng = np.random.default_rng(seed)
+    a = np.triu((rng.random((n, n)) < p).astype(float), 1)
+    for i in range(1, n):
+        a[rng.integers(0, i), i] = 1.0
+    comm = build_comm_matrix(GraphTopology(a + a.T))
+    plan = MixingPlan.for_network(comm, 1.0 / (4 * d + 1))
+    s = plan.s_rounds
+    root = rng.standard_normal((n, d, d))
+    sums = _UnsharedSums(root @ np.swapaxes(root, 1, 2), rng.standard_normal((n, d)))
+    actions = rng.standard_normal((n, d))
+    actions /= np.linalg.norm(actions, axis=1, keepdims=True)
+    env = Environment(theta_star=actions[0], noise_y=np.zeros((n, s + 1)))
+    trace = sim.Trace(np.zeros(s + 1), np.zeros(s + 1),
+                      *(np.zeros(s + 1, dtype=np.int64) for _ in range(4)),
+                      s_rounds=s, lambda2_abs=comm.lambda2_abs, n_agents=n)
+    assert sim._rc_phase(1, 1, sums, actions, env, 1.0, comm, plan, trace, None) == s
+    for unshared, mixed in zip((sums.w_new, sums.v_new), sums.absorbed):
+        now = prev = unshared
+        for ell in range(1, s + 1):
+            now, prev = consensus.comm_step(now, prev, ell, comm, plan), now
+        assert np.abs(mixed - now).max() <= 1e-12 * np.abs(now).max()
 
 
 def test_centralized_comm_cost():

@@ -55,6 +55,7 @@ def test_tracer_records_agent_and_feedback_spans_and_restores_originals(monkeypa
     originals = [vars(owner)[attr] for owner, attr in targets]
     recorder = tracer.Recorder()
     horizon = 30
+    traces = {}
     tracer.install(recorder)
     try:
         for algorithm in ALGORITHMS:
@@ -62,7 +63,7 @@ def test_tracer_records_agent_and_feedback_spans_and_restores_originals(monkeypa
                      "safe": {"c_min": 0.3}} if algorithm == "safe_dlucb" else {}
             config = parse_config({"topology": "ring", "N": 4, "d": 2, "T": horizon,
                                    "algorithm": algorithm, "realizations": 1, **extra})
-            sim.run_realization(config, master_seed=0)
+            traces[algorithm] = sim.run_realization(config, master_seed=0)
     finally:
         tracer.uninstall()
     calls = Counter(span[0] for span in recorder.spans)
@@ -73,14 +74,16 @@ def test_tracer_records_agent_and_feedback_spans_and_restores_originals(monkeypa
     assert calls["agents.finish_round"] == 5 * horizon
     assert 0 < calls["agents.rc_trigger"] == calls["agents.rc_record_play"] <= horizon
     # one queue advance per gossip round; a gossip step inside each advance
-    # that has generations in flight, and two per rc burst round (W and V)
+    # that has generations in flight, and outside them the S steps of the
+    # gain that every completed rc phase mixes its sums with
     assert calls["consensus.advance_queues"] == 3 * horizon
     steps = [span for span in recorder.spans if span[0] == "consensus.comm_step"]
     in_queue = sum(recorder.spans[span[3]][0] == "consensus.advance_queues"
                    for span in steps if span[3] >= 0)
     assert 3 * (horizon // 2) <= in_queue <= 3 * horizon
-    bursts = len(steps) - in_queue
-    assert bursts > 0 and bursts % 2 == 0
+    rc = traces["rc_dlucb"]
+    completed = int(np.sum(np.bincount(rc.phase_id)[1:] == rc.s_rounds))
+    assert completed > 0 and len(steps) - in_queue == rc.s_rounds * completed
     assert [span[5] for span in steps] == returned
     assert [vars(owner)[attr] for owner, attr in targets] == originals
 
