@@ -24,13 +24,16 @@ class DlucbAgent:
 
     Agent i's plays feed learner ``owner[i]``: ``arange(N)`` gives every agent
     its own learner, an all-zero ``owner`` makes one learner that every play
-    feeds in agent order (``centralized``). During warmup (t <= S) the
-    statistics hold only the learners' own observations; at the first main
-    round they are reset to the ridge prior unless ``keep_warmup_data`` is
-    set, after which only fully mixed network information is absorbed. The
-    baselines set S = T, so their warm-up never ends and they learn only from
-    the plays recorded with them.
+    feeds in agent order (``centralized``). Each learner holds its Gram
+    matrix and one moment per feedback signal, ``moments`` (signals, L, d),
+    the reward's first. During warmup (t <= S) the statistics hold only the
+    learners' own observations; at the first main round they are reset to
+    the ridge prior unless ``keep_warmup_data`` is set, after which only fully
+    mixed network information is absorbed. The baselines set S = T, so their
+    warm-up never ends and they learn only from the plays recorded with them.
     """
+
+    signals = 1
 
     def __init__(self, owner, d, lam, s_rounds, *, keep_warmup_data=False):
         self.owner = np.asarray(owner)
@@ -47,13 +50,17 @@ class DlucbAgent:
     def _reset(self):
         """Every learner's statistics back to the ridge prior."""
         self.gram = self.lam * np.broadcast_to(np.eye(self.d), (self.learners, self.d, self.d))
-        self.moment = np.zeros((self.learners, self.d))
+        self.moments = np.zeros((self.signals, self.learners, self.d))
+
+    @property
+    def moment(self):
+        """The (L, d) reward moments."""
+        return self.moments[0]
 
     def begin_round(self, t, released):
         """Absorb the generation released after round t - 1 (main phase
         only), every agent its own slot. Row k of ``released[i]`` holds
-        (a_ik / N) times agent k's action, then reward (then shifted safety
-        feedback) from round t - S.
+        (a_ik / N) times agent k's action, then its signals from round t - S.
         """
         if t == self.s_rounds + 1 and not self.keep_warmup_data:
             self._reset()
@@ -61,51 +68,36 @@ class DlucbAgent:
             # rows carry (a_ik / N) x_k: N^2-scaled products give the gain-weighted sums
             scaled = float(self.n) ** 2 * np.swapaxes(released[..., : self.d], -1, -2)
             self.gram += scaled @ released[..., : self.d]
-            self.moment += (scaled @ released[..., self.d, None])[..., 0]
+            for j, moment in enumerate(self.moments):
+                moment += (scaled @ released[..., self.d + j, None])[..., 0]
 
-    def finish_round(self, t, actions, rewards):
-        """Record the round's (N, d) plays; warmup keeps them locally (the
-        simulator enqueues them for gossip either way)."""
+    def finish_round(self, t, actions, *signals):
+        """Record the round's (N, d) plays and (N,) signals; warmup keeps
+        them locally (the simulator enqueues them for gossip either way)."""
         if t <= self.s_rounds:
             # plays of one learner are added in agent order
             np.add.at(self.gram, self.owner, actions[:, :, None] * actions[:, None, :])
-            np.add.at(self.moment, self.owner, rewards[:, None] * actions)
+            for moment, signal in zip(self.moments, signals, strict=True):
+                np.add.at(moment, self.owner, signal[:, None] * actions)
 
 
 class SafeDlucbAgent(DlucbAgent):
     """All N gossiped UCB agents, additionally learning the constraint direction.
 
-    ``safety`` (N, d) is the moment of the shifted safety feedback, gathered
-    and reset like the reward moment; ``safe_filter`` pairs it with
-    ``gram``. Every emitted action passed the safe filter at selection
-    time (or is the known safe action).
+    The second signal is the shifted safety feedback
+    (``SafeGeometry.shifted_feedback``); ``safety`` (N, d) is its moment,
+    which ``safe_filter`` pairs with ``gram``. Every emitted action passed
+    the safe filter at selection time (or is the known safe action).
     """
 
-    def __init__(self, owner, d, lam, s_rounds, geo, *, keep_warmup_data=False):
-        super().__init__(owner, d, lam, s_rounds, keep_warmup_data=keep_warmup_data)
-        self.geo = geo
-        self.safety = np.zeros((self.n, d))
+    signals = 2
+    # the benchmark's tracer reads both methods from vars(SafeDlucbAgent)
+    begin_round = DlucbAgent.begin_round
+    finish_round = DlucbAgent.finish_round
 
-    def begin_round(self, t, released):
-        if t == self.s_rounds + 1 and not self.keep_warmup_data:
-            self.safety = np.zeros((self.n, self.d))
-        super().begin_round(t, released)
-        if released is not None:
-            scaled = float(self.n) ** 2 * np.swapaxes(released[..., : self.d], -1, -2)
-            self.safety += (scaled @ released[..., self.d + 1, None])[..., 0]
-
-    def shifted_feedback(self, actions, z):
-        """Remove the known component of the (N,) safety measurements along x0."""
-        if self.geo.is_zero:
-            return z
-        coef = (actions[:, None, :] @ self.geo.x0_unit[:, None])[:, 0, 0]
-        return z - (coef / self.geo.norm_x0) * self.geo.c0
-
-    def finish_round(self, t, actions, rewards, z_perp):
-        """Record the round's plays with their shifted safety feedback ``z_perp``."""
-        if t <= self.s_rounds:
-            self.safety += z_perp[:, None] * actions
-        super().finish_round(t, actions, rewards)
+    @property
+    def safety(self):
+        return self.moments[1]
 
 
 class RcDlucbAgent:

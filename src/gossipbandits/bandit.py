@@ -124,8 +124,9 @@ class ConfidenceSet:
         when a solve leaves a large residual."""
         columns = np.zeros((moment.shape[-1], 0)) if arms is None else np.asarray(arms, float).T
         center, arm_solves = _solve_with_columns(cho_factor(gram), moment, columns)
-        residual = np.linalg.norm(_matvec(gram, center) - moment, axis=-1)
-        bound = 1e-8 * np.maximum(1.0, np.linalg.norm(moment, axis=-1))
+        # hypot norms do not overflow for entries past sqrt(float max)
+        residual = np.hypot.reduce(_matvec(gram, center) - moment, axis=-1)
+        bound = 1e-8 * np.maximum(1.0, np.hypot.reduce(moment, axis=-1))
         if np.any(residual > bound):
             raise ValueError(f"ill-conditioned solve, residual {np.max(residual):.3e}")
         return cls(center=center, radius=beta, gram=gram,
@@ -163,18 +164,15 @@ def ucb_select_finite(arms, cs, scale=1.0, certified=None):
     score <theta_hat, x> + scale * radius * ||x||_{A^-1}. ``certified``, a
     boolean mask over the arms (per agent), restricts the argmax to the arms
     it marks; an agent with none gets index 0 and value -inf. The arm solves
-    are read from ``cs`` when ``from_stats`` made them, else solved here.
+    are read from ``cs``, which ``from_stats`` must have built with the arms.
     """
     arms = np.atleast_2d(np.asarray(arms, dtype=float))
     if arms.shape[0] == 0:
         raise ValueError("empty arm set")
     solved = cs.arm_solves
-    if solved is None:
-        factor = cho_factor(cs.gram)
-        solved = cho_solve(factor, np.broadcast_to(arms.T, factor.shape[:-2] + arms.T.shape))
-    elif solved.shape[-1] != arms.shape[0]:
-        raise ValueError(f"the set holds solves for {solved.shape[-1]} arms, "
-                         f"not {arms.shape[0]}")
+    if solved is None or solved.shape[-1] != arms.shape[0]:
+        raise ValueError(f"the set holds no solves of these {arms.shape[0]} arms: "
+                         "build it with ConfidenceSet.from_stats(..., arms)")
     norms = np.sqrt(np.maximum(np.einsum("kd,...dk->...k", arms, solved), 0.0))
     scores = _matvec(arms, cs.center) + scale * cs.radius * norms
     if certified is not None:
@@ -214,16 +212,15 @@ def greedy_box(theta):
     return np.where(np.asarray(theta) >= 0.0, 1.0, -1.0)
 
 
-def ts_perturb(cs, rng):
-    """Posterior-style perturbation theta_hat + radius * A^{-1/2} rho, rho ~ N(0, I).
+def ts_perturb(cs, rngs):
+    """Posterior-style perturbation theta_hat + radius * A^{-1/2} rho, rho ~ N(0, I),
+    for every agent of the stack ``cs``.
 
-    ``rng`` is one generator for a single agent, or one generator per agent
-    of a stack; every agent draws its rho from its own.
+    ``rngs`` holds one generator per agent; every agent draws its rho from
+    its own.
     """
     root = inv_sqrt_psd(cs.gram)
-    d = cs.center.shape[-1]
-    rngs = rng if cs.center.ndim > 1 else [rng]
-    rho = np.stack([r.standard_normal(d) for r in rngs]).reshape(cs.center.shape)
+    rho = np.stack([r.standard_normal(cs.center.shape[-1]) for r in rngs])
     return cs.center + _matvec(cs.radius * root, rho)
 
 
@@ -257,6 +254,14 @@ class SafeGeometry:
     @property
     def kappa_r(self):
         return 2.0 / (self.c - self.c0) + 1.0
+
+    def shifted_feedback(self, actions, z):
+        """Remove the known component of the (N,) safety measurements of the
+        (N, d) plays along x0."""
+        if self.is_zero:
+            return z
+        coef = (actions[:, None, :] @ self.x0_unit[:, None])[:, 0, 0]
+        return z - (coef / self.norm_x0) * self.c0
 
 
 def safe_filter(arms, gram, safety, beta, geo):

@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 
 from .bandit import theoretical_regret_bound
@@ -168,8 +169,10 @@ def cmd_sweep(base_raw, axis, values, out_dir, workers, overwrite):
     _prepare_out(out_dir, overwrite=True)  # each point's run checks its own results
     rows = [["axis", "value", "final_regret_mean", "final_regret_std", "per_agent_regret_final",
              "phase_count_mean", "total_comm_scalars_mean", "S", "lambda2_abs"]]
-    for value, config in zip(values, configs):
-        point_dir = os.path.join(out_dir, f"{axis}={value}")
+    for index, (value, config) in enumerate(zip(values, configs)):
+        # index-named, so that no value text nests directories or leaves out_dir
+        clean = re.sub(r"[^A-Za-z0-9._-]+", "_", value).strip("_")[:64]
+        point_dir = os.path.join(out_dir, f"{index}_{axis}={clean}")
         summary = cmd_run(config, point_dir, workers, overwrite)
         final = summary["final_regret"]
         rows.append([axis, value] + [_fmt(number) for number in (

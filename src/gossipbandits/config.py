@@ -153,8 +153,8 @@ def as_mapping(value, name="config root"):
 
 def _typed(name, value, kind, low=None):
     """``value`` if it has the declared type ``kind``: numbers reject booleans
-    and strings, an int takes an integral float, and every number is finite
-    and at least ``low``. A ConfigError names the key."""
+    and strings, an int takes an integral float within int64, and every
+    number is finite and at least ``low``. A ConfigError names the key."""
     if isinstance(kind, tuple):
         if value in kind:
             return value
@@ -164,8 +164,8 @@ def _typed(name, value, kind, low=None):
             raise ConfigError(f"{name} must be a number, got {value!r}")
         if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints past any float
             raise ConfigError(f"{name} must be finite, got {value!r}")
-        if kind is int and value != int(value):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if kind is int and not (-2**63 <= value < 2**63 and value == int(value)):
+            raise ConfigError(f"{name} must be a signed 64-bit integer, got {value!r}")
         if low is not None and value < low:
             raise ConfigError(f"{name} must be >= {low}")
         return kind(value)

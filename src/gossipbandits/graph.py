@@ -68,13 +68,16 @@ class GraphTopology:
         return np.flatnonzero(self.adjacency[i])
 
 
-def build_topology(kind, n, p=None, rng=None, edges=None, max_retries=200):
-    """Construct a connected topology of the requested kind.
+def build_topology(kind, n, p=None, rng=None, max_retries=200):
+    """Construct a connected topology of the requested kind; an explicit
+    topology comes from its edge file (``load_edge_list``).
 
     erdos_renyi draws edges i.i.d. with probability ``p`` from ``rng`` and
     resamples until connected. After ``max_retries`` draws without a connected
     graph it raises a ``ConfigError`` naming ``topology.p``, too small for ``n``.
     """
+    if kind == "explicit":
+        raise ValueError("an explicit topology is read from its edge file by load_edge_list")
     if kind not in TOPOLOGY_KINDS:
         raise ValueError(f"unknown topology kind {kind!r}")
     if n < 2:
@@ -94,14 +97,6 @@ def build_topology(kind, n, p=None, rng=None, edges=None, max_retries=200):
         a[0, 1:] = a[1:, 0] = 1
     elif kind == "complete":
         a = np.ones((n, n)) - np.eye(n)
-    elif kind == "explicit":
-        if edges is None:
-            raise ValueError("explicit topology needs an edge list")
-        a = np.zeros((n, n))
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise ValueError(f"invalid edge ({u}, {v}) for {n} nodes")
-            a[u, v] = a[v, u] = 1
     else:  # erdos_renyi
         if p is None or not 0 < p <= 1:
             raise ValueError("erdos_renyi needs p in (0, 1]")
@@ -161,8 +156,11 @@ def load_edge_list(path, n=None):
     inferred = max(max(u, v) for u, v in edges) + 1
     if n is not None and n != inferred:
         raise ConfigError(f"edge file {path} spans {inferred} nodes, but N = {n}")
+    a = np.zeros((inferred, inferred))
+    rows, cols = np.array(edges).T
+    a[rows, cols] = a[cols, rows] = 1
     try:
-        return build_topology("explicit", inferred, edges=edges)
+        return GraphTopology(a)
     except ValueError as exc:
         raise ConfigError(f"edge file {path}: {exc}") from None
 

@@ -280,7 +280,7 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
         own[:, :d] = actions
         own[:, d], z = feedback(env, actions, t)
         if safe:
-            own[:, d + 1] = agents.shifted_feedback(actions, z)
+            own[:, d + 1] = geo.shifted_feedback(actions, z)
         _record(trace, t, actions, env, v_star)
         if probe is not None:
             probe(t, _probe_info(actions, agents))
@@ -315,10 +315,8 @@ def _agents(config, plan, geo):
         return DlucbAgent(np.zeros(n, dtype=int), d, lam, config.horizon)
     if config.algorithm == "no_comm":
         return DlucbAgent(np.arange(n), d, lam, config.horizon)
-    keep = config.keep_warmup_data
-    if geo is not None:
-        return SafeDlucbAgent(np.arange(n), d, lam, plan.s_rounds, geo, keep_warmup_data=keep)
-    return DlucbAgent(np.arange(n), d, lam, plan.s_rounds, keep_warmup_data=keep)
+    gossip = DlucbAgent if geo is None else SafeDlucbAgent
+    return gossip(np.arange(n), d, lam, plan.s_rounds, keep_warmup_data=config.keep_warmup_data)
 
 
 def _probe_info(actions, agents):

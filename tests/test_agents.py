@@ -176,7 +176,7 @@ def test_stacked_agents_match_per_agent_oracle(n, d, horizon, keep, zero_x0, alg
     gossip = algorithm in ("dlucb", "safe_dlucb")
     safe = algorithm == "safe_dlucb"
     if safe:
-        stacked = SafeDlucbAgent(np.arange(n), d, 1.0, s, geo, keep_warmup_data=keep)
+        stacked = SafeDlucbAgent(np.arange(n), d, 1.0, s, keep_warmup_data=keep)
         oracle = [OracleSafeDlucbAgent(n, d, 1.0, s, geo, keep) for _ in range(n)]
     elif gossip:
         stacked = DlucbAgent(np.arange(n), d, 1.0, s, keep_warmup_data=keep)
@@ -206,7 +206,7 @@ def test_stacked_agents_match_per_agent_oracle(n, d, horizon, keep, zero_x0, alg
             check()
         own = np.column_stack([x, y])
         if safe:
-            z_perp = stacked.shifted_feedback(x, readings[t - 1])
+            z_perp = geo.shifted_feedback(x, readings[t - 1])
             assert np.array_equal(z_perp, [a.shifted_feedback(x[i], readings[t - 1, i])
                                            for i, a in enumerate(oracle)])
             stacked.finish_round(t, x, y, z_perp)
@@ -408,13 +408,13 @@ def test_safe_agent_keeps_safe_action_in_arm_set():
 
 
 def test_thompson_zero_perturbation_is_greedy():
-    cs = ConfidenceSet(center=np.array([0.2, -0.8]), radius=3.0, gram=np.eye(2))
+    cs = ConfidenceSet(center=np.array([[0.2, -0.8]]), radius=3.0, gram=np.eye(2)[None])
 
     class Zero:
         def standard_normal(self, n):
             return np.zeros(n)
 
-    tilde = ts_perturb(cs, Zero())
+    tilde = ts_perturb(cs, [Zero()])
     assert np.array_equal(tilde, cs.center)
 
 
@@ -431,12 +431,12 @@ def test_thompson_frequencies_match_cholesky_oracle():
     arms /= np.linalg.norm(arms, axis=1, keepdims=True)
     gram = np.array([[3.0, 0.5], [0.5, 1.5]])
     center = np.array([0.3, -0.1])
-    cs = ConfidenceSet(center=center, radius=0.8, gram=gram)
+    cs = ConfidenceSet(center=center[None], radius=0.8, gram=gram[None])
     n_draws = 10_000
     lib_rng = np.random.default_rng(17)
     lib_counts = np.zeros(4)
     for _ in range(n_draws):
-        tilde = ts_perturb(cs, lib_rng)
+        tilde = ts_perturb(cs, [lib_rng])[0]
         lib_counts[int(np.argmax(arms @ tilde))] += 1
     # oracle: sample from N(center, radius^2 gram^-1) via Cholesky of the inverse
     oracle_rng = np.random.default_rng(18)

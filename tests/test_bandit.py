@@ -181,9 +181,15 @@ def test_beta_domain():
 
 # ------------------------------------------------------------------ finite UCB
 
+def finite_set(arms, gram, center, radius):
+    """The set ``from_stats`` builds for the moment gram @ center, with the
+    arms' solves; an identity ``gram`` keeps ``center`` exactly."""
+    return ConfidenceSet.from_stats(gram, gram @ center, radius, arms)
+
+
 def test_finite_greedy_when_radius_zero():
     arms = np.array([[1.0, 0.0], [0.0, 1.0], [0.7, 0.7]])
-    cs = ConfidenceSet(center=np.array([0.2, 0.9]), radius=0.0, gram=np.eye(2))
+    cs = finite_set(arms, np.eye(2), np.array([0.2, 0.9]), 0.0)
     idx, value = ucb_select_finite(arms, cs)
     assert idx == int(np.argmax(arms @ cs.center))
     assert abs(value - (arms @ cs.center).max()) < 1e-14
@@ -191,7 +197,7 @@ def test_finite_greedy_when_radius_zero():
 
 def test_finite_two_arm_hand_example():
     arms = np.array([[1.0, 0.0], [0.0, 1.0]])
-    cs = ConfidenceSet(center=np.array([1.0, 0.0]), radius=1.0, gram=np.eye(2))
+    cs = finite_set(arms, np.eye(2), np.array([1.0, 0.0]), 1.0)
     idx, value = ucb_select_finite(arms, cs, scale=1.0)
     assert idx == 0
     assert abs(value - 2.0) < 1e-12
@@ -208,17 +214,17 @@ def test_finite_matches_brute_force_enumeration():
         gram = np.eye(d) + m @ m.T
         center = rng.standard_normal(d)
         beta = float(rng.uniform(0, 2))
-        cs = ConfidenceSet(center=center, radius=beta, gram=gram)
+        cs = finite_set(arms, gram, center, beta)
         idx, value = ucb_select_finite(arms, cs, scale=1.3)
         inv = np.linalg.inv(gram)
-        scores = arms @ center + 1.3 * beta * np.sqrt(np.einsum("kd,de,ke->k", arms, inv, arms))
+        scores = arms @ cs.center + 1.3 * beta * np.sqrt(np.einsum("kd,de,ke->k", arms, inv, arms))
         assert idx == int(np.argmax(scores))
         assert abs(value - scores.max()) < 1e-10
 
 
 def test_finite_ties_break_to_lowest_index():
     arms = np.array([[1.0, 0.0], [1.0, 0.0], [0.5, 0.0]])
-    cs = ConfidenceSet(center=np.array([1.0, 0.0]), radius=0.5, gram=np.eye(2))
+    cs = finite_set(arms, np.eye(2), np.array([1.0, 0.0]), 0.5)
     idx, _ = ucb_select_finite(arms, cs)
     assert idx == 0
 
@@ -228,15 +234,15 @@ def test_finite_argmax_invariances():
     arms = rng.standard_normal((8, 3)) * 0.5
     gram = np.eye(3) * 2.0
     center = rng.standard_normal(3)
-    cs = ConfidenceSet(center=center, radius=0.7, gram=gram)
+    cs = finite_set(arms, gram, center, 0.7)
     idx, _ = ucb_select_finite(arms, cs)
     # joint positive rescaling of (center, radius) preserves the argmax
-    cs2 = ConfidenceSet(center=3.0 * center, radius=2.1, gram=gram)
+    cs2 = finite_set(arms, gram, 3.0 * center, 2.1)
     idx2, _ = ucb_select_finite(arms, cs2)
     assert idx == idx2
     # adding a constant to every arm's score preserves the argmax
     inv = np.linalg.inv(gram)
-    scores = arms @ center + 0.7 * np.sqrt(np.einsum("kd,de,ke->k", arms, inv, arms))
+    scores = arms @ cs.center + 0.7 * np.sqrt(np.einsum("kd,de,ke->k", arms, inv, arms))
     assert int(np.argmax(scores)) == int(np.argmax(scores + 11.0)) == idx
 
 
@@ -247,13 +253,13 @@ def test_finite_arm_solves_belong_to_their_arms():
     gram, moment = np.eye(3) + m @ np.swapaxes(m, -1, -2), rng.standard_normal((4, 3))
     cs = ConfidenceSet.from_stats(gram, moment, 0.8, arms=arms)
     assert cs.arm_solves.shape == (4, 3, 6)
-    with pytest.raises(ValueError, match="6 arms"):
+    with pytest.raises(ValueError, match="no solves of these 5 arms"):
         ucb_select_finite(arms[:5], cs)
-    # a set built without arms solves them itself, to the same bits
+    # finite UCB reads the solves only from a set built with its arms
     plain = ConfidenceSet.from_stats(gram, moment, 0.8)
     assert plain.arm_solves is None and np.array_equal(plain.center, cs.center)
-    for got, expected in zip(ucb_select_finite(arms, cs), ucb_select_finite(arms, plain)):
-        assert np.array_equal(got, expected)
+    with pytest.raises(ValueError, match="no solves of these 6 arms"):
+        ucb_select_finite(arms, plain)
 
 
 # ------------------------------------------------------------------ box UCB
@@ -297,21 +303,21 @@ def test_box_matches_lattice_oracle():
 # ------------------------------------------------------------------ TS perturbation
 
 def test_ts_zero_noise_returns_center():
-    cs = ConfidenceSet(center=np.array([0.4, -0.1]), radius=2.0, gram=np.eye(2))
-    assert np.array_equal(ts_perturb(cs, ZeroRng()), cs.center)
+    cs = ConfidenceSet(center=np.array([[0.4, -0.1]]), radius=2.0, gram=np.eye(2)[None])
+    assert np.array_equal(ts_perturb(cs, [ZeroRng()]), cs.center)
 
 
 def test_ts_reproducible_given_seed():
-    cs = ConfidenceSet(center=np.zeros(3), radius=1.0, gram=np.eye(3) * 2)
-    a = ts_perturb(cs, np.random.default_rng(5))
-    b = ts_perturb(cs, np.random.default_rng(5))
+    cs = ConfidenceSet(center=np.zeros((1, 3)), radius=1.0, gram=np.eye(3)[None] * 2)
+    a = ts_perturb(cs, [np.random.default_rng(5)])
+    b = ts_perturb(cs, [np.random.default_rng(5)])
     assert np.array_equal(a, b)
 
 
 def test_ts_covariance_monte_carlo():
-    cs = ConfidenceSet(center=np.zeros(2), radius=1.0, gram=4.0 * np.eye(2))
+    cs = ConfidenceSet(center=np.zeros((1, 2)), radius=1.0, gram=4.0 * np.eye(2)[None])
     rng = np.random.default_rng(6)
-    draws = np.stack([ts_perturb(cs, rng) for _ in range(100_000)])
+    draws = np.concatenate([ts_perturb(cs, [rng]) for _ in range(100_000)])
     cov = np.cov(draws.T)
     assert np.abs(cov - 0.25 * np.eye(2)).max() < 0.05 * 0.25
 
@@ -454,7 +460,7 @@ def test_restricted_statistics_match_projected_replay(d, zero_x0, seed, n_warmup
     x0 *= rng.uniform(0.1, 1.0) / max(np.linalg.norm(x0), 1e-300)
     geo = SafeGeometry(x0=x0, c0=0.0 if zero_x0 else float(rng.uniform(-0.3, 0.3)), c=0.5)
     # n agents that all play and receive the same: row 0 is the agent checked
-    agent = SafeDlucbAgent(np.arange(n), d, lam, s_rounds=n_warmup, geo=geo,
+    agent = SafeDlucbAgent(np.arange(n), d, lam, s_rounds=n_warmup,
                            keep_warmup_data=keep_warmup)
     unit = geo.x0_unit
     projector = np.eye(d) - np.outer(unit, unit)
@@ -518,12 +524,10 @@ def test_batched_selection_matches_per_agent_oracle(n, d, k, zero_x0, seed):
     streams = rng.integers(0, 2**32, n)
 
     cs = ConfidenceSet.from_stats(grams, moments, beta)
-    finite_idx, finite_value = ucb_select_finite(arms, cs, scale=1.3)
     # the center and the arms solved in one potrs call per agent
     merged = ConfidenceSet.from_stats(grams, moments, beta, arms=arms)
     assert np.array_equal(merged.center, cs.center)
-    merged_idx, merged_value = ucb_select_finite(arms, merged, scale=1.3)
-    assert np.array_equal(merged_idx, finite_idx) and np.array_equal(merged_value, finite_value)
+    finite_idx, finite_value = ucb_select_finite(arms, merged, scale=1.3)
     box_x, box_value = ucb_select_box(cs, scale=math.sqrt(d))
     tilde = ts_perturb(cs, [np.random.default_rng(s) for s in streams])
     certified = safe_filter(arms, grams, safety, beta, geo)
@@ -559,8 +563,6 @@ def test_one_bad_agent_fails_the_whole_stack(bad):
     with pytest.raises(ValueError):
         inv_sqrt_psd(grams)
     cs = ConfidenceSet(center=np.zeros((n, d)), radius=1.0, gram=grams)
-    with pytest.raises(ValueError):
-        ucb_select_finite(arms, cs)
     with pytest.raises(ValueError):
         ts_perturb(cs, [np.random.default_rng(i) for i in range(n)])
     with pytest.raises(ValueError):

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,12 +162,16 @@ def test_bad_safe_config_exits_2(tmp_path, capsys, change, message):
         "N", "d", "T", "sigma", "lambda", "delta", "epsilon", "realizations", "seed",
         "num_arms", "arm_seed", "c_min", "p")),
     # fractional ints are not truncated, non-finite floats do not pass
-    pytest.param("N", 3.7, "an integer", id="N-fractional"),
-    pytest.param("T", 10.5, "an integer", id="T-fractional"),
+    pytest.param("N", 3.7, "a signed 64-bit integer", id="N-fractional"),
+    pytest.param("T", 10.5, "a signed 64-bit integer", id="T-fractional"),
     pytest.param("sigma", math.nan, "finite", id="sigma-nan"),
     pytest.param("sigma", math.inf, "finite", id="sigma-inf"),
     pytest.param("lambda", math.nan, "finite", id="lambda-nan"),
     pytest.param("sigma", 10**400, "finite", id="sigma-huge-int"),  # no float holds it
+    # integers past int64 are not sizes or seeds numpy can take
+    *(pytest.param(key, 1e300, "a signed 64-bit integer", id=f"{key}-1e300") for key in (
+        "N", "T", "realizations", "num_arms")),
+    pytest.param("seed", 2**63, "a signed 64-bit integer", id="seed-2**63"),
 ])
 def test_non_numeric_scalar_is_config_error(tmp_path, capsys, key, value, message):
     config = {**SAFE, "decision_set": dict(SAFE["decision_set"]), "safe": {}}
@@ -269,8 +275,8 @@ def test_sweep_axis_values(tmp_path):
     assert code == 0
     lines = (out / "sweep.csv").read_text().splitlines()
     assert len(lines) == 3
-    assert (out / "T=4" / "trace.csv").exists()
-    assert (out / "T=8" / "summary.json").exists()
+    assert (out / "0_T=4" / "trace.csv").exists()
+    assert (out / "1_T=8" / "summary.json").exists()
 
 
 def test_sweep_rejects_empty_values(tmp_path):
@@ -324,10 +330,10 @@ def test_topology_sweep_merges_into_the_base_section(tmp_path):
     echoed = {point.name: json.loads((point / "summary.json").read_text())["config"]["topology"]
               for point in out.iterdir() if point.is_dir()}
     assert echoed == {
-        "topology=ring": {"kind": "ring", "p": 0.5, "edge_file": None},
-        "topology=erdos_renyi": {"kind": "erdos_renyi", "p": 0.5, "edge_file": None},
-        'topology={"kind":"erdos_renyi"}': {"kind": "erdos_renyi", "p": 0.5, "edge_file": None},
-        'topology={"p":1}': {"kind": "ring", "p": 1.0, "edge_file": None},
+        "0_topology=ring": {"kind": "ring", "p": 0.5, "edge_file": None},
+        "1_topology=erdos_renyi": {"kind": "erdos_renyi", "p": 0.5, "edge_file": None},
+        "2_topology=kind_erdos_renyi": {"kind": "erdos_renyi", "p": 0.5, "edge_file": None},
+        "3_topology=p_1": {"kind": "ring", "p": 1.0, "edge_file": None},
     }
 
 
@@ -361,8 +367,64 @@ def test_sweep_values_keep_json_values_whole(tmp_path):
     rows = list(csv.reader(text.splitlines()))
     assert [row[1] for row in rows[1:]] == [er, "path"]
     assert all(len(row) == len(rows[0]) for row in rows)
-    summary = json.loads((out / f"topology={er}" / "summary.json").read_text())
+    summary = json.loads((out / "0_topology=kind_erdos_renyi_p_0.9" / "summary.json").read_text())
     assert summary["config"]["topology"] == {"kind": "erdos_renyi", "p": 0.9, "edge_file": None}
+
+
+@pytest.mark.parametrize("value", ["g/sq.txt", "../sq.txt"])
+def test_sweep_point_directories_stay_inside_out(tmp_path, monkeypatch, value):
+    # the value text names the point directory only after its index, sanitized
+    work = tmp_path / "work"
+    (work / "g").mkdir(parents=True)
+    for edges in (work / "g" / "sq.txt", tmp_path / "sq.txt"):
+        edges.write_text("0 1\n1 2\n2 3\n3 0\n")
+    monkeypatch.chdir(work)
+    Path("config.json").write_text(json.dumps({"topology": "ring", "N": 4, "d": 2, "T": 4,
+                                               "algorithm": "no_comm", "realizations": 1}))
+    point = json.dumps({"kind": "explicit", "edge_file": value}, separators=(",", ":"))
+    assert main(["sweep", "--config", "config.json", "--axis", "topology",
+                 "--values", f"{point},ring", "--out", "out", "--workers", "1"]) == 0
+    clean = "kind_explicit_edge_file_" + value.replace("/", "_")
+    assert sorted(p.name for p in Path("out").iterdir()) == [
+        f"0_topology={clean}", "1_topology=ring", "sweep.csv"]
+    summary = json.loads((Path("out") / f"0_topology={clean}" / "summary.json").read_text())
+    assert summary["config"]["topology"]["edge_file"] == value
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sq.txt", "work"]
+    assert sorted(p.name for p in work.iterdir()) == ["config.json", "g", "out"]
+
+
+# one-key changes of small valid configs, one per algorithm family
+FUZZ_BASES = (
+    {"topology": {"kind": "ring"}, "N": 4, "d": 2, "T": 5, "algorithm": "dlucb"},
+    {"topology": {"kind": "erdos_renyi", "p": 0.9}, "N": 3, "d": 1, "T": 4,
+     "algorithm": "rc_dlucb", "decision_set": {"variant": "finite", "num_arms": 3}},
+    {"topology": {"kind": "path"}, "N": 4, "d": 2, "T": 5, "algorithm": "safe_dlucb",
+     "decision_set": {"variant": "finite", "num_arms": 4},
+     "safe": {"c_min": 0.3, "x0": [0.1, 0.0]}},
+    {"topology": {"kind": "explicit", "edge_file": "square.txt"}, "N": 4, "d": 2, "T": 5,
+     "algorithm": "dlts"},
+)
+ODD_VALUES = (0, -1, 1e-300, 1e300, math.nan, math.inf, -math.inf, True, "x", [], {})
+
+
+@settings(max_examples=300, deadline=None)
+@given(base=st.sampled_from(FUZZ_BASES), key=st.sampled_from(KEYS),
+       value=st.sampled_from(ODD_VALUES))
+def test_odd_config_values_exit_0_or_2(base, key, value):
+    """No value of any key makes ``run`` fail at run time (exit 3)."""
+    raw = json.loads(json.dumps({**base, "realizations": 1}))
+    section = as_mapping(raw.get(key.section), key.section) if key.section else raw
+    section[key.leaf] = value
+    if key.section:
+        raw[key.section] = section
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "square.txt").write_text("0 1\n1 2\n2 3\n3 0\n")
+        if raw["topology"].get("edge_file") == "square.txt":
+            raw["topology"]["edge_file"] = str(Path(tmp) / "square.txt")
+        (Path(tmp) / "config.json").write_text(json.dumps(raw))
+        code = main(["run", "--config", str(Path(tmp) / "config.json"),
+                     "--out", str(Path(tmp) / "out"), "--workers", "1"])
+    assert code in (0, 2), raw
 
 
 @pytest.mark.parametrize("command, config, flags", [
@@ -647,7 +709,7 @@ def raw_configs(draw):
         "sigma": draw(st.floats(0.0, 10.0)), "lambda": draw(st.floats(1.0, 100.0)),
         "delta": draw(st.floats(0.001, 0.999)),
         "epsilon": draw(st.none() | st.floats(0.001, 0.999)),
-        "realizations": draw(st.integers(1, 50)), "seed": draw(st.integers(0, 2**63)),
+        "realizations": draw(st.integers(1, 50)), "seed": draw(st.integers(0, 2**63 - 1)),
         "keep_warmup_data": draw(st.booleans()),
         "comm_scheme": draw(st.sampled_from(COMM_SCHEMES)),
         "resample_graph": draw(st.sampled_from([None, True, False])),

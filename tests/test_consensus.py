@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from gossipbandits import consensus
 from gossipbandits.agents import SafeDlucbAgent
-from gossipbandits.bandit import SafeGeometry
 from gossipbandits.consensus import (
     MixingPlan,
     advance_queues,
@@ -135,9 +134,7 @@ def gossip_graphs(draw):
         topo = GraphTopology(_tree_plus_edges(draw(st.integers(1, 40)),
                                               draw(st.floats(0.0, 1.0)), rng))
     elif kind == "explicit":
-        a = _tree_plus_edges(draw(st.integers(2, 40)), 0.2, rng)
-        edges = list(zip(*np.nonzero(np.triu(a))))
-        topo = build_topology("explicit", len(a), edges=edges)
+        topo = GraphTopology(_tree_plus_edges(draw(st.integers(2, 40)), 0.2, rng))
     else:
         topo = build_topology(kind, draw(st.integers(3, 40)), p=0.3, rng=rng)
     return CommMatrix(topo)
@@ -220,8 +217,8 @@ def test_window_neighborhoods_match_the_oracle():
     One-entry payloads make numpy call ddot, whose strided kernel (k >= 4)
     sums in another order than on a gathered copy, and payload rows with
     strided entries take numpy's non-BLAS loop through a view."""
-    edges = [(i, i + s) for s in (1, 2) for i in range(13 - s)]
-    comm = CommMatrix(build_topology("explicit", 13, edges=edges))
+    distance = np.abs(np.subtract.outer(np.arange(13), np.arange(13)))
+    comm = CommMatrix(GraphTopology(((distance >= 1) & (distance <= 2)).astype(float)))
     assert [block.holders.tolist() for block in comm.blocks if block.window] == [
         list(range(2, 11))]
     plan = MixingPlan.for_network(comm, 0.05)
@@ -371,8 +368,7 @@ def test_safety_channel_contract():
     # slot rows are (a_ik / N) * (x_k, y_k, z_k): reward and safety feed the
     # reward moment and the safety moment with the same N^2-scaled weights,
     # over the same (unprojected) actions
-    geo = SafeGeometry(x0=np.array([0.6, 0.0]), c0=0.1, c=0.5)
-    agent = SafeDlucbAgent(np.arange(3), d=2, lam=1.0, s_rounds=1, geo=geo)
+    agent = SafeDlucbAgent(np.arange(3), d=2, lam=1.0, s_rounds=1)
     slot = np.random.default_rng(5).standard_normal((3, 4))
     # every holder receives the same slot, so each row of the stacked state is checked
     agent.begin_round(2, np.stack([slot] * 3))

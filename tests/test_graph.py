@@ -79,6 +79,25 @@ def test_edge_list_roundtrip(tmp_path):
         load_edge_list(str(bad))
 
 
+def test_explicit_topologies_come_from_edge_files(tmp_path):
+    with pytest.raises(ValueError, match="load_edge_list"):
+        build_topology("explicit", 4)
+    # an edge given twice, in either direction, is one edge
+    path = tmp_path / "square.txt"
+    path.write_text("0 1\n1 0\n1 2\n2 3\n3 0\n0 1\n")
+    topo = load_edge_list(str(path), 4)
+    assert topo.kind == "explicit"
+    assert np.array_equal(topo.adjacency, build_topology("ring", 4).adjacency)
+    for text, message in [("0 1\n2 3\n", f"edge file {path}: graph is not connected"),
+                          ("0 1\n1 1\n", f"{path}:2: invalid edge (1, 1): labels must be "
+                                          "nonnegative and distinct"),
+                          ("0 1\n1 5\n", f"edge file {path} spans 6 nodes, but N = 4")]:
+        path.write_text(text)
+        with pytest.raises(ConfigError) as caught:
+            load_edge_list(str(path), 4)
+        assert str(caught.value) == message
+
+
 def test_ring4_comm_matrix_exact():
     comm = build_comm_matrix(build_topology("ring", 4))
     expected = np.full((4, 4), 1 / 3.0) - np.eye(4) / 3.0
