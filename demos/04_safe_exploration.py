@@ -29,7 +29,7 @@ print(f"constraint violations: {violations} ({violations / pairs:.3%})")
 print(f"final network regret (safe): {agg['regret_mean'][-1]:.1f}")
 
 # the certified arm set grows over one realization
-arms = gb.sim.build_decision_set(config).arms
+arms = gb.sim.build_decision_set(config)
 _, geo = gb.sim.build_environment(config, master_seed=0, realization=0)
 sizes = []
 

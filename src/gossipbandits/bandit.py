@@ -133,30 +133,6 @@ class ConfidenceSet:
                    arm_solves=None if arms is None else arm_solves)
 
 
-@dataclass
-class DecisionSet:
-    """Either the box [-1, 1]^d or a finite list of arms inside the unit ball."""
-
-    variant: str
-    d: int
-    arms: np.ndarray | None = None
-
-    @classmethod
-    def box(cls, d):
-        return cls(variant="box", d=d)
-
-    @classmethod
-    def finite(cls, arms):
-        arms = np.atleast_2d(np.asarray(arms, dtype=float))
-        if arms.shape[0] == 0:
-            raise ValueError("finite decision set must be nonempty")
-        norms = np.linalg.norm(arms, axis=1)
-        top = norms.max()
-        if top > 1.0 + 1e-9:
-            arms = arms / top
-        return cls(variant="finite", d=arms.shape[1], arms=arms)
-
-
 def ucb_select_finite(arms, cs, scale=1.0, certified=None):
     """Optimistic argmax over a finite arm list, ties broken by lowest index.
 

@@ -79,10 +79,7 @@ class ExperimentConfig:
     def safe_x0_vector(self):
         if self.safe is None or self.safe.x0 == "zero":
             return np.zeros(self.d)
-        x0 = np.asarray(self.safe.x0, dtype=float)
-        if x0.shape != (self.d,):
-            raise ConfigError(f"safe.x0 must have {self.d} entries")
-        return x0
+        return np.asarray(self.safe.x0, dtype=float)
 
 
 class Key(NamedTuple):
@@ -245,7 +242,7 @@ def _check_domains(config):
         vector = [_typed("safe.x0", v, float) for v in safe.x0]
         if len(vector) != config.d:
             raise ConfigError(f"safe.x0 must have {config.d} entries, got {len(vector)}")
-        # a longer safe action would be rescaled with the arms, off the arm list
+        # the safe action is played, and finite plays lie in the unit ball
         if not np.linalg.norm(vector) <= 1.0 + 1e-9:
             raise ConfigError("safe.x0 must have norm at most 1")
 

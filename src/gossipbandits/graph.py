@@ -15,19 +15,13 @@ SYMMETRY_TOL = 1e-12
 
 
 def _is_connected(adjacency):
-    """Breadth-first reachability from node 0."""
-    n = adjacency.shape[0]
-    seen = np.zeros(n, dtype=bool)
+    """Breadth-first reachability from node 0, one frontier of nodes at a time."""
+    seen = np.zeros(adjacency.shape[0], dtype=bool)
     seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.flatnonzero(adjacency[u]):
-                if not seen[v]:
-                    seen[v] = True
-                    nxt.append(v)
-        frontier = nxt
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adjacency[frontier].any(axis=0) & ~seen
+        seen |= frontier
     return bool(seen.all())
 
 
@@ -64,9 +58,6 @@ class GraphTopology:
     def max_degree(self):
         return float(self.degrees.max())
 
-    def neighbors(self, i):
-        return np.flatnonzero(self.adjacency[i])
-
 
 def build_topology(kind, n, p=None, rng=None, max_retries=200):
     """Construct a connected topology of the requested kind; an explicit
@@ -85,13 +76,10 @@ def build_topology(kind, n, p=None, rng=None, max_retries=200):
     if kind == "ring":
         if n < 3:
             raise ValueError("ring needs at least 3 nodes")
-        a = np.zeros((n, n))
-        for i in range(n):
-            a[i, (i + 1) % n] = a[(i + 1) % n, i] = 1
+        a = np.roll(np.eye(n), 1, axis=1)
+        a = a + a.T
     elif kind == "path":
-        a = np.zeros((n, n))
-        for i in range(n - 1):
-            a[i, i + 1] = a[i + 1, i] = 1
+        a = np.eye(n, k=1) + np.eye(n, k=-1)
     elif kind == "star":
         a = np.zeros((n, n))
         a[0, 1:] = a[1:, 0] = 1
@@ -105,8 +93,7 @@ def build_topology(kind, n, p=None, rng=None, max_retries=200):
         iu = np.triu_indices(n, k=1)
         for _ in range(max_retries):
             a = np.zeros((n, n))
-            draw = (rng.random(len(iu[0])) < p).astype(float)
-            a[iu] = draw
+            a[iu] = rng.random(len(iu[0])) < p
             a = a + a.T
             if _is_connected(a):
                 break
@@ -124,8 +111,9 @@ def load_edge_list(path, n=None):
     Nodes are 0..max label. When ``n`` is given the list must span exactly n
     nodes. A malformed line, a label that is not a nonnegative integer, a
     self-loop, an empty list, a node-count mismatch and a disconnected graph
-    are configuration errors naming the file (and the line, where there is
-    one), and so is a file that cannot be read as UTF-8 text.
+    (a label in no edge among them) are configuration errors naming the
+    file (and the line, where there is one), and so is a file that cannot be
+    read as UTF-8 text.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -156,6 +144,12 @@ def load_edge_list(path, n=None):
     inferred = max(max(u, v) for u, v in edges) + 1
     if n is not None and n != inferred:
         raise ConfigError(f"edge file {path} spans {inferred} nodes, but N = {n}")
+    labels = np.unique(edges)
+    if labels.size < inferred:
+        # rejected before the adjacency is allocated: a huge label would not fit
+        missing = np.flatnonzero(labels != np.arange(labels.size))[0]
+        raise ConfigError(f"edge file {path}: node {missing} is in no edge, "
+                          "so the graph is not connected")
     a = np.zeros((inferred, inferred))
     rows, cols = np.array(edges).T
     a[rows, cols] = a[cols, rows] = 1
@@ -276,9 +270,7 @@ class CommMatrix:
         self.lambda2_abs = 0.0 if lam2 < 1e-12 else lam2
         # per-node closed neighborhoods, used by the gossip step to keep reads
         # local, and the holder blocks it mixes them in
-        self.neighborhoods = [
-            np.sort(np.append(topology.neighbors(i), i)) for i in range(self.n)
-        ]
+        self.neighborhoods = [np.flatnonzero(row) for row in topology.adjacency + np.eye(self.n)]
         self.blocks = _holder_blocks(self.entries, self.neighborhoods)
 
 

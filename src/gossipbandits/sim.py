@@ -16,7 +16,6 @@ import numpy as np
 from .agents import GOSSIP_ALGORITHMS, DlucbAgent, RcDlucbAgent, SafeDlucbAgent
 from .bandit import (
     ConfidenceSet,
-    DecisionSet,
     SafeGeometry,
     beta_radius,
     greedy_box,
@@ -95,15 +94,14 @@ def feedback(env, actions, t):
     return y, (actions[:, None, :] @ env.mu_star[:, None])[:, 0, 0] + env.noise_z[:, t - 1]
 
 
-def optimal_value(env, decision_set, safe=False):
-    """Best achievable expected reward (over the safe subset when requested)."""
+def optimal_value(env, arms, safe=False):
+    """Best achievable expected reward over the (K, d) finite ``arms``, or
+    over the box when ``arms`` is None (over the safe subset when requested)."""
     theta = env.theta_star
-    if decision_set.variant == "box":
+    if arms is None:
         if safe:
             raise ValueError("safe optimum needs a finite decision set")
-        x_star = greedy_box(theta)
-        return x_star, float(np.abs(theta).sum())
-    arms = decision_set.arms
+        return greedy_box(theta), float(np.abs(theta).sum())
     if safe:
         mask = arms @ env.mu_star <= env.c
         if not mask.any():
@@ -174,7 +172,7 @@ def build_network(config, master_seed, realization):
 
 
 def build_decision_set(config):
-    """Resolve the decision set; finite arms are fixed by their own seed.
+    """The (K, d) finite arms, fixed by their own seed, or None for the box.
 
     In safe mode the sampled arms carry evenly laddered norms (so that some
     action is certifiable from the ridge prior alone) and the known safe
@@ -182,23 +180,17 @@ def build_decision_set(config):
     """
     spec = config.decision_set
     if spec.variant == "box":
-        return DecisionSet.box(config.d)
+        return None
     rng = np.random.default_rng(spec.arm_seed)
     if config.algorithm == "safe_dlucb":
-        x0 = config.safe_x0_vector()
         k = spec.num_arms - 1
-        if k < 1:
-            raise ValueError("safe mode needs at least one arm besides the safe action")
         dirs = rng.standard_normal((k, config.d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         radii = np.arange(1, k + 1) / k
-        dset = DecisionSet.finite(np.vstack([dirs * radii[:, None], x0]))
-        if not np.all(np.isclose(dset.arms, x0), axis=1).any():
-            raise ValueError("safe mode requires the safe action to be an arm")
-        return dset
+        return np.vstack([dirs * radii[:, None], config.safe_x0_vector()])
     arms = rng.standard_normal((spec.num_arms, config.d))
     arms /= np.linalg.norm(arms, axis=1, keepdims=True)
-    return DecisionSet.finite(arms)
+    return arms
 
 
 def build_environment(config, master_seed, realization):
@@ -242,7 +234,7 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
     if master_seed is None:
         master_seed = config.master_seed
     topology, comm, plan = build_network(config, master_seed, realization)
-    dset = build_decision_set(config)
+    arms = build_decision_set(config)
 
     safe = config.algorithm == "safe_dlucb"
     env, geo = build_environment(config, master_seed, realization)
@@ -254,7 +246,7 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
     rngs = None
     if config.algorithm == "dlts":
         rngs = [_stream(master_seed, realization, _ALGO, i) for i in range(n)]
-    _, v_star = optimal_value(env, dset, safe=safe)
+    _, v_star = optimal_value(env, arms, safe=safe)
     # own-data rows: action, reward, then the safe agent's shifted feedback
     width = d + 1 + (1 if safe else 0)
     queue = None
@@ -275,7 +267,7 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
             agents.begin_round(t, released)
         # the shared centralized learner selects once, for every agent
         actions = np.empty((n, d))
-        actions[:] = _select(agents, beta, dset, geo, rngs)
+        actions[:] = _select(agents, beta, arms, geo, rngs)
         own = np.empty((n, width))
         own[:, :d] = actions
         own[:, d], z = feedback(env, actions, t)
@@ -330,29 +322,29 @@ def _probe_info(actions, agents):
     return info
 
 
-def _select(agents, beta, dset, geo, rngs):
+def _select(agents, beta, arms, geo, rngs):
     """Every learner's play at confidence radius ``beta``, as one (L, d) array.
 
     All learners are selected for in one batched step from the stacked
     statistics. With ``geo``: the UCB arm among those the safe filter
     certifies, else the safe action. With ``rngs`` (one stream per learner):
-    Thompson sampling. Otherwise UCB over the box or the finite arm list.
+    Thompson sampling. Otherwise UCB over the finite ``arms`` (K, d), or over
+    the box when ``arms`` is None.
     """
-    cs = ConfidenceSet.from_stats(agents.gram, agents.moment, beta, dset.arms)
+    cs = ConfidenceSet.from_stats(agents.gram, agents.moment, beta, arms)
     if geo is not None:
-        certified = safe_filter(dset.arms, cs.gram, agents.safety, beta, geo)
-        j, _ = ucb_select_finite(dset.arms, cs, scale=geo.kappa_r, certified=certified)
-        return np.where(certified.any(axis=-1)[:, None], dset.arms[j], geo.x0)
-    box = dset.variant == "box"
+        certified = safe_filter(arms, cs.gram, agents.safety, beta, geo)
+        j, _ = ucb_select_finite(arms, cs, scale=geo.kappa_r, certified=certified)
+        return np.where(certified.any(axis=-1)[:, None], arms[j], geo.x0)
     if rngs is not None:
         tilde = ts_perturb(cs, rngs)
-        if box:
+        if arms is None:
             return greedy_box(tilde)
-        return dset.arms[np.argmax((dset.arms @ tilde[..., None])[..., 0], axis=-1)]
-    if box:
+        return arms[np.argmax((arms @ tilde[..., None])[..., 0], axis=-1)]
+    if arms is None:
         # the l1-ball confidence set of a box: sqrt(d) times the ridge radius
-        return ucb_select_box(cs, scale=math.sqrt(dset.d))[0]
-    return dset.arms[ucb_select_finite(dset.arms, cs)[0]]
+        return ucb_select_box(cs, scale=math.sqrt(cs.center.shape[-1]))[0]
+    return arms[ucb_select_finite(arms, cs)[0]]
 
 
 def _rc_phase(t, phase, agents, actions, env, v_star, comm, plan, trace, probe):

@@ -377,7 +377,7 @@ def test_safe_agent_plays_filtered_or_safe_action():
         "decision_set": {"variant": "finite", "num_arms": 6},
         "safe": {"c_min": 0.3}, "realizations": 1,
     })
-    dset = build_decision_set(config)
+    arms = build_decision_set(config)
     _, geo = build_environment(config, master_seed=6, realization=0)
     violations = []
 
@@ -385,8 +385,8 @@ def test_safe_agent_plays_filtered_or_safe_action():
         beta = beta_radius(t, config.d, config.n_agents, config.lam, config.delta,
                            config.sigma, config.epsilon)
         for i in range(config.n_agents):
-            keep = safe_filter(dset.arms, info["grams"][i], info["safety"][i], beta, geo)
-            allowed = [tuple(arm) for arm in dset.arms[keep]] + [tuple(geo.x0)]
+            keep = safe_filter(arms, info["grams"][i], info["safety"][i], beta, geo)
+            allowed = [tuple(arm) for arm in arms[keep]] + [tuple(geo.x0)]
             if tuple(info["actions"][i]) not in allowed:
                 violations.append((t, i))
 
@@ -400,7 +400,7 @@ def test_safe_agent_keeps_safe_action_in_arm_set():
         "decision_set": {"variant": "finite", "num_arms": 6},
         "safe": {"c_min": 0.3}, "realizations": 1,
     })
-    arms = build_decision_set(config).arms
+    arms = build_decision_set(config)
     assert np.any(np.all(arms == 0.0, axis=1))
     # laddered norms so at least one arm is certifiable from the prior
     norms = np.sort(np.linalg.norm(arms, axis=1))

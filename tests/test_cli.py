@@ -569,6 +569,16 @@ def test_edge_file_node_count_mismatch_exits_2(tmp_path, capsys):
     assert main(["graph-info", "--topology", "explicit", "--edge-file", str(edges)]) == 0
 
 
+def test_huge_edge_label_exits_2(tmp_path, capsys):
+    """A label far past the others leaves the labels between them in no edge:
+    the graph is rejected before its adjacency is allocated."""
+    edges = tmp_path / "huge.txt"
+    edges.write_text("0 1\n1 99999999999999\n")
+    assert main(["graph-info", "--topology", "explicit", "--edge-file", str(edges)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and f"edge file {edges}: node 2 is in no edge" in err
+
+
 A_DIRECTORY = object()
 
 

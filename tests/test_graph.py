@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipbandits.config import ConfigError
 from gossipbandits.graph import (
@@ -26,10 +28,36 @@ def graph_family():
 
 
 def test_ring_adjacency_is_cycle():
-    topo = build_topology("ring", 4)
-    assert np.array_equal(topo.degrees, np.full(4, 2.0))
-    for i in range(4):
-        assert set(topo.neighbors(i)) == {(i + 1) % 4, (i - 1) % 4}
+    for n in (3, 4, 9):
+        topo = build_topology("ring", n)
+        assert np.array_equal(topo.degrees, np.full(n, 2.0))
+        for i in range(n):
+            assert set(np.flatnonzero(topo.adjacency[i])) == {(i + 1) % n, (i - 1) % n}
+
+
+def test_path_adjacency_is_a_line():
+    for n in (3, 4, 9):
+        topo = build_topology("path", n)
+        for i in range(n):
+            assert set(np.flatnonzero(topo.adjacency[i])) == {i - 1, i + 1} & set(range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 12), p=st.floats(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_connectivity_rule_matches_bfs_oracle(n, p, seed):
+    """GraphTopology accepts exactly the symmetric 0/1 adjacencies that the
+    BFS oracle calls connected; small p draws disconnected ones."""
+    adjacency = np.zeros((n, n))
+    iu = np.triu_indices(n, k=1)
+    adjacency[iu] = np.random.default_rng(seed).random(len(iu[0])) < p
+    adjacency += adjacency.T
+    try:
+        GraphTopology(adjacency)
+        accepted = True
+    except ValueError as exc:
+        assert str(exc) == "graph is not connected"
+        accepted = False
+    assert accepted == bfs_connected(adjacency)
 
 
 def test_star_degrees():
@@ -91,7 +119,9 @@ def test_explicit_topologies_come_from_edge_files(tmp_path):
     for text, message in [("0 1\n2 3\n", f"edge file {path}: graph is not connected"),
                           ("0 1\n1 1\n", f"{path}:2: invalid edge (1, 1): labels must be "
                                           "nonnegative and distinct"),
-                          ("0 1\n1 5\n", f"edge file {path} spans 6 nodes, but N = 4")]:
+                          ("0 1\n1 5\n", f"edge file {path} spans 6 nodes, but N = 4"),
+                          ("0 1\n1 3\n3 0\n", f"edge file {path}: node 2 is in no edge, "
+                                              "so the graph is not connected")]:
         path.write_text(text)
         with pytest.raises(ConfigError) as caught:
             load_edge_list(str(path), 4)

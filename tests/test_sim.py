@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gossipbandits import bandit, consensus, sim
 from gossipbandits.agents import ALGORITHMS
-from gossipbandits.bandit import ConfidenceSet, DecisionSet
+from gossipbandits.bandit import ConfidenceSet
 from gossipbandits.config import parse_config
 from gossipbandits.consensus import MixingPlan
 from gossipbandits.graph import GraphTopology, build_comm_matrix
@@ -80,7 +80,7 @@ def test_feedback_rejects_oversized_action():
 
 def test_optimal_value_box_sign_rule():
     env = Environment(theta_star=np.array([0.6, -0.8]))
-    x_star, value = optimal_value(env, DecisionSet.box(2))
+    x_star, value = optimal_value(env, None)
     assert np.array_equal(x_star, [1.0, -1.0])
     assert abs(value - 1.4) < 1e-12
 
@@ -90,7 +90,7 @@ def test_optimal_value_finite_matches_enumeration():
     arms = rng.standard_normal((3, 4))
     arms /= np.linalg.norm(arms, axis=1, keepdims=True)
     env = Environment(theta_star=arms[1])
-    _, value = optimal_value(env, DecisionSet.finite(arms))
+    _, value = optimal_value(env, arms)
     assert abs(value - (arms @ arms[1]).max()) < 1e-12
 
 
@@ -101,9 +101,8 @@ def test_safe_optimum_never_beats_unconstrained():
         arms /= np.linalg.norm(arms, axis=1, keepdims=True)
         arms = np.vstack([arms, np.zeros(3)])
         env = sample_environment(3, True, rng)
-        dset = DecisionSet.finite(arms)
-        _, free = optimal_value(env, dset)
-        _, safe = optimal_value(env, dset, safe=True)
+        _, free = optimal_value(env, arms)
+        _, safe = optimal_value(env, arms, safe=True)
         assert safe <= free + 1e-12
 
 
