@@ -5,8 +5,6 @@ cumulative network regret: full centralization is the unreachable lower curve,
 learning without communication the upper one.
 """
 
-import numpy as np
-
 import gossipbandits as gb
 from gossipbandits.config import parse_config
 

@@ -8,8 +8,6 @@ certified set as constraint information accumulates. Violations never happen
 constraint-blind algorithm.
 """
 
-import numpy as np
-
 import gossipbandits as gb
 from gossipbandits.config import parse_config
 

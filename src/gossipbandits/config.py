@@ -212,6 +212,11 @@ def _check_domains(config):
         raise ConfigError("delta must lie in (0, 1)")
     if not 0 < config.epsilon < 1:
         raise ConfigError("epsilon must lie in (0, 1)")
+    # bytes of the (N, N) gossip matrix, (N, T, 2) noise, (N, d, d) Grams, (N, d, K) arm solves
+    n, k = config.n_agents, (dset.num_arms or 0) if dset.variant == "finite" else 0
+    if 8 * n * max(n, 2 * config.horizon, config.d * max(config.d, k)) > np.iinfo(np.intp).max:
+        raise ConfigError(f"N = {n}, d = {config.d}, T = {config.horizon} and num_arms = {k} "
+                          "need arrays larger than numpy can index")
     beta = beta_radius(max(config.horizon, 1), config.d, config.n_agents, config.lam,
                        config.delta, config.sigma, config.epsilon)
     if not math.isfinite(beta):

@@ -144,13 +144,6 @@ class Trace:
         return int(self.phases_started[-1]) if self.horizon else 0
 
 
-def _record(trace, t, actions, env, v_star):
-    """Book the regret and safety violations of round t's (N, d) plays."""
-    trace.inst_regret[t - 1] = (v_star - actions @ env.theta_star).sum()
-    if env.mu_star is not None:
-        trace.violations[t - 1] = int((actions @ env.mu_star - env.c > VIOLATION_TOL).sum())
-
-
 def build_graph(config, master_seed, realization):
     """The topology of one realization."""
     spec = config.topology
@@ -221,7 +214,10 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
     differ only in their agents (see ``_agents``) and in what they share:
     gossip algorithms start a pipeline generation each round, ``rc_dlucb``
     runs a communication phase when its trigger fires, and the baselines
-    share nothing.
+    share nothing. A phase is up to S rounds of this loop in which every agent
+    replays its last action; after the S-th, each agent folds in its row of
+    q_S(P) = ``mixed_gain / N`` times the stacked unshared sums W and V, as S
+    rounds of accelerated gossip would, and a phase cut short mixes nothing.
 
     ``probe``, when given, is called as probe(t, info) in every round, after
     the plays are recorded and before any statistics update. ``info`` holds
@@ -249,45 +245,60 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
     _, v_star = optimal_value(env, arms, safe=safe)
     # own-data rows: action, reward, then the safe agent's shifted feedback
     width = d + 1 + (1 if safe else 0)
+    edges = int(topology.adjacency.sum())
     queue = None
     if config.algorithm in GOSSIP_ALGORITHMS:
         queue = new_pipeline(n, width, s_rounds)
         # the full protocol's messages, also for generations never absorbed
         in_flight = np.minimum(np.arange(1, horizon + 1), s_rounds)
-        trace.scalars[:] = int(topology.adjacency.sum()) * in_flight * n * width
+        trace.scalars[:] = edges * in_flight * n * width
     elif config.algorithm == "centralized":
         trace.scalars[:] = n * (n - 1) * (d + 1)
     released = None
 
-    t, phases = 1, 0
-    while t <= horizon:
-        beta = beta_radius(t, d, n, config.lam, config.delta, config.sigma,
-                           config.epsilon)
-        if queue is not None:
-            agents.begin_round(t, released)
-        # the shared centralized learner selects once, for every agent
-        actions = np.empty((n, d))
-        actions[:] = _select(agents, beta, arms, geo, rngs)
+    phases, phase_start, phase_end = 0, 0, 0
+    for t in range(1, horizon + 1):
+        replay = t <= phase_end  # an rc_dlucb phase round
+        if not replay:
+            beta = beta_radius(t, d, n, config.lam, config.delta, config.sigma,
+                               config.epsilon)
+            if queue is not None:
+                agents.begin_round(t, released)
+            # the shared centralized learner selects once, for every agent
+            actions = np.empty((n, d))
+            actions[:] = _select(agents, beta, arms, geo, rngs)
         own = np.empty((n, width))
         own[:, :d] = actions
         own[:, d], z = feedback(env, actions, t)
         if safe:
             own[:, d + 1] = geo.shifted_feedback(actions, z)
-        _record(trace, t, actions, env, v_star)
+        trace.inst_regret[t - 1] = (v_star - actions @ env.theta_star).sum()
+        if env.mu_star is not None:
+            trace.violations[t - 1] = int((actions @ env.mu_star - env.c > VIOLATION_TOL).sum())
         if probe is not None:
             probe(t, _probe_info(actions, agents))
-        agents.finish_round(t, actions, *own[:, d:].T)
-        played = 0
-        if queue is not None:
-            # a generation started after round T - S is never absorbed
-            released = advance_queues(queue, own if t <= horizon - s_rounds else None, comm, plan)
-        elif config.algorithm == "rc_dlucb":
-            if agents.trigger(t) and t < horizon:
+        if replay:
+            # the replays are not added to the unshared sums, which are still
+            # round phase_start's; a cut-short phase never mixes them
+            y_sums += own[:, d]
+            if t == phase_start + s_rounds:
+                q = mixed_gain(comm, plan) / n
+                agents.absorb_phase(np.tensordot(q, agents.w_new, axes=1), q @ agents.v_new,
+                                    actions, y_sums, s_rounds, t_end=t)
+        else:
+            agents.finish_round(t, actions, *own[:, d:].T)
+            if queue is not None:
+                # a generation started after round T - S is never absorbed
+                released = advance_queues(queue, own if t <= horizon - s_rounds else None,
+                                          comm, plan)
+            elif config.algorithm == "rc_dlucb" and agents.trigger(t) and t < horizon:
                 phases += 1
-                played = _rc_phase(t, phases, agents, actions, env, v_star, comm, plan,
-                                   trace, probe)
+                phase_start, phase_end = t, min(t + s_rounds, horizon)
+                y_sums = np.zeros(n)
+                # a cut-short phase still sends its messages
+                trace.phase_id[t:phase_end] = phases
+                trace.scalars[t:phase_end] = edges * d * (d + 1)
         trace.phases_started[t - 1] = phases
-        t += 1 + played
     np.cumsum(trace.inst_regret, out=trace.cum_regret)
     return trace
 
@@ -345,37 +356,6 @@ def _select(agents, beta, arms, geo, rngs):
         # the l1-ball confidence set of a box: sqrt(d) times the ridge radius
         return ucb_select_box(cs, scale=math.sqrt(cs.center.shape[-1]))[0]
     return arms[ucb_select_finite(arms, cs)[0]]
-
-
-def _rc_phase(t, phase, agents, actions, env, v_star, comm, plan, trace, probe):
-    """Communication phase ``phase`` of ``rc_dlucb``, triggered in round t.
-
-    For up to S rounds after t every agent replays its round-t action while
-    the network gossips the unshared sums W and V. S rounds of accelerated
-    gossip apply the mixing polynomial q_S(P) = ``mixed_gain / N``, so when
-    all S rounds fit in the horizon each agent folds in its row of q_S(P)
-    times the stacked sums; a cut-short phase mixes nothing. Returns the
-    number of rounds played.
-    """
-    n, d = actions.shape
-    s_rounds = plan.s_rounds
-    y_sums = np.zeros(n)
-    played = min(s_rounds, trace.horizon - t)
-    for rnd in range(t + 1, t + played + 1):
-        y_sums += feedback(env, actions, rnd)[0]
-        _record(trace, rnd, actions, env, v_star)
-        if probe is not None:
-            probe(rnd, _probe_info(actions, agents))
-    # a cut-short phase still sends its messages
-    trace.phase_id[t:t + played] = phase
-    trace.phases_started[t:t + played] = phase
-    trace.scalars[t:t + played] = int(comm.topology.adjacency.sum()) * d * (d + 1)
-    if played == s_rounds:
-        # the replays are not added to the unshared sums, which are still round t's
-        q = mixed_gain(comm, plan) / n
-        agents.absorb_phase(np.tensordot(q, agents.w_new, axes=1), q @ agents.v_new,
-                            actions, y_sums, s_rounds, t_end=t + s_rounds)
-    return played
 
 
 def _realization_job(args):

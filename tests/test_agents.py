@@ -8,7 +8,6 @@ from gossipbandits.bandit import (
     ConfidenceSet,
     SafeGeometry,
     beta_radius,
-    rc_comm_threshold,
     safe_filter,
     ts_perturb,
 )
@@ -19,7 +18,7 @@ from gossipbandits.consensus import (
     comm_step,
     new_pipeline,
 )
-from gossipbandits.graph import GraphTopology, build_comm_matrix, build_topology
+from gossipbandits.graph import GraphTopology, build_comm_matrix
 from gossipbandits.sim import build_decision_set, build_environment, run_realization
 
 from helpers import OracleDlucbAgent, OracleRcDlucbAgent, OracleSafeDlucbAgent

@@ -6,7 +6,6 @@ import re
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -523,6 +522,27 @@ def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
             err = capsys.readouterr().err
             assert "config error" in err and repr(out) in err
     assert taken.read_text() == "kept"
+
+
+@pytest.mark.parametrize("args", [
+    # the (N, N) gossip matrix, the (N, T, 2) noise draw, the (N, d, d) Gram
+    # stack and the (N, d, K) arm solves have more bytes than numpy can index
+    ["run", "--topology", "ring", "--n", "100000000000000000", "--d", "2", "--t", "5",
+     "--algorithm", "dlucb"],
+    ["graph-info", "--topology", "ring", "--n", "100000000000000000"],
+    ["run", "--topology", "complete", "--n", "2", "--d", "2", "--t", "1000000000000000000",
+     "--algorithm", "dlucb", "--realizations", "1"],
+    ["run", "--topology", "complete", "--n", "2", "--d", "100000000000000000", "--t", "5",
+     "--algorithm", "dlucb", "--realizations", "1"],
+    ["run", "--topology", "complete", "--n", "2", "--d", "2", "--arms", "1000000000000000000",
+     "--t", "5", "--algorithm", "dlucb", "--realizations", "1"],
+])
+def test_sizes_numpy_cannot_index_exit_2(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)  # where the default --out would be made
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "larger than numpy can index" in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_negative_workers_exits_2(tmp_path, capsys, monkeypatch):

@@ -1,14 +1,16 @@
+import tempfile
+from pathlib import Path
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipbandits import bandit, consensus, sim
-from gossipbandits.agents import ALGORITHMS
+from gossipbandits.agents import ALGORITHMS, RcDlucbAgent
 from gossipbandits.bandit import ConfidenceSet
 from gossipbandits.config import parse_config
-from gossipbandits.consensus import MixingPlan
-from gossipbandits.graph import GraphTopology, build_comm_matrix
 from gossipbandits.sim import (
     Environment,
     aggregate,
@@ -214,17 +216,6 @@ def test_cut_short_rc_phase_mixes_nothing(monkeypatch):
     assert np.array_equal(trace.scalars, np.where(trace.phase_id > 0, directed * 5 * 6, 0))
 
 
-class _UnsharedSums:
-    """The W and V of an rc phase; keeps what the phase hands back."""
-
-    def __init__(self, w_new, v_new):
-        self.w_new, self.v_new = w_new, v_new
-        self.absorbed = None
-
-    def absorb_phase(self, mixed_w, mixed_v, frozen, reward_sums, s_rounds, t_end):
-        self.absorbed = mixed_w, mixed_v
-
-
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 30), p=st.floats(0.0, 0.5), d=st.integers(1, 5),
        seed=st.integers(0, 2**32 - 1))
@@ -236,23 +227,38 @@ def test_rc_phase_exchange_matches_the_gossip_recursion(n, p, d, seed):
     a = np.triu((rng.random((n, n)) < p).astype(float), 1)
     for i in range(1, n):
         a[rng.integers(0, i), i] = 1.0
-    comm = build_comm_matrix(GraphTopology(a + a.T))
-    plan = MixingPlan.for_network(comm, 1.0 / (4 * d + 1))
-    s = plan.s_rounds
-    root = rng.standard_normal((n, d, d))
-    sums = _UnsharedSums(root @ np.swapaxes(root, 1, 2), rng.standard_normal((n, d)))
-    actions = rng.standard_normal((n, d))
-    actions /= np.linalg.norm(actions, axis=1, keepdims=True)
-    env = Environment(theta_star=actions[0], noise_y=np.zeros((n, s + 1)))
-    trace = sim.Trace(np.zeros(s + 1), np.zeros(s + 1),
-                      *(np.zeros(s + 1, dtype=np.int64) for _ in range(4)),
-                      s_rounds=s, lambda2_abs=comm.lambda2_abs, n_agents=n)
-    assert sim._rc_phase(1, 1, sums, actions, env, 1.0, comm, plan, trace, None) == s
-    for unshared, mixed in zip((sums.w_new, sums.v_new), sums.absorbed):
-        now = prev = unshared
-        for ell in range(1, s + 1):
-            now, prev = consensus.comm_step(now, prev, ell, comm, plan), now
-        assert np.abs(mixed - now).max() <= 1e-12 * np.abs(now).max()
+    phases = []  # (W, V, mixed W, mixed V) of every completed phase
+    absorb = RcDlucbAgent.absorb_phase
+
+    def trigger(agents, t):
+        # every agent holds its own random W and V when round 1 fires the phase
+        root = rng.standard_normal((n, d, d))
+        agents.w_new, agents.v_new = root @ np.swapaxes(root, 1, 2), rng.standard_normal((n, d))
+        return True
+
+    def capturing(agents, mixed_w, mixed_v, *args, **kwargs):
+        phases.append((agents.w_new.copy(), agents.v_new.copy(), mixed_w, mixed_v))
+        return absorb(agents, mixed_w, mixed_v, *args, **kwargs)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        edges = Path(tmp) / "edges.txt"
+        edges.write_text("".join(f"{u} {v}\n" for u, v in zip(*np.nonzero(a))))
+        raw = {"topology": {"kind": "explicit", "edge_file": str(edges)}, "N": n, "d": d,
+               "algorithm": "rc_dlucb"}
+        _, comm, plan = sim.build_network(cfg(**raw, T=0), seed, 0)
+        s = plan.s_rounds
+        # the phase fired in round 1 ends in round S + 1
+        with patch.object(RcDlucbAgent, "trigger", trigger), \
+                patch.object(RcDlucbAgent, "absorb_phase", capturing):
+            run_realization(cfg(**raw, T=s + 1), master_seed=seed)
+    assert len(phases) == 1
+    for unshared_w, unshared_v, mixed_w, mixed_v in phases:
+        for unshared, mixed in ((unshared_w, mixed_w), (unshared_v, mixed_v)):
+            assert np.ptp(unshared, axis=0).max() > 0  # sums that mixing changes
+            now = prev = unshared
+            for ell in range(1, s + 1):
+                now, prev = consensus.comm_step(now, prev, ell, comm, plan), now
+            assert np.abs(mixed - now).max() <= 1e-12 * np.abs(now).max()
 
 
 def test_centralized_comm_cost():
