@@ -11,8 +11,8 @@ A generation's S mixing steps read only its own earlier values, so the
 pipeline runs them just in time and in batches. It keeps each pending
 generation's raw (N, width) rows. When the oldest one is due, the oldest B
 pending generations are mixed together: S ``comm_step`` calls over one
-(holder, generation, source, width) payload, after which one of them is
-released per round. B = min(S, BLOCK_BYTES // (N^2 * width * 8)) keeps the
+(holder, generation, source, width') payload, after which one of them is
+released per round. B = min(S, BLOCK_BYTES // (N^2 * width' * 8)) keeps the
 payload about cache-sized, so the pipeline holds two such payloads and S raw
 rows, whatever S * N^2 is. A holder's rows of the batch form one contiguous
 payload row, and a step is one stacked BLAS product per block of holders
@@ -20,10 +20,19 @@ with equal-size neighborhoods (see ``graph.HolderBlock``). The step writes
 in place over ``prev`` (``out=prev``), which is safe because holder i's
 update reads only ``prev[i]``; then ``now`` and ``prev`` swap roles.
 
-Each generation comes out as it would from a gossip round of its own, bit
-for bit when N * width is a multiple of 4. Otherwise OpenBLAS's dgemv may sum
-a generation's last N * width mod 4 entries along another path than it
-would for that generation alone, which moves them by about one ulp.
+Only the columns past a pipeline's ``signs`` leading ones are mixed. On the
+box every play is a corner, so its action entries are exactly +1 or -1, and
+the simulator declares them as sign columns. Every entry of a payload runs
+the same S-step recursion from its own seed through the same operations, and
+rounding to nearest is sign-symmetric, so seed -1 ends at exactly -U, the
+mix of a unit seed: the sign columns are released as U times the signs.
+
+The mixed columns are padded with zero columns to width', the narrowest
+width whose N * width' is a multiple of 4. Then no entry falls in the last
+(row length mod 4) entries of a holder row, which OpenBLAS's dgemv sums
+along another path. So every entry is mixed as it would be in any other
+position of any payload, and each generation comes out bit for bit as a
+gossip round over its own padded payload would release it.
 """
 
 from __future__ import annotations
@@ -170,22 +179,43 @@ def mixed_gain(comm, plan):
     return comm.n * cur
 
 
-def new_pipeline(n, width, s_rounds):
-    """An empty network-wide pipeline for N agents and payload rows of ``width``.
+def new_pipeline(n, width, s_rounds, signs=0):
+    """An empty network-wide pipeline for N agents and payload rows of ``width``
+    whose first ``signs`` columns hold only +1 or -1 (the plays of a box).
 
-    The pipeline is the list [pending, mixed, buffers, clock]. ``clock``
-    counts the gossip rounds run. ``pending`` holds (start, own) for every
-    generation not mixed yet, oldest first: the clock when it started and its
-    (N, width) own rows. ``mixed`` holds (release, payload) for every mixed
-    generation not yet released: the clock that releases it and its
-    (N, N, width) slot of a batch buffer. ``buffers`` are the two
-    (holder, generation, source, width) arrays with room for a batch of
-    B = min(S, BLOCK_BYTES // (N^2 * width * 8)) generations, at least one.
+    The pipeline is the list [pending, mixed, buffers, clock, signs, unit].
+    ``clock`` counts the gossip rounds run. ``pending`` holds (start, own) for
+    every generation not mixed yet, oldest first: the clock when it started
+    and its (N, width) own rows. ``mixed`` holds (release, payload, own) for
+    every mixed generation not yet released: the clock that releases it, its
+    (N, N, width') slot of a batch buffer and its own rows. ``buffers`` are
+    the two (holder, generation, source, width') arrays with room for a batch
+    of B = min(S, BLOCK_BYTES // (N^2 * width' * 8)) generations, at least
+    one. Only the last width - signs columns are mixed, padded with zero
+    columns to width', the narrowest width whose N * width' is a multiple of
+    4. ``unit`` is U, the (N, N) S-step mix of a unit seed, which releases
+    the sign columns; it is mixed before the first batch (None until then).
     """
-    shape = (n, max(1, min(s_rounds, BLOCK_BYTES // (n * n * width * 8))), n, width)
+    cols = width - signs
+    while n * cols % 4:  # no entry of a holder row takes dgemv's tail
+        cols += 1
+    shape = (n, max(1, min(s_rounds, BLOCK_BYTES // (n * n * cols * 8))), n, cols)
     # two allocations: one block of both kept 0.2 MB more resident at ER
     # N=20, likely through glibc's mmap threshold, which follows freed sizes
-    return [deque(), deque(), (np.empty(shape), np.empty(shape)), 0]
+    return [deque(), deque(), (np.empty(shape), np.empty(shape)), 0, signs, None]
+
+
+def _mix(buffers, rows, comm, plan):
+    """Mix the generations whose (N, cols) own rows are ``rows`` for all S
+    rounds together, in place in the two batch ``buffers``, zero-padded past
+    ``cols``; return the (holder, generation, source, width') result."""
+    now, prev = (buf[:, :len(rows)] for buf in buffers)
+    now[:] = 0.0
+    diag = np.arange(comm.n)
+    now[diag, :, diag, :rows[0].shape[1]] = np.stack(rows, axis=1)
+    for ell in range(1, plan.s_rounds + 1):
+        now, prev = comm_step(now, prev, ell, comm, plan, out=prev), now
+    return now
 
 
 def advance_queues(queue, own, comm, plan):
@@ -195,32 +225,43 @@ def advance_queues(queue, own, comm, plan):
     ``own`` (N, width) holds each agent's action, reward and optionally
     safety feedback; agent i's copy holds only row i. None starts nothing,
     as after round T - S. A generation started S - 1 rounds ago is released:
-    a copy of its (N, N, width) payload, whose entry i holds (a_ik / N) times
-    agent k's data in row k. When the oldest pending generation is due, the
-    oldest B pending ones are first mixed for all S rounds together, in place
-    in the two batch buffers. Every step publishes all agents' values first,
-    then each update reads only the frozen published set, so the exchange is
+    its (N, N, width) payload, whose entry i holds (a_ik / N) times agent k's
+    data in row k. When the oldest pending generation is due, the oldest B
+    pending ones are first mixed for all S rounds together, in place in the
+    two batch buffers. Every step publishes all agents' values first, then
+    each update reads only the frozen published set, so the exchange is
     synchronous and deterministic. The next batch is due only after this one
     is released, so it may reuse the buffers.
 
-    Each generation is mixed as a gossip round over its own (N, N, width)
-    payload would mix it: bit for bit when N * width is a multiple of 4, to
-    about one ulp otherwise (see the module docstring).
+    Only the columns past the pipeline's ``signs`` are mixed, and the sign
+    columns are released as U times their entries (see the module
+    docstring); an entry other than +1 or -1 in them raises
+    ``RuntimeError``. Before its first batch, a pipeline with sign columns
+    mixes U from a unit seed in the batch buffers. Each generation is
+    released bit for bit as a gossip round over its own zero-padded
+    (N, N, width') payload would release it.
     """
-    pending, mixed, buffers, clock = queue
+    pending, mixed, buffers, clock, signs, unit = queue
     if own is not None:
-        pending.append((clock, np.array(own, dtype=float)))
+        own = np.array(own, dtype=float)
+        if not np.all(np.abs(own[:, :signs]) == 1.0):
+            raise RuntimeError(f"the first {signs} columns of a generation hold "
+                               "an entry other than +1 or -1")
+        pending.append((clock, own))
     clock = queue[3] = clock + 1
     s_rounds = plan.s_rounds
     if pending and pending[0][0] + s_rounds == clock:
+        if signs and unit is None:
+            ones = _mix(buffers, [np.ones((comm.n, 1))], comm, plan)
+            unit = queue[5] = ones[:, 0, :, 0].copy()
         batch = [pending.popleft() for _ in range(min(len(pending), buffers[0].shape[1]))]
-        now, prev = (buf[:, :len(batch)] for buf in buffers)
-        now[:] = 0.0
-        diag = np.arange(comm.n)
-        now[diag, :, diag] = np.stack([rows for _, rows in batch], axis=1)
-        for ell in range(1, s_rounds + 1):
-            now, prev = comm_step(now, prev, ell, comm, plan, out=prev), now
-        mixed.extend((start + s_rounds, now[:, k]) for k, (start, _) in enumerate(batch))
+        now = _mix(buffers, [rows[:, signs:] for _, rows in batch], comm, plan)
+        mixed.extend((start + s_rounds, now[:, k], rows) for k, (start, rows) in enumerate(batch))
     if mixed and mixed[0][0] == clock:
-        return mixed.popleft()[1].copy()
+        _, payload, rows = mixed.popleft()
+        released = np.empty((comm.n,) + rows.shape)
+        if signs:
+            released[..., :signs] = unit[:, :, None] * rows[:, :signs]
+        released[..., signs:] = payload[..., :rows.shape[1] - signs]
+        return released
     return None

@@ -248,7 +248,8 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
     edges = int(topology.adjacency.sum())
     queue = None
     if config.algorithm in GOSSIP_ALGORITHMS:
-        queue = new_pipeline(n, width, s_rounds)
+        # box plays are corners, so their action columns are +1 or -1
+        queue = new_pipeline(n, width, s_rounds, signs=d if arms is None else 0)
         # the full protocol's messages, also for generations never absorbed
         in_flight = np.minimum(np.arange(1, horizon + 1), s_rounds)
         trace.scalars[:] = edges * in_flight * n * width

@@ -336,10 +336,11 @@ def test_enqueue_builds_single_row_slot(monkeypatch):
     # the batch of this one generation was mixed in S steps
     assert [ell for ell, _, _ in steps] == list(range(1, s + 1))
     payload = steps[0][1][:, 0]
-    assert payload.shape == (3, 3, 3)
+    # N * width = 9 entries are padded with a zero column to 12
+    assert payload.shape == (3, 3, 4)
     for i in range(3):
         # agent i's slot holds only its own row
-        assert np.array_equal(payload[i, i], sent[i])
+        assert np.array_equal(payload[i, i], [*sent[i], 0.0])
         assert np.all(np.delete(payload[i], i, axis=0) == 0)
     q = mixing_polynomial_eig(comm.entries, comm.lambda2_abs, s)
     assert np.abs(released - q[:, :, None] * sent[None]).max() <= 1e-12
@@ -474,7 +475,7 @@ def _check_depth_and_mixing_counts(comm, plan, steps):
             own = rng.standard_normal((n, 1))
             sent.append(own)
         released = advance_queues(queue, own, comm, plan)
-        pending, mixed, _, _ = queue
+        pending, mixed = queue[:2]
         # after round t, the generations started after round t - S + 1 are in
         # flight, min(t, S - 1) while they start, then the pipeline drains
         assert len(pending) + len(mixed) == max(0, min(t, horizon - s) - max(0, t - s + 1))
@@ -551,13 +552,17 @@ def test_pipeline_memory_does_not_grow_with_s_n_squared():
 
 def _list_pipeline_oracle(comm, plan, stream):
     """The pipeline as a list of [payload, prev] generations, each mixed by its
-    own gossip round; yields the released payload (or None) of every round."""
+    own gossip round over a payload padded with zero columns until its N *
+    width entries fill whole blocks of four; yields the released payload (or
+    None) of every round."""
     n = comm.n
     w, lam2 = plan.weights, plan.lambda2_abs
     queue = []
     for own in stream:
-        payload = np.zeros((n, n, own.shape[1]))
-        payload[np.arange(n), np.arange(n)] = own
+        width = own.shape[1]
+        padded = next(cols for cols in range(width, width + 4) if n * cols % 4 == 0)
+        payload = np.zeros((n, n, padded))
+        payload[np.arange(n), np.arange(n), :width] = own
         queue.append([payload, payload])
         depth = len(queue)
         for g, gen in enumerate(queue):
@@ -571,7 +576,7 @@ def _list_pipeline_oracle(comm, plan, stream):
                 c_now = 2.0 * w[ell - 1] / (lam2 * w[ell])
                 mixed = c_now * mixed - (w[ell - 2] / w[ell]) * prev
             gen[0], gen[1] = mixed, now
-        yield queue.pop(0)[0] if depth == plan.s_rounds else None
+        yield queue.pop(0)[0][..., :width] if depth == plan.s_rounds else None
 
 
 @settings(max_examples=60, deadline=None)
@@ -584,13 +589,6 @@ def test_pipeline_matches_list_of_generations(n, width, seed, extra):
     s = plan.s_rounds
     horizon = s + 1 + extra
     stream = rng.standard_normal((horizon, n, width))
-    # the batched mixing keeps dgemv's summation per element only when every
-    # generation's N * width entries fill whole blocks of four
-    if n * width % 4 == 0:
-        check = np.testing.assert_array_equal
-    else:
-        def check(got, want):
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
     queue = new_pipeline(n, width, s)
     oracle = _list_pipeline_oracle(comm, plan, stream)
     for t in range(1, horizon + 1):
@@ -603,4 +601,48 @@ def test_pipeline_matches_list_of_generations(n, width, seed, extra):
         elif expected is None:
             assert released is None
         else:
-            check(released, expected)
+            np.testing.assert_array_equal(released, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), d=st.integers(1, 5), rest=st.integers(1, 2),
+       seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 30), room=st.integers(1, 8))
+def test_sign_columns_release_what_full_width_mixing_releases(n, d, rest, seed, extra, room):
+    """Mixing only the columns past the +-1 sign columns and releasing those
+    as U times the signs gives exactly the full-width release, with batches
+    of any size (``room`` payload slots of N^2 entries) and any N * width."""
+    rng = np.random.default_rng(seed)
+    comm = build_comm_matrix(GraphTopology(random_connected_adjacency(n, 0.4, rng)))
+    plan = MixingPlan.for_network(comm, 0.3)
+    s = plan.s_rounds
+    horizon = s + 1 + extra
+    stream = rng.standard_normal((horizon, n, d + rest))
+    stream[..., :d] = rng.choice([-1.0, 1.0], size=(horizon, n, d))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(consensus, "BLOCK_BYTES", room * n * n * 8)
+        split, full = new_pipeline(n, d + rest, s, signs=d), new_pipeline(n, d + rest, s)
+        for t in range(1, horizon + 1):
+            own = stream[t - 1] if t <= horizon - s else None
+            got = advance_queues(split, own, comm, plan)
+            want = advance_queues(full, own, comm, plan)
+            assert (got is None) == (want is None) == (not s <= t < horizon)
+            if got is not None:
+                np.testing.assert_array_equal(got, want)
+    # only the last columns were mixed, padded to the narrowest width whose
+    # N * width entries fill whole blocks of four
+    cols = split[2][0].shape[3]
+    assert n * cols % 4 == 0 and all(n * w % 4 for w in range(rest, cols))
+
+
+def test_sign_column_entry_other_than_plus_or_minus_one_raises():
+    comm, plan = make("ring", 4)
+    for bad in (0.5, 0.0, -2.0, np.nan):
+        queue = new_pipeline(4, 3, plan.s_rounds, signs=2)
+        own = np.ones((4, 3))
+        own[2, 1] = bad
+        with pytest.raises(RuntimeError, match="other than"):
+            advance_queues(queue, own, comm, plan)
+        assert not queue[0]
+    # the mixed columns may hold anything
+    queue = new_pipeline(4, 3, plan.s_rounds, signs=2)
+    assert advance_queues(queue, [[1.0, -1.0, 0.5]] * 4, comm, plan) is None

@@ -5,8 +5,9 @@ every benchmark workload at every master seed. The golden traces use N <= 7;
 this runs the four workload configs at master seed 0 (N = 20 and 60)
 in-process and requires the same final regrets bit for bit. Check every
 master seed of every workload (a few minutes) with
-``PYTHONPATH=src python tests/test_reference.py``, which exits non-zero on
-any mismatch.
+``PYTHONPATH=src python tests/test_reference.py [WORKLOAD ...]``, which
+checks only the named workloads when given any, exits 2 on an unknown name
+and 1 on any mismatch.
 """
 
 import importlib.util
@@ -46,12 +47,12 @@ def test_workload_matches_frozen_final_regrets(name):
     assert matches(name, 0)
 
 
-def check_all():
-    """Compare every workload at every master seed; print one line per
+def check_all(names):
+    """Compare every master seed of the named workloads; print one line per
     workload and return the number of mismatched (workload, seed) pairs."""
     seeds = range(WORKLOADS.SEED_MODULUS)
     failed = 0
-    for name in sorted(WORKLOADS.WORKLOADS):
+    for name in names:
         if REFERENCE[name]["config"] != WORKLOADS.WORKLOADS[name]["config"]:
             print(f"{name}: config differs from the frozen one")
             failed += len(seeds)
@@ -60,10 +61,33 @@ def check_all():
         note = f", mismatched master seeds {bad}" if bad else ""
         print(f"{name}: {len(seeds) - len(bad)}/{len(seeds)} =={note}", flush=True)
         failed += len(bad)
-    total = len(seeds) * len(WORKLOADS.WORKLOADS)
+    total = len(seeds) * len(names)
     print(f"all: {total - failed}/{total} ==")
     return failed
 
 
+def main(argv):
+    """Check the workloads named in ``argv`` (all when empty); the exit code."""
+    unknown = sorted(set(argv) - set(WORKLOADS.WORKLOADS))
+    if unknown:
+        print(f"unknown workload(s) {', '.join(unknown)}; choose from "
+              f"{', '.join(sorted(WORKLOADS.WORKLOADS))}", file=sys.stderr)
+        return 2
+    return 1 if check_all(argv or sorted(WORKLOADS.WORKLOADS)) else 0
+
+
+def test_command_line_checks_only_the_named_workloads(monkeypatch, capsys):
+    checked = []
+    monkeypatch.setattr(sys.modules[__name__], "check_all",
+                        lambda names: checked.append(list(names)) or 0)
+    assert main(["ring60_gossip", "nope"]) == 2
+    assert "nope" in capsys.readouterr().err and not checked
+    assert main(["safe_ring20", "headline_er20"]) == 0
+    assert main([]) == 0
+    assert checked == [["safe_ring20", "headline_er20"], sorted(WORKLOADS.WORKLOADS)]
+    monkeypatch.setattr(sys.modules[__name__], "check_all", lambda names: 3)
+    assert main(["rc_er20_finite"]) == 1
+
+
 if __name__ == "__main__":
-    sys.exit(1 if check_all() else 0)
+    sys.exit(main(sys.argv[1:]))
