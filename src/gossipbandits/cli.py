@@ -15,6 +15,10 @@ import os
 import re
 import sys
 
+import numpy
+import scipy
+
+from . import __version__
 from .bandit import theoretical_regret_bound
 from .config import KEYS, ConfigError, as_mapping, parse_config, read_config, resolved_dict
 from .consensus import MixingPlan
@@ -91,6 +95,12 @@ def _summary(config, traces, curves):
         "lambda2_abs": traces[0].lambda2_abs,
         "realizations": config.realizations,
         "config": resolved_dict(config),
+        "versions": {
+            "gossipbandits": __version__,
+            "numpy": numpy.__version__,
+            "scipy": scipy.__version__,
+            "python": "{}.{}.{}".format(*sys.version_info[:3]),
+        },
     }
 
 

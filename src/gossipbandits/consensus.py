@@ -1,9 +1,9 @@
 """Chebyshev-accelerated gossip step and the pipelined consensus of estimates.
 
 Every round the agents' fresh action/reward estimates enter one network-wide
-pipeline as a new generation, and each generation is mixed for exactly S
-synchronous gossip rounds, the round it starts and the S - 1 after it, and
-is released by the last of them. The accelerated step realizes a rescaled
+pipeline as a new generation. Each generation is released after S
+synchronous gossip rounds, the round it starts and the S - 1 after it, as
+those rounds would release it. The accelerated step realizes a rescaled
 Chebyshev polynomial of the gossip matrix, so after S rounds every pairwise
 gain a_ij = N * [q_S(P)]_ij lies within epsilon of 1.
 
@@ -11,21 +11,29 @@ A generation's S mixing steps read only its own earlier values, so the
 pipeline runs them just in time and in batches. It keeps each pending
 generation's raw (N, width) rows. When the oldest one is due, the oldest B
 pending generations are mixed together: S ``comm_step`` calls over one
-(holder, generation, source, width') payload, after which one of them is
-released per round. B = min(S, BLOCK_BYTES // (N^2 * width' * 8)) keeps the
-payload about cache-sized, so the pipeline holds two such payloads and S raw
-rows, whatever S * N^2 is. A holder's rows of the batch form one contiguous
-payload row, and a step is one stacked BLAS product per block of holders
-with equal-size neighborhoods (see ``graph.HolderBlock``). The step writes
-in place over ``prev`` (``out=prev``), which is safe because holder i's
-update reads only ``prev[i]``; then ``now`` and ``prev`` swap roles.
+(holder, generation, source, width') payload of their mixed columns, after
+which one of them is released per round. B = min(S, BLOCK_BYTES //
+(N^2 * width' * 8)) keeps the payload about cache-sized, so the pipeline
+holds two such payloads and S raw rows, whatever S * N^2 is. A holder's rows
+of the batch form one contiguous payload row, and a step is one stacked BLAS
+product per block of holders with equal-size neighborhoods (see
+``graph.HolderBlock``). The step writes in place over ``prev``
+(``out=prev``), which is safe because holder i's update reads only
+``prev[i]``; then ``now`` and ``prev`` swap roles.
 
-Only the columns past a pipeline's ``signs`` leading ones are mixed. On the
-box every play is a corner, so its action entries are exactly +1 or -1, and
-the simulator declares them as sign columns. Every entry of a payload runs
-the same S-step recursion from its own seed through the same operations, and
-rounding to nearest is sign-symmetric, so seed -1 ends at exactly -U, the
-mix of a unit seed: the sign columns are released as U times the signs.
+A pipeline releases its first ``closed`` columns in closed form, as U times
+each agent's own entries, where U is the (N, N) S-step mix of a unit seed,
+and mixes only the columns past them. U is mixed once, before the first
+release, over a payload padded as any other (see below), so N * U lies
+within rounding of ``mixed_gain``. Finite-arm runs release every column
+this way and run no other gossip step: their releases match the mixed ones
+to about 1e-13 of their largest entry. On the box every play is a corner,
+so its action entries are exactly +1 or -1, and the simulator declares them
+as the first ``signs`` columns, released through U, while the reward column
+is mixed. Every entry of a payload runs the same S-step recursion from its
+own seed through the same operations, and rounding to nearest is
+sign-symmetric, so seed -1 ends at exactly -U: the sign columns come out
+bit for bit as mixing them would.
 
 The mixed columns are padded with zero columns to width', the narrowest
 width whose N * width' is a multiple of 4. Then no entry falls in the last
@@ -179,30 +187,42 @@ def mixed_gain(comm, plan):
     return comm.n * cur
 
 
-def new_pipeline(n, width, s_rounds, signs=0):
-    """An empty network-wide pipeline for N agents and payload rows of ``width``
-    whose first ``signs`` columns hold only +1 or -1 (the plays of a box).
-
-    The pipeline is the list [pending, mixed, buffers, clock, signs, unit].
-    ``clock`` counts the gossip rounds run. ``pending`` holds (start, own) for
-    every generation not mixed yet, oldest first: the clock when it started
-    and its (N, width) own rows. ``mixed`` holds (release, payload, own) for
-    every mixed generation not yet released: the clock that releases it, its
-    (N, N, width') slot of a batch buffer and its own rows. ``buffers`` are
-    the two (holder, generation, source, width') arrays with room for a batch
-    of B = min(S, BLOCK_BYTES // (N^2 * width' * 8)) generations, at least
-    one. Only the last width - signs columns are mixed, padded with zero
-    columns to width', the narrowest width whose N * width' is a multiple of
-    4. ``unit`` is U, the (N, N) S-step mix of a unit seed, which releases
-    the sign columns; it is mixed before the first batch (None until then).
-    """
-    cols = width - signs
+def _padded(n, cols):
+    """The narrowest width from ``cols`` on whose N * width is a multiple of 4."""
     while n * cols % 4:  # no entry of a holder row takes dgemv's tail
         cols += 1
-    shape = (n, max(1, min(s_rounds, BLOCK_BYTES // (n * n * cols * 8))), n, cols)
-    # two allocations: one block of both kept 0.2 MB more resident at ER
-    # N=20, likely through glibc's mmap threshold, which follows freed sizes
-    return [deque(), deque(), (np.empty(shape), np.empty(shape)), 0, signs, None]
+    return cols
+
+
+def new_pipeline(n, width, s_rounds, signs=0, closed=None):
+    """An empty network-wide pipeline for N agents and payload rows of ``width``
+    that releases the first ``closed`` columns (default ``signs``) as U times
+    the own rows and mixes the others. The first ``signs`` of them hold only
+    +1 or -1 (the plays of a box), which U releases exactly as mixing would.
+
+    The pipeline is the list [pending, mixed, buffers, clock, signs, closed,
+    unit]. ``clock`` counts the gossip rounds run. ``pending`` holds
+    (start, own) for every generation not due yet, oldest first: the clock
+    when it started and its (N, width) own rows. ``mixed`` holds
+    (release, payload, own) for every generation due but not yet released:
+    the clock that releases it, its (N, N, width') slot of a batch buffer
+    (None with nothing to mix) and its own rows. ``buffers`` are the two
+    (holder, generation, source, width') arrays with room for a batch of
+    B = min(S, BLOCK_BYTES // (N^2 * width' * 8)) generations, at least one,
+    or None when ``closed`` is the full width. The width - closed mixed
+    columns are padded with zero columns to width', the narrowest width whose
+    N * width' is a multiple of 4. ``unit`` is U, the (N, N) S-step mix of a
+    unit seed, mixed before the first release (None until then).
+    """
+    closed = signs if closed is None else closed
+    buffers = None
+    if closed < width:
+        cols = _padded(n, width - closed)
+        shape = (n, max(1, min(s_rounds, BLOCK_BYTES // (n * n * cols * 8))), n, cols)
+        # two allocations: one block of both kept 0.2 MB more resident at ER
+        # N=20, likely through glibc's mmap threshold, which follows freed sizes
+        buffers = (np.empty(shape), np.empty(shape))
+    return [deque(), deque(), buffers, 0, signs, closed, None]
 
 
 def _mix(buffers, rows, comm, plan):
@@ -218,6 +238,13 @@ def _mix(buffers, rows, comm, plan):
     return now
 
 
+def _unit(comm, plan):
+    """U, the (N, N) S-step mix of a unit seed in a zero-padded payload."""
+    shape = (comm.n, 1, comm.n, _padded(comm.n, 1))
+    ones = _mix((np.empty(shape), np.empty(shape)), [np.ones((comm.n, 1))], comm, plan)
+    return ones[:, 0, :, 0].copy()
+
+
 def advance_queues(queue, own, comm, plan):
     """Start a generation from ``own`` and run one gossip round of the
     pipeline; return the generation it releases, or None.
@@ -226,22 +253,21 @@ def advance_queues(queue, own, comm, plan):
     safety feedback; agent i's copy holds only row i. None starts nothing,
     as after round T - S. A generation started S - 1 rounds ago is released:
     its (N, N, width) payload, whose entry i holds (a_ik / N) times agent k's
-    data in row k. When the oldest pending generation is due, the oldest B
-    pending ones are first mixed for all S rounds together, in place in the
-    two batch buffers. Every step publishes all agents' values first, then
-    each update reads only the frozen published set, so the exchange is
-    synchronous and deterministic. The next batch is due only after this one
-    is released, so it may reuse the buffers.
+    data in row k. Its first ``closed`` columns are U times the own rows (see
+    the module docstring); U is mixed for S rounds before the first release.
+    When the oldest pending generation is due and the pipeline has columns
+    to mix, the oldest B pending ones are first mixed for all S rounds
+    together, in place in the two batch buffers. Every step publishes all
+    agents' values first, then each update reads only the frozen published
+    set, so the exchange is synchronous and deterministic. The next batch is
+    due only after this one is released, so it may reuse the buffers. Each
+    mixed column is released bit for bit as a gossip round over its own
+    zero-padded (N, N, width') payload would release it.
 
-    Only the columns past the pipeline's ``signs`` are mixed, and the sign
-    columns are released as U times their entries (see the module
-    docstring); an entry other than +1 or -1 in them raises
-    ``RuntimeError``. Before its first batch, a pipeline with sign columns
-    mixes U from a unit seed in the batch buffers. Each generation is
-    released bit for bit as a gossip round over its own zero-padded
-    (N, N, width') payload would release it.
+    An entry other than +1 or -1 in the first ``signs`` columns of ``own``
+    raises ``RuntimeError``: the box's sign columns rely on that exactness.
     """
-    pending, mixed, buffers, clock, signs, unit = queue
+    pending, mixed, buffers, clock, signs, closed, unit = queue
     if own is not None:
         own = np.array(own, dtype=float)
         if not np.all(np.abs(own[:, :signs]) == 1.0):
@@ -251,17 +277,21 @@ def advance_queues(queue, own, comm, plan):
     clock = queue[3] = clock + 1
     s_rounds = plan.s_rounds
     if pending and pending[0][0] + s_rounds == clock:
-        if signs and unit is None:
-            ones = _mix(buffers, [np.ones((comm.n, 1))], comm, plan)
-            unit = queue[5] = ones[:, 0, :, 0].copy()
-        batch = [pending.popleft() for _ in range(min(len(pending), buffers[0].shape[1]))]
-        now = _mix(buffers, [rows[:, signs:] for _, rows in batch], comm, plan)
-        mixed.extend((start + s_rounds, now[:, k], rows) for k, (start, rows) in enumerate(batch))
+        if closed and unit is None:
+            unit = queue[6] = _unit(comm, plan)
+        if buffers is None:  # nothing to mix
+            mixed.append((clock, None, pending.popleft()[1]))
+        else:
+            batch = [pending.popleft() for _ in range(min(len(pending), buffers[0].shape[1]))]
+            now = _mix(buffers, [rows[:, closed:] for _, rows in batch], comm, plan)
+            mixed.extend((start + s_rounds, now[:, k], rows)
+                         for k, (start, rows) in enumerate(batch))
     if mixed and mixed[0][0] == clock:
         _, payload, rows = mixed.popleft()
         released = np.empty((comm.n,) + rows.shape)
-        if signs:
-            released[..., :signs] = unit[:, :, None] * rows[:, :signs]
-        released[..., signs:] = payload[..., :rows.shape[1] - signs]
+        if closed:
+            released[..., :closed] = unit[:, :, None] * rows[:, :closed]
+        if payload is not None:
+            released[..., closed:] = payload[..., :rows.shape[1] - closed]
         return released
     return None

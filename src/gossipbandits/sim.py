@@ -248,8 +248,12 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
     edges = int(topology.adjacency.sum())
     queue = None
     if config.algorithm in GOSSIP_ALGORITHMS:
-        # box plays are corners, so their action columns are +1 or -1
-        queue = new_pipeline(n, width, s_rounds, signs=d if arms is None else 0)
+        # box plays are corners, so their +1/-1 action columns are released
+        # through U bit for bit and only the reward column is mixed; finite
+        # runs release every column through U
+        box = arms is None
+        queue = new_pipeline(n, width, s_rounds, signs=d if box else 0,
+                             closed=d if box else width)
         # the full protocol's messages, also for generations never absorbed
         in_flight = np.minimum(np.arange(1, horizon + 1), s_rounds)
         trace.scalars[:] = edges * in_flight * n * width

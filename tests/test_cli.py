@@ -3,13 +3,17 @@ import json
 import math
 import os
 import re
+import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gossipbandits
 from gossipbandits import cli, sim
 from gossipbandits.agents import ALGORITHMS
 from gossipbandits.cli import main
@@ -106,6 +110,10 @@ def test_run_smoke_writes_trace_and_summary(tmp_path):
     assert summary["config"]["N"] == 4
     assert summary["config"]["epsilon"] == pytest.approx(1 / 9)
     assert summary["final_regret"]["mean"] > 0
+    # the versions that produced the run, for reproducing it
+    assert summary["versions"] == {
+        "gossipbandits": gossipbandits.__version__, "numpy": np.__version__,
+        "scipy": scipy.__version__, "python": ".".join(map(str, sys.version_info[:3]))}
 
 
 def test_run_bad_config_exits_2(tmp_path):

@@ -646,3 +646,37 @@ def test_sign_column_entry_other_than_plus_or_minus_one_raises():
     # the mixed columns may hold anything
     queue = new_pipeline(4, 3, plan.s_rounds, signs=2)
     assert advance_queues(queue, [[1.0, -1.0, 0.5]] * 4, comm, plan) is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph=st.one_of(st.tuples(st.just("random"), st.integers(1, 12)),
+                       st.tuples(st.sampled_from(["ring", "path"]), st.integers(3, 200))),
+       width=st.integers(1, 7), seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 3))
+def test_closed_form_release_is_u_times_the_own_rows(graph, width, seed, extra):
+    """Releasing every column through U gives exactly U times the own rows,
+    within 1e-12 of the largest entry of what mixing every column releases,
+    from a pipeline with no batch buffers; N * U is the mixed gain within
+    1e-12 and lies in the epsilon band."""
+    kind, n = graph
+    rng = np.random.default_rng(seed)
+    topology = (GraphTopology(random_connected_adjacency(n, 0.4, rng)) if kind == "random"
+                else build_topology(kind, n))
+    comm = build_comm_matrix(topology)
+    plan = MixingPlan.for_network(comm, 0.3)
+    s = plan.s_rounds
+    horizon = s + 1 + extra
+    stream = rng.standard_normal((horizon, n, width))
+    closed, full = new_pipeline(n, width, s, closed=width), new_pipeline(n, width, s)
+    assert closed[2] is None
+    for t in range(1, horizon + 1):
+        own = stream[t - 1] if t <= horizon - s else None
+        got = advance_queues(closed, own, comm, plan)
+        want = advance_queues(full, own, comm, plan)
+        assert (got is None) == (want is None) == (not s <= t < horizon)
+        if got is not None:
+            unit = closed[6]
+            np.testing.assert_array_equal(got, unit[:, :, None] * stream[t - s])
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert not closed[0] and not closed[1]
+    assert np.abs(n * unit - mixed_gain(comm, plan)).max() <= 1e-12
+    assert np.abs(n * unit - 1.0).max() <= plan.epsilon

@@ -155,8 +155,9 @@ def test_gossip_comm_cost_closed_form():
 ])
 def test_only_released_generations_are_mixed(monkeypatch, algorithm, horizon):
     # a generation started after round T - S could not be absorbed by round T:
-    # it is never started, so (T - S) generations are mixed S times each; a
-    # box run that mixes any first mixes U, one unit generation, S times
+    # it is never started, so a box run mixes the reward column of (T - S)
+    # generations S times each; a run that releases any first mixes U, one
+    # unit generation, S times, and the finite safe run mixes nothing else
     steps = []  # (ell, generations in the payload) of every gossip step
     step = consensus.comm_step
 
@@ -169,8 +170,8 @@ def test_only_released_generations_are_mixed(monkeypatch, algorithm, horizon):
     trace = run_realization(cfg(T=horizon, algorithm=algorithm, **extra), master_seed=2)
     s = trace.s_rounds
     released = max(horizon - s, 0)
-    unit = algorithm != "safe_dlucb" and released > 0
-    assert sum(generations for _, generations in steps) == (released + unit) * s
+    mixed = 0 if algorithm == "safe_dlucb" else released
+    assert sum(generations for _, generations in steps) == (mixed + (released > 0)) * s
     # each batch of pending generations is mixed by the steps ell = 1..S
     assert [ell for ell, _ in steps] == list(range(1, s + 1)) * (len(steps) // s)
 
