@@ -35,7 +35,8 @@ def probe(t, info):
     if t in (1, 10, 50, 150, 300):
         beta = gb.beta_radius(t, config.d, config.n_agents, config.lam,
                               config.delta, config.sigma, config.epsilon)
-        keep = gb.safe_filter(arms, info["grams"][0], info["safety"][0], beta, geo)
+        cs = gb.bandit.ConfidenceSet.from_stats(info["grams"][0], info["moments"][0], beta, arms)
+        keep = gb.safe_filter(arms, cs, info["safety"][0], geo)
         sizes.append((t, int(keep.sum())))
 
 gb.run_realization(config, master_seed=0, probe=probe)

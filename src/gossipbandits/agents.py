@@ -86,8 +86,9 @@ class SafeDlucbAgent(DlucbAgent):
 
     The second signal is the shifted safety feedback
     (``SafeGeometry.shifted_feedback``); ``safety`` (N, d) is its moment,
-    which ``safe_filter`` pairs with ``gram``. Every emitted action passed
-    the safe filter at selection time (or is the known safe action).
+    which ``safe_filter`` pairs with the arm solves of ``gram`` that finite
+    UCB reads too. Every emitted action passed the safe filter at selection
+    time (or is the known safe action).
     """
 
     signals = 2

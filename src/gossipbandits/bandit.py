@@ -9,8 +9,8 @@ factors and solves go through the LAPACK ``potrf``/``potrs`` that
 ``scipy.linalg.cho_factor``/``cho_solve`` call, one matrix at a time, in
 place in buffers whose matrices are column-major, so no call copies or
 allocates. Each factor gets one ``potrs`` call with all its right-hand
-sides: the ridge moment together with the arms of finite UCB, and the
-safety moment together with the arms of the safe filter.
+sides: the ridge moment together with the arms, whose solves both finite
+UCB and the safe filter read.
 Eigendecompositions are batched ``np.linalg`` calls, and every
 matrix-vector product is a stacked ``np.matmul`` against a trailing
 (..., d, 1) column, which runs each slice through the same BLAS call as the
@@ -133,6 +133,19 @@ class ConfidenceSet:
                    arm_solves=None if arms is None else arm_solves)
 
 
+def _arm_solves(arms, cs):
+    """The (K, d) ``arms`` as floats, and their (..., d, K) solves A^-1 arms^T,
+    which ``cs`` holds when ``from_stats`` built it with these arms."""
+    arms = np.atleast_2d(np.asarray(arms, dtype=float))
+    if arms.shape[0] == 0:
+        raise ValueError("empty arm set")
+    solved = cs.arm_solves
+    if solved is None or solved.shape[-1] != arms.shape[0]:
+        raise ValueError(f"the set holds no solves of these {arms.shape[0]} arms: "
+                         "build it with ConfidenceSet.from_stats(..., arms)")
+    return arms, solved
+
+
 def ucb_select_finite(arms, cs, scale=1.0, certified=None):
     """Optimistic argmax over a finite arm list, ties broken by lowest index.
 
@@ -142,13 +155,7 @@ def ucb_select_finite(arms, cs, scale=1.0, certified=None):
     it marks; an agent with none gets index 0 and value -inf. The arm solves
     are read from ``cs``, which ``from_stats`` must have built with the arms.
     """
-    arms = np.atleast_2d(np.asarray(arms, dtype=float))
-    if arms.shape[0] == 0:
-        raise ValueError("empty arm set")
-    solved = cs.arm_solves
-    if solved is None or solved.shape[-1] != arms.shape[0]:
-        raise ValueError(f"the set holds no solves of these {arms.shape[0]} arms: "
-                         "build it with ConfidenceSet.from_stats(..., arms)")
+    arms, solved = _arm_solves(arms, cs)
     norms = np.sqrt(np.maximum(np.einsum("kd,...dk->...k", arms, solved), 0.0))
     scores = _matvec(arms, cs.center) + scale * cs.radius * norms
     if certified is not None:
@@ -204,8 +211,7 @@ def ts_perturb(cs, rngs):
 class SafeGeometry:
     """Known safe action with its constraint value and the enlargement factor.
 
-    ``basis`` is an orthonormal basis of the safe direction's complement. A
-    zero safe action is the degenerate sentinel: the projection onto it
+    A zero safe action is the degenerate sentinel: the projection onto it
     vanishes and the complement is the whole space.
     """
 
@@ -220,12 +226,6 @@ class SafeGeometry:
         self.norm_x0 = float(np.linalg.norm(self.x0))
         self.is_zero = self.norm_x0 == 0.0
         self.x0_unit = np.zeros_like(self.x0) if self.is_zero else self.x0 / self.norm_x0
-        d = self.x0.shape[0]
-        if self.is_zero:
-            self.basis = np.eye(d)
-        else:
-            q, _ = np.linalg.qr(np.column_stack([self.x0_unit, np.eye(d)]))
-            self.basis = q[:, 1:d]
 
     @property
     def kappa_r(self):
@@ -240,29 +240,39 @@ class SafeGeometry:
         return z - (coef / self.norm_x0) * self.c0
 
 
-def safe_filter(arms, gram, safety, beta, geo):
+def safe_filter(arms, cs, safety, geo):
     """Mask of the arms certified safe by the conservative inner approximation,
-    for every agent's Gram matrix and safety moment.
+    for every agent of ``cs`` and its safety moment.
 
-    The constraint is estimated on the safe direction's complement B = basis:
-    mu_hat = B (B^T gram B)^-1 B^T safety, where B^T gram B equals the Gram
-    matrix of the projected actions. An arm passes when its known value along
-    the safe direction, <mu_hat, x> and the bonus beta ||B^T x|| under that
-    inverse jointly stay below the constraint level. B^T safety and B^T x for
-    every arm x are solved in one ``potrs`` call per agent.
+    The constraint is estimated on the complement B of the safe direction
+    (Amani, Alizadeh & Thrampoulidis, NeurIPS 2019): an arm x passes when its
+    known value along x0, <mu_hat, x> with mu_hat = B (B^T A B)^-1 B^T safety,
+    and radius * ||B^T x|| under (B^T A B)^-1 jointly stay below the
+    constraint level. Block inversion gives B (B^T A B)^-1 B^T = A^-1 - w w^T
+    / <x0, w> with w = A^-1 x0 (A^-1 for a zero x0). So with alpha =
+    <x0, A^-1 x> / <x0, w>, <mu_hat, x> = <A^-1 x, safety> - alpha <w, safety>
+    and the squared bonus is <x - alpha x0, A^-1 x - alpha w>, all read from
+    the arm solves of ``cs`` (``from_stats`` with the arms): no matrix is
+    factored. w is the solve of the arm equal to x0, which a nonzero x0 must
+    be; its alpha is 1 and its bonus exactly 0.
     """
-    arms = np.atleast_2d(np.asarray(arms, dtype=float))
-    basis = geo.basis
-    factor = cho_factor(basis.T @ gram @ basis)
-    reduced = basis.T @ arms.T
-    nu_hat, solved = _solve_with_columns(factor, _matvec(basis.T, safety), reduced)
-    mu_hat = _matvec(basis, nu_hat)
+    arms, solved = _arm_solves(arms, cs)
+    estimate = np.einsum("...dk,...d->...k", solved, safety)
     if geo.is_zero:
-        proj_term = np.zeros(arms.shape[0])
+        known = 0.0
+        width = np.einsum("kd,...dk->...k", arms, solved)
     else:
-        proj_term = (arms @ geo.x0_unit / geo.norm_x0) * geo.c0
-    norms = np.sqrt(np.maximum(np.einsum("dk,...dk->...k", reduced, solved), 0.0))
-    values = proj_term + _matvec(arms, mu_hat) + beta * norms
+        match = np.flatnonzero((arms == geo.x0).all(axis=-1))
+        if match.size == 0:
+            raise ValueError("the safe action x0 is not among the arms")
+        j = match[0]
+        along = np.einsum("d,...dk->...k", geo.x0, solved)
+        alpha = along / along[..., j, None]
+        estimate = estimate - alpha * estimate[..., j, None]
+        width = np.einsum("...kd,...dk->...k", arms - alpha[..., None] * geo.x0,
+                          solved - alpha[..., None, :] * solved[..., j, None])
+        known = (arms @ geo.x0_unit / geo.norm_x0) * geo.c0
+    values = known + estimate + cs.radius * np.sqrt(np.maximum(width, 0.0))
     return values <= geo.c
 
 

@@ -70,7 +70,11 @@ def _bound_or_none(config, trace):
 
 
 def _summary(config, traces, curves):
+    import hashlib  # here, not at the top: the CLI's start-up does not pay for it
+
     horizon = config.horizon
+    resolved = resolved_dict(config)
+    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     bounds = [_bound_or_none(config, tr) for tr in traces]
     have_bounds = all(b is not None for b in bounds) and traces
     within = (
@@ -94,7 +98,8 @@ def _summary(config, traces, curves):
         "S": traces[0].s_rounds,
         "lambda2_abs": traces[0].lambda2_abs,
         "realizations": config.realizations,
-        "config": resolved_dict(config),
+        "config": resolved,
+        "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
         "versions": {
             "gossipbandits": __version__,
             "numpy": numpy.__version__,

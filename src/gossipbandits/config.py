@@ -217,6 +217,11 @@ def _check_domains(config):
     if 8 * n * max(n, 2 * config.horizon, config.d * max(config.d, k)) > np.iinfo(np.intp).max:
         raise ConfigError(f"N = {n}, d = {config.d}, T = {config.horizon} and num_arms = {k} "
                           "need arrays larger than numpy can index")
+    # bytes of the (R, T) curve stacks of ``aggregate``; max(T, 1) also bounds
+    # the R-long job list built before them
+    if 8 * config.realizations * max(config.horizon, 1) > np.iinfo(np.intp).max:
+        raise ConfigError(f"realizations = {config.realizations} and T = {config.horizon} "
+                          "need arrays larger than numpy can index")
     beta = beta_radius(max(config.horizon, 1), config.d, config.n_agents, config.lam,
                        config.delta, config.sigma, config.epsilon)
     if not math.isfinite(beta):

@@ -349,7 +349,7 @@ def _select(agents, beta, arms, geo, rngs):
     """
     cs = ConfidenceSet.from_stats(agents.gram, agents.moment, beta, arms)
     if geo is not None:
-        certified = safe_filter(arms, cs.gram, agents.safety, beta, geo)
+        certified = safe_filter(arms, cs, agents.safety, geo)
         j, _ = ucb_select_finite(arms, cs, scale=geo.kappa_r, certified=certified)
         return np.where(certified.any(axis=-1)[:, None], arms[j], geo.x0)
     if rngs is not None:

@@ -114,16 +114,27 @@ def oracle_comm_step(now, prev, ell, comm, plan, out=None):
     return out
 
 
+def complement_basis(geo):
+    """Orthonormal (d, d - 1) basis of the complement of the safe direction,
+    by QR of [x0 / ||x0|| | I]; the identity for the zero safe action."""
+    d = geo.x0.shape[0]
+    if geo.is_zero:
+        return np.eye(d)
+    q, _ = np.linalg.qr(np.column_stack([geo.x0_unit, np.eye(d)]))
+    return q[:, 1:d]
+
+
 def ortho_norm(x_perp, gram, geo):
     """Norm of x_perp, orthogonal to the safe direction, under the inverse of
-    ``gram`` restricted to the complement basis ``geo.basis``."""
+    ``gram`` restricted to the complement basis."""
     x_perp = np.asarray(x_perp, dtype=float)
     if not geo.is_zero:
         overlap = abs(float(x_perp @ geo.x0_unit))
         if overlap > 1e-9 * max(1.0, np.linalg.norm(x_perp)):
             raise ValueError("input is not orthogonal to the safe direction")
-    u = geo.basis.T @ x_perp
-    return float(math.sqrt(max(u @ np.linalg.solve(geo.basis.T @ gram @ geo.basis, u), 0.0)))
+    basis = complement_basis(geo)
+    u = basis.T @ x_perp
+    return float(math.sqrt(max(u @ np.linalg.solve(basis.T @ gram @ basis, u), 0.0)))
 
 
 # Per-agent selection as the library did it before selection was batched:
@@ -176,7 +187,7 @@ def oracle_ts_perturb(gram, center, radius, rng):
 
 def oracle_safe_filter(arms, gram, safety, beta, geo):
     """Indices of the arms one agent certifies safe."""
-    basis = geo.basis
+    basis = complement_basis(geo)
     factor = scipy_linalg.cho_factor(basis.T @ gram @ basis, lower=True)
     mu_hat = basis @ scipy_linalg.cho_solve(factor, basis.T @ safety)
     if geo.is_zero:

@@ -384,7 +384,8 @@ def test_safe_agent_plays_filtered_or_safe_action():
         beta = beta_radius(t, config.d, config.n_agents, config.lam, config.delta,
                            config.sigma, config.epsilon)
         for i in range(config.n_agents):
-            keep = safe_filter(arms, info["grams"][i], info["safety"][i], beta, geo)
+            cs = ConfidenceSet.from_stats(info["grams"][i], info["moments"][i], beta, arms)
+            keep = safe_filter(arms, cs, info["safety"][i], geo)
             allowed = [tuple(arm) for arm in arms[keep]] + [tuple(geo.x0)]
             if tuple(info["actions"][i]) not in allowed:
                 violations.append((t, i))

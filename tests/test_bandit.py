@@ -25,6 +25,7 @@ from gossipbandits.bandit import (
 )
 from gossipbandits.sim import _select
 from helpers import (
+    complement_basis,
     oracle_center,
     oracle_safe_filter,
     oracle_safe_select,
@@ -325,27 +326,29 @@ def test_ts_covariance_monte_carlo():
 
 def test_projection_splits():
     geo = SafeGeometry(x0=np.array([1.0, 0.0]), c0=0.0, c=0.5)
+    basis = complement_basis(geo)
     # the complement projector B B^T splits off the safe direction
-    assert np.allclose(geo.basis @ geo.basis.T @ np.array([3.0, 4.0]), [0.0, 4.0])
-    assert np.allclose(geo.basis @ geo.basis.T @ geo.x0, 0.0)
-    assert np.allclose(geo.basis @ geo.basis.T @ np.array([0.0, 2.0]), [0.0, 2.0])
+    assert np.allclose(basis @ basis.T @ np.array([3.0, 4.0]), [0.0, 4.0])
+    assert np.allclose(basis @ basis.T @ geo.x0, 0.0)
+    assert np.allclose(basis @ basis.T @ np.array([0.0, 2.0]), [0.0, 2.0])
     rng = np.random.default_rng(13)
     for d in range(2, 7):
         geo = SafeGeometry(x0=rng.standard_normal(d), c0=0.0, c=1.0)
-        assert geo.basis.shape == (d, d - 1)
-        assert np.allclose(geo.basis.T @ geo.basis, np.eye(d - 1), atol=1e-12)
-        assert np.abs(geo.basis.T @ geo.x0_unit).max() < 1e-12
+        basis = complement_basis(geo)
+        assert basis.shape == (d, d - 1)
+        assert np.allclose(basis.T @ basis, np.eye(d - 1), atol=1e-12)
+        assert np.abs(basis.T @ geo.x0_unit).max() < 1e-12
         x = rng.standard_normal(d)
         x_par = (x @ geo.x0_unit) * geo.x0_unit
-        assert np.allclose(x_par + geo.basis @ geo.basis.T @ x, x, atol=1e-12)
+        assert np.allclose(x_par + basis @ basis.T @ x, x, atol=1e-12)
 
 
 def test_projection_zero_sentinel():
     geo = SafeGeometry(x0=np.zeros(3), c0=0.0, c=0.4)
     x = np.array([0.1, -0.2, 0.3])
     assert np.array_equal(geo.x0_unit, np.zeros(3))
-    assert np.array_equal(geo.basis, np.eye(3))
-    assert np.array_equal(geo.basis @ geo.basis.T @ x, x)
+    assert np.array_equal(complement_basis(geo), np.eye(3))
+    assert np.array_equal(complement_basis(geo) @ complement_basis(geo).T @ x, x)
 
 
 def test_kappa_r_values():
@@ -358,10 +361,11 @@ def test_kappa_r_values():
 def test_ortho_stats_annihilate_safe_direction():
     geo = SafeGeometry(x0=np.array([0.6, 0.8, 0.0]), c0=0.0, c=0.5)
     gram = np.eye(3)
-    reduced = geo.basis.T @ gram @ geo.basis
+    basis = complement_basis(geo)
+    reduced = basis.T @ gram @ basis
     assert np.linalg.eigvalsh(reduced).min() >= 1.0 - 1e-12
     # plays along the safe direction carry no constraint information
-    along = geo.basis.T @ (gram + 7.0 * np.outer(geo.x0, geo.x0)) @ geo.basis
+    along = basis.T @ (gram + 7.0 * np.outer(geo.x0, geo.x0)) @ basis
     assert np.abs(along - reduced).max() < 1e-12
 
 
@@ -397,7 +401,8 @@ def test_ortho_norm_dominated_by_full_norm():
 def test_safe_filter_always_keeps_safe_action():
     geo = SafeGeometry(x0=np.array([1.0, 0.0]), c0=0.1, c=0.5)
     arms = np.array([[1.0, 0.0], [0.0, 1.0], [0.3, 0.9]])
-    keep = np.flatnonzero(safe_filter(arms, np.eye(2), np.zeros(2), beta=100.0, geo=geo))
+    cs = ConfidenceSet.from_stats(np.eye(2), np.zeros(2), 100.0, arms)
+    keep = np.flatnonzero(safe_filter(arms, cs, np.zeros(2), geo))
     assert 0 in keep
     # an enormous radius certifies only actions with no orthogonal component
     assert list(keep) == [0]
@@ -415,7 +420,8 @@ def test_safe_filter_hand_example():
         [0.0, -1.0],   # -0.4 + 0.125 <= 0.5
         [0.5, 0.5],    # 0.2 + 0.0625 <= 0.5
     ])
-    keep = np.flatnonzero(safe_filter(arms, gram, safety, beta=0.5, geo=geo))
+    cs = ConfidenceSet.from_stats(gram, np.zeros(2), 0.5, arms)
+    keep = np.flatnonzero(safe_filter(arms, cs, safety, geo))
     values = []
     for arm in arms:
         perp = arm - (arm @ geo.x0_unit) * geo.x0_unit
@@ -439,7 +445,8 @@ def test_safe_filter_monotone_in_beta():
     arms /= np.maximum(np.linalg.norm(arms, axis=1, keepdims=True), 1.0)
     previous = None
     for beta in (3.0, 1.0, 0.3, 0.0001):
-        keep = set(np.flatnonzero(safe_filter(arms, gram, safety, beta, geo)).tolist())
+        cs = ConfidenceSet.from_stats(gram, np.zeros(3), beta, arms)
+        keep = set(np.flatnonzero(safe_filter(arms, cs, safety, geo)).tolist())
         if previous is not None:
             assert previous <= keep  # shrinking beta never removes arms
         previous = keep
@@ -482,13 +489,15 @@ def test_restricted_statistics_match_projected_replay(d, zero_x0, seed, n_warmup
             gram_perp += n**2 * perp.T @ perp
             moment_perp += n**2 * perp.T @ slot[:, d + 1]
 
-    basis = geo.basis
+    basis = complement_basis(geo)
     old = np.linalg.cholesky(basis.T @ gram_perp @ basis)
     new = np.linalg.cholesky(basis.T @ agent.gram[0] @ basis)
     assert np.abs(new - old).max() <= 1e-10 * np.abs(old).max()
 
     arms = rng.standard_normal((15, d))
     arms *= rng.uniform(0.0, 1.0, (15, 1)) / np.linalg.norm(arms, axis=1, keepdims=True)
+    if not zero_x0:  # the filter reads the safe action's solve
+        arms = np.vstack([arms, x0])
     beta = float(rng.uniform(0.0, 2.0))
     # the filter on projected arms against the projected statistics
     reduced = np.linalg.cholesky(basis.T @ gram_perp @ basis)
@@ -498,8 +507,45 @@ def test_restricted_statistics_match_projected_replay(d, zero_x0, seed, n_warmup
     values = ((arms @ unit) / max(geo.norm_x0, 1e-300) * geo.c0 + perp_arms @ mu_perp
               + beta * np.sqrt((widths**2).sum(axis=0)))
     expected = np.flatnonzero(values <= geo.c)
-    keep = np.flatnonzero(safe_filter(arms, agent.gram[0], agent.safety[0], beta, geo))
+    cs = ConfidenceSet.from_stats(agent.gram[0], agent.moment[0], beta, arms)
+    keep = np.flatnonzero(safe_filter(arms, cs, agent.safety[0], geo))
     assert np.array_equal(keep, expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 20), d=st.integers(1, 7), k=st.integers(1, 20),
+       zero_x0=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_safe_filter_from_arm_solves_matches_projected_oracle(n, d, k, zero_x0, seed):
+    """Read from the arm solves, the filter certifies for every agent exactly
+    the arms the projected estimator's own factorization certifies, gives the
+    safe action a bonus of exactly 0, and needs a nonzero safe action among
+    the arms."""
+    rng = np.random.default_rng(seed)
+    plays = rng.uniform(-1.0, 1.0, (n, int(rng.integers(0, 30)), d))
+    grams = np.eye(d) + np.einsum("npd,npe->nde", plays, plays)
+    safety = rng.standard_normal((n, d))
+    x0 = np.zeros(d) if zero_x0 else rng.standard_normal(d)
+    x0 *= rng.uniform(0.1, 1.0) / max(np.linalg.norm(x0), 1e-300)
+    geo = SafeGeometry(x0=x0, c0=0.0 if zero_x0 else float(rng.uniform(-0.3, 0.3)), c=0.5)
+    others = rng.standard_normal((k, d))
+    others *= rng.uniform(0.0, 1.0, (k, 1)) / np.linalg.norm(others, axis=1, keepdims=True)
+    j = int(rng.integers(0, k + 1))
+    arms = np.insert(others, j, x0, axis=0)
+    beta = float(rng.uniform(0.0, 3.0))
+
+    def certify(arm_set, radius):
+        cs = ConfidenceSet.from_stats(grams, np.zeros((n, d)), radius, arm_set)
+        return safe_filter(arm_set, cs, safety, geo)
+
+    certified = certify(arms, beta)
+    for i in range(n):
+        keep = oracle_safe_filter(arms, grams[i], safety[i], beta, geo)
+        assert np.array_equal(np.flatnonzero(certified[i]), keep)
+    # any positive bonus times this radius exceeds the constraint level
+    assert certify(arms, 1e300)[:, j].all()
+    if not zero_x0:
+        with pytest.raises(ValueError, match="safe action"):
+            certify(others, beta)
 
 
 # ------------------------------------------------------------------ batched selection
@@ -520,6 +566,8 @@ def test_batched_selection_matches_per_agent_oracle(n, d, k, zero_x0, seed):
     beta = float(rng.uniform(0.0, 3.0))
     x0 = np.zeros(d) if zero_x0 else 0.3 * rng.standard_normal(d)
     geo = SafeGeometry(x0=x0, c0=0.0 if zero_x0 else float(rng.uniform(-0.3, 0.3)), c=0.5)
+    if not zero_x0:  # the safe filter reads the safe action's solve
+        arms = np.vstack([arms, x0])
     streams = rng.integers(0, 2**32, n)
 
     cs = ConfidenceSet.from_stats(grams, moments, beta)
@@ -529,7 +577,7 @@ def test_batched_selection_matches_per_agent_oracle(n, d, k, zero_x0, seed):
     finite_idx, finite_value = ucb_select_finite(arms, merged, scale=1.3)
     box_x, box_value = ucb_select_box(cs, scale=math.sqrt(d))
     tilde = ts_perturb(cs, [np.random.default_rng(s) for s in streams])
-    certified = safe_filter(arms, grams, safety, beta, geo)
+    certified = safe_filter(arms, merged, safety, geo)
     agents = SimpleNamespace(gram=grams, moment=moments, safety=safety)
     safe_plays = _select(agents, beta, arms, geo, None)
     for i in range(n):
@@ -557,8 +605,9 @@ def test_one_bad_agent_fails_the_whole_stack(bad):
     for with_arms in (None, arms):
         with pytest.raises(ValueError):
             ConfidenceSet.from_stats(grams, np.ones((n, d)), 1.0, with_arms)
-    with pytest.raises(ValueError):
-        safe_filter(arms, grams, np.zeros((n, d)), 1.0, geo)
+    with pytest.raises(ValueError):  # raised by from_stats: the filter factors nothing
+        safe_filter(arms, ConfidenceSet.from_stats(grams, np.ones((n, d)), 1.0, arms),
+                    np.zeros((n, d)), geo)
     with pytest.raises(ValueError):
         inv_sqrt_psd(grams)
     cs = ConfidenceSet(center=np.zeros((n, d)), radius=1.0, gram=grams)

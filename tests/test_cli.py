@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -85,6 +86,8 @@ def test_config_validates_domains():
         parse_config({**MINIMAL, "algorithm": "ucb1"})
     with pytest.raises(ConfigError, match="num_arms"):
         parse_config({**MINIMAL, "decision_set": {"variant": "finite"}})
+    with pytest.raises(ConfigError, match="realizations"):
+        parse_config({**MINIMAL, "realizations": 10**18, "T": 1000})
 
 
 def run_cli(tmp_path, config, extra=()):
@@ -114,6 +117,20 @@ def test_run_smoke_writes_trace_and_summary(tmp_path):
     assert summary["versions"] == {
         "gossipbandits": gossipbandits.__version__, "numpy": np.__version__,
         "scipy": scipy.__version__, "python": ".".join(map(str, sys.version_info[:3]))}
+
+
+def test_summary_hashes_the_resolved_config(tmp_path):
+    config = {"topology": "ring", "N": 4, "d": 2, "T": 10, "algorithm": "dlucb",
+              "realizations": 1}
+    hashes = []
+    for horizon in (10, 11):  # one key changed
+        code, out = run_cli(tmp_path, {**config, "T": horizon})
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        canonical = json.dumps(summary["config"], sort_keys=True, separators=(",", ":"))
+        assert summary["config_sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
+        hashes.append(summary["config_sha256"])
+    assert hashes[0] != hashes[1]
 
 
 def test_run_bad_config_exits_2(tmp_path):
@@ -534,7 +551,8 @@ def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [
     # the (N, N) gossip matrix, the (N, T, 2) noise draw, the (N, d, d) Gram
-    # stack and the (N, d, K) arm solves have more bytes than numpy can index
+    # stack, the (N, d, K) arm solves and the (R, T) curve stacks have more
+    # bytes than numpy can index
     ["run", "--topology", "ring", "--n", "100000000000000000", "--d", "2", "--t", "5",
      "--algorithm", "dlucb"],
     ["graph-info", "--topology", "ring", "--n", "100000000000000000"],
@@ -544,6 +562,9 @@ def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
      "--algorithm", "dlucb", "--realizations", "1"],
     ["run", "--topology", "complete", "--n", "2", "--d", "2", "--arms", "1000000000000000000",
      "--t", "5", "--algorithm", "dlucb", "--realizations", "1"],
+    # and the (R, T) curve stacks, built after an R-long job list
+    ["run", "--topology", "complete", "--n", "2", "--d", "2", "--t", "1000",
+     "--algorithm", "dlucb", "--realizations", "1000000000000000000"],
 ])
 def test_sizes_numpy_cannot_index_exit_2(tmp_path, capsys, monkeypatch, args):
     monkeypatch.chdir(tmp_path)  # where the default --out would be made

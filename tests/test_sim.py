@@ -329,12 +329,12 @@ def test_aggregate_two_point_formula():
 
 @pytest.mark.parametrize("algorithm, arms, per_round", [
     ("dlucb", None, 5), ("dlts", None, 5), ("no_comm", None, 5), ("centralized", None, 1),
-    ("dlucb", 6, 5), ("rc_dlucb", 6, 5), ("safe_dlucb", 6, 10),
+    ("dlucb", 6, 5), ("rc_dlucb", 6, 5), ("safe_dlucb", 6, 5),
 ])
 def test_lapack_calls_per_selection_round(monkeypatch, algorithm, arms, per_round):
     # N = 5: one potrf and one potrs per Cholesky factor and learner. Finite
     # UCB solves the ridge moment and the arms in one potrs call, and the safe
-    # filter the safety moment and the arms
+    # filter reads the same arm solves
     calls = {"dpotrf": 0, "dpotrs": 0}
     for name in calls:
         def counting(*args, _name=name, _original=getattr(bandit.lapack, name), **kwargs):
