@@ -15,7 +15,7 @@ from .bandit import (
     ucb_select_box,
     ucb_select_finite,
 )
-from .consensus import MixingPlan, advance_queues, comm_step, mixed_gain
+from .consensus import MixingPlan, advance_queues, comm_step, mixed_gain, mixing_polynomial
 from .graph import build_comm_matrix, build_topology, compute_mixing_rounds
 from .sim import aggregate, run_experiment, run_realization
 

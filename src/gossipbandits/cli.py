@@ -228,6 +228,16 @@ def cmd_graph_info(raw):
     return 0
 
 
+def _number(text):
+    """A numeric flag's value, checked by ``parse_config`` as a file's is."""
+    for kind in (int, float):
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    return text
+
+
 def _add_flag(parser, key, flag=None, **kwargs):
     """The flag that sets config ``key``; its value is stored under the key."""
     text = f"{key.help} (config key {key.name})"
@@ -236,7 +246,7 @@ def _add_flag(parser, key, flag=None, **kwargs):
     if key.type is bool:
         kwargs.update(action="store_true", default=None)
     elif key.type in (int, float):
-        kwargs["type"] = key.type
+        kwargs["type"] = _number
     parser.add_argument(flag or key.flag, dest=key.name, help=text, **kwargs)
 
 

@@ -22,13 +22,12 @@ product per block of holders with equal-size neighborhoods (see
 ``prev[i]``; then ``now`` and ``prev`` swap roles.
 
 A pipeline releases its first ``closed`` columns in closed form, as U times
-each agent's own entries, where U is the (N, N) S-step mix of a unit seed,
-and mixes only the columns past them. U is mixed once, before the first
-release, over a payload padded as any other (see below), so N * U lies
-within rounding of ``mixed_gain``. Finite-arm runs release every column
-this way and run no other gossip step: their releases match the mixed ones
-to about 1e-13 of their largest entry. On the box every play is a corner,
-so its action entries are exactly +1 or -1, and the simulator declares them
+each agent's own entries, and mixes only the others. U = q_S(P) is
+``mixing_polynomial``, the (N, N) S-step mix of a unit seed in a payload
+padded as any other (see below); the simulator computes it once per
+realization. Finite-arm runs release every column this way and mix
+nothing: their releases match the mixed ones to about 1e-13 of their
+largest entry. On the box every play is a corner, so its action entries are exactly +1 or -1, and the simulator declares them
 as the first ``signs`` columns, released through U, while the reward column
 is mixed. Every entry of a payload runs the same S-step recursion from its
 own seed through the same operations, and rounding to nearest is
@@ -177,16 +176,6 @@ def comm_step(now, prev, ell, comm, plan, out=None):
     return out
 
 
-def mixed_gain(comm, plan):
-    """Gain matrix a with a[i, j] = N * [q_S(P)]_ij, built by running the
-    accelerated step on basis payloads for the full horizon."""
-    cur = np.eye(comm.n)
-    prev = cur
-    for ell in range(1, plan.s_rounds + 1):
-        cur, prev = comm_step(cur, prev, ell, comm, plan), cur
-    return comm.n * cur
-
-
 def _padded(n, cols):
     """The narrowest width from ``cols`` on whose N * width is a multiple of 4."""
     while n * cols % 4:  # no entry of a holder row takes dgemv's tail
@@ -194,11 +183,12 @@ def _padded(n, cols):
     return cols
 
 
-def new_pipeline(n, width, s_rounds, signs=0, closed=None):
+def new_pipeline(n, width, s_rounds, unit, signs=0, closed=None):
     """An empty network-wide pipeline for N agents and payload rows of ``width``
-    that releases the first ``closed`` columns (default ``signs``) as U times
-    the own rows and mixes the others. The first ``signs`` of them hold only
-    +1 or -1 (the plays of a box), which U releases exactly as mixing would.
+    that releases the first ``closed`` columns (default ``signs``) as U, the
+    (N, N) ``mixing_polynomial`` ``unit``, times the own rows and mixes the
+    others. The first ``signs`` of them hold only +1 or -1 (the plays of a
+    box), which U releases exactly as mixing would.
 
     The pipeline is the list [pending, mixed, buffers, clock, signs, closed,
     unit]. ``clock`` counts the gossip rounds run. ``pending`` holds
@@ -209,10 +199,8 @@ def new_pipeline(n, width, s_rounds, signs=0, closed=None):
     (None with nothing to mix) and its own rows. ``buffers`` are the two
     (holder, generation, source, width') arrays with room for a batch of
     B = min(S, BLOCK_BYTES // (N^2 * width' * 8)) generations, at least one,
-    or None when ``closed`` is the full width. The width - closed mixed
-    columns are padded with zero columns to width', the narrowest width whose
-    N * width' is a multiple of 4. ``unit`` is U, the (N, N) S-step mix of a
-    unit seed, mixed before the first release (None until then).
+    or None when ``closed`` is the full width. width' is the mixed width
+    padded as the module docstring says.
     """
     closed = signs if closed is None else closed
     buffers = None
@@ -222,7 +210,7 @@ def new_pipeline(n, width, s_rounds, signs=0, closed=None):
         # two allocations: one block of both kept 0.2 MB more resident at ER
         # N=20, likely through glibc's mmap threshold, which follows freed sizes
         buffers = (np.empty(shape), np.empty(shape))
-    return [deque(), deque(), buffers, 0, signs, closed, None]
+    return [deque(), deque(), buffers, 0, signs, closed, unit]
 
 
 def _mix(buffers, rows, comm, plan):
@@ -238,11 +226,16 @@ def _mix(buffers, rows, comm, plan):
     return now
 
 
-def _unit(comm, plan):
-    """U, the (N, N) S-step mix of a unit seed in a zero-padded payload."""
+def mixing_polynomial(comm, plan):
+    """U = q_S(P), the (N, N) S-step mix of a unit seed in a zero-padded payload."""
     shape = (comm.n, 1, comm.n, _padded(comm.n, 1))
     ones = _mix((np.empty(shape), np.empty(shape)), [np.ones((comm.n, 1))], comm, plan)
     return ones[:, 0, :, 0].copy()
+
+
+def mixed_gain(comm, plan):
+    """Gain matrix a with a[i, j] = N * [q_S(P)]_ij."""
+    return comm.n * mixing_polynomial(comm, plan)
 
 
 def advance_queues(queue, own, comm, plan):
@@ -254,15 +247,13 @@ def advance_queues(queue, own, comm, plan):
     as after round T - S. A generation started S - 1 rounds ago is released:
     its (N, N, width) payload, whose entry i holds (a_ik / N) times agent k's
     data in row k. Its first ``closed`` columns are U times the own rows (see
-    the module docstring); U is mixed for S rounds before the first release.
-    When the oldest pending generation is due and the pipeline has columns
-    to mix, the oldest B pending ones are first mixed for all S rounds
-    together, in place in the two batch buffers. Every step publishes all
-    agents' values first, then each update reads only the frozen published
-    set, so the exchange is synchronous and deterministic. The next batch is
-    due only after this one is released, so it may reuse the buffers. Each
-    mixed column is released bit for bit as a gossip round over its own
-    zero-padded (N, N, width') payload would release it.
+    the module docstring). When the oldest pending generation is due and the
+    pipeline has columns to mix, the oldest B pending ones are first mixed
+    for all S rounds together, in place in the two batch buffers. Every step
+    publishes all agents' values first, then each update reads only the
+    frozen published set, so the exchange is synchronous and deterministic.
+    The next batch is due only after this one is released, so it may reuse
+    the buffers.
 
     An entry other than +1 or -1 in the first ``signs`` columns of ``own``
     raises ``RuntimeError``: the box's sign columns rely on that exactness.
@@ -277,8 +268,6 @@ def advance_queues(queue, own, comm, plan):
     clock = queue[3] = clock + 1
     s_rounds = plan.s_rounds
     if pending and pending[0][0] + s_rounds == clock:
-        if closed and unit is None:
-            unit = queue[6] = _unit(comm, plan)
         if buffers is None:  # nothing to mix
             mixed.append((clock, None, pending.popleft()[1]))
         else:
@@ -289,8 +278,7 @@ def advance_queues(queue, own, comm, plan):
     if mixed and mixed[0][0] == clock:
         _, payload, rows = mixed.popleft()
         released = np.empty((comm.n,) + rows.shape)
-        if closed:
-            released[..., :closed] = unit[:, :, None] * rows[:, :closed]
+        released[..., :closed] = unit[:, :, None] * rows[:, :closed]
         if payload is not None:
             released[..., closed:] = payload[..., :rows.shape[1] - closed]
         return released

@@ -26,7 +26,7 @@ from .bandit import (
     ucb_select_finite,
 )
 # comm_step is unused here, but the benchmark's tracer binds sim.comm_step by name
-from .consensus import MixingPlan, advance_queues, comm_step, mixed_gain, new_pipeline
+from .consensus import MixingPlan, advance_queues, comm_step, mixing_polynomial, new_pipeline
 from .graph import GraphTopology, build_comm_matrix, build_topology, load_edge_list
 
 # substream roles under the master seed
@@ -216,8 +216,8 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
     runs a communication phase when its trigger fires, and the baselines
     share nothing. A phase is up to S rounds of this loop in which every agent
     replays its last action; after the S-th, each agent folds in its row of
-    q_S(P) = ``mixed_gain / N`` times the stacked unshared sums W and V, as S
-    rounds of accelerated gossip would, and a phase cut short mixes nothing.
+    q_S(P) = ``mixing_polynomial`` times the stacked unshared sums W and V, as
+    S rounds of accelerated gossip would, and a phase cut short mixes nothing.
 
     ``probe``, when given, is called as probe(t, info) in every round, after
     the plays are recorded and before any statistics update. ``info`` holds
@@ -246,13 +246,15 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
     # own-data rows: action, reward, then the safe agent's shifted feedback
     width = d + 1 + (1 if safe else 0)
     edges = int(topology.adjacency.sum())
-    queue = None
+    queue = unit = None
+    if config.algorithm in GOSSIP_ALGORITHMS + ("rc_dlucb",):
+        unit = mixing_polynomial(comm, plan)
     if config.algorithm in GOSSIP_ALGORITHMS:
         # box plays are corners, so their +1/-1 action columns are released
         # through U bit for bit and only the reward column is mixed; finite
         # runs release every column through U
         box = arms is None
-        queue = new_pipeline(n, width, s_rounds, signs=d if box else 0,
+        queue = new_pipeline(n, width, s_rounds, unit, signs=d if box else 0,
                              closed=d if box else width)
         # the full protocol's messages, also for generations never absorbed
         in_flight = np.minimum(np.arange(1, horizon + 1), s_rounds)
@@ -287,9 +289,8 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
             # round phase_start's; a cut-short phase never mixes them
             y_sums += own[:, d]
             if t == phase_start + s_rounds:
-                q = mixed_gain(comm, plan) / n
-                agents.absorb_phase(np.tensordot(q, agents.w_new, axes=1), q @ agents.v_new,
-                                    actions, y_sums, s_rounds, t_end=t)
+                agents.absorb_phase(np.tensordot(unit, agents.w_new, axes=1),
+                                    unit @ agents.v_new, actions, y_sums, s_rounds, t_end=t)
         else:
             agents.finish_round(t, actions, *own[:, d:].T)
             if queue is not None:

@@ -114,6 +114,15 @@ def oracle_comm_step(now, prev, ell, comm, plan, out=None):
     return out
 
 
+def identity_seed_gain(comm, plan):
+    """N * q_S(P) from the identity: every agent's basis payload, unpadded,
+    run through S per-holder gossip steps."""
+    cur = prev = np.eye(comm.n)
+    for ell in range(1, plan.s_rounds + 1):
+        cur, prev = oracle_comm_step(cur, prev, ell, comm, plan), cur
+    return comm.n * cur
+
+
 def complement_basis(geo):
     """Orthonormal (d, d - 1) basis of the complement of the safe direction,
     by QR of [x0 / ||x0|| | I]; the identity for the zero safe action."""

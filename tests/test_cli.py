@@ -744,6 +744,52 @@ def test_flag_sets_its_config_key(tmp_path, capsys, flag, text, key, expected):
     assert f"(config key {key})" in " ".join(entry.split())
 
 
+@pytest.mark.parametrize("flags, key, expected", [
+    (["--realizations", "1e1"], "realizations", 10),  # as "realizations": 1e1 in a file
+    (["--n", "007"], "N", 7),
+])
+def test_numeric_flags_take_what_a_config_file_takes(tmp_path, monkeypatch, flags, key,
+                                                     expected):
+    ran = []
+
+    def counting(config, workers):
+        ran.append(sim.run_experiment(config, workers=1))
+        return ran[-1]
+
+    monkeypatch.setattr(cli, "run_experiment", counting)
+    base = {"topology": "ring", "N": 4, "d": 2, "T": 3, "algorithm": "no_comm",
+            "realizations": 1}
+    code, out = run_cli(tmp_path, base, flags)
+    assert code == 0
+    assert json.loads((out / "summary.json").read_text())["config"][key] == expected
+    assert len(ran[0]) == (expected if key == "realizations" else 1)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--n", "2.5"], "N must be a signed 64-bit integer, got 2.5"),
+    (["--p", "abc"], "topology.p must be a number, got 'abc'"),
+])
+def test_bad_numeric_flag_is_a_config_error(tmp_path, capsys, flags, message):
+    base = {"topology": {"kind": "erdos_renyi", "p": 0.5}, "N": 4, "d": 2, "T": 3,
+            "algorithm": "no_comm", "realizations": 1}
+    code, out = run_cli(tmp_path, base, flags)
+    assert code == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_workers_flag_keeps_its_integer_parser(tmp_path, capsys):
+    base = {"topology": "ring", "N": 4, "d": 2, "T": 3, "algorithm": "no_comm"}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(base))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+              "--workers", "1e1"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--workers: invalid int value: '1e1'" in err and "config error" not in err
+
+
 @st.composite
 def raw_configs(draw):
     """Valid raw configs over every algorithm, topology kind and section form."""

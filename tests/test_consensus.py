@@ -14,6 +14,7 @@ from gossipbandits.consensus import (
     chebyshev_weights,
     comm_step,
     mixed_gain,
+    mixing_polynomial,
     new_pipeline,
 )
 from gossipbandits.graph import (
@@ -26,6 +27,7 @@ from gossipbandits.graph import (
 
 from helpers import (
     chebyshev_closed_form,
+    identity_seed_gain,
     mixing_polynomial_eig,
     oracle_comm_step,
     random_connected_adjacency,
@@ -322,8 +324,9 @@ def test_enqueue_builds_single_row_slot(monkeypatch):
     comm, plan = make("path", 3)
     s = plan.s_rounds
     assert s >= 2
+    unit = mixing_polynomial(comm, plan)
     steps = _recording_steps(monkeypatch)
-    queue = new_pipeline(3, 3, s)
+    queue = new_pipeline(3, 3, s, unit)
     for buffer in queue[2]:
         buffer[:] = np.nan  # a reused batch buffer must not keep stale entries
     own = np.array([[0.5, -0.5, 1.25], [1.0, 2.0, 3.0], [-1.0, 0.0, 0.5]])
@@ -351,7 +354,7 @@ def test_early_dequeue():
     comm, plan = make("ring", 4)
     s = plan.s_rounds
     assert s >= 2
-    queue = new_pipeline(4, 2, s)
+    queue = new_pipeline(4, 2, s, mixing_polynomial(comm, plan))
     own = np.ones((4, 2))
     # a gossip round with nothing in flight releases nothing
     assert advance_queues(queue, None, comm, plan) is None
@@ -389,7 +392,7 @@ def test_released_generation_is_scaled_gain_times_data():
         scaled_gain = mixed_gain(comm, plan) / n
         # action (d=2), reward and safety columns
         data = [rng.standard_normal((n, 4)) for _ in range(plan.s_rounds + 3)]
-        queue = new_pipeline(n, 4, plan.s_rounds)
+        queue = new_pipeline(n, 4, plan.s_rounds, mixing_polynomial(comm, plan))
         released = []
         for own in data:
             out = advance_queues(queue, own, comm, plan)
@@ -405,7 +408,8 @@ def _drive_queues(comm, plan, actions, rewards):
     """Replay the start/mix/release pipeline the way the simulator runs it;
     yields (t, agent, slot) for every slot absorbed at round t."""
     horizon = actions.shape[0]
-    queue = new_pipeline(comm.n, actions.shape[2] + 1, plan.s_rounds)
+    queue = new_pipeline(comm.n, actions.shape[2] + 1, plan.s_rounds,
+                         mixing_polynomial(comm, plan))
     released = None
     for t in range(1, horizon + 1):
         if released is not None:
@@ -458,13 +462,13 @@ def test_dequeue_matches_exact_polynomial_oracle():
     assert absorbed == 3 * (10 - plan.s_rounds)
 
 
-def _check_depth_and_mixing_counts(comm, plan, steps):
+def _check_depth_and_mixing_counts(comm, plan, unit, steps):
     s = plan.s_rounds
     n = comm.n
     # q_ell(P) for every mixing count ell = 1..S
     q = {ell: mixing_polynomial_eig(comm.entries, comm.lambda2_abs, ell)
          for ell in range(1, s + 1)}
-    queue = new_pipeline(n, 1, s)
+    queue = new_pipeline(n, 1, s, unit)
     room = queue[2][0].shape[1]
     sent = []
     rng = np.random.default_rng(4)
@@ -508,14 +512,15 @@ def test_queue_pipeline_depth_and_mixing_counts():
     comm = build_comm_matrix(build_topology("ring", 4))
     plan = MixingPlan.for_network(comm, 0.1)
     assert plan.s_rounds > 2
+    unit = mixing_polynomial(comm, plan)
     for batch in (None, 2, 1):
         with pytest.MonkeyPatch.context() as patch:
             if batch is not None:
                 # room for ``batch`` generations of width 1
                 patch.setattr(consensus, "BLOCK_BYTES", batch * comm.n ** 2 * 8)
-            buffers = new_pipeline(comm.n, 1, plan.s_rounds)[2]
+            buffers = new_pipeline(comm.n, 1, plan.s_rounds, unit)[2]
             assert [b.shape for b in buffers] == [(4, batch or plan.s_rounds, 4, 1)] * 2
-            _check_depth_and_mixing_counts(comm, plan, _recording_steps(patch))
+            _check_depth_and_mixing_counts(comm, plan, unit, _recording_steps(patch))
 
 
 def test_pipeline_memory_does_not_grow_with_s_n_squared():
@@ -528,9 +533,10 @@ def test_pipeline_memory_does_not_grow_with_s_n_squared():
     assert s == 353
     bound = 2 * consensus.BLOCK_BYTES + s * n * width * 8
     own = np.ones((n, width))
+    unit = mixing_polynomial(comm, plan)
     tracemalloc.start()
     try:
-        queue = new_pipeline(n, width, s)
+        queue = new_pipeline(n, width, s, unit)
         for _ in range(1, s):
             assert advance_queues(queue, own, comm, plan) is None
         _, filled = tracemalloc.get_traced_memory()
@@ -589,7 +595,7 @@ def test_pipeline_matches_list_of_generations(n, width, seed, extra):
     s = plan.s_rounds
     horizon = s + 1 + extra
     stream = rng.standard_normal((horizon, n, width))
-    queue = new_pipeline(n, width, s)
+    queue = new_pipeline(n, width, s, mixing_polynomial(comm, plan))
     oracle = _list_pipeline_oracle(comm, plan, stream)
     for t in range(1, horizon + 1):
         # like the simulator, start no generation that would be released after T
@@ -620,7 +626,9 @@ def test_sign_columns_release_what_full_width_mixing_releases(n, d, rest, seed, 
     stream[..., :d] = rng.choice([-1.0, 1.0], size=(horizon, n, d))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(consensus, "BLOCK_BYTES", room * n * n * 8)
-        split, full = new_pipeline(n, d + rest, s, signs=d), new_pipeline(n, d + rest, s)
+        unit = mixing_polynomial(comm, plan)
+        split = new_pipeline(n, d + rest, s, unit, signs=d)
+        full = new_pipeline(n, d + rest, s, unit)
         for t in range(1, horizon + 1):
             own = stream[t - 1] if t <= horizon - s else None
             got = advance_queues(split, own, comm, plan)
@@ -636,15 +644,16 @@ def test_sign_columns_release_what_full_width_mixing_releases(n, d, rest, seed, 
 
 def test_sign_column_entry_other_than_plus_or_minus_one_raises():
     comm, plan = make("ring", 4)
+    unit = mixing_polynomial(comm, plan)
     for bad in (0.5, 0.0, -2.0, np.nan):
-        queue = new_pipeline(4, 3, plan.s_rounds, signs=2)
+        queue = new_pipeline(4, 3, plan.s_rounds, unit, signs=2)
         own = np.ones((4, 3))
         own[2, 1] = bad
         with pytest.raises(RuntimeError, match="other than"):
             advance_queues(queue, own, comm, plan)
         assert not queue[0]
     # the mixed columns may hold anything
-    queue = new_pipeline(4, 3, plan.s_rounds, signs=2)
+    queue = new_pipeline(4, 3, plan.s_rounds, unit, signs=2)
     assert advance_queues(queue, [[1.0, -1.0, 0.5]] * 4, comm, plan) is None
 
 
@@ -655,8 +664,8 @@ def test_sign_column_entry_other_than_plus_or_minus_one_raises():
 def test_closed_form_release_is_u_times_the_own_rows(graph, width, seed, extra):
     """Releasing every column through U gives exactly U times the own rows,
     within 1e-12 of the largest entry of what mixing every column releases,
-    from a pipeline with no batch buffers; N * U is the mixed gain within
-    1e-12 and lies in the epsilon band."""
+    from a pipeline with no batch buffers; N * U is the identity-seed
+    recursion's gain within 1e-12 and lies in the epsilon band."""
     kind, n = graph
     rng = np.random.default_rng(seed)
     topology = (GraphTopology(random_connected_adjacency(n, 0.4, rng)) if kind == "random"
@@ -666,7 +675,9 @@ def test_closed_form_release_is_u_times_the_own_rows(graph, width, seed, extra):
     s = plan.s_rounds
     horizon = s + 1 + extra
     stream = rng.standard_normal((horizon, n, width))
-    closed, full = new_pipeline(n, width, s, closed=width), new_pipeline(n, width, s)
+    unit = mixing_polynomial(comm, plan)
+    closed = new_pipeline(n, width, s, unit, closed=width)
+    full = new_pipeline(n, width, s, unit)
     assert closed[2] is None
     for t in range(1, horizon + 1):
         own = stream[t - 1] if t <= horizon - s else None
@@ -674,9 +685,8 @@ def test_closed_form_release_is_u_times_the_own_rows(graph, width, seed, extra):
         want = advance_queues(full, own, comm, plan)
         assert (got is None) == (want is None) == (not s <= t < horizon)
         if got is not None:
-            unit = closed[6]
             np.testing.assert_array_equal(got, unit[:, :, None] * stream[t - s])
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert not closed[0] and not closed[1]
-    assert np.abs(n * unit - mixed_gain(comm, plan)).max() <= 1e-12
+    assert np.abs(n * unit - identity_seed_gain(comm, plan)).max() <= 1e-12
     assert np.abs(n * unit - 1.0).max() <= plan.epsilon

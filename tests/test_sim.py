@@ -156,8 +156,9 @@ def test_gossip_comm_cost_closed_form():
 def test_only_released_generations_are_mixed(monkeypatch, algorithm, horizon):
     # a generation started after round T - S could not be absorbed by round T:
     # it is never started, so a box run mixes the reward column of (T - S)
-    # generations S times each; a run that releases any first mixes U, one
-    # unit generation, S times, and the finite safe run mixes nothing else
+    # generations S times each; every run first mixes U, one unit generation,
+    # S times, even if it releases nothing, and the finite safe run mixes
+    # nothing else
     steps = []  # (ell, generations in the payload) of every gossip step
     step = consensus.comm_step
 
@@ -171,7 +172,7 @@ def test_only_released_generations_are_mixed(monkeypatch, algorithm, horizon):
     s = trace.s_rounds
     released = max(horizon - s, 0)
     mixed = 0 if algorithm == "safe_dlucb" else released
-    assert sum(generations for _, generations in steps) == (mixed + (released > 0)) * s
+    assert sum(generations for _, generations in steps) == (mixed + 1) * s
     # each batch of pending generations is mixed by the steps ell = 1..S
     assert [ell for ell, _ in steps] == list(range(1, s + 1)) * (len(steps) // s)
 
@@ -200,22 +201,30 @@ def test_rc_comm_cost_bounded_by_phase_budget():
 def test_cut_short_rc_phase_mixes_nothing(monkeypatch):
     # the horizon cuts the last phase short: its sums are never absorbed, so
     # they are never mixed, but its rounds still send their messages
-    gains = []
-    mixed_gain = sim.mixed_gain
+    gains, absorbed = [], []
+    mixing_polynomial = sim.mixing_polynomial
+    absorb = RcDlucbAgent.absorb_phase
 
     def counting(comm, plan):
         gains.append(plan.s_rounds)
-        return mixed_gain(comm, plan)
+        return mixing_polynomial(comm, plan)
 
-    monkeypatch.setattr(sim, "mixed_gain", counting)
+    def counting_absorb(agents, *args, **kwargs):
+        absorbed.append(kwargs["t_end"])
+        return absorb(agents, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "mixing_polynomial", counting)
+    monkeypatch.setattr(RcDlucbAgent, "absorb_phase", counting_absorb)
     config = cfg(topology={"kind": "erdos_renyi", "p": 0.5}, N=20, d=5, T=120,
                  algorithm="rc_dlucb", decision_set={"variant": "finite", "num_arms": 20})
     trace = run_realization(config, master_seed=2)
     s = trace.s_rounds
     rounds = np.bincount(trace.phase_id)[1:]
     assert 0 < rounds[-1] < s and np.all(rounds[:-1] == s)
-    # one S-round gain for every complete phase
-    assert gains == [s] * (len(rounds) - 1)
+    # every complete phase is absorbed in its last round, with the one gain
+    # of the realization
+    ends = [int(np.flatnonzero(trace.phase_id == k)[-1]) + 1 for k in range(1, len(rounds))]
+    assert absorbed == ends and gains == [s]
     directed = int(sim.build_network(config, 2, 0)[0].adjacency.sum())
     assert np.array_equal(trace.scalars, np.where(trace.phase_id > 0, directed * 5 * 6, 0))
 
@@ -224,7 +233,7 @@ def test_cut_short_rc_phase_mixes_nothing(monkeypatch):
 @given(n=st.integers(2, 30), p=st.floats(0.0, 0.5), d=st.integers(1, 5),
        seed=st.integers(0, 2**32 - 1))
 def test_rc_phase_exchange_matches_the_gossip_recursion(n, p, d, seed):
-    # a phase folds in q_S(P) = mixed_gain / N times W and V: what 2 S rounds
+    # a phase folds in q_S(P) = mixing_polynomial times W and V: what 2 S rounds
     # of accelerated gossip, S on each sum, would leave at every agent. The
     # graph is a random tree (node i joins a node before it) plus ER edges
     rng = np.random.default_rng(seed)

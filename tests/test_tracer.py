@@ -74,20 +74,20 @@ def test_tracer_records_agent_and_feedback_spans_and_restores_originals(monkeypa
     assert calls["agents.begin_round"] == 3 * horizon
     assert calls["agents.finish_round"] == 5 * horizon
     assert 0 < calls["agents.rc_trigger"] == calls["agents.rc_record_play"] <= horizon
-    # one queue advance per gossip round; inside the advances the S steps of
-    # U in each of the three gossip runs, plus in the two box runs the S steps
-    # of every batch of at most S generations (the finite safe run releases
-    # every column through U), and outside them the S steps of the gain that
-    # every completed rc phase mixes its sums with
+    # one queue advance per gossip round; inside the advances, in the two box
+    # runs, the S steps of every batch of at most S generations (the finite
+    # safe run releases every column through U), and outside them the S steps
+    # of U, once per realization in each of the three gossip runs and in the
+    # rc run, whatever its phase count
     assert calls["consensus.advance_queues"] == 3 * horizon
     steps = [span for span in recorder.spans if span[0] == "consensus.comm_step"]
     in_queue = sum(recorder.spans[span[3]][0] == "consensus.advance_queues"
                    for span in steps if span[3] >= 0)
     s = traces["dlucb"].s_rounds
-    assert in_queue == s * (2 * math.ceil((horizon - s) / s) + 3)
+    assert in_queue == s * 2 * math.ceil((horizon - s) / s)
     rc = traces["rc_dlucb"]
     completed = int(np.sum(np.bincount(rc.phase_id)[1:] == rc.s_rounds))
-    assert completed > 0 and len(steps) - in_queue == rc.s_rounds * completed
+    assert completed > 0 and rc.s_rounds == s and len(steps) - in_queue == 4 * s
     assert [span[5] for span in steps] == returned
     assert [vars(owner)[attr] for owner, attr in targets] == originals
 
