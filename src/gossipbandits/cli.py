@@ -97,6 +97,9 @@ def _summary(config, traces, curves):
         "violations_total_mean": float(curves["violations_cum"][-1]) if horizon else 0.0,
         "S": traces[0].s_rounds,
         "lambda2_abs": traces[0].lambda2_abs,
+        # a resampled graph has its own S and |lambda2| in every realization
+        "per_realization": {"S": [tr.s_rounds for tr in traces],
+                            "lambda2_abs": [tr.lambda2_abs for tr in traces]},
         "realizations": config.realizations,
         "config": resolved,
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),

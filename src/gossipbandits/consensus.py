@@ -7,34 +7,32 @@ those rounds would release it. The accelerated step realizes a rescaled
 Chebyshev polynomial of the gossip matrix, so after S rounds every pairwise
 gain a_ij = N * [q_S(P)]_ij lies within epsilon of 1.
 
-A generation's S mixing steps read only its own earlier values, so the
-pipeline runs them just in time and in batches. It keeps each pending
-generation's raw (N, width) rows. When the oldest one is due, the oldest B
-pending generations are mixed together: S ``comm_step`` calls over one
-(holder, generation, source, width') payload of their mixed columns, after
-which one of them is released per round. B = min(S, BLOCK_BYTES //
-(N^2 * width' * 8)) keeps the payload about cache-sized, so the pipeline
-holds two such payloads and S raw rows, whatever S * N^2 is. A holder's rows
-of the batch form one contiguous payload row, and a step is one stacked BLAS
-product per block of holders with equal-size neighborhoods (see
-``graph.HolderBlock``). The step writes in place over ``prev``
-(``out=prev``), which is safe because holder i's update reads only
-``prev[i]``; then ``now`` and ``prev`` swap roles.
-
-A pipeline releases its first ``closed`` columns in closed form, as U times
-each agent's own entries, and mixes only the others. U = q_S(P) is
+The pipeline is a delay line with one release rule: a generation is
+released as U times each agent's own rows, where U = q_S(P) is
 ``mixing_polynomial``, the (N, N) S-step mix of a unit seed in a payload
-padded as any other (see below); the simulator computes it once per
-realization. Finite-arm runs release every column this way and mix
-nothing: their releases match the mixed ones to about 1e-13 of their
-largest entry. On the box every play is a corner, so its action entries are exactly +1 or -1, and the simulator declares them
-as the first ``signs`` columns, released through U, while the reward column
-is mixed. Every entry of a payload runs the same S-step recursion from its
-own seed through the same operations, and rounding to nearest is
-sign-symmetric, so seed -1 ends at exactly -U: the sign columns come out
-bit for bit as mixing them would.
+padded as any other (see below), which the simulator computes once per
+realization. That is what S gossip rounds over the generation give, up to
+about 1e-13 of its largest entry. On the box every play is a corner, so an
+action entry is exactly +1 or -1 and releases as exactly +U or -U: every
+entry of a payload runs the same S-step recursion from its own seed, and
+rounding to nearest is sign-symmetric.
 
-The mixed columns are padded with zero columns to width', the narrowest
+The box reward column is the one exception. Box UCB's exact ties read it
+to the last bit, so a ``mix_last`` pipeline replaces the last column of
+each release by the column mixed for real. A generation's S mixing steps
+read only its own earlier values, so the pipeline mixes just in time and in
+batches: when the oldest generation is due, the last columns of the oldest
+B generations in flight are mixed together, S ``comm_step`` calls over one
+(holder, generation, source, width') payload, after which one of them is
+released per round. B = min(S, BLOCK_BYTES // (N^2 * width' * 8)) keeps the
+payload about cache-sized, so the pipeline holds two such payloads and S
+raw rows, whatever S * N^2 is. A holder's rows of the batch form one
+contiguous payload row, and a step is one stacked BLAS product per block of
+holders with equal-size neighborhoods (see ``graph.HolderBlock``). The step
+writes in place over ``prev`` (``out=prev``), which is safe because holder
+i's update reads only ``prev[i]``; then ``now`` and ``prev`` swap roles.
+
+The mixed column is padded with zero columns to width', the narrowest
 width whose N * width' is a multiple of 4. Then no entry falls in the last
 (row length mod 4) entries of a holder row, which OpenBLAS's dgemv sums
 along another path. So every entry is mixed as it would be in any other
@@ -46,6 +44,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -183,44 +182,39 @@ def _padded(n, cols):
     return cols
 
 
-def new_pipeline(n, width, s_rounds, unit, signs=0, closed=None):
-    """An empty network-wide pipeline for N agents and payload rows of ``width``
-    that releases the first ``closed`` columns (default ``signs``) as U, the
-    (N, N) ``mixing_polynomial`` ``unit``, times the own rows and mixes the
-    others. The first ``signs`` of them hold only +1 or -1 (the plays of a
-    box), which U releases exactly as mixing would.
+def new_pipeline(n, s_rounds, unit, mix_last=False):
+    """An empty network-wide pipeline for N agents that releases every
+    generation as U, the (N, N) ``mixing_polynomial`` ``unit``, times its own
+    rows; with ``mix_last`` the last column of each release is mixed instead.
 
-    The pipeline is the list [pending, mixed, buffers, clock, signs, closed,
-    unit]. ``clock`` counts the gossip rounds run. ``pending`` holds
-    (start, own) for every generation not due yet, oldest first: the clock
-    when it started and its (N, width) own rows. ``mixed`` holds
-    (release, payload, own) for every generation due but not yet released:
-    the clock that releases it, its (N, N, width') slot of a batch buffer
-    (None with nothing to mix) and its own rows. ``buffers`` are the two
-    (holder, generation, source, width') arrays with room for a batch of
-    B = min(S, BLOCK_BYTES // (N^2 * width' * 8)) generations, at least one,
-    or None when ``closed`` is the full width. width' is the mixed width
+    The pipeline is the list [flight, buffers, clock, unit]. ``clock`` counts
+    the gossip rounds run. ``flight`` holds [start, own, mixed] for every
+    generation started and not yet released, oldest first: the clock when it
+    started, its (N, width) own rows, and its mixed (N, N) last column, a
+    view into a batch buffer, once that is mixed (else None). ``buffers``
+    are the two (holder, generation, source, width') arrays with room for a
+    batch of B = min(S, BLOCK_BYTES // (N^2 * width' * 8)) generations, at
+    least one, or None without ``mix_last``. width' is the one mixed column
     padded as the module docstring says.
     """
-    closed = signs if closed is None else closed
     buffers = None
-    if closed < width:
-        cols = _padded(n, width - closed)
+    if mix_last:
+        cols = _padded(n, 1)
         shape = (n, max(1, min(s_rounds, BLOCK_BYTES // (n * n * cols * 8))), n, cols)
         # two allocations: one block of both kept 0.2 MB more resident at ER
         # N=20, likely through glibc's mmap threshold, which follows freed sizes
         buffers = (np.empty(shape), np.empty(shape))
-    return [deque(), deque(), buffers, 0, signs, closed, unit]
+    return [deque(), buffers, 0, unit]
 
 
-def _mix(buffers, rows, comm, plan):
-    """Mix the generations whose (N, cols) own rows are ``rows`` for all S
-    rounds together, in place in the two batch ``buffers``, zero-padded past
-    ``cols``; return the (holder, generation, source, width') result."""
-    now, prev = (buf[:, :len(rows)] for buf in buffers)
+def _mix(buffers, seeds, comm, plan):
+    """Mix the (N, B) ``seeds``, one column per generation, for all S rounds
+    together, in place in the two batch ``buffers``, zero-padded past the
+    first column; return the (holder, generation, source, width') result."""
+    now, prev = (buf[:, :seeds.shape[1]] for buf in buffers)
     now[:] = 0.0
     diag = np.arange(comm.n)
-    now[diag, :, diag, :rows[0].shape[1]] = np.stack(rows, axis=1)
+    now[diag, :, diag, 0] = seeds
     for ell in range(1, plan.s_rounds + 1):
         now, prev = comm_step(now, prev, ell, comm, plan, out=prev), now
     return now
@@ -229,7 +223,7 @@ def _mix(buffers, rows, comm, plan):
 def mixing_polynomial(comm, plan):
     """U = q_S(P), the (N, N) S-step mix of a unit seed in a zero-padded payload."""
     shape = (comm.n, 1, comm.n, _padded(comm.n, 1))
-    ones = _mix((np.empty(shape), np.empty(shape)), [np.ones((comm.n, 1))], comm, plan)
+    ones = _mix((np.empty(shape), np.empty(shape)), np.ones((comm.n, 1)), comm, plan)
     return ones[:, 0, :, 0].copy()
 
 
@@ -246,40 +240,28 @@ def advance_queues(queue, own, comm, plan):
     safety feedback; agent i's copy holds only row i. None starts nothing,
     as after round T - S. A generation started S - 1 rounds ago is released:
     its (N, N, width) payload, whose entry i holds (a_ik / N) times agent k's
-    data in row k. Its first ``closed`` columns are U times the own rows (see
-    the module docstring). When the oldest pending generation is due and the
-    pipeline has columns to mix, the oldest B pending ones are first mixed
-    for all S rounds together, in place in the two batch buffers. Every step
-    publishes all agents' values first, then each update reads only the
-    frozen published set, so the exchange is synchronous and deterministic.
-    The next batch is due only after this one is released, so it may reuse
-    the buffers.
-
-    An entry other than +1 or -1 in the first ``signs`` columns of ``own``
-    raises ``RuntimeError``: the box's sign columns rely on that exactness.
+    data in row k, computed as U times the own rows (see the module
+    docstring). When the oldest generation of a ``mix_last`` pipeline is due
+    and still unmixed, the last columns of the oldest B in flight are first
+    mixed for all S rounds together, in place in the two batch buffers.
+    Every step publishes all agents' values first, then each update reads
+    only the frozen published set, so the exchange is synchronous and
+    deterministic. The next batch is due only after this one is released, so
+    it may reuse the buffers.
     """
-    pending, mixed, buffers, clock, signs, closed, unit = queue
+    flight, buffers, clock, unit = queue
     if own is not None:
-        own = np.array(own, dtype=float)
-        if not np.all(np.abs(own[:, :signs]) == 1.0):
-            raise RuntimeError(f"the first {signs} columns of a generation hold "
-                               "an entry other than +1 or -1")
-        pending.append((clock, own))
-    clock = queue[3] = clock + 1
-    s_rounds = plan.s_rounds
-    if pending and pending[0][0] + s_rounds == clock:
-        if buffers is None:  # nothing to mix
-            mixed.append((clock, None, pending.popleft()[1]))
-        else:
-            batch = [pending.popleft() for _ in range(min(len(pending), buffers[0].shape[1]))]
-            now = _mix(buffers, [rows[:, closed:] for _, rows in batch], comm, plan)
-            mixed.extend((start + s_rounds, now[:, k], rows)
-                         for k, (start, rows) in enumerate(batch))
-    if mixed and mixed[0][0] == clock:
-        _, payload, rows = mixed.popleft()
-        released = np.empty((comm.n,) + rows.shape)
-        released[..., :closed] = unit[:, :, None] * rows[:, :closed]
-        if payload is not None:
-            released[..., closed:] = payload[..., :rows.shape[1] - closed]
-        return released
-    return None
+        flight.append([clock, np.array(own, dtype=float), None])
+    clock = queue[2] = clock + 1
+    if not flight or flight[0][0] + plan.s_rounds != clock:
+        return None
+    if buffers is not None and flight[0][2] is None:
+        batch = list(islice(flight, buffers[0].shape[1]))
+        now = _mix(buffers, np.column_stack([rows[:, -1] for _, rows, _ in batch]), comm, plan)
+        for k, generation in enumerate(batch):
+            generation[2] = now[:, k, :, 0]
+    _, rows, mixed = flight.popleft()
+    released = unit[:, :, None] * rows
+    if mixed is not None:
+        released[..., -1] = mixed
+    return released

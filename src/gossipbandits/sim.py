@@ -246,16 +246,17 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
     # own-data rows: action, reward, then the safe agent's shifted feedback
     width = d + 1 + (1 if safe else 0)
     edges = int(topology.adjacency.sum())
+    gossip = config.algorithm in GOSSIP_ALGORITHMS
     queue = unit = None
-    if config.algorithm in GOSSIP_ALGORITHMS + ("rc_dlucb",):
+    # with T <= S no generation or phase is ever absorbed, so U goes unread
+    if horizon > s_rounds and (gossip or config.algorithm == "rc_dlucb"):
         unit = mixing_polynomial(comm, plan)
-    if config.algorithm in GOSSIP_ALGORITHMS:
-        # box plays are corners, so their +1/-1 action columns are released
-        # through U bit for bit and only the reward column is mixed; finite
-        # runs release every column through U
-        box = arms is None
-        queue = new_pipeline(n, width, s_rounds, unit, signs=d if box else 0,
-                             closed=d if box else width)
+    if gossip:
+        if unit is not None:
+            # every column is released through U, but box UCB's exact ties
+            # read the reward to the last bit, so the box mixes it for real
+            # until ties get a rule (ROADMAP item 1b)
+            queue = new_pipeline(n, s_rounds, unit, mix_last=arms is None)
         # the full protocol's messages, also for generations never absorbed
         in_flight = np.minimum(np.arange(1, horizon + 1), s_rounds)
         trace.scalars[:] = edges * in_flight * n * width
@@ -269,7 +270,7 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
         if not replay:
             beta = beta_radius(t, d, n, config.lam, config.delta, config.sigma,
                                config.epsilon)
-            if queue is not None:
+            if gossip:
                 agents.begin_round(t, released)
             # the shared centralized learner selects once, for every agent
             actions = np.empty((n, d))
@@ -293,10 +294,12 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
                                     unit @ agents.v_new, actions, y_sums, s_rounds, t_end=t)
         else:
             agents.finish_round(t, actions, *own[:, d:].T)
-            if queue is not None:
-                # a generation started after round T - S is never absorbed
-                released = advance_queues(queue, own if t <= horizon - s_rounds else None,
-                                          comm, plan)
+            if gossip:
+                # a generation started after round T - S is never absorbed,
+                # and with T <= S there is no pipeline at all
+                if queue is not None:
+                    released = advance_queues(queue, own if t <= horizon - s_rounds else None,
+                                              comm, plan)
             elif config.algorithm == "rc_dlucb" and agents.trigger(t) and t < horizon:
                 phases += 1
                 phase_start, phase_end = t, min(t + s_rounds, horizon)

@@ -133,6 +133,23 @@ def test_summary_hashes_the_resolved_config(tmp_path):
     assert hashes[0] != hashes[1]
 
 
+def test_summary_records_every_realizations_graph(tmp_path):
+    # erdos_renyi resamples the graph in every realization, and at seed 0 the
+    # eight graphs need different mixing horizons
+    config = {"topology": {"kind": "erdos_renyi", "p": 0.5}, "N": 20, "d": 5, "T": 12,
+              "algorithm": "dlucb", "realizations": 8, "seed": 0}
+    code, out = run_cli(tmp_path, config)
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    traces = sim.run_experiment(parse_config(config))
+    assert summary["per_realization"] == {"S": [tr.s_rounds for tr in traces],
+                                          "lambda2_abs": [tr.lambda2_abs for tr in traces]}
+    assert len(set(summary["per_realization"]["S"])) > 1
+    # the top-level pair stays realization 0's
+    assert (summary["S"], summary["lambda2_abs"]) == (traces[0].s_rounds,
+                                                      traces[0].lambda2_abs)
+
+
 def test_run_bad_config_exits_2(tmp_path):
     config = {"topology": "ring", "N": 4, "d": 2, "T": 10, "algorithm": "dlucb",
               "epsilon": 7}

@@ -24,6 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ("headline_er20", 0),  # through the run command line
     ("safe_ring20", 1),
     ("rc_er20_finite", 1),
+    ("ring60_gossip", 1),  # box gossip: the tracer reads the batch-mixing pipeline
 ])
 def test_harness_runs_the_workload(tmp_path, workload, trace):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",

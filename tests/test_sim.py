@@ -152,13 +152,14 @@ def test_gossip_comm_cost_closed_form():
 
 @pytest.mark.parametrize("algorithm, horizon", [
     ("dlucb", 40), ("dlts", 23), ("safe_dlucb", 40), ("dlucb", 7), ("dlucb", 4),
+    ("rc_dlucb", 4),
 ])
 def test_only_released_generations_are_mixed(monkeypatch, algorithm, horizon):
     # a generation started after round T - S could not be absorbed by round T:
     # it is never started, so a box run mixes the reward column of (T - S)
-    # generations S times each; every run first mixes U, one unit generation,
-    # S times, even if it releases nothing, and the finite safe run mixes
-    # nothing else
+    # generations S times each; a run that releases anything first mixes U,
+    # one unit generation, S times, one with T <= S mixes nothing, and the
+    # finite safe run mixes nothing but U
     steps = []  # (ell, generations in the payload) of every gossip step
     step = consensus.comm_step
 
@@ -172,8 +173,8 @@ def test_only_released_generations_are_mixed(monkeypatch, algorithm, horizon):
     s = trace.s_rounds
     released = max(horizon - s, 0)
     mixed = 0 if algorithm == "safe_dlucb" else released
-    assert sum(generations for _, generations in steps) == (mixed + 1) * s
-    # each batch of pending generations is mixed by the steps ell = 1..S
+    assert sum(generations for _, generations in steps) == (mixed + (released > 0)) * s
+    # each batch of in-flight generations is mixed by the steps ell = 1..S
     assert [ell for ell, _ in steps] == list(range(1, s + 1)) * (len(steps) // s)
 
 
