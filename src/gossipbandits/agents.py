@@ -112,8 +112,7 @@ class RcDlucbAgent:
     """
 
     def __init__(self, n_agents, d, lam, threshold):
-        self.d = d
-        self.lam = lam
+        self.ridge = lam * np.eye(d)
         self.threshold = threshold
         self.w_syn = np.zeros((n_agents, d, d))
         self.w_new = np.zeros((n_agents, d, d))
@@ -124,7 +123,7 @@ class RcDlucbAgent:
 
     @property
     def gram(self):
-        return self.lam * np.eye(self.d) + self.w_syn + self.w_new
+        return self.ridge + self.w_syn + self.w_new
 
     @property
     def moment(self):

@@ -21,6 +21,7 @@ from .bandit import (
     greedy_box,
     rc_comm_threshold,
     safe_filter,
+    scipy_lapack,
     ts_perturb,
     ucb_select_box,
     ucb_select_finite,
@@ -384,6 +385,11 @@ def run_experiment(config, master_seed=None, workers=1):
     jobs = [(config, master_seed, r) for r in range(config.realizations)]
     if workers <= 1 or config.realizations == 1:
         return [_realization_job(job) for job in jobs]
+    if config.decision_set.variant == "box":
+        # box selection solves with scipy's LAPACK: import it once here, so
+        # that forked workers inherit it instead of each importing it inside
+        # a realization
+        scipy_lapack()
     with Pool(processes=min(workers, config.realizations)) as pool:
         return pool.map(_realization_job, jobs)
 

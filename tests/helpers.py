@@ -147,11 +147,14 @@ def ortho_norm(x_perp, gram, geo):
 
 
 # Per-agent selection as the library did it before selection was batched:
-# one agent per call, through scipy's own Cholesky wrappers. The batched
-# functions of ``bandit`` must reproduce every agent's result bit for bit.
+# one agent per call. The box ridge solve goes through scipy's own Cholesky
+# wrappers, and the finite one through the unbatched numpy calls that
+# ``ConfidenceSet.from_stats`` makes on a stack. The batched functions of
+# ``bandit`` must reproduce every agent's result bit for bit.
 
 def oracle_center(gram, moment):
-    """Ridge estimate of one agent; raises ValueError like ``ConfidenceSet.from_stats``."""
+    """Ridge estimate of one agent on the box; raises ValueError like
+    ``ConfidenceSet.from_stats``."""
     try:
         factor = scipy_linalg.cho_factor(gram, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -163,9 +166,14 @@ def oracle_center(gram, moment):
     return theta
 
 
-def oracle_select_finite(arms, gram, center, radius, scale=1.0):
-    factor = scipy_linalg.cho_factor(gram, lower=True)
-    solved = scipy_linalg.cho_solve(factor, arms.T)
+def oracle_finite_solves(gram, moment, arms):
+    """One agent's ridge estimate and (d, K) arm solves for finite arms."""
+    solved = np.vstack([moment, arms]) @ np.linalg.inv(gram).T
+    return solved[0], solved[1:].T
+
+
+def oracle_select_finite(arms, gram, moment, radius, scale=1.0):
+    center, solved = oracle_finite_solves(gram, moment, arms)
     norms = np.sqrt(np.maximum(np.einsum("kd,dk->k", arms, solved), 0.0))
     scores = arms @ center + scale * radius * norms
     idx = int(np.argmax(scores))
@@ -210,12 +218,12 @@ def oracle_safe_filter(arms, gram, safety, beta, geo):
     return np.flatnonzero(values <= geo.c)
 
 
-def oracle_safe_select(arms, gram, safety, center, beta, geo):
+def oracle_safe_select(arms, gram, safety, moment, beta, geo):
     """One safe agent's play: UCB over the certified arms, else the safe action."""
     keep = oracle_safe_filter(arms, gram, safety, beta, geo)
     if len(keep) == 0:
         return geo.x0
-    j, _ = oracle_select_finite(arms[keep], gram, center, beta, scale=geo.kappa_r)
+    j, _ = oracle_select_finite(arms[keep], gram, moment, beta, scale=geo.kappa_r)
     return arms[keep[j]]
 
 

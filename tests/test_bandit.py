@@ -27,6 +27,7 @@ from gossipbandits.sim import _select
 from helpers import (
     complement_basis,
     oracle_center,
+    oracle_finite_solves,
     oracle_safe_filter,
     oracle_safe_select,
     oracle_select_box,
@@ -255,9 +256,12 @@ def test_finite_arm_solves_belong_to_their_arms():
     assert cs.arm_solves.shape == (4, 3, 6)
     with pytest.raises(ValueError, match="no solves of these 5 arms"):
         ucb_select_finite(arms[:5], cs)
-    # finite UCB reads the solves only from a set built with its arms
+    # finite UCB reads the solves only from a set built with its arms. The
+    # box path solves the same center with scipy's LAPACK, the finite one
+    # with numpy's
     plain = ConfidenceSet.from_stats(gram, moment, 0.8)
-    assert plain.arm_solves is None and np.array_equal(plain.center, cs.center)
+    assert plain.arm_solves is None
+    assert np.abs(plain.center - cs.center).max() <= 1e-12 * np.abs(plain.center).max()
     with pytest.raises(ValueError, match="no solves of these 6 arms"):
         ucb_select_finite(arms, plain)
 
@@ -571,9 +575,8 @@ def test_batched_selection_matches_per_agent_oracle(n, d, k, zero_x0, seed):
     streams = rng.integers(0, 2**32, n)
 
     cs = ConfidenceSet.from_stats(grams, moments, beta)
-    # the center and the arms solved in one potrs call per agent
+    # the center and the arms solved together, by numpy for the whole stack
     merged = ConfidenceSet.from_stats(grams, moments, beta, arms=arms)
-    assert np.array_equal(merged.center, cs.center)
     finite_idx, finite_value = ucb_select_finite(arms, merged, scale=1.3)
     box_x, box_value = ucb_select_box(cs, scale=math.sqrt(d))
     tilde = ts_perturb(cs, [np.random.default_rng(s) for s in streams])
@@ -583,7 +586,15 @@ def test_batched_selection_matches_per_agent_oracle(n, d, k, zero_x0, seed):
     for i in range(n):
         center = oracle_center(grams[i], moments[i])
         assert np.array_equal(cs.center[i], center)
-        idx, value = oracle_select_finite(arms, grams[i], center, beta, scale=1.3)
+        finite_center, solved = oracle_finite_solves(grams[i], moments[i], arms)
+        assert np.array_equal(merged.center[i], finite_center)
+        assert np.array_equal(merged.arm_solves[i], solved)
+        # numpy's solves against scipy's Cholesky solves
+        factor = scipy_linalg.cho_factor(grams[i], lower=True)
+        for ours, theirs in ((finite_center, center),
+                             (solved, scipy_linalg.cho_solve(factor, arms.T))):
+            assert np.abs(ours - theirs).max() <= 1e-12 * np.abs(theirs).max()
+        idx, value = oracle_select_finite(arms, grams[i], moments[i], beta, scale=1.3)
         assert finite_idx[i] == idx and finite_value[i] == value
         x, value = oracle_select_box(grams[i], center, beta * math.sqrt(d))
         assert np.array_equal(box_x[i], x) and box_value[i] == value
@@ -591,7 +602,7 @@ def test_batched_selection_matches_per_agent_oracle(n, d, k, zero_x0, seed):
         assert np.array_equal(tilde[i], oracle_ts_perturb(grams[i], center, beta, own))
         keep = oracle_safe_filter(arms, grams[i], safety[i], beta, geo)
         assert np.array_equal(np.flatnonzero(certified[i]), keep)
-        played = oracle_safe_select(arms, grams[i], safety[i], center, beta, geo)
+        played = oracle_safe_select(arms, grams[i], safety[i], moments[i], beta, geo)
         assert np.array_equal(safe_plays[i], played)
 
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest.mock import patch
@@ -337,21 +340,22 @@ def test_aggregate_two_point_formula():
     assert np.allclose(tripled["regret_std"], np.sqrt(2.0) * base.cum_regret)
 
 
-@pytest.mark.parametrize("algorithm, arms, per_round", [
+@pytest.mark.parametrize("algorithm, arms, learners", [
     ("dlucb", None, 5), ("dlts", None, 5), ("no_comm", None, 5), ("centralized", None, 1),
     ("dlucb", 6, 5), ("rc_dlucb", 6, 5), ("safe_dlucb", 6, 5),
 ])
-def test_lapack_calls_per_selection_round(monkeypatch, algorithm, arms, per_round):
-    # N = 5: one potrf and one potrs per Cholesky factor and learner. Finite
-    # UCB solves the ridge moment and the arms in one potrs call, and the safe
-    # filter reads the same arm solves
-    calls = {"dpotrf": 0, "dpotrs": 0}
-    for name in calls:
-        def counting(*args, _name=name, _original=getattr(bandit.lapack, name), **kwargs):
+def test_lapack_calls_per_selection_round(monkeypatch, algorithm, arms, learners):
+    # A box learner is one scipy potrf and one potrs per selection round.
+    # Finite arms call no scipy LAPACK: one batched numpy Cholesky checks all
+    # learners, and the safe filter reads UCB's arm solves
+    calls = {"dpotrf": 0, "dpotrs": 0, "cholesky": 0}
+    lapack = bandit.scipy_lapack()
+    for module, name in ((lapack, "dpotrf"), (lapack, "dpotrs"), (np.linalg, "cholesky")):
+        def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(bandit.lapack, name, counting)
+        monkeypatch.setattr(module, name, counting)
     rounds = []
     select = sim._select
 
@@ -366,7 +370,52 @@ def test_lapack_calls_per_selection_round(monkeypatch, algorithm, arms, per_roun
         assert trace.phase_count > 0 and len(rounds) < 60
     else:
         assert len(rounds) == 60
-    assert calls == {"dpotrf": per_round * len(rounds), "dpotrs": per_round * len(rounds)}
+    scipy_calls = learners * len(rounds) if arms is None else 0
+    assert calls == {"dpotrf": scipy_calls, "dpotrs": scipy_calls,
+                     "cholesky": 0 if arms is None else len(rounds)}
+
+
+# Run in a fresh interpreter, which has not imported scipy.linalg yet. After
+# importing the command line module, it prints whether scipy.linalg is
+# imported then, after each finite run and after a box run with the worker
+# count of argv[1], and whether it was when each pool started
+SCIPY_LINALG_GUARD = """
+import sys
+from gossipbandits import cli, sim
+from gossipbandits.config import parse_config
+
+def loaded():
+    return "scipy.linalg" in sys.modules
+
+def watched_pool(*args, **kwargs):
+    at_pool_start.append(loaded())
+    return pool(*args, **kwargs)
+
+def run(algorithm, dset, workers=1, **extra):
+    sim.run_experiment(parse_config({"topology": "ring", "N": 5, "d": 3, "T": 20,
+                                     "algorithm": algorithm, "realizations": 2,
+                                     "decision_set": dset, **extra}), workers=workers)
+    return loaded()
+
+finite = {"variant": "finite", "num_arms": 6}
+at_pool_start, pool, sim.Pool = [], sim.Pool, watched_pool
+print(loaded(), run("safe_dlucb", finite, safe={"c_min": 0.3}), run("rc_dlucb", finite),
+      run("dlucb", finite, workers=2), run("dlucb", "box", workers=int(sys.argv[1])),
+      at_pool_start)
+"""
+
+
+@pytest.mark.parametrize("workers, at_pool_start", [(1, "[False]"), (2, "[False, True]")])
+def test_only_box_runs_import_scipy_linalg(workers, at_pool_start):
+    # finite runs solve with numpy alone. A box run imports scipy's LAPACK,
+    # and a box experiment over a pool imports it before the pool forks, so
+    # that the workers inherit it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", SCIPY_LINALG_GUARD, str(workers)],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().split(maxsplit=5) == ["False"] * 4 + ["True", at_pool_start]
 
 
 def _scale_trace(trace, factor):
