@@ -38,7 +38,7 @@ for ell in range(1, plan.s_rounds + 1):
         err = np.abs(cur - 1.0).max()
         print(f"  after round {ell:>2}: max deviation from the average = {err:.4f}")
 
-gain = gb.mixed_gain(comm, plan)
+gain = comm.n * gb.mixing_polynomial(comm, plan)
 print(f"pairwise gains a_ij after S rounds: min {gain.min():.4f}, max {gain.max():.4f}"
       f" (all within {EPS:.4f} of 1)")
 

@@ -7,15 +7,8 @@ safe exploration under an unknown linear constraint, and baseline algorithms
 with full regret, communication-cost, and safety accounting.
 """
 
-from .bandit import (
-    beta_radius,
-    safe_filter,
-    theoretical_regret_bound,
-    ts_perturb,
-    ucb_select_box,
-    ucb_select_finite,
-)
-from .consensus import MixingPlan, advance_queues, comm_step, mixed_gain, mixing_polynomial
+from .bandit import beta_radius, safe_filter, theoretical_regret_bound
+from .consensus import MixingPlan, comm_step, mixing_polynomial
 from .graph import build_comm_matrix, build_topology, compute_mixing_rounds
 from .sim import aggregate, run_experiment, run_realization
 

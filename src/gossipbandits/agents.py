@@ -7,8 +7,9 @@ with one call per round. Gossip agents absorb the fully mixed generation the
 pipeline released (``begin_round``), the simulator selects for every learner
 in one batched step from ``gram`` and ``moment`` (and the safe agents'
 ``safety``), and ``finish_round`` records the round's plays. The simulator
-owns the network-wide consensus pipeline (see ``consensus``) and enqueues
-every round's plays. State is never shared across realizations.
+owns the network-wide consensus pipeline (see ``consensus``) and starts a
+generation of it from every round's plays. State is never shared across
+realizations.
 """
 
 from __future__ import annotations

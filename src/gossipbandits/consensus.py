@@ -15,7 +15,9 @@ realization. That is what S gossip rounds over the generation give, up to
 about 1e-13 of its largest entry. On the box every play is a corner, so an
 action entry is exactly +1 or -1 and releases as exactly +U or -U: every
 entry of a payload runs the same S-step recursion from its own seed, and
-rounding to nearest is sign-symmetric.
+rounding to nearest is sign-symmetric. The pipeline keeps the network and
+mixing plan that U was built from, so each round hands it only that
+round's own rows.
 
 The box reward column is the one exception. Box UCB's exact ties read it
 to the last bit, so a ``mix_last`` pipeline replaces the last column of
@@ -25,12 +27,15 @@ batches: when the oldest generation is due, the last columns of the oldest
 B generations in flight are mixed together, S ``comm_step`` calls over one
 (holder, generation, source, width') payload, after which one of them is
 released per round. B = min(S, BLOCK_BYTES // (N^2 * width' * 8)) keeps the
-payload about cache-sized, so the pipeline holds two such payloads and S
-raw rows, whatever S * N^2 is. A holder's rows of the batch form one
-contiguous payload row, and a step is one stacked BLAS product per block of
-holders with equal-size neighborhoods (see ``graph.HolderBlock``). The step
-writes in place over ``prev`` (``out=prev``), which is safe because holder
-i's update reads only ``prev[i]``; then ``now`` and ``prev`` swap roles.
+payload about cache-sized. Each batch allocates its two payloads, ``now``
+and ``prev``; ``prev`` is freed when the batch is mixed and ``now`` when its
+last generation is released, before the next batch is due. So the pipeline
+holds at most two payloads and S raw rows, whatever S * N^2 is. A holder's
+rows of the batch form one contiguous payload row, and a step is one
+stacked BLAS product per block of holders with equal-size neighborhoods
+(see ``graph.HolderBlock``). The step writes in place over ``prev``
+(``out=prev``), which is safe because holder i's update reads only
+``prev[i]``; then ``now`` and ``prev`` swap roles.
 
 The mixed column is padded with zero columns to width', the narrowest
 width whose N * width' is a multiple of 4. Then no entry falls in the last
@@ -137,7 +142,7 @@ def comm_step(now, prev, ell, comm, plan, out=None):
         w = plan.weights
         c_now = 2.0 * w[ell - 1] / (plan.lambda2_abs * w[ell])
         c_prev = w[ell - 2] / w[ell]
-    flat = now.reshape(comm.n, -1)  # a view for the pipeline's batch slices
+    flat = now.reshape(comm.n, -1)
     row_stride, col_stride = flat.strides
     # a strided view hands dgemv the operands a gathered copy would only when
     # payload rows are contiguous and longer than one entry: with one entry
@@ -182,37 +187,28 @@ def _padded(n, cols):
     return cols
 
 
-def new_pipeline(n, s_rounds, unit, mix_last=False):
-    """An empty network-wide pipeline for N agents that releases every
-    generation as U, the (N, N) ``mixing_polynomial`` ``unit``, times its own
-    rows; with ``mix_last`` the last column of each release is mixed instead.
+def new_pipeline(comm, plan, unit, mix_last=False):
+    """An empty pipeline over the network ``comm`` with mixing ``plan`` that
+    releases every generation as U, the (N, N) ``mixing_polynomial(comm,
+    plan)`` ``unit``, times its own rows; with ``mix_last`` the last column
+    of each release is mixed over ``comm`` instead.
 
-    The pipeline is the list [flight, buffers, clock, unit]. ``clock`` counts
-    the gossip rounds run. ``flight`` holds [start, own, mixed] for every
-    generation started and not yet released, oldest first: the clock when it
-    started, its (N, width) own rows, and its mixed (N, N) last column, a
-    view into a batch buffer, once that is mixed (else None). ``buffers``
-    are the two (holder, generation, source, width') arrays with room for a
-    batch of B = min(S, BLOCK_BYTES // (N^2 * width' * 8)) generations, at
-    least one, or None without ``mix_last``. width' is the one mixed column
-    padded as the module docstring says.
+    The pipeline is the list [flight, clock, unit, comm, plan, mix_last].
+    ``clock`` counts the gossip rounds run. ``flight`` holds [start, own,
+    mixed] for every generation started and not yet released, oldest first:
+    the clock when it started, its (N, width) own rows, and its mixed (N, N)
+    last column, a view into its batch's payload, once that is mixed (else
+    None).
     """
-    buffers = None
-    if mix_last:
-        cols = _padded(n, 1)
-        shape = (n, max(1, min(s_rounds, BLOCK_BYTES // (n * n * cols * 8))), n, cols)
-        # two allocations: one block of both kept 0.2 MB more resident at ER
-        # N=20, likely through glibc's mmap threshold, which follows freed sizes
-        buffers = (np.empty(shape), np.empty(shape))
-    return [deque(), buffers, 0, unit]
+    return [deque(), 0, unit, comm, plan, mix_last]
 
 
-def _mix(buffers, seeds, comm, plan):
+def _mix(seeds, comm, plan):
     """Mix the (N, B) ``seeds``, one column per generation, for all S rounds
-    together, in place in the two batch ``buffers``, zero-padded past the
-    first column; return the (holder, generation, source, width') result."""
-    now, prev = (buf[:, :seeds.shape[1]] for buf in buffers)
-    now[:] = 0.0
+    together in a new (holder, generation, source, width') payload,
+    zero-padded past the first column; return the mixed payload."""
+    shape = (comm.n, seeds.shape[1], comm.n, _padded(comm.n, 1))
+    now, prev = np.zeros(shape), np.empty(shape)
     diag = np.arange(comm.n)
     now[diag, :, diag, 0] = seeds
     for ell in range(1, plan.s_rounds + 1):
@@ -222,17 +218,10 @@ def _mix(buffers, seeds, comm, plan):
 
 def mixing_polynomial(comm, plan):
     """U = q_S(P), the (N, N) S-step mix of a unit seed in a zero-padded payload."""
-    shape = (comm.n, 1, comm.n, _padded(comm.n, 1))
-    ones = _mix((np.empty(shape), np.empty(shape)), np.ones((comm.n, 1)), comm, plan)
-    return ones[:, 0, :, 0].copy()
+    return _mix(np.ones((comm.n, 1)), comm, plan)[:, 0, :, 0].copy()
 
 
-def mixed_gain(comm, plan):
-    """Gain matrix a with a[i, j] = N * [q_S(P)]_ij."""
-    return comm.n * mixing_polynomial(comm, plan)
-
-
-def advance_queues(queue, own, comm, plan):
+def advance_queues(queue, own):
     """Start a generation from ``own`` and run one gossip round of the
     pipeline; return the generation it releases, or None.
 
@@ -243,21 +232,20 @@ def advance_queues(queue, own, comm, plan):
     data in row k, computed as U times the own rows (see the module
     docstring). When the oldest generation of a ``mix_last`` pipeline is due
     and still unmixed, the last columns of the oldest B in flight are first
-    mixed for all S rounds together, in place in the two batch buffers.
-    Every step publishes all agents' values first, then each update reads
-    only the frozen published set, so the exchange is synchronous and
-    deterministic. The next batch is due only after this one is released, so
-    it may reuse the buffers.
+    mixed for all S rounds together. Every step publishes all agents' values
+    first, then each update reads only the frozen published set, so the
+    exchange is synchronous and deterministic.
     """
-    flight, buffers, clock, unit = queue
+    flight, clock, unit, comm, plan, mix_last = queue
     if own is not None:
         flight.append([clock, np.array(own, dtype=float), None])
-    clock = queue[2] = clock + 1
+    clock = queue[1] = clock + 1
     if not flight or flight[0][0] + plan.s_rounds != clock:
         return None
-    if buffers is not None and flight[0][2] is None:
-        batch = list(islice(flight, buffers[0].shape[1]))
-        now = _mix(buffers, np.column_stack([rows[:, -1] for _, rows, _ in batch]), comm, plan)
+    if mix_last and flight[0][2] is None:
+        room = BLOCK_BYTES // (comm.n * comm.n * _padded(comm.n, 1) * 8)
+        batch = list(islice(flight, max(1, min(plan.s_rounds, room))))
+        now = _mix(np.column_stack([rows[:, -1] for _, rows, _ in batch]), comm, plan)
         for k, generation in enumerate(batch):
             generation[2] = now[:, k, :, 0]
     _, rows, mixed = flight.popleft()

@@ -257,7 +257,7 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
             # every column is released through U, but box UCB's exact ties
             # read the reward to the last bit, so the box mixes it for real
             # until ties get a rule (ROADMAP item 1b)
-            queue = new_pipeline(n, s_rounds, unit, mix_last=arms is None)
+            queue = new_pipeline(comm, plan, unit, mix_last=arms is None)
         # the full protocol's messages, also for generations never absorbed
         in_flight = np.minimum(np.arange(1, horizon + 1), s_rounds)
         trace.scalars[:] = edges * in_flight * n * width
@@ -265,7 +265,7 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
         trace.scalars[:] = n * (n - 1) * (d + 1)
     released = None
 
-    phases, phase_start, phase_end = 0, 0, 0
+    phases, phase_end = 0, 0
     for t in range(1, horizon + 1):
         replay = t <= phase_end  # an rc_dlucb phase round
         if not replay:
@@ -288,9 +288,9 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
             probe(t, _probe_info(actions, agents))
         if replay:
             # the replays are not added to the unshared sums, which are still
-            # round phase_start's; a cut-short phase never mixes them
+            # the trigger round's; a cut-short phase never reaches phase_end
             y_sums += own[:, d]
-            if t == phase_start + s_rounds:
+            if t == phase_end:
                 agents.absorb_phase(np.tensordot(unit, agents.w_new, axes=1),
                                     unit @ agents.v_new, actions, y_sums, s_rounds, t_end=t)
         else:
@@ -299,13 +299,12 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
                 # a generation started after round T - S is never absorbed,
                 # and with T <= S there is no pipeline at all
                 if queue is not None:
-                    released = advance_queues(queue, own if t <= horizon - s_rounds else None,
-                                              comm, plan)
-            elif config.algorithm == "rc_dlucb" and agents.trigger(t) and t < horizon:
+                    released = advance_queues(queue, own if t <= horizon - s_rounds else None)
+            elif config.algorithm == "rc_dlucb" and t < horizon and agents.trigger(t):
                 phases += 1
-                phase_start, phase_end = t, min(t + s_rounds, horizon)
+                phase_end = t + s_rounds
                 y_sums = np.zeros(n)
-                # a cut-short phase still sends its messages
+                # a cut-short phase still sends its messages; slices clip at T
                 trace.phase_id[t:phase_end] = phases
                 trace.scalars[t:phase_end] = edges * d * (d + 1)
         trace.phases_started[t - 1] = phases

@@ -61,7 +61,7 @@ def test_criterion_2_consensus_mixing():
         comm = gb.build_comm_matrix(topo)
         for eps in (0.3, 0.1, 1 / 21):
             plan = gb.MixingPlan.for_network(comm, eps)
-            gain = gb.mixed_gain(comm, plan)
+            gain = comm.n * gb.mixing_polynomial(comm, plan)
             dev = float(np.linalg.norm(gain - 1.0, axis=0).max())
             if eps - dev < worst[0]:
                 worst = (eps - dev, f"{name} eps={eps:.4f} dev={dev:.4f} S={plan.s_rounds}")
@@ -215,7 +215,7 @@ def test_criterion_8_confidence_coverage():
     actions /= np.linalg.norm(actions, axis=2, keepdims=True)
     comm = gb.build_comm_matrix(gb.build_topology("ring", 20))
     plan = gb.MixingPlan.for_network(comm, eps)
-    gains_sq = gb.mixed_gain(comm, plan)[0] ** 2  # agent 0's pairwise gains
+    gains_sq = (comm.n * gb.mixing_polynomial(comm, plan)[0]) ** 2  # agent 0's pairwise gains
     noise = sigma * rng.standard_normal((redraws, horizon, n))
 
     weighted = actions * gains_sq[None, :, None]

@@ -129,7 +129,7 @@ def test_random_action_streams_keep_the_gram_sandwich(n, d, horizon, keep, seed)
     s = plan.s_rounds
     lo, hi = (1 - eps) ** 2, (1 + eps) ** 2
     agents = DlucbAgent(np.arange(n), d, 1.0, s, keep_warmup_data=keep)
-    queue = new_pipeline(n, s, mixing_polynomial(comm, plan))
+    queue = new_pipeline(comm, plan, mixing_polynomial(comm, plan))
     actions = rng.uniform(-1.0, 1.0, (horizon, n, d))
     rewards = rng.standard_normal((horizon, n))
     star = np.eye(d)
@@ -149,7 +149,7 @@ def test_random_action_streams_keep_the_gram_sandwich(n, d, horizon, keep, seed)
             if t <= s:
                 own[i] += np.outer(actions[t - 1, i], actions[t - 1, i])
         sent = np.column_stack([actions[t - 1], rewards[t - 1]]) if t <= horizon - s else None
-        released = advance_queues(queue, sent, comm, plan)
+        released = advance_queues(queue, sent)
 
 
 @settings(max_examples=60, deadline=None)
@@ -195,7 +195,7 @@ def test_stacked_agents_match_per_agent_oracle(n, d, horizon, keep, zero_x0, alg
         if safe:
             assert np.array_equal(stacked.safety, [a.safety for a in oracle])
 
-    queue = new_pipeline(n, s, mixing_polynomial(comm, plan)) if gossip else None
+    queue = new_pipeline(comm, plan, mixing_polynomial(comm, plan)) if gossip else None
     released = None
     for t in range(1, horizon + 1):
         x, y = actions[t - 1], rewards[t - 1]
@@ -219,7 +219,7 @@ def test_stacked_agents_match_per_agent_oracle(n, d, horizon, keep, zero_x0, alg
                 agent.finish_round(t, x[i], y[i])
         check()
         if gossip:
-            released = advance_queues(queue, own if t <= horizon - s else None, comm, plan)
+            released = advance_queues(queue, own if t <= horizon - s else None)
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,7 +13,6 @@ from gossipbandits.consensus import (
     advance_queues,
     chebyshev_weights,
     comm_step,
-    mixed_gain,
     mixing_polynomial,
     new_pipeline,
 )
@@ -250,12 +249,12 @@ def test_regular_graphs_read_their_rows_as_views():
 def test_mixed_gain_complete_graph_exact():
     comm, plan = make("complete", 5, eps=0.1)
     assert plan.s_rounds == 1
-    assert np.allclose(mixed_gain(comm, plan), 1.0, atol=1e-12)
+    assert np.allclose(comm.n * mixing_polynomial(comm, plan), 1.0, atol=1e-12)
 
 
 def test_mixed_gain_within_epsilon():
     comm, plan = make("ring", 4, eps=0.1)
-    gain = mixed_gain(comm, plan)
+    gain = comm.n * mixing_polynomial(comm, plan)
     assert gain.min() >= 0.9 and gain.max() <= 1.1
     assert np.allclose(gain.sum(axis=1), 4.0, atol=1e-9)
 
@@ -265,7 +264,7 @@ def test_mixing_guarantee_across_family():
     for kind, n in graphs:
         for eps in (0.3, 0.1):
             comm, plan = make(kind, n, eps=eps)
-            gain = mixed_gain(comm, plan)
+            gain = comm.n * mixing_polynomial(comm, plan)
             dev = np.linalg.norm(gain - 1.0, axis=0).max()
             assert dev <= eps, (kind, n, eps, dev)
 
@@ -285,7 +284,7 @@ def test_random_graphs_keep_the_gain_band(n, span, p, d, seed):
     comm = build_comm_matrix(GraphTopology(a + a.T))
     eps = 1.0 / (4 * d + 1)
     plan = MixingPlan.for_network(comm, eps)
-    assert np.abs(mixed_gain(comm, plan) - 1.0).max() <= eps
+    assert np.abs(n * mixing_polynomial(comm, plan) - 1.0).max() <= eps
     if plan.lambda2_abs > 0:
         stretch = plan.s_rounds * math.acosh(1.0 / plan.lambda2_abs)
         assert n * math.sqrt(1.0 - 1.0 / n) / math.cosh(stretch) <= eps
@@ -299,7 +298,7 @@ def test_recursion_equals_closed_form_polynomial():
     for topo in graphs:
         comm = build_comm_matrix(topo)
         plan = MixingPlan.for_network(comm, 0.1)
-        q_rec = mixed_gain(comm, plan) / comm.n
+        q_rec = mixing_polynomial(comm, plan)
         q_eig = mixing_polynomial_eig(comm.entries, comm.lambda2_abs, plan.s_rounds)
         assert np.abs(q_rec - q_eig).max() < 1e-8
 
@@ -326,16 +325,14 @@ def test_enqueue_builds_single_row_slot(monkeypatch):
     assert s >= 2
     unit = mixing_polynomial(comm, plan)
     steps = _recording_steps(monkeypatch)
-    queue = new_pipeline(3, s, unit, mix_last=True)
-    for buffer in queue[1]:
-        buffer[:] = np.nan  # a reused batch buffer must not keep stale entries
+    queue = new_pipeline(comm, plan, unit, mix_last=True)
     own = np.array([[1.0, -1.0, 1.25], [-1.0, 1.0, 3.0], [1.0, 1.0, 0.5]])
-    assert advance_queues(queue, own, comm, plan) is None
+    assert advance_queues(queue, own) is None
     sent = own.copy()
     own[:] = 0.0  # the pipeline keeps its own copy of the raw rows
     assert np.array_equal(queue[0][0][1], sent)
     for _ in range(s - 1):
-        released = advance_queues(queue, None, comm, plan)
+        released = advance_queues(queue, None)
     # the batch of this one generation was mixed in S steps
     assert [ell for ell, _, _ in steps] == list(range(1, s + 1))
     payload = steps[0][1][:, 0]
@@ -357,16 +354,16 @@ def test_early_dequeue():
     assert s >= 2
     own = np.ones((4, 2))
     for mix_last in (False, True):
-        queue = new_pipeline(4, s, mixing_polynomial(comm, plan), mix_last)
+        queue = new_pipeline(comm, plan, mixing_polynomial(comm, plan), mix_last)
         # a gossip round with nothing in flight releases nothing
-        assert advance_queues(queue, None, comm, plan) is None
+        assert advance_queues(queue, None) is None
         assert not queue[0]
         # nothing is released before a generation has been mixed S times
         for _ in range(s - 1):
-            assert advance_queues(queue, own, comm, plan) is None
+            assert advance_queues(queue, own) is None
         assert len(queue[0]) == s - 1
         # S are in flight after the next start, and the oldest goes now
-        released = advance_queues(queue, own, comm, plan)
+        released = advance_queues(queue, own)
         assert np.allclose(released.sum(axis=1), 1.0, atol=1e-12)
         assert len(queue[0]) == s - 1
 
@@ -392,14 +389,14 @@ def test_released_generation_is_scaled_gain_times_data():
         comm = build_comm_matrix(topo)
         plan = MixingPlan.for_network(comm, 0.1)
         n = comm.n
-        scaled_gain = mixed_gain(comm, plan) / n
+        scaled_gain = mixing_polynomial(comm, plan)
         # action (d=2), reward and safety columns
         data = [rng.standard_normal((n, 4)) for _ in range(plan.s_rounds + 3)]
         for mix_last in (False, True):
-            queue = new_pipeline(n, plan.s_rounds, mixing_polynomial(comm, plan), mix_last)
+            queue = new_pipeline(comm, plan, mixing_polynomial(comm, plan), mix_last)
             released = []
             for own in data:
-                out = advance_queues(queue, own, comm, plan)
+                out = advance_queues(queue, own)
                 if out is not None:
                     released.append(out)
             assert len(released) == 4
@@ -412,15 +409,14 @@ def _drive_queues(comm, plan, actions, rewards, mix_last):
     """Replay the start/mix/release pipeline the way the simulator runs it;
     yields (t, agent, slot) for every slot absorbed at round t."""
     horizon = actions.shape[0]
-    queue = new_pipeline(comm.n, plan.s_rounds, mixing_polynomial(comm, plan), mix_last)
+    queue = new_pipeline(comm, plan, mixing_polynomial(comm, plan), mix_last)
     released = None
     for t in range(1, horizon + 1):
         if released is not None:
             for i in range(comm.n):
                 yield t, i, released[i]
         own = np.column_stack([actions[t - 1], rewards[t - 1]])
-        released = advance_queues(queue, own if t <= horizon - plan.s_rounds else None,
-                                  comm, plan)
+        released = advance_queues(queue, own if t <= horizon - plan.s_rounds else None)
 
 
 def test_dequeue_complete_graph_is_exact_average():
@@ -467,14 +463,13 @@ def test_dequeue_matches_exact_polynomial_oracle():
         assert absorbed == 3 * (10 - plan.s_rounds)
 
 
-def _check_depth_and_mixing_counts(comm, plan, unit, steps):
+def _check_depth_and_mixing_counts(comm, plan, unit, room, steps):
     s = plan.s_rounds
     n = comm.n
     # q_ell(P) for every mixing count ell = 1..S
     q = {ell: mixing_polynomial_eig(comm.entries, comm.lambda2_abs, ell)
          for ell in range(1, s + 1)}
-    queue = new_pipeline(n, s, unit, mix_last=True)
-    room = queue[1][0].shape[1]
+    queue = new_pipeline(comm, plan, unit, mix_last=True)
     sent = []
     rng = np.random.default_rng(4)
     horizon = 4 * s + 2
@@ -484,7 +479,7 @@ def _check_depth_and_mixing_counts(comm, plan, unit, steps):
             # an action and a reward column, of which the reward is mixed
             own = rng.standard_normal((n, 2))
             sent.append(own)
-        released = advance_queues(queue, own, comm, plan)
+        released = advance_queues(queue, own)
         flight = queue[0]
         # after round t, the generations started after round t - S + 1 are in
         # flight, min(t, S - 1) while they start, then the pipeline drains
@@ -514,7 +509,7 @@ def test_queue_pipeline_depth_and_mixing_counts():
     """Generations are released at rounds S..T-1, one per round, each as
     q_S(P)-scaled data, after S gossip steps over batches of at most B reward
     columns in which every step ell leaves q_ell(P)-scaled data: with B = S,
-    and with buffers too small for S generations."""
+    and with BLOCK_BYTES too small for S generations."""
     comm = build_comm_matrix(build_topology("ring", 4))
     plan = MixingPlan.for_network(comm, 0.1)
     assert plan.s_rounds > 2
@@ -524,15 +519,15 @@ def test_queue_pipeline_depth_and_mixing_counts():
             if batch is not None:
                 # room for ``batch`` reward columns, which N = 4 needs no padding for
                 patch.setattr(consensus, "BLOCK_BYTES", batch * comm.n ** 2 * 8)
-            buffers = new_pipeline(comm.n, plan.s_rounds, unit, mix_last=True)[1]
-            assert [b.shape for b in buffers] == [(4, batch or plan.s_rounds, 4, 1)] * 2
-            _check_depth_and_mixing_counts(comm, plan, unit, _recording_steps(patch))
+            _check_depth_and_mixing_counts(comm, plan, unit, batch or plan.s_rounds,
+                                           _recording_steps(patch))
 
 
 def test_pipeline_memory_does_not_grow_with_s_n_squared():
-    """Ring N = 200 at d = 5 needs S = 353: a box pipeline holds two batch
-    buffers of at most BLOCK_BYTES and the raw rows of S generations, never
-    an array of S * N^2 entries (the S-slot pipeline held 1.36 GB)."""
+    """Ring N = 200 at d = 5 needs S = 353: a box pipeline holds the raw rows
+    of S generations, and mixes a batch in two payloads of at most
+    BLOCK_BYTES each, never an array of S * N^2 entries (the S-slot pipeline
+    held 1.36 GB)."""
     comm = build_comm_matrix(build_topology("ring", 200))
     plan = MixingPlan.for_network(comm, 1.0 / 21.0)
     n, width, s = 200, 6, plan.s_rounds
@@ -542,19 +537,19 @@ def test_pipeline_memory_does_not_grow_with_s_n_squared():
     unit = mixing_polynomial(comm, plan)
     tracemalloc.start()
     try:
-        queue = new_pipeline(n, s, unit, mix_last=True)
+        queue = new_pipeline(comm, plan, unit, mix_last=True)
         for _ in range(1, s):
-            assert advance_queues(queue, own, comm, plan) is None
+            assert advance_queues(queue, own) is None
         _, filled = tracemalloc.get_traced_memory()
-        arrays = [*queue[1]] + [rows for _, rows, _ in queue[0]] + [own]
-        # round S starts the S-th generation, mixes the oldest batch and
-        # releases its first generation, with at most BLOCK_BYTES of gossip
-        # temporaries and the released copy
-        released = advance_queues(queue, own, comm, plan)
+        arrays = [rows for _, rows, _ in queue[0]] + [own]
+        # round S starts the S-th generation, mixes the oldest batch in two
+        # payloads and releases its first generation, with at most
+        # BLOCK_BYTES of gossip temporaries and the released copy
+        released = advance_queues(queue, own)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(arrays) == s + 2
+    assert len(arrays) == s
     assert sum(a.nbytes for a in arrays) <= bound
     assert max(a.size for a in arrays) < s * n * n
     assert filled <= bound
@@ -618,24 +613,35 @@ def test_pipeline_matches_list_of_generations(quarter, width, seed, extra, room)
         comm, plan, stream, horizon = _box_stream(n, width, seed, extra)
         s = plan.s_rounds
         unit = mixing_polynomial(comm, plan)
-        with pytest.MonkeyPatch.context() as patch:
-            cols = consensus._padded(n, 1)
-            patch.setattr(consensus, "BLOCK_BYTES", room * n * n * cols * 8)
-            queue = new_pipeline(n, s, unit, mix_last=True)
-        assert queue[1][0].shape == (n, min(room, s), n, cols)
+        cols = consensus._padded(n, 1)
         assert n * cols % 4 == 0 and all(n * w % 4 for w in range(1, cols))
+        queue = new_pipeline(comm, plan, unit, mix_last=True)
         oracle = _list_pipeline_oracle(comm, plan, stream)
-        for t in range(1, horizon + 1):
-            # like the simulator, start no generation that would be released after T
-            released = advance_queues(queue, stream[t - 1] if t <= horizon - s else None,
-                                      comm, plan)
-            expected = next(oracle)
-            assert (released is None) == (expected is None or t == horizon)
-            if released is not None:
-                np.testing.assert_array_equal(released, expected)
-                np.testing.assert_array_equal(released[..., :-1],
-                                              unit[:, :, None] * stream[t - s, :, :-1])
+        payloads = []  # every batch's mixed payload
+
+        def recording_mix(seeds, comm, plan):
+            payloads.append(mix(seeds, comm, plan))
+            return payloads[-1]
+
+        mix = consensus._mix
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(consensus, "BLOCK_BYTES", room * n * n * cols * 8)
+            patch.setattr(consensus, "_mix", recording_mix)
+            for t in range(1, horizon + 1):
+                # like the simulator, start no generation that would be released after T
+                released = advance_queues(queue, stream[t - 1] if t <= horizon - s else None)
+                expected = next(oracle)
+                assert (released is None) == (expected is None or t == horizon)
+                if released is not None:
+                    np.testing.assert_array_equal(released, expected)
+                    np.testing.assert_array_equal(released[..., :-1],
+                                                  unit[:, :, None] * stream[t - s, :, :-1])
         assert not queue[0]
+        # every batch but the last, which the drain may cut short, is full
+        sizes = [payload.shape[1] for payload in payloads]
+        assert sizes[:-1] == [min(room, s)] * (len(sizes) - 1)
+        assert 0 < sizes[-1] <= min(room, s) and sum(sizes) == horizon - s
+        assert {payload.shape[:1] + payload.shape[2:] for payload in payloads} == {(n, n, cols)}
 
 
 def _mixed_releases(comm, plan, stream, count):
@@ -643,9 +649,8 @@ def _mixed_releases(comm, plan, stream, count):
     each of their columns release them, (count, N, N, width): one ``_mix``
     batch seeded with every column, S steps in all."""
     n, width = comm.n, stream.shape[2]
-    shape = (n, count * width, n, consensus._padded(n, 1))
     seeds = stream[:count].transpose(1, 0, 2).reshape(n, count * width)
-    mixed = consensus._mix((np.empty(shape), np.empty(shape)), seeds, comm, plan)
+    mixed = consensus._mix(seeds, comm, plan)
     return mixed[..., 0].reshape(n, count, width, n).transpose(1, 0, 3, 2)
 
 
@@ -656,7 +661,7 @@ def _mixed_releases(comm, plan, stream, count):
 def test_closed_form_release_is_u_times_the_own_rows(graph, width, seed, extra):
     """A pipeline without ``mix_last`` releases exactly U times the own rows,
     within 1e-12 of the largest entry of what gossip rounds over every column
-    release, and allocates no batch buffers; N * U is the identity-seed
+    release, and runs no gossip step; N * U is the identity-seed
     recursion's gain within 1e-12 and lies in the epsilon band. The list
     oracle costs S^2 N per-holder products (2.6 s on path N = 40), so past
     N = 12 the reference is ``_mix`` over every column, S steps, which the
@@ -674,15 +679,16 @@ def test_closed_form_release_is_u_times_the_own_rows(graph, width, seed, extra):
         want = list(_list_pipeline_oracle(comm, plan, stream))[s - 1:-1]
     else:
         want = _mixed_releases(comm, plan, stream, horizon - s)
-    queue = new_pipeline(n, s, unit)
-    assert queue[1] is None
-    for t in range(1, horizon + 1):
-        own = stream[t - 1] if t <= horizon - s else None
-        got = advance_queues(queue, own, comm, plan)
-        assert (got is None) == (not s <= t < horizon)
-        if got is not None:
-            np.testing.assert_array_equal(got, unit[:, :, None] * stream[t - s])
-            assert np.abs(got - want[t - s]).max() <= 1e-12 * np.abs(want[t - s]).max()
+    queue = new_pipeline(comm, plan, unit)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(consensus, "comm_step", None)  # a gossip step would raise
+        for t in range(1, horizon + 1):
+            own = stream[t - 1] if t <= horizon - s else None
+            got = advance_queues(queue, own)
+            assert (got is None) == (not s <= t < horizon)
+            if got is not None:
+                np.testing.assert_array_equal(got, unit[:, :, None] * stream[t - s])
+                assert np.abs(got - want[t - s]).max() <= 1e-12 * np.abs(want[t - s]).max()
     assert not queue[0]
     assert np.abs(n * unit - identity_seed_gain(comm, plan)).max() <= 1e-12
     assert np.abs(n * unit - 1.0).max() <= plan.epsilon

@@ -233,6 +233,35 @@ def test_cut_short_rc_phase_mixes_nothing(monkeypatch):
     assert np.array_equal(trace.scalars, np.where(trace.phase_id > 0, directed * 5 * 6, 0))
 
 
+@pytest.mark.parametrize("rounds_left", ["S", "S - 1", "0"])
+def test_rc_phase_boundary_at_the_horizon(monkeypatch, rounds_left):
+    # one phase, fired in round t0 = T - rounds_left: with S rounds left it
+    # completes and is absorbed in round T, with S - 1 the horizon cuts it
+    # short after S - 1 booked rounds and it absorbs nothing, and fired in
+    # round T it starts nothing and sends nothing
+    config = cfg(algorithm="rc_dlucb")
+    s = sim.build_network(config, 0, 0)[2].s_rounds
+    horizon = config.horizon
+    booked = {"S": s, "S - 1": s - 1, "0": 0}[rounds_left]
+    t0 = horizon - booked
+    absorbed = []
+    absorb = RcDlucbAgent.absorb_phase
+
+    def counting_absorb(agents, *args, **kwargs):
+        absorbed.append(kwargs["t_end"])
+        return absorb(agents, *args, **kwargs)
+
+    monkeypatch.setattr(RcDlucbAgent, "trigger", lambda agents, t: t == t0)
+    monkeypatch.setattr(RcDlucbAgent, "absorb_phase", counting_absorb)
+    trace = run_realization(config, master_seed=0)
+    assert trace.s_rounds == s < horizon - 1
+    assert absorbed == ([horizon] if booked == s else [])
+    rounds = np.arange(1, horizon + 1)
+    assert np.array_equal(trace.phase_id, (rounds > t0).astype(int))
+    assert np.array_equal(trace.scalars, np.where(rounds > t0, 2 * 5 * 3 * 4, 0))
+    assert np.array_equal(trace.phases_started, (rounds >= t0) & (booked > 0))
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 30), p=st.floats(0.0, 0.5), d=st.integers(1, 5),
        seed=st.integers(0, 2**32 - 1))

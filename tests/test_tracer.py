@@ -73,7 +73,10 @@ def test_tracer_records_agent_and_feedback_spans_and_restores_originals(monkeypa
     assert calls["sim.feedback"] == len(ALGORITHMS) * horizon
     assert calls["agents.begin_round"] == 3 * horizon
     assert calls["agents.finish_round"] == 5 * horizon
-    assert 0 < calls["agents.rc_trigger"] == calls["agents.rc_record_play"] <= horizon
+    # the trigger is evaluated after every recorded play but round T's
+    rc = traces["rc_dlucb"]
+    plays = calls["agents.rc_record_play"]
+    assert 0 < calls["agents.rc_trigger"] == plays - (rc.phase_id[-1] == 0) and plays <= horizon
     # one queue advance per gossip round; inside the advances, in the two box
     # runs, the S steps of every batch of at most S generations (the finite
     # safe run releases every column through U), and outside them the S steps
@@ -85,7 +88,6 @@ def test_tracer_records_agent_and_feedback_spans_and_restores_originals(monkeypa
                    for span in steps if span[3] >= 0)
     s = traces["dlucb"].s_rounds
     assert in_queue == s * 2 * math.ceil((horizon - s) / s)
-    rc = traces["rc_dlucb"]
     completed = int(np.sum(np.bincount(rc.phase_id)[1:] == rc.s_rounds))
     assert completed > 0 and rc.s_rounds == s and len(steps) - in_queue == 4 * s
     assert [span[5] for span in steps] == returned

@@ -1,5 +1,5 @@
-"""Regret-trace sweep: run a fixed grid of single realizations and compare
-every run's cumulative regret curve, bit for bit, with an earlier sweep's.
+"""Trace sweep: run a fixed grid of single realizations and compare every
+run's per-round trace arrays, bit for bit, with an earlier sweep's.
 
 The grid is algorithm x topology x N x d x seed x decision set (``GRID``),
 each run one ``sim.run_realization`` at master seed ``seed``, T = 200 by
@@ -10,9 +10,11 @@ Record a sweep, change the code, and check that no curve moved:
     PYTHONPATH=src python tests/trace_sweep.py --out after.npz --compare before.npz
 
 ``--only AXIS=V1,V2`` narrows an axis (repeatable), ``--horizon`` sets T.
-With ``--compare`` the script lists every run whose curve is not
-``array_equal`` to the other file's, or that the other file lacks, and exits
-1 if there is any; runs only the other file holds are ignored.
+The file holds each of a run's ``ARRAYS`` under the key ``run:array``. With
+``--compare`` the script lists every run with an array that is not
+``array_equal`` to the other file's, or that the other file lacks, naming
+those arrays, and exits 1 if there is any; runs only the other file holds
+are ignored.
 """
 
 import argparse
@@ -33,6 +35,8 @@ GRID = {
     "seed": (0, 1),
     "decision_set": ("box", "finite"),
 }
+# every per-round array of a Trace
+ARRAYS = ("inst_regret", "cum_regret", "scalars", "violations", "phase_id", "phases_started")
 
 
 def runs(grid, horizon):
@@ -53,15 +57,25 @@ def runs(grid, horizon):
 
 
 def sweep(grid, horizon):
-    """Every run's (T,) cumulative regret, by run name."""
-    return {name: run_realization(parse_config(raw), master_seed=seed).cum_regret
-            for name, raw, seed in runs(grid, horizon)}
+    """Every run's (T,) trace arrays, by run name."""
+    traces = {}
+    for name, raw, seed in runs(grid, horizon):
+        trace = run_realization(parse_config(raw), master_seed=seed)
+        traces[name] = {array: getattr(trace, array) for array in ARRAYS}
+    return traces
 
 
-def moved(curves, other):
-    """Names of the runs of ``curves`` whose curve ``other`` lacks or differs on."""
-    return [name for name, curve in curves.items()
-            if name not in other or not np.array_equal(curve, other[name])]
+def moved(traces, other):
+    """(run name, names of its moved arrays) of every run of ``traces`` with
+    an array that ``other``, keyed ``run:array``, lacks or differs on."""
+    out = []
+    for name, arrays in traces.items():
+        changed = [array for array, values in arrays.items()
+                   if f"{name}:{array}" not in other
+                   or not np.array_equal(values, other[f"{name}:{array}"])]
+        if changed:
+            out.append((name, changed))
+    return out
 
 
 def main(argv):
@@ -78,16 +92,17 @@ def main(argv):
         if axis not in grid:
             parser.error(f"unknown axis {axis!r}")
         grid[axis] = tuple(values.split(","))
-    curves = sweep(grid, args.horizon)
-    np.savez(args.out, **curves)
-    print(f"{len(curves)} runs written to {args.out}")
+    traces = sweep(grid, args.horizon)
+    np.savez(args.out, **{f"{name}:{array}": values for name, arrays in traces.items()
+                          for array, values in arrays.items()})
+    print(f"{len(traces)} runs written to {args.out}")
     if args.compare is None:
         return 0
     with np.load(args.compare) as other:
-        changed = moved(curves, other)
-    for name in changed:
-        print(f"moved: {name}")
-    print(f"{len(changed)}/{len(curves)} runs moved")
+        changed = moved(traces, other)
+    for name, arrays in changed:
+        print(f"moved: {name} ({', '.join(arrays)})")
+    print(f"{len(changed)}/{len(traces)} runs moved")
     return 1 if changed else 0
 
 
