@@ -18,6 +18,9 @@ import numpy as np
 
 ALGORITHMS = ("dlucb", "rc_dlucb", "safe_dlucb", "dlts", "no_comm", "centralized")
 GOSSIP_ALGORITHMS = ("dlucb", "dlts", "safe_dlucb")
+# rank-one updates of RcDlucbAgent's inverse and log-determinant between two
+# refreshes from the Gram matrices
+REFRESH_UPDATES = 64
 
 
 class DlucbAgent:
@@ -110,6 +113,16 @@ class RcDlucbAgent:
     agent's growth exceeds the threshold, the network enters an S-round phase
     in which the unshared sums are gossiped while everyone replays their last
     action. All agents share the epoch start.
+
+    Besides the sums, each agent keeps ``inverse`` (N, d, d), A^-1 for its
+    Gram matrix A = lam I + W_syn + W_new, and ``logdet`` (N,), log det A.
+    Every recorded play updates both by one rank-one step (Sherman-Morrison
+    and the matrix determinant lemma, as in OFUL's implementation by
+    Abbasi-Yadkori, Pal & Szepesvari, NeurIPS 2011), so a round factors
+    nothing for them. Both are derived afresh from the Gram matrices, with
+    one batched inverse and log-determinant, at every phase end and after
+    every ``REFRESH_UPDATES`` rank-one steps, which bounds their rounding
+    drift.
     """
 
     def __init__(self, n_agents, d, lam, threshold):
@@ -121,6 +134,7 @@ class RcDlucbAgent:
         self.v_new = np.zeros((n_agents, d))
         self.epoch_start = 0
         self.logdet_epoch_start = np.full(n_agents, d * np.log(lam))
+        self.refresh()
 
     @property
     def gram(self):
@@ -130,22 +144,43 @@ class RcDlucbAgent:
     def moment(self):
         return self.v_syn + self.v_new
 
+    def refresh(self):
+        """Derive ``inverse`` and ``logdet`` from the Gram matrices, with one
+        batched inverse and one batched log-determinant."""
+        gram = self.gram
+        sign, self.logdet = np.linalg.slogdet(gram)
+        if np.any(sign <= 0):
+            raise RuntimeError("Gram matrix lost positive-definiteness")
+        self.inverse = np.linalg.inv(gram)
+        self.updates = 0
+
     def record_play(self, actions, rewards):
-        """Add the round's (N, d) plays to the unshared sums."""
+        """Add the round's (N, d) plays to the unshared sums, and fold each
+        play x into its agent's A^-1 and log det A: with u = A^-1 x and
+        g = 1 + x^T u, A^-1 loses u u^T / g and log det A gains log g."""
         self.w_new += actions[:, :, None] * actions[:, None, :]
         self.v_new += rewards[:, None] * actions
+        u = (self.inverse @ actions[:, :, None])[..., 0]
+        g = 1.0 + (actions * u).sum(axis=-1)
+        if not (np.isfinite(g) & (g > 0)).all():
+            raise RuntimeError("Gram matrix lost positive-definiteness")
+        # scaled by 1/sqrt(g), the update is exactly symmetric
+        u /= np.sqrt(g)[:, None]
+        self.inverse -= u[:, :, None] * u[:, None, :]
+        self.logdet += np.log(g)
+        self.updates += 1
+        if self.updates == REFRESH_UPDATES:
+            self.refresh()
 
     def finish_round(self, t, actions, rewards):
         """Record the round's plays; they stay unshared until the next phase."""
         self.record_play(actions, rewards)
 
     def trigger(self, t):
-        """Evaluate every agent's phase trigger after the round-t update, with
-        one batched log-determinant; True when any agent's fires."""
-        sign, logdet = np.linalg.slogdet(self.gram)
-        if np.any(sign <= 0):
-            raise RuntimeError("Gram matrix lost positive-definiteness")
-        return bool(np.any((logdet - self.logdet_epoch_start) * (t - self.epoch_start)
+        """Evaluate every agent's phase trigger after the round-t update from
+        the kept log-determinants, factoring nothing; True when any agent's
+        fires."""
+        return bool(np.any((self.logdet - self.logdet_epoch_start) * (t - self.epoch_start)
                            > self.threshold))
 
     def absorb_phase(self, mixed_w, mixed_v, frozen, reward_sums, s_rounds, t_end):
@@ -157,4 +192,5 @@ class RcDlucbAgent:
         self.w_new = s_rounds * (frozen[:, :, None] * frozen[:, None, :])
         self.v_new = reward_sums[:, None] * frozen
         self.epoch_start = t_end
-        _, self.logdet_epoch_start = np.linalg.slogdet(self.gram)
+        self.refresh()
+        self.logdet_epoch_start = self.logdet.copy()

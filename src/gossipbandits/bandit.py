@@ -11,7 +11,10 @@ Ridge solves take one of two paths, by decision set:
 - Finite arms: one batched ``np.linalg.cholesky`` checks that every Gram
   matrix is positive-definite, and one batched inverse times [moment | arms]
   gives the center and the arm solves that finite UCB and the safe filter
-  read. Every agent is solved in the same few numpy calls.
+  read. Every agent is solved in the same few numpy calls. A caller that
+  keeps the inverses itself, as ``rc_dlucb``'s agents do by rank-one
+  updates, supplies them, and the Cholesky check is then the round's only
+  LAPACK call.
 - The box: the LAPACK ``potrf``/``potrs`` that
   ``scipy.linalg.cho_factor``/``cho_solve`` call, one matrix at a time, in
   place in column-major buffers. Box UCB's candidates tie in exact
@@ -95,15 +98,16 @@ def cho_solve(factors, rhs):
     return out
 
 
-def _solve_finite(gram, moment, arms):
+def _solve_finite(gram, moment, arms, inverse=None):
     """Solutions of gram @ X = [moment | arms^T] for every Gram matrix of the
     stack: the moment's, a contiguous (..., d) array, and the (K, d) arms',
     a (..., d, K) stack of column-major matrices like every ``cho_solve``
     solution, so that reductions over them sum in the same order.
 
     One batched ``np.linalg.cholesky`` checks that every matrix is
-    positive-definite; one batched inverse and one product give the
-    solutions. Raises ValueError like ``cho_factor`` and ``cho_solve``.
+    positive-definite; one batched inverse, or the given ``inverse`` of
+    ``gram``, and one product give the solutions. Raises ValueError like
+    ``cho_factor`` and ``cho_solve``.
     """
     gram = np.asarray_chkfinite(gram, dtype=float)
     try:
@@ -116,7 +120,9 @@ def _solve_finite(gram, moment, arms):
     rhs = np.asarray_chkfinite(rhs)
     # row k of rhs @ inverse^T is inverse @ rhs[k]: the solutions lie
     # along the rows, which makes the arms' (d, K) solves column-major
-    solved = rhs @ np.swapaxes(np.linalg.inv(gram), -1, -2)
+    if inverse is None:
+        inverse = np.linalg.inv(gram)
+    solved = rhs @ np.swapaxes(inverse, -1, -2)
     return solved[..., 0, :].copy(), np.swapaxes(solved[..., 1:, :], -1, -2)
 
 
@@ -151,21 +157,27 @@ class ConfidenceSet:
             raise ValueError("radius must be finite and non-negative")
 
     @classmethod
-    def from_stats(cls, gram, moment, beta, arms=None):
+    def from_stats(cls, gram, moment, beta, arms=None, inverse=None):
         """The set of radius ``beta`` around the ridge estimate solving
         gram @ theta = moment for every agent.
 
         Given finite ``arms`` (K, d), the center and the arms' solves come
-        from one batched numpy pass over the stack. The box (``arms`` None)
-        solves through scipy's ``potrf``/``potrs``, bitwise as box UCB's
-        ties need (module docstring). Raises ValueError when a Gram matrix
-        is not positive-definite, an input is not finite, or a solve leaves
-        a large residual."""
+        from one batched numpy pass over the stack, which multiplies by
+        ``inverse``, the inverses of ``gram``, when given instead of
+        inverting. The box (``arms`` None) solves through scipy's
+        ``potrf``/``potrs``, bitwise as box UCB's ties need (module
+        docstring), and takes no inverse. Raises ValueError when a Gram
+        matrix is not positive-definite, an input is not finite, or a solve
+        leaves a large residual: the checks read ``gram``, not
+        ``inverse``."""
         if arms is None:
+            if inverse is not None:
+                raise ValueError("the box solves by factoring: give an inverse only with arms")
             center = cho_solve(cho_factor(gram), moment[..., None])[..., 0].copy()
             arm_solves = None
         else:
-            center, arm_solves = _solve_finite(gram, moment, np.asarray(arms, dtype=float))
+            center, arm_solves = _solve_finite(gram, moment, np.asarray(arms, dtype=float),
+                                               inverse)
         # hypot norms do not overflow for entries past sqrt(float max)
         residual = np.hypot.reduce(_matvec(gram, center) - moment, axis=-1)
         bound = 1e-8 * np.maximum(1.0, np.hypot.reduce(moment, axis=-1))

@@ -349,9 +349,16 @@ def _select(agents, beta, arms, geo, rngs):
     statistics. With ``geo``: the UCB arm among those the safe filter
     certifies, else the safe action. With ``rngs`` (one stream per learner):
     Thompson sampling. Otherwise UCB over the finite ``arms`` (K, d), or over
-    the box when ``arms`` is None.
+    the box when ``arms`` is None. Finite arms are solved with the learners'
+    kept Gram inverses, ``inverse``, when they hold them (``rc_dlucb``).
     """
-    cs = ConfidenceSet.from_stats(agents.gram, agents.moment, beta, arms)
+    if arms is None:
+        cs = ConfidenceSet.from_stats(agents.gram, agents.moment, beta)
+    else:
+        # Thompson sampling reads the center alone: it solves for no arm
+        cs = ConfidenceSet.from_stats(agents.gram, agents.moment, beta,
+                                      arms if rngs is None else arms[:0],
+                                      inverse=getattr(agents, "inverse", None))
     if geo is not None:
         certified = safe_filter(arms, cs, agents.safety, geo)
         j, _ = ucb_select_finite(arms, cs, scale=geo.kappa_r, certified=certified)

@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipbandits import sim
-from gossipbandits.agents import DlucbAgent, RcDlucbAgent, SafeDlucbAgent
+from gossipbandits.agents import REFRESH_UPDATES, DlucbAgent, RcDlucbAgent, SafeDlucbAgent
 from gossipbandits.bandit import (
     ConfidenceSet,
     SafeGeometry,
@@ -272,6 +273,53 @@ def test_stacked_rc_agents_match_per_agent_oracle(n, d, horizon, threshold, firs
     assert phases >= 1
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 12), d=st.integers(1, 6), horizon=st.integers(1, 300),
+       phase_rate=st.floats(0.0, 0.2), seed=st.integers(0, 2**32 - 1))
+def test_rank_one_state_matches_direct_factorization(n, d, horizon, phase_rate, seed):
+    """The kept inverse and log-determinant, updated by one rank-one step per
+    play, stay within 1e-12 of ``inv`` and ``slogdet`` of the Gram matrices
+    after every round, and equal them bit for bit right after a refresh
+    (every ``REFRESH_UPDATES`` plays) or a phase end."""
+    rng = np.random.default_rng(seed)
+    agent = RcDlucbAgent(n, d, 1.0, 0.0)
+
+    def check(exact):
+        gram = agent.gram
+        inverse = np.linalg.inv(gram)
+        sign, logdet = np.linalg.slogdet(gram)
+        assert np.all(sign > 0)
+        if exact:
+            assert np.array_equal(agent.inverse, inverse)
+            assert np.array_equal(agent.logdet, logdet)
+        largest = np.abs(inverse).max(axis=(-2, -1))
+        assert np.all(np.abs(agent.inverse - inverse).max(axis=(-2, -1)) <= 1e-12 * largest)
+        assert np.all(np.abs(agent.logdet - logdet) <= 1e-12)
+
+    check(exact=True)
+    for t in range(1, horizon + 1):
+        x = rng.uniform(-1.0, 1.0, (n, d))
+        agent.record_play(x, rng.standard_normal(n))
+        check(exact=agent.updates == 0)
+        if rng.random() < phase_rate:
+            # every agent folds in the network average, as a complete graph mixes
+            agent.absorb_phase(agent.w_new.mean(axis=0), agent.v_new.mean(axis=0), x,
+                               rng.standard_normal(n), int(rng.integers(0, 4)), t_end=t)
+            assert agent.updates == 0
+            check(exact=True)
+            assert np.array_equal(agent.logdet_epoch_start, agent.logdet)
+
+
+@pytest.mark.parametrize("corruption", [-1.0, np.nan])
+def test_rank_one_update_rejects_a_non_positive_gain(corruption):
+    # 1 + x^T A^-1 x <= 0 (or not finite) means the kept inverse is not that
+    # of a positive-definite matrix
+    agent = RcDlucbAgent(n_agents=3, d=2, lam=1.0, threshold=5.0)
+    agent.inverse[1] = corruption * np.eye(2)
+    with pytest.raises(RuntimeError, match="positive-definite"):
+        agent.record_play(np.ones((3, 2)), np.ones(3))
+
+
 def test_warmup_reset_versus_keep():
     def run(keep):
         config = cfg_for(T=12, keep_warmup_data=keep)
@@ -326,12 +374,17 @@ def test_rc_trigger_threshold_limits(monkeypatch):
 
 
 def test_rc_without_phases_reduces_to_no_communication(monkeypatch):
-    rc = cfg_for(algorithm="rc_dlucb", T=50, N=3, d=2, decision_set={"variant": "box"})
+    # finite arms run past several refreshes of rc's rank-one inverses, which
+    # no_comm's direct inverses must then select alike
     fix_rc_threshold(monkeypatch, float("inf"))
-    t_rc = run_realization(rc, master_seed=7)
-    nc = cfg_for(algorithm="no_comm", T=50, N=3, d=2, decision_set={"variant": "box"})
-    t_nc = run_realization(nc, master_seed=7)
-    assert np.array_equal(t_rc.cum_regret, t_nc.cum_regret)
+    for horizon, d, dset in ((50, 2, {"variant": "box"}),
+                             (4 * REFRESH_UPDATES + 10, 3, {"variant": "finite", "num_arms": 10})):
+        rc = cfg_for(algorithm="rc_dlucb", T=horizon, N=3, d=d, decision_set=dset)
+        t_rc = run_realization(rc, master_seed=7)
+        assert t_rc.phase_count == 0
+        nc = cfg_for(algorithm="no_comm", T=horizon, N=3, d=d, decision_set=dset)
+        t_nc = run_realization(nc, master_seed=7)
+        assert np.array_equal(t_rc.cum_regret, t_nc.cum_regret)
 
 
 def test_rc_epoch_log_det_telescoping():

@@ -7,7 +7,7 @@ import scipy.linalg as scipy_linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gossipbandits.agents import DlucbAgent, SafeDlucbAgent
+from gossipbandits.agents import DlucbAgent, RcDlucbAgent, SafeDlucbAgent
 from gossipbandits.bandit import (
     ConfidenceSet,
     SafeGeometry,
@@ -143,6 +143,31 @@ def test_rls_rejects_indefinite_gram():
         ConfidenceSet.from_stats(gram, moment, 0.0)
     with pytest.raises(ValueError):
         oracle_center(gram, moment)
+
+
+def test_rls_with_a_supplied_inverse():
+    # rank-one inverses, whose bits differ from np.linalg.inv's
+    rng = np.random.default_rng(11)
+    n, d = 6, 4
+    agents = RcDlucbAgent(n, d, 1.0, threshold=np.inf)
+    for _ in range(40):
+        agents.record_play(rng.uniform(-1.0, 1.0, (n, d)), rng.standard_normal(n))
+    gram, moment = agents.gram, agents.moment
+    arms = rng.standard_normal((7, d))
+    plain = ConfidenceSet.from_stats(gram, moment, 0.5, arms)
+    given_inverse = ConfidenceSet.from_stats(gram, moment, 0.5, arms, inverse=agents.inverse)
+    for ours, theirs in ((given_inverse.center, plain.center),
+                         (given_inverse.arm_solves, plain.arm_solves)):
+        assert ours.shape == theirs.shape
+        assert np.abs(ours - theirs).max() <= 1e-12 * np.abs(theirs).max()
+    # the checks read the gram, not the inverse
+    for bad in (np.nan, -1.0):
+        broken = gram.copy()
+        broken[2] = bad * np.eye(d)
+        with pytest.raises(ValueError):
+            ConfidenceSet.from_stats(broken, moment, 0.5, arms, inverse=agents.inverse)
+    with pytest.raises(ValueError, match="only with arms"):
+        ConfidenceSet.from_stats(gram, moment, 0.5, inverse=agents.inverse)
 
 
 def test_stats_require_unit_ridge():

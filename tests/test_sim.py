@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipbandits import bandit, consensus, sim
-from gossipbandits.agents import ALGORITHMS, RcDlucbAgent
+from gossipbandits.agents import ALGORITHMS, REFRESH_UPDATES, RcDlucbAgent
 from gossipbandits.bandit import ConfidenceSet
 from gossipbandits.config import parse_config
 from gossipbandits.sim import (
@@ -318,9 +318,9 @@ def test_selections_per_round_and_probe_payload(monkeypatch):
     selected = []
     from_stats = ConfidenceSet.from_stats.__func__
 
-    def counting(cls, gram, moment, beta, arms=None):
+    def counting(cls, gram, moment, beta, arms=None, inverse=None):
         selected.append((gram, moment))
-        return from_stats(cls, gram, moment, beta, arms)
+        return from_stats(cls, gram, moment, beta, arms, inverse)
 
     monkeypatch.setattr(ConfidenceSet, "from_stats", classmethod(counting))
     for algorithm, learners in (("centralized", 1), ("no_comm", 5)):
@@ -402,6 +402,25 @@ def test_lapack_calls_per_selection_round(monkeypatch, algorithm, arms, learners
     scipy_calls = learners * len(rounds) if arms is None else 0
     assert calls == {"dpotrf": scipy_calls, "dpotrs": scipy_calls,
                      "cholesky": 0 if arms is None else len(rounds)}
+
+
+def test_rc_inverts_only_at_refreshes(monkeypatch):
+    # an rc_dlucb round keeps A^-1 and log det A by rank-one updates: the
+    # batched inverse and log-determinant run only when they are refreshed,
+    # at the start, at phase ends and every REFRESH_UPDATES plays
+    calls = {"inv": 0, "slogdet": 0, "refresh": 0}
+    for module, name in ((np.linalg, "inv"), (np.linalg, "slogdet"),
+                         (RcDlucbAgent, "refresh")):
+        def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    trace = run_realization(cfg(algorithm="rc_dlucb", T=300, decision_set={
+        "variant": "finite", "num_arms": 6}), master_seed=1)
+    assert trace.phase_count > 0
+    assert calls["inv"] == calls["slogdet"] == calls["refresh"]
+    assert calls["refresh"] <= 1 + trace.phase_count + 300 // REFRESH_UPDATES
 
 
 # Run in a fresh interpreter, which has not imported scipy.linalg yet. After
