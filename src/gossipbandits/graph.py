@@ -167,8 +167,8 @@ def _comm_entries(topology, scheme):
     if scheme == "laplacian":
         return np.eye(n) - lap / (dmax + 1.0)
     if scheme == "normalized_laplacian":
-        dinv = np.diag(1.0 / np.sqrt(np.maximum(deg, 1.0)))
-        return np.eye(n) - (dinv @ lap @ dinv) / (dmax + 1.0)
+        dinv = 1.0 / np.sqrt(np.maximum(deg, 1.0))
+        return np.eye(n) - (dinv[:, None] * lap * dinv) / (dmax + 1.0)
     raise ValueError(f"unknown comm scheme {scheme!r}")
 
 

@@ -196,13 +196,16 @@ def build_environment(config, master_seed, realization):
                              c_min=config.safe_c_min(), x0=x0)
     if config.decision_set.variant == "box":
         env.action_norm_bound = float(np.sqrt(config.d))
-    # every agent draws its (reward, safety) noise pairs from its own stream
-    noise = config.sigma * np.stack([
-        _stream(master_seed, realization, _NOISE, i).standard_normal((config.horizon, 2))
-        for i in range(config.n_agents)])
-    env.noise_y = noise[:, :, 0]
-    if safe:
-        env.noise_z = noise[:, :, 1]
+    # every agent draws its (reward, safety) noise pairs from its own stream;
+    # only safe runs keep the safety half
+    env.noise_y = np.empty((config.n_agents, config.horizon))
+    env.noise_z = np.empty_like(env.noise_y) if safe else None
+    for i in range(config.n_agents):
+        noise = config.sigma * _stream(master_seed, realization, _NOISE, i).standard_normal(
+            (config.horizon, 2))
+        env.noise_y[i] = noise[:, 0]
+        if safe:
+            env.noise_z[i] = noise[:, 1]
     geo = SafeGeometry(x0=x0, c0=float(env.mu_star @ x0), c=env.c) if safe else None
     return env, geo
 
@@ -248,16 +251,15 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
     width = d + 1 + (1 if safe else 0)
     edges = int(topology.adjacency.sum())
     gossip = config.algorithm in GOSSIP_ALGORITHMS
-    queue = unit = None
+    unit = None
     # with T <= S no generation or phase is ever absorbed, so U goes unread
     if horizon > s_rounds and (gossip or config.algorithm == "rc_dlucb"):
         unit = mixing_polynomial(comm, plan)
     if gossip:
-        if unit is not None:
-            # every column is released through U, but box UCB's exact ties
-            # read the reward to the last bit, so the box mixes it for real
-            # until ties get a rule (ROADMAP item 1b)
-            queue = new_pipeline(comm, plan, unit, mix_last=arms is None)
+        # every column is released through U, but box UCB's exact ties read
+        # the reward to the last bit, so the box mixes it for real until ties
+        # get a rule (ROADMAP item 2)
+        queue = new_pipeline(comm, plan, unit, mix_last=arms is None)
         # the full protocol's messages, also for generations never absorbed
         in_flight = np.minimum(np.arange(1, horizon + 1), s_rounds)
         trace.scalars[:] = edges * in_flight * n * width
@@ -296,10 +298,8 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
         else:
             agents.finish_round(t, actions, *own[:, d:].T)
             if gossip:
-                # a generation started after round T - S is never absorbed,
-                # and with T <= S there is no pipeline at all
-                if queue is not None:
-                    released = advance_queues(queue, own if t <= horizon - s_rounds else None)
+                # a generation started after round T - S is never absorbed
+                released = advance_queues(queue, own if t <= horizon - s_rounds else None)
             elif config.algorithm == "rc_dlucb" and t < horizon and agents.trigger(t):
                 phases += 1
                 phase_end = t + s_rounds

@@ -23,7 +23,8 @@ from gossipbandits.bandit import (
     ucb_select_box,
     ucb_select_finite,
 )
-from gossipbandits.sim import _select
+from gossipbandits.config import parse_config
+from gossipbandits.sim import _select, build_decision_set
 from helpers import (
     complement_basis,
     oracle_center,
@@ -253,6 +254,27 @@ def test_finite_ties_break_to_lowest_index():
     cs = finite_set(arms, np.eye(2), np.array([1.0, 0.0]), 0.5)
     idx, _ = ucb_select_finite(arms, cs)
     assert idx == 0
+
+
+def test_finite_round_one_scores_tie_to_the_last_bits():
+    """In round 1 every learner holds lam * I and a zero moment, so a score is
+    beta * ||x|| / sqrt(lam); the 20 unit arms drawn at d = 5 have norms equal
+    in exact arithmetic, and their scores differ only by rounding, within 8
+    ulps of the largest: argmax picks among them by rounding alone."""
+    for arm_seed in range(4):
+        config = parse_config({"topology": "ring", "N": 5, "d": 5, "T": 10, "algorithm": "dlucb",
+                               "decision_set": {"variant": "finite", "num_arms": 20,
+                                                "arm_seed": arm_seed}})
+        arms = build_decision_set(config)
+        k, d = arms.shape
+        beta = beta_radius(1, d, 5, config.lam, config.delta, config.sigma, config.epsilon)
+        # learner j may play arm j alone, so its value is arm j's score
+        cs = ConfidenceSet.from_stats(np.broadcast_to(config.lam * np.eye(d), (k, d, d)),
+                                      np.zeros((k, d)), beta, arms)
+        _, scores = ucb_select_finite(arms, cs, certified=np.eye(k, dtype=bool))
+        top = scores.max()
+        assert np.all(top - scores <= 8 * np.spacing(top))
+        assert len(np.unique(scores)) > 1
 
 
 def test_finite_argmax_invariances():

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gossipbandits import consensus
@@ -348,26 +348,6 @@ def test_enqueue_builds_single_row_slot(monkeypatch):
     assert not queue[0]
 
 
-def test_early_dequeue():
-    comm, plan = make("ring", 4)
-    s = plan.s_rounds
-    assert s >= 2
-    own = np.ones((4, 2))
-    for mix_last in (False, True):
-        queue = new_pipeline(comm, plan, mixing_polynomial(comm, plan), mix_last)
-        # a gossip round with nothing in flight releases nothing
-        assert advance_queues(queue, None) is None
-        assert not queue[0]
-        # nothing is released before a generation has been mixed S times
-        for _ in range(s - 1):
-            assert advance_queues(queue, own) is None
-        assert len(queue[0]) == s - 1
-        # S are in flight after the next start, and the oldest goes now
-        released = advance_queues(queue, own)
-        assert np.allclose(released.sum(axis=1), 1.0, atol=1e-12)
-        assert len(queue[0]) == s - 1
-
-
 def test_safety_channel_contract():
     # slot rows are (a_ik / N) * (x_k, y_k, z_k): reward and safety feed the
     # reward moment and the safety moment with the same N^2-scaled weights,
@@ -380,87 +360,6 @@ def test_safety_channel_contract():
     assert np.allclose(agent.gram, np.eye(2) + 9.0 * actions.T @ actions)
     assert np.allclose(agent.moment, 9.0 * actions.T @ slot[:, 2])
     assert np.allclose(agent.safety, 9.0 * actions.T @ slot[:, 3])
-
-
-def test_released_generation_is_scaled_gain_times_data():
-    rng = np.random.default_rng(6)
-    for topo in (build_topology("ring", 7),
-                 GraphTopology(random_connected_adjacency(8, 0.4, rng))):
-        comm = build_comm_matrix(topo)
-        plan = MixingPlan.for_network(comm, 0.1)
-        n = comm.n
-        scaled_gain = mixing_polynomial(comm, plan)
-        # action (d=2), reward and safety columns
-        data = [rng.standard_normal((n, 4)) for _ in range(plan.s_rounds + 3)]
-        for mix_last in (False, True):
-            queue = new_pipeline(comm, plan, mixing_polynomial(comm, plan), mix_last)
-            released = []
-            for own in data:
-                out = advance_queues(queue, own)
-                if out is not None:
-                    released.append(out)
-            assert len(released) == 4
-            for k, payload in enumerate(released):
-                expected = scaled_gain[:, :, None] * data[k][None, :, :]
-                assert np.abs(payload - expected).max() <= 1e-12
-
-
-def _drive_queues(comm, plan, actions, rewards, mix_last):
-    """Replay the start/mix/release pipeline the way the simulator runs it;
-    yields (t, agent, slot) for every slot absorbed at round t."""
-    horizon = actions.shape[0]
-    queue = new_pipeline(comm, plan, mixing_polynomial(comm, plan), mix_last)
-    released = None
-    for t in range(1, horizon + 1):
-        if released is not None:
-            for i in range(comm.n):
-                yield t, i, released[i]
-        own = np.column_stack([actions[t - 1], rewards[t - 1]])
-        released = advance_queues(queue, own if t <= horizon - plan.s_rounds else None)
-
-
-def test_dequeue_complete_graph_is_exact_average():
-    comm = build_comm_matrix(build_topology("complete", 3))
-    plan = MixingPlan.for_network(comm, 0.1)
-    rng = np.random.default_rng(2)
-    actions = rng.standard_normal((6, 3, 2))
-    rewards = rng.standard_normal((6, 3))
-    for mix_last in (False, True):
-        absorbed = 0
-        for t, i, slot in _drive_queues(comm, plan, actions, rewards, mix_last):
-            src = t - plan.s_rounds
-            assert np.allclose(slot[:, :2], actions[src - 1] / 3.0, atol=1e-12)
-            assert np.allclose(slot[:, 2], rewards[src - 1] / 3.0, atol=1e-12)
-            absorbed += 1
-        assert absorbed == 3 * (6 - plan.s_rounds)
-
-
-def test_dequeue_matches_exact_polynomial_oracle():
-    comm = build_comm_matrix(build_topology("path", 3))
-    plan = MixingPlan.for_network(comm, 1.0 / 9.0)
-    q_exact = mixing_polynomial_eig(comm.entries, comm.lambda2_abs, plan.s_rounds)
-    rng = np.random.default_rng(3)
-    actions = rng.standard_normal((10, 3, 2))
-    actions /= np.linalg.norm(actions, axis=2, keepdims=True)
-    rewards = rng.standard_normal((10, 3))
-    eps = plan.epsilon
-    for mix_last in (False, True):
-        absorbed = 0
-        for t, i, slot in _drive_queues(comm, plan, actions, rewards, mix_last):
-            act, rew = slot[:, :2], slot[:, 2]
-            src = t - plan.s_rounds - 1
-            for k in range(3):
-                expected = q_exact[i, k] * actions[src, k]
-                assert np.allclose(act[k], expected, atol=1e-10)
-                # mixed row stays within the epsilon gain band of the true action
-                assert np.linalg.norm(3.0 * act[k] - actions[src, k]) <= eps + 1e-9
-            # reward channel reconstructs the gain-squared weighted moment
-            moment = 9.0 * act.T @ rew
-            gains = 3.0 * q_exact[i]
-            expected = (gains**2 * rewards[src])[:, None] * actions[src]
-            assert np.allclose(moment, expected.sum(axis=0), atol=1e-10)
-            absorbed += 1
-        assert absorbed == 3 * (10 - plan.s_rounds)
 
 
 def _check_depth_and_mixing_counts(comm, plan, unit, room, steps):
@@ -656,16 +555,18 @@ def _mixed_releases(comm, plan, stream, count):
 
 @settings(max_examples=40, deadline=None)
 @given(graph=st.one_of(st.tuples(st.just("random"), st.integers(1, 12)),
-                       st.tuples(st.sampled_from(["ring", "path"]), st.integers(3, 200))),
+                       st.tuples(st.sampled_from(["ring", "path", "complete"]),
+                                 st.integers(3, 200))),
        width=st.integers(1, 7), seed=st.integers(0, 2**32 - 1), extra=st.integers(0, 3))
+@example(graph=("complete", 3), width=3, seed=2, extra=3)
 def test_closed_form_release_is_u_times_the_own_rows(graph, width, seed, extra):
     """A pipeline without ``mix_last`` releases exactly U times the own rows,
-    within 1e-12 of the largest entry of what gossip rounds over every column
-    release, and runs no gossip step; N * U is the identity-seed
-    recursion's gain within 1e-12 and lies in the epsilon band. The list
-    oracle costs S^2 N per-holder products (2.6 s on path N = 40), so past
-    N = 12 the reference is ``_mix`` over every column, S steps, which the
-    list oracle pins bit for bit in ``test_pipeline_matches_list_of_generations``."""
+    one per round from round S (S = 1 on a complete graph), within 1e-12 of
+    the largest entry of what gossip rounds over every column release, and
+    runs no gossip step; N * U is the identity-seed recursion's gain within
+    1e-12 and lies in the epsilon band. The list oracle costs S^2 N products
+    (2.6 s on path N = 40), so past N = 12 the reference is ``_mix`` over every
+    column, S steps, pinned bit for bit in ``test_pipeline_matches_list_of_generations``."""
     kind, n = graph
     rng = np.random.default_rng(seed)
     comm = build_comm_matrix(GraphTopology(random_connected_adjacency(n, 0.4, rng))
@@ -679,6 +580,9 @@ def test_closed_form_release_is_u_times_the_own_rows(graph, width, seed, extra):
         want = list(_list_pipeline_oracle(comm, plan, stream))[s - 1:-1]
     else:
         want = _mixed_releases(comm, plan, stream, horizon - s)
+    # a round with nothing in flight releases nothing, whatever U is
+    empty = new_pipeline(comm, plan, None)
+    assert advance_queues(empty, None) is None and not empty[0]
     queue = new_pipeline(comm, plan, unit)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(consensus, "comm_step", None)  # a gossip step would raise
@@ -686,6 +590,8 @@ def test_closed_form_release_is_u_times_the_own_rows(graph, width, seed, extra):
             own = stream[t - 1] if t <= horizon - s else None
             got = advance_queues(queue, own)
             assert (got is None) == (not s <= t < horizon)
+            # the generations started after round t - S + 1 are in flight
+            assert len(queue[0]) == max(0, min(t, horizon - s) - max(0, t - s + 1))
             if got is not None:
                 np.testing.assert_array_equal(got, unit[:, :, None] * stream[t - s])
                 assert np.abs(got - want[t - s]).max() <= 1e-12 * np.abs(want[t - s]).max()

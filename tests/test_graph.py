@@ -177,6 +177,19 @@ def test_check_assumption_diagnoses_row_sums():
     assert any("row sums" in p for p in problems)
 
 
+def test_normalized_laplacian_matches_the_dense_product():
+    """D^-1/2 L D^-1/2 by broadcasting equals the two dense diagonal products
+    bit for bit, on regular and irregular graphs."""
+    rng = np.random.default_rng(4)
+    for kind in ("ring", "path", "star", "complete", "erdos_renyi"):
+        for n in (3, 4, 5, 8, 20, 60):
+            topo = build_topology(kind, n, p=0.4, rng=rng)
+            dinv = np.diag(1.0 / np.sqrt(np.maximum(topo.degrees, 1.0)))
+            lap = np.diag(topo.degrees) - topo.adjacency
+            dense = np.eye(n) - (dinv @ lap @ dinv) / (topo.max_degree + 1.0)
+            assert np.array_equal(_comm_entries(topo, "normalized_laplacian"), dense)
+
+
 def test_comm_matrix_solves_its_spectrum_once(monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh

@@ -61,6 +61,23 @@ def test_safe_environment_margin():
         assert env.c > 0.0 and env.c >= 0.3
 
 
+def test_noise_is_sigma_times_each_agents_stream():
+    """Agent i's reward noise, and for ``safe_dlucb`` alone its safety noise,
+    is sigma times its own stream's (T, 2) draw; other runs keep no safety
+    noise, not even behind a view."""
+    for algorithm, extra in (("dlucb", {}), ("safe_dlucb", {
+            "decision_set": {"variant": "finite", "num_arms": 6}, "safe": {"c_min": 0.3}})):
+        config = cfg(algorithm=algorithm, sigma=0.3, **extra)
+        env, _ = sim.build_environment(config, 7, 2)
+        draws = np.stack([0.3 * sim._stream(7, 2, sim._NOISE, i).standard_normal((40, 2))
+                          for i in range(5)])
+        assert np.array_equal(env.noise_y, draws[:, :, 0]) and env.noise_y.flags.owndata
+        if algorithm == "safe_dlucb":
+            assert np.array_equal(env.noise_z, draws[:, :, 1])
+        else:
+            assert env.noise_z is None
+
+
 def test_feedback_noiseless_and_deterministic():
     env = Environment(theta_star=np.array([0.6, 0.8]), noise_y=np.zeros((2, 5)))
     x = np.array([0.5, 0.5])

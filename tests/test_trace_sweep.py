@@ -31,6 +31,7 @@ def test_sweep_lists_the_runs_that_moved(tmp_path, capsys):
     assert f"moved: {BOX} (cum_regret)" in out
     assert f"moved: {FINITE} ({', '.join(trace_sweep.ARRAYS)})" in out
     assert "2/2 runs moved" in out
+    assert out.endswith("moved per algorithm: rc_dlucb 2/2\nmoved per d: 2 2/2\n")
     # a run whose regret is untouched but whose phase rounds moved counts too
     runs = {key: values.copy() for key, values in recorded.items()}
     phase_id = runs[f"{FINITE}:phase_id"]
@@ -42,3 +43,16 @@ def test_sweep_lists_the_runs_that_moved(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"moved: {FINITE} (phase_id)" in out and f"moved: {BOX}" not in out
     assert "1/2 runs moved" in out
+    assert "moved per algorithm: rc_dlucb 1/2" in out and "moved per d: 2 1/2" in out
+
+
+def test_moved_runs_are_counted_per_axis_value():
+    """Every value of the axis is listed in grid order, with its moved runs
+    out of its runs, also when none moved."""
+    grid = {"algorithm": ("dlucb", "rc_dlucb"), "d": (2, 5)}
+    names = ["dlucb-2", "dlucb-5", "rc_dlucb-2", "rc_dlucb-5"]
+    changed = [("dlucb-5", ["cum_regret"]), ("rc_dlucb-5", ["scalars"])]
+    assert trace_sweep.moved_per_value(names, changed, grid, "algorithm") == (
+        "dlucb 1/2, rc_dlucb 1/2")
+    assert trace_sweep.moved_per_value(names, changed, grid, "d") == "2 0/2, 5 2/2"
+    assert trace_sweep.moved_per_value(names, [], grid, "d") == "2 0/2, 5 0/2"

@@ -14,11 +14,14 @@ The file holds each of a run's ``ARRAYS`` under the key ``run:array``. With
 ``--compare`` the script lists every run with an array that is not
 ``array_equal`` to the other file's, or that the other file lacks, naming
 those arrays, and exits 1 if there is any; runs only the other file holds
-are ignored.
+are ignored. It ends with the count of moved runs per algorithm and per d,
+each as moved/runs, so a change that moves one slice of the grid shows
+which one.
 """
 
 import argparse
 import itertools
+from collections import Counter
 import sys
 
 import numpy as np
@@ -78,6 +81,16 @@ def moved(traces, other):
     return out
 
 
+def moved_per_value(names, changed, grid, axis):
+    """"value moved/runs" for every value of ``axis`` among the run
+    ``names``, in grid order, counting the runs of ``changed`` (as ``moved``
+    returns them)."""
+    position = list(grid).index(axis)
+    runs = Counter(name.split("-")[position] for name in names)
+    hits = Counter(name.split("-")[position] for name, _ in changed)
+    return ", ".join(f"{value} {hits[value]}/{count}" for value, count in runs.items())
+
+
 def main(argv):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="the .npz file to write")
@@ -103,6 +116,8 @@ def main(argv):
     for name, arrays in changed:
         print(f"moved: {name} ({', '.join(arrays)})")
     print(f"{len(changed)}/{len(traces)} runs moved")
+    for axis in ("algorithm", "d"):
+        print(f"moved per {axis}: {moved_per_value(traces, changed, grid, axis)}")
     return 1 if changed else 0
 
 
