@@ -392,9 +392,10 @@ def run_experiment(config, master_seed=None, workers=1):
     if workers <= 1 or config.realizations == 1:
         return [_realization_job(job) for job in jobs]
     if config.decision_set.variant == "box":
-        # box selection solves with scipy's LAPACK: import it once here, so
-        # that forked workers inherit it instead of each importing it inside
-        # a realization
+        # box selection solves with scipy's LAPACK extension, loaded alone
+        # (about 3 MB; the scipy.linalg package is never imported): load it
+        # once here, so that forked workers inherit it instead of each
+        # loading it inside a realization
         scipy_lapack()
     with Pool(processes=min(workers, config.realizations)) as pool:
         return pool.map(_realization_job, jobs)

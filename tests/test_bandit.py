@@ -1,4 +1,9 @@
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +12,7 @@ import scipy.linalg as scipy_linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gossipbandits import bandit
 from gossipbandits.agents import DlucbAgent, RcDlucbAgent, SafeDlucbAgent
 from gossipbandits.bandit import (
     ConfidenceSet,
@@ -111,6 +117,65 @@ def test_cho_factor_rejects_a_bad_matrix_anywhere_in_the_stack(bad, where):
 def test_cho_solve_rejects_a_nan_right_hand_side():
     with pytest.raises(ValueError):
         cho_solve(cho_factor(np.eye(3)), np.array([[1.0], [np.nan], [0.0]]))
+
+
+# Run in a fresh interpreter, where nothing of scipy.linalg is loaded yet,
+# with argv[1] naming what loads first: the LAPACK extension alone, through
+# scipy_lapack, or the scipy.linalg package
+LOAD_ORDER = """
+import sys
+import numpy as np
+from gossipbandits import bandit
+
+name = "scipy.linalg._flapack"
+if sys.argv[1] == "package":
+    import scipy.linalg
+    lapack = bandit.scipy_lapack()
+    assert lapack is sys.modules[name] and lapack is scipy.linalg.lapack._flapack
+else:
+    lapack = bandit.scipy_lapack()
+    assert lapack is sys.modules[name] and "scipy.linalg" not in sys.modules
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((2, 3, 6, 8))
+    mats = m @ m.swapaxes(-1, -2) + 0.1 * np.eye(6)
+    rhs = rng.standard_normal((2, 3, 6, 4))
+    factors = bandit.cho_factor(mats)
+    solved = bandit.cho_solve(factors, rhs)
+    assert "scipy.linalg" not in sys.modules
+    import scipy.linalg
+    assert scipy.linalg.lapack._flapack is lapack
+    for idx in np.ndindex(2, 3):
+        own = scipy.linalg.cho_factor(mats[idx], lower=True)
+        assert np.array_equal(factors[idx], own[0])
+        assert np.array_equal(solved[idx], scipy.linalg.cho_solve(own, rhs[idx]))
+for routine in ("dpotrf", "dpotrs"):
+    assert getattr(scipy.linalg.lapack, routine) is getattr(bandit.scipy_lapack(), routine)
+print("ok")
+"""
+
+
+@pytest.mark.parametrize("first", ["extension", "package"])
+def test_scipy_lapack_is_the_extension_scipy_linalg_uses(first):
+    """Whichever loads first, scipy_lapack and scipy.linalg share one
+    extension module, and the box solves equal scipy.linalg's bit for bit
+    when only the extension was loaded for them."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", LOAD_ORDER, first],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["ok"]
+
+
+def test_scipy_lapack_without_the_extension_names_where_it_searched(monkeypatch, tmp_path):
+    import scipy
+
+    (tmp_path / "linalg").mkdir()
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        bandit.scipy_lapack()
+    assert "scipy.linalg._flapack" not in sys.modules
 
 
 # ------------------------------------------------------------------ rls

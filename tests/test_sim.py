@@ -440,47 +440,56 @@ def test_rc_inverts_only_at_refreshes(monkeypatch):
     assert calls["refresh"] <= 1 + trace.phase_count + 300 // REFRESH_UPDATES
 
 
-# Run in a fresh interpreter, which has not imported scipy.linalg yet. After
-# importing the command line module, it prints whether scipy.linalg is
-# imported then, after each finite run and after a box run with the worker
-# count of argv[1], and whether it was when each pool started
-SCIPY_LINALG_GUARD = """
+# Run in a fresh interpreter, which has loaded nothing of scipy.linalg yet.
+# After importing the command line module, it prints what of scipy.linalg is
+# loaded then, after each finite run and after a box run with the worker
+# count of argv[1] (in the process and in every realization's job, pooled or
+# not), and what was loaded when each pool started
+SCIPY_LAPACK_GUARD = """
 import sys
 from gossipbandits import cli, sim
 from gossipbandits.config import parse_config
 
 def loaded():
-    return "scipy.linalg" in sys.modules
+    if "scipy.linalg" in sys.modules:
+        return "package"
+    return "extension" if "scipy.linalg._flapack" in sys.modules else "none"
 
 def watched_pool(*args, **kwargs):
     at_pool_start.append(loaded())
     return pool(*args, **kwargs)
 
-def run(algorithm, dset, workers=1, **extra):
-    sim.run_experiment(parse_config({"topology": "ring", "N": 5, "d": 3, "T": 20,
-                                     "algorithm": algorithm, "realizations": 2,
-                                     "decision_set": dset, **extra}), workers=workers)
+def watched_job(job):
+    realization_job(job)
     return loaded()
+
+def run(algorithm, dset, workers=1, **extra):
+    in_jobs = sim.run_experiment(parse_config({"topology": "ring", "N": 5, "d": 3, "T": 20,
+                                               "algorithm": algorithm, "realizations": 2,
+                                               "decision_set": dset, **extra}), workers=workers)
+    return ",".join(sorted({loaded(), *in_jobs}))
 
 finite = {"variant": "finite", "num_arms": 6}
 at_pool_start, pool, sim.Pool = [], sim.Pool, watched_pool
+realization_job, sim._realization_job = sim._realization_job, watched_job
 print(loaded(), run("safe_dlucb", finite, safe={"c_min": 0.3}), run("rc_dlucb", finite),
       run("dlucb", finite, workers=2), run("dlucb", "box", workers=int(sys.argv[1])),
-      at_pool_start)
+      ",".join(at_pool_start))
 """
 
 
-@pytest.mark.parametrize("workers, at_pool_start", [(1, "[False]"), (2, "[False, True]")])
-def test_only_box_runs_import_scipy_linalg(workers, at_pool_start):
-    # finite runs solve with numpy alone. A box run imports scipy's LAPACK,
-    # and a box experiment over a pool imports it before the pool forks, so
-    # that the workers inherit it
+@pytest.mark.parametrize("workers, at_pool_start", [(1, "none"), (2, "none,extension")])
+def test_no_run_imports_scipy_linalg_and_only_box_runs_load_its_lapack(workers, at_pool_start):
+    # finite runs solve with numpy alone. A box run loads scipy's LAPACK
+    # extension and never the scipy.linalg package, and a box experiment
+    # over a pool loads it before the pool forks, so that the workers
+    # inherit it
     src = str(Path(__file__).resolve().parents[1] / "src")
-    done = subprocess.run([sys.executable, "-c", SCIPY_LINALG_GUARD, str(workers)],
+    done = subprocess.run([sys.executable, "-c", SCIPY_LAPACK_GUARD, str(workers)],
                           capture_output=True, text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip().split(maxsplit=5) == ["False"] * 4 + ["True", at_pool_start]
+    assert done.stdout.split() == ["none"] * 4 + ["extension", at_pool_start]
 
 
 def _scale_trace(trace, factor):
