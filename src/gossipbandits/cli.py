@@ -82,6 +82,11 @@ def _summary(config, traces, curves):
     )
     final_mean = float(curves["regret_mean"][-1]) if horizon else 0.0
     final_std = float(curves["regret_std"][-1]) if horizon else 0.0
+    try:  # box traces are bitwise only for one BLAS build
+        blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except Exception:  # a numpy that cannot report it
+        blas = "unknown"
     return {
         "final_regret": {
             "mean": final_mean,
@@ -106,6 +111,7 @@ def _summary(config, traces, curves):
         "versions": {
             "gossipbandits": __version__,
             "numpy": numpy.__version__,
+            "blas": blas,
             "scipy": scipy.__version__,
             "python": "{}.{}.{}".format(*sys.version_info[:3]),
         },

@@ -10,7 +10,7 @@ gain a_ij = N * [q_S(P)]_ij lies within epsilon of 1.
 The pipeline is a delay line with one release rule: a generation is
 released as U times each agent's own rows, where U = q_S(P) is
 ``mixing_polynomial``, the (N, N) S-step mix of a unit seed in a payload
-padded as any other (see below), which the simulator computes once per
+laid out as any other (see below), which the simulator computes once per
 realization. That is what S gossip rounds over the generation give, up to
 about 1e-13 of its largest entry. On the box every play is a corner, so an
 action entry is exactly +1 or -1 and releases as exactly +U or -U: every
@@ -25,24 +25,20 @@ each release by the column mixed for real. A generation's S mixing steps
 read only its own earlier values, so the pipeline mixes just in time and in
 batches: when the oldest generation is due, the last columns of the oldest
 B generations in flight are mixed together, S ``comm_step`` calls over one
-(holder, generation, source, width') payload, after which one of them is
-released per round. B = min(S, BLOCK_BYTES // (N^2 * width' * 8)) keeps the
-payload about cache-sized. Each batch allocates its two payloads, ``now``
-and ``prev``; ``prev`` is freed when the batch is mixed and ``now`` when its
-last generation is released, before the next batch is due. So the pipeline
+(holder, generation x source) payload, after which one of them is released
+per round. B = min(S, BLOCK_BYTES // (N^2 * 8)) keeps the payload about
+cache-sized. Each batch allocates its two payloads, ``now`` and ``prev``;
+``prev`` is freed when the batch is mixed and ``now`` when its last
+generation is released, before the next batch is due. So the pipeline
 holds at most two payloads and S raw rows, whatever S * N^2 is. A holder's
 rows of the batch form one contiguous payload row, and a step is one
 stacked BLAS product per block of holders with equal-size neighborhoods
 (see ``graph.HolderBlock``). The step writes in place over ``prev``
 (``out=prev``), which is safe because holder i's update reads only
-``prev[i]``; then ``now`` and ``prev`` swap roles.
-
-The mixed column is padded with zero columns to width', the narrowest
-width whose N * width' is a multiple of 4. Then no entry falls in the last
-(row length mod 4) entries of a holder row, which OpenBLAS's dgemv sums
-along another path. So every entry is mixed as it would be in any other
-position of any payload, and each generation comes out bit for bit as a
-gossip round over its own padded payload would release it.
+``prev[i]``; then ``now`` and ``prev`` swap roles. Each holder row ends in
+zero pad to a multiple of 4 entries, so no entry takes the path by which
+OpenBLAS's dgemv sums a row's last (length mod 4) entries, and every entry
+is mixed bit for bit as it would be alone.
 """
 
 from __future__ import annotations
@@ -180,13 +176,6 @@ def comm_step(now, prev, ell, comm, plan, out=None):
     return out
 
 
-def _padded(n, cols):
-    """The narrowest width from ``cols`` on whose N * width is a multiple of 4."""
-    while n * cols % 4:  # no entry of a holder row takes dgemv's tail
-        cols += 1
-    return cols
-
-
 def new_pipeline(comm, plan, unit, mix_last=False):
     """An empty pipeline over the network ``comm`` with mixing ``plan`` that
     releases every generation as U, the (N, N) ``mixing_polynomial(comm,
@@ -205,20 +194,22 @@ def new_pipeline(comm, plan, unit, mix_last=False):
 
 def _mix(seeds, comm, plan):
     """Mix the (N, B) ``seeds``, one column per generation, for all S rounds
-    together in a new (holder, generation, source, width') payload,
-    zero-padded past the first column; return the mixed payload."""
-    shape = (comm.n, seeds.shape[1], comm.n, _padded(comm.n, 1))
-    now, prev = np.zeros(shape), np.empty(shape)
-    diag = np.arange(comm.n)
-    now[diag, :, diag, 0] = seeds
+    together in a new (holder, generation x source) payload whose rows end
+    in zero pad to a multiple of 4 entries; return the mixed payload, in
+    which entry [i, k * N + j] is holder i's value of source j's seed k."""
+    n, b = seeds.shape
+    now = np.zeros((n, n * b + -n * b % 4))
+    prev = np.empty_like(now)
+    diag = np.arange(n)[:, None]
+    now[diag, diag + n * np.arange(b)] = seeds
     for ell in range(1, plan.s_rounds + 1):
         now, prev = comm_step(now, prev, ell, comm, plan, out=prev), now
     return now
 
 
 def mixing_polynomial(comm, plan):
-    """U = q_S(P), the (N, N) S-step mix of a unit seed in a zero-padded payload."""
-    return _mix(np.ones((comm.n, 1)), comm, plan)[:, 0, :, 0].copy()
+    """U = q_S(P), the (N, N) S-step mix of a unit seed in a ``_mix`` payload."""
+    return _mix(np.ones((comm.n, 1)), comm, plan)[:, :comm.n].copy()
 
 
 def advance_queues(queue, own):
@@ -243,11 +234,11 @@ def advance_queues(queue, own):
     if not flight or flight[0][0] + plan.s_rounds != clock:
         return None
     if mix_last and flight[0][2] is None:
-        room = BLOCK_BYTES // (comm.n * comm.n * _padded(comm.n, 1) * 8)
-        batch = list(islice(flight, max(1, min(plan.s_rounds, room))))
+        n = comm.n
+        batch = list(islice(flight, max(1, min(plan.s_rounds, BLOCK_BYTES // (n * n * 8)))))
         now = _mix(np.column_stack([rows[:, -1] for _, rows, _ in batch]), comm, plan)
         for k, generation in enumerate(batch):
-            generation[2] = now[:, k, :, 0]
+            generation[2] = now[:, k * n:(k + 1) * n]
     _, rows, mixed = flight.popleft()
     released = unit[:, :, None] * rows
     if mixed is not None:

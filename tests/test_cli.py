@@ -114,9 +114,22 @@ def test_run_smoke_writes_trace_and_summary(tmp_path):
     assert summary["config"]["epsilon"] == pytest.approx(1 / 9)
     assert summary["final_regret"]["mean"] > 0
     # the versions that produced the run, for reproducing it
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     assert summary["versions"] == {
         "gossipbandits": gossipbandits.__version__, "numpy": np.__version__,
+        "blas": f"{blas['name']} {blas['version']}",
         "scipy": scipy.__version__, "python": ".".join(map(str, sys.version_info[:3]))}
+
+
+def test_summary_blas_is_unknown_when_numpy_cannot_report_it(tmp_path, monkeypatch):
+    def show_config(mode="stdout"):  # as a numpy without ``mode="dicts"`` raises
+        raise TypeError(f"unexpected mode {mode!r}")
+
+    monkeypatch.setattr(np, "show_config", show_config)
+    code, out = run_cli(tmp_path, {"topology": "ring", "N": 4, "d": 2, "T": 10,
+                                   "algorithm": "dlucb", "realizations": 1})
+    assert code == 0
+    assert json.loads((out / "summary.json").read_text())["versions"]["blas"] == "unknown"
 
 
 def test_summary_hashes_the_resolved_config(tmp_path):

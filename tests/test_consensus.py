@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from gossipbandits import consensus
 from gossipbandits.agents import SafeDlucbAgent
+from gossipbandits.config import parse_config
 from gossipbandits.consensus import (
     MixingPlan,
     advance_queues,
@@ -23,6 +24,7 @@ from gossipbandits.graph import (
     build_comm_matrix,
     build_topology,
 )
+from gossipbandits.sim import run_realization
 
 from helpers import (
     chebyshev_closed_form,
@@ -335,14 +337,13 @@ def test_enqueue_builds_single_row_slot(monkeypatch):
         released = advance_queues(queue, None)
     # the batch of this one generation was mixed in S steps
     assert [ell for ell, _, _ in steps] == list(range(1, s + 1))
-    payload = steps[0][1][:, 0]
-    # only the reward column is mixed: N * 1 = 3 entries are padded with
-    # zero columns to 12
-    assert payload.shape == (3, 3, 4)
+    payload = steps[0][1]
+    # only the reward column is mixed: each holder row of N * 1 = 3 entries
+    # ends in one pad entry
+    assert payload.shape == (3, 4)
     for i in range(3):
         # agent i's slot holds only its own reward
-        assert np.array_equal(payload[i, i], [sent[i, -1], 0.0, 0.0, 0.0])
-        assert np.all(np.delete(payload[i], i, axis=0) == 0)
+        assert np.array_equal(payload[i], np.eye(4)[i] * sent[i, -1])
     q = mixing_polynomial_eig(comm.entries, comm.lambda2_abs, s)
     assert np.abs(released - q[:, :, None] * sent[None]).max() <= 1e-12
     assert not queue[0]
@@ -393,15 +394,17 @@ def _check_depth_and_mixing_counts(comm, plan, unit, room, steps):
     # every batch runs ell = 1..S over its generations: (T - S) * S generation mixes
     ells = [ell for ell, _, _ in steps]
     assert ells == list(range(1, s + 1)) * (len(steps) // s)
-    sizes = [now.shape[1] for ell, now, _ in steps if ell == 1]
+    # N = 4 needs no pad: a payload is (holder, generation x source)
+    assert n == 4 and all(now.shape[1] % n == 0 for _, now, _ in steps)
+    sizes = [now.shape[1] // n for ell, now, _ in steps if ell == 1]
     assert max(sizes) == room and sum(sizes) == horizon - s
-    assert sum(now.shape[1] for _, now, _ in steps) == (horizon - s) * s
+    assert sum(now.shape[1] // n for _, now, _ in steps) == (horizon - s) * s
     for ell, now, result in steps:
         if ell == 1:
-            data = now[np.arange(n), :, np.arange(n)]  # (source, generation, width')
+            data = now.reshape(n, -1, n)[np.arange(n), :, np.arange(n)]  # (source, generation)
         # after step ell every generation of the batch is q_ell(P)-scaled data
-        expected = q[ell][:, None, :, None] * data.transpose(1, 0, 2)[None]
-        assert np.allclose(result, expected, atol=1e-10)
+        expected = q[ell][:, None, :] * data.T[None]
+        assert np.allclose(result.reshape(n, -1, n), expected, atol=1e-10)
 
 
 def test_queue_pipeline_depth_and_mixing_counts():
@@ -416,7 +419,7 @@ def test_queue_pipeline_depth_and_mixing_counts():
     for batch in (None, 2, 1):
         with pytest.MonkeyPatch.context() as patch:
             if batch is not None:
-                # room for ``batch`` reward columns, which N = 4 needs no padding for
+                # room for ``batch`` reward columns
                 patch.setattr(consensus, "BLOCK_BYTES", batch * comm.n ** 2 * 8)
             _check_depth_and_mixing_counts(comm, plan, unit, batch or plan.s_rounds,
                                            _recording_steps(patch))
@@ -505,26 +508,23 @@ def test_pipeline_matches_list_of_generations(quarter, width, seed, extra, room)
     """A box pipeline, as the simulator runs it with batches of ``room``
     generations and for every N mod 4, releases each generation bit for bit
     as the list oracle's gossip rounds over all its columns do: its +-1
-    action columns as U times the plays, and its reward column mixed, in a
-    payload padded to the narrowest width whose N * width entries fill whole
-    blocks of four."""
+    action columns as U times the plays, and its reward column mixed in a
+    batch payload whose holder rows end in fewer than 4 pad entries."""
     for n in range(2 + 4 * quarter, 6 + 4 * quarter):
         comm, plan, stream, horizon = _box_stream(n, width, seed, extra)
         s = plan.s_rounds
         unit = mixing_polynomial(comm, plan)
-        cols = consensus._padded(n, 1)
-        assert n * cols % 4 == 0 and all(n * w % 4 for w in range(1, cols))
         queue = new_pipeline(comm, plan, unit, mix_last=True)
         oracle = _list_pipeline_oracle(comm, plan, stream)
-        payloads = []  # every batch's mixed payload
+        batches = []  # (generations, mixed payload) of every batch
 
         def recording_mix(seeds, comm, plan):
-            payloads.append(mix(seeds, comm, plan))
-            return payloads[-1]
+            batches.append((seeds.shape[1], mix(seeds, comm, plan)))
+            return batches[-1][1]
 
         mix = consensus._mix
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(consensus, "BLOCK_BYTES", room * n * n * cols * 8)
+            patch.setattr(consensus, "BLOCK_BYTES", room * n * n * 8)
             patch.setattr(consensus, "_mix", recording_mix)
             for t in range(1, horizon + 1):
                 # like the simulator, start no generation that would be released after T
@@ -537,10 +537,59 @@ def test_pipeline_matches_list_of_generations(quarter, width, seed, extra, room)
                                                   unit[:, :, None] * stream[t - s, :, :-1])
         assert not queue[0]
         # every batch but the last, which the drain may cut short, is full
-        sizes = [payload.shape[1] for payload in payloads]
+        sizes = [size for size, _ in batches]
         assert sizes[:-1] == [min(room, s)] * (len(sizes) - 1)
         assert 0 < sizes[-1] <= min(room, s) and sum(sizes) == horizon - s
-        assert {payload.shape[:1] + payload.shape[2:] for payload in payloads} == {(n, n, cols)}
+        for size, payload in batches:
+            assert payload.shape[0] == n and payload.shape[1] % 4 == 0
+            assert 0 <= payload.shape[1] - size * n < 4
+
+
+def test_batched_columns_mix_as_alone():
+    """A ``_mix`` payload is (holder, generation x source), each row ending
+    in fewer than 4 zero pad entries to a multiple of 4. Mixing B = 1..5
+    seed columns in one call gives each column, bit for bit, what it gets
+    mixed alone, at every row offset mod 4 and for every N mod 4."""
+    rng = np.random.default_rng(29)
+    for n in range(2, 14):
+        comm = build_comm_matrix(GraphTopology(random_connected_adjacency(n, 0.4, rng)))
+        plan = MixingPlan.for_network(comm, 0.1)
+        seeds = rng.standard_normal((n, 5))
+        alone = [consensus._mix(seeds[:, [k]], comm, plan) for k in range(5)]
+        for b in range(1, 6):
+            mixed = consensus._mix(seeds[:, :b], comm, plan)
+            assert mixed.shape[0] == n and mixed.shape[1] % 4 == 0
+            assert 0 <= mixed.shape[1] - b * n < 4
+            assert not mixed[:, b * n:].any()
+            for k in range(b):
+                np.testing.assert_array_equal(mixed[:, k * n:(k + 1) * n], alone[k][:, :n])
+
+
+def test_box_trace_does_not_depend_on_the_batch_size(monkeypatch):
+    """A box ``dlucb`` run at N = 5, whose reward batches end in pad
+    entries, gives the same trace with batches of 1, 2 and S generations."""
+    config = parse_config({"topology": "ring", "N": 5, "d": 3, "T": 60,
+                           "algorithm": "dlucb", "realizations": 1})
+    sizes = []
+    mix = consensus._mix
+
+    def recording_mix(seeds, comm, plan):
+        sizes.append(seeds.shape[1])
+        return mix(seeds, comm, plan)
+
+    monkeypatch.setattr(consensus, "_mix", recording_mix)
+    traces = []
+    for room in (1, 2, None):
+        with pytest.MonkeyPatch.context() as patch:
+            if room is not None:
+                patch.setattr(consensus, "BLOCK_BYTES", room * 5 * 5 * 8)
+            sizes.clear()
+            traces.append(run_realization(config, master_seed=3))
+        # sizes[0] is U's unit seed
+        assert max(sizes[1:]) == (room or traces[-1].s_rounds) and len(sizes) > 3
+    for trace in traces[1:]:
+        for array in ("inst_regret", "cum_regret", "scalars", "violations"):
+            np.testing.assert_array_equal(getattr(trace, array), getattr(traces[0], array))
 
 
 def _mixed_releases(comm, plan, stream, count):
@@ -550,7 +599,7 @@ def _mixed_releases(comm, plan, stream, count):
     n, width = comm.n, stream.shape[2]
     seeds = stream[:count].transpose(1, 0, 2).reshape(n, count * width)
     mixed = consensus._mix(seeds, comm, plan)
-    return mixed[..., 0].reshape(n, count, width, n).transpose(1, 0, 3, 2)
+    return mixed[:, :count * width * n].reshape(n, count, width, n).transpose(1, 0, 3, 2)
 
 
 @settings(max_examples=40, deadline=None)

@@ -30,6 +30,8 @@ CONFIGS = {
     "dlucb_ring_box": {"topology": "ring", "N": 6, "d": 3, "T": 60, "algorithm": "dlucb"},
     "dlucb_er_finite": {"topology": ER, "N": 7, "d": 3, "T": 60, "algorithm": "dlucb",
                         "decision_set": finite(10)},
+    # odd N: every holder row of a reward batch ends in pad entries
+    "dlucb_ring7_box": {"topology": "ring", "N": 7, "d": 3, "T": 60, "algorithm": "dlucb"},
     "dlucb_path_keep_warmup": {"topology": "path", "N": 4, "d": 2, "T": 50,
                                "algorithm": "dlucb", "keep_warmup_data": True},
     "dlts_ring_box": {"topology": "ring", "N": 5, "d": 3, "T": 60, "algorithm": "dlts"},
