@@ -38,6 +38,7 @@ class DlucbAgent:
     """
 
     signals = 1
+    inverse = None  # keeps no Gram inverses, unlike RcDlucbAgent
 
     def __init__(self, owner, d, lam, s_rounds, *, keep_warmup_data=False):
         self.owner = np.asarray(owner)

@@ -17,12 +17,12 @@ Ridge solves take one of two paths, by decision set:
   LAPACK call.
 - The box: the LAPACK ``potrf``/``potrs`` that
   ``scipy.linalg.cho_factor``/``cho_solve`` call, one matrix at a time, in
-  place in column-major buffers. Box UCB's candidates tie in exact
-  arithmetic after round 1, and which of them ``argmax`` picks rests on
-  these solves' rounding, so they stay bitwise until a tie rule breaks the
-  ties. No run imports the ``scipy.linalg`` package: the first box solve
-  loads only its LAPACK extension (about 3 MB), and finite-arm runs load
-  neither.
+  place: the factors in column-major buffers, each moment in a copy. Box
+  UCB's candidates tie in exact arithmetic after round 1, and which of them
+  ``argmax`` picks rests on these solves' rounding, so they stay bitwise
+  until a tie rule breaks the ties. No run imports the ``scipy.linalg``
+  package: the first box solve loads only its LAPACK extension (about
+  3 MB), and finite-arm runs load neither.
 
 Eigendecompositions are batched ``np.linalg`` calls, and every
 matrix-vector product is a stacked ``np.matmul`` against a trailing
@@ -100,22 +100,19 @@ def cho_factor(mats):
 
 
 def cho_solve(factors, rhs):
-    """Solve L L^T X = B for every factor L of ``cho_factor`` and its
-    right-hand sides B, a (..., d, k) stack.
+    """Solve L L^T x = b for every factor L of ``cho_factor`` and its
+    right-hand side b, a (..., d) stack.
 
-    The solutions are written in place over a copy of ``rhs`` by the LAPACK
-    ``potrs`` that ``scipy.linalg.cho_solve`` calls, one call per factor with
-    all its right-hand sides. The solutions keep its column-major layout, so
-    that later reductions over them sum in the same order.
+    Each solution is written in place over a C-contiguous copy of ``rhs`` by
+    the LAPACK ``potrs`` that ``scipy.linalg.cho_solve`` calls, one call per
+    factor; ``rhs`` itself is never written.
     """
-    rhs = np.asarray_chkfinite(rhs, dtype=float)
-    out = np.empty(rhs.shape[:-2] + rhs.shape[:-3:-1]).swapaxes(-1, -2)
-    out[...] = rhs
-    if out.size == 0:  # an empty system (d = 0) has the empty solution
+    out = np.asarray_chkfinite(rhs, dtype=float).copy()
+    if out.size == 0:  # an empty stack, or d = 0
         return out
     d = factors.shape[-1]
     lapack = scipy_lapack()
-    for f, o in zip(factors.reshape(-1, d, d), out.reshape(-1, *out.shape[-2:]), strict=True):
+    for f, o in zip(factors.reshape(-1, d, d), out.reshape(-1, d), strict=True):
         lapack.dpotrs(f, o, lower=1, overwrite_b=1)
     return out
 
@@ -123,8 +120,8 @@ def cho_solve(factors, rhs):
 def _solve_finite(gram, moment, arms, inverse=None):
     """Solutions of gram @ X = [moment | arms^T] for every Gram matrix of the
     stack: the moment's, a contiguous (..., d) array, and the (K, d) arms',
-    a (..., d, K) stack of column-major matrices like every ``cho_solve``
-    solution, so that reductions over them sum in the same order.
+    a (..., d, K) stack of column-major matrices, the layout that fixes the
+    order in which reductions over them sum.
 
     One batched ``np.linalg.cholesky`` checks that every matrix is
     positive-definite; one batched inverse, or the given ``inverse`` of
@@ -195,7 +192,7 @@ class ConfidenceSet:
         if arms is None:
             if inverse is not None:
                 raise ValueError("the box solves by factoring: give an inverse only with arms")
-            center = cho_solve(cho_factor(gram), moment[..., None])[..., 0].copy()
+            center = cho_solve(cho_factor(gram), moment)
             arm_solves = None
         else:
             center, arm_solves = _solve_finite(gram, moment, np.asarray(arms, dtype=float),

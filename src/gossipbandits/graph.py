@@ -12,6 +12,7 @@ from .config import TOPOLOGY_KINDS, ConfigError
 
 STOCHASTICITY_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
+ER_RETRIES = 200  # erdos_renyi draws before build_topology gives up
 
 
 def _is_connected(adjacency):
@@ -59,12 +60,12 @@ class GraphTopology:
         return float(self.degrees.max())
 
 
-def build_topology(kind, n, p=None, rng=None, max_retries=200):
+def build_topology(kind, n, p=None, rng=None):
     """Construct a connected topology of the requested kind; an explicit
     topology comes from its edge file (``load_edge_list``).
 
     erdos_renyi draws edges i.i.d. with probability ``p`` from ``rng`` and
-    resamples until connected. After ``max_retries`` draws without a connected
+    resamples until connected. After ``ER_RETRIES`` draws without a connected
     graph it raises a ``ConfigError`` naming ``topology.p``, too small for ``n``.
     """
     if kind == "explicit":
@@ -91,7 +92,7 @@ def build_topology(kind, n, p=None, rng=None, max_retries=200):
         if rng is None:
             raise ValueError("erdos_renyi needs a seeded rng")
         iu = np.triu_indices(n, k=1)
-        for _ in range(max_retries):
+        for _ in range(ER_RETRIES):
             a = np.zeros((n, n))
             a[iu] = rng.random(len(iu[0])) < p
             a = a + a.T
@@ -100,7 +101,7 @@ def build_topology(kind, n, p=None, rng=None, max_retries=200):
         else:
             raise ConfigError(
                 f"topology.p = {p} is too small for N = {n}: erdos_renyi retry budget "
-                f"exhausted after {max_retries} draws without a connected graph"
+                f"exhausted after {ER_RETRIES} draws without a connected graph"
             )
     return GraphTopology(a, kind=kind)
 
@@ -178,11 +179,10 @@ def _spectrum(entries):
     return eigs[np.argsort(-np.abs(eigs))]
 
 
-def check_assumption(entries, topology, eigenvalues=None):
+def check_assumption(entries, topology, eigenvalues):
     """Return diagnostics for every violated gossip-matrix requirement (empty list = valid).
 
-    ``eigenvalues`` are the matrix's magnitude-sorted eigenvalues when already
-    known; they are computed otherwise.
+    ``eigenvalues`` are the matrix's, by decreasing magnitude (``_spectrum``).
     """
     problems = []
     n = topology.n_nodes
@@ -199,11 +199,10 @@ def check_assumption(entries, topology, eigenvalues=None):
     if np.any(off != 0):
         problems.append("nonzero entry between non-adjacent nodes")
     if n > 1:
-        eigs = _spectrum(entries) if eigenvalues is None else eigenvalues
-        if abs(eigs[0] - 1.0) > 1e-8:
-            problems.append(f"largest eigenvalue {eigs[0]:.6f} != 1")
-        if abs(eigs[1]) >= 1.0 - 1e-12:
-            problems.append(f"|lambda_2| = {abs(eigs[1]):.6f} not strictly below 1")
+        if abs(eigenvalues[0] - 1.0) > 1e-8:
+            problems.append(f"largest eigenvalue {eigenvalues[0]:.6f} != 1")
+        if abs(eigenvalues[1]) >= 1.0 - 1e-12:
+            problems.append(f"|lambda_2| = {abs(eigenvalues[1]):.6f} not strictly below 1")
     return problems
 
 

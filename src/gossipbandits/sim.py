@@ -34,6 +34,7 @@ from .graph import GraphTopology, build_comm_matrix, build_topology, load_edge_l
 _ENV, _GRAPH, _NOISE, _ALGO = 0, 1, 2, 3
 
 VIOLATION_TOL = 1e-12
+ENV_TRIES = 1000  # safe-environment draws before sample_environment gives up
 
 
 def _stream(master_seed, realization, role, agent=0):
@@ -57,7 +58,7 @@ class Environment:
     noise_z: np.ndarray | None = field(default=None, repr=False)
 
 
-def sample_environment(d, safe, rng, c_min=0.0, x0=None, max_tries=1000):
+def sample_environment(d, safe, rng, c_min=0.0, x0=None):
     """Draw the hidden reward (and constraint) directions, unit-normalized.
 
     In safe mode the constraint level is uniform on [c_min, 1], redrawn until
@@ -68,7 +69,7 @@ def sample_environment(d, safe, rng, c_min=0.0, x0=None, max_tries=1000):
         raise ValueError("need d >= 1")
     if safe:
         x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float)
-        for _ in range(max_tries):
+        for _ in range(ENV_TRIES):
             theta = rng.standard_normal(d)
             theta /= np.linalg.norm(theta)
             mu = rng.standard_normal(d)
@@ -358,7 +359,7 @@ def _select(agents, beta, arms, geo, rngs):
         # Thompson sampling reads the center alone: it solves for no arm
         cs = ConfidenceSet.from_stats(agents.gram, agents.moment, beta,
                                       arms if rngs is None else arms[:0],
-                                      inverse=getattr(agents, "inverse", None))
+                                      inverse=agents.inverse)
     if geo is not None:
         certified = safe_filter(arms, cs, agents.safety, geo)
         j, _ = ucb_select_finite(arms, cs, scale=geo.kappa_r, certified=certified)

@@ -40,6 +40,10 @@ CONFIGS = {
     "safe_dlucb_ring": {"topology": "ring", "N": 6, "d": 3, "T": 60,
                         "algorithm": "safe_dlucb", "decision_set": finite(12),
                         "safe": {"c_min": 0.3}},
+    # nonzero x0: the safe filter's alpha terms and the shifted feedback
+    "safe_dlucb_ring_x0": {"topology": "ring", "N": 6, "d": 3, "T": 60,
+                           "algorithm": "safe_dlucb", "decision_set": finite(12),
+                           "safe": {"c_min": 0.3, "x0": [0.2, -0.3, 0.1]}},
     "rc_dlucb_er_finite": {"topology": ER, "N": 6, "d": 3, "T": 120,
                            "algorithm": "rc_dlucb", "decision_set": finite(10)},
     "rc_dlucb_ring_box": {"topology": "ring", "N": 6, "d": 3, "T": 120, "algorithm": "rc_dlucb"},

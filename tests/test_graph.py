@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gossipbandits import graph
 from gossipbandits.config import ConfigError
 from gossipbandits.graph import (
     GraphTopology,
@@ -14,6 +15,7 @@ from gossipbandits.graph import (
     compute_mixing_rounds,
     load_edge_list,
     _comm_entries,
+    _spectrum,
 )
 
 from helpers import bfs_connected, qr_eigvalsh, random_connected_adjacency
@@ -76,10 +78,11 @@ def test_erdos_renyi_connected_against_bfs_oracle():
     assert np.array_equal(topo.adjacency, topo2.adjacency)
 
 
-def test_erdos_renyi_retry_budget():
+def test_erdos_renyi_retry_budget(monkeypatch):
+    monkeypatch.setattr(graph, "ER_RETRIES", 5)
     rng = np.random.default_rng(0)
     with pytest.raises(ConfigError, match="topology.p.*retry budget"):
-        build_topology("erdos_renyi", 30, p=0.01, rng=rng, max_retries=5)
+        build_topology("erdos_renyi", 30, p=0.01, rng=rng)
 
 
 def test_topology_validation():
@@ -173,7 +176,7 @@ def test_normalized_scheme_fails_on_irregular_graphs():
 def test_check_assumption_diagnoses_row_sums():
     topo = build_topology("path", 3)
     entries = _comm_entries(topo, "normalized_laplacian")
-    problems = check_assumption(entries, topo)
+    problems = check_assumption(entries, topo, _spectrum(entries))
     assert any("row sums" in p for p in problems)
 
 

@@ -56,3 +56,15 @@ def test_moved_runs_are_counted_per_axis_value():
         "dlucb 1/2, rc_dlucb 1/2")
     assert trace_sweep.moved_per_value(names, changed, grid, "d") == "2 0/2, 5 2/2"
     assert trace_sweep.moved_per_value(names, [], grid, "d") == "2 0/2, 5 0/2"
+
+
+def test_only_safe_dlucb_runs_the_nonzero_safe_action():
+    """``finite_x0`` adds 144 safe_dlucb runs with x0 = 0.3 e_1 to the 1,584
+    runs of the other two decision sets."""
+    every = {name: raw for name, raw, _ in trace_sweep.runs(trace_sweep.GRID, 50)}
+    added = {name: raw for name, raw in every.items() if name.endswith("-finite_x0")}
+    assert len(every) == 1728 and len(added) == 144
+    for name, raw in added.items():
+        assert name.startswith("safe_dlucb-")
+        assert raw["decision_set"] == {"variant": "finite", "num_arms": 20}
+        assert raw["safe"] == {"c_min": 0.3, "x0": [0.3] + [0.0] * (raw["d"] - 1)}

@@ -3,7 +3,9 @@ run's per-round trace arrays, bit for bit, with an earlier sweep's.
 
 The grid is algorithm x topology x N x d x seed x decision set (``GRID``),
 each run one ``sim.run_realization`` at master seed ``seed``, T = 200 by
-default. ``safe_dlucb`` runs the finite set only, with ``safe.c_min`` 0.3.
+default. ``safe_dlucb`` runs finite sets only, with ``safe.c_min`` 0.3: the
+zero safe action on ``finite``, and x0 = 0.3 e_1 on ``finite_x0``, which no
+other algorithm takes.
 Record a sweep, change the code, and check that no curve moved:
 
     PYTHONPATH=src python tests/trace_sweep.py --out before.npz
@@ -36,7 +38,7 @@ GRID = {
     "N": (3, 5, 6, 8, 11, 12),
     "d": (2, 3, 5),
     "seed": (0, 1),
-    "decision_set": ("box", "finite"),
+    "decision_set": ("box", "finite", "finite_x0"),
 }
 # every per-round array of a Trace
 ARRAYS = ("inst_regret", "cum_regret", "scalars", "violations", "phase_id", "phases_started")
@@ -46,16 +48,18 @@ def runs(grid, horizon):
     """(name, raw config, seed) of every valid point of ``grid``."""
     for values in itertools.product(*grid.values()):
         point = dict(zip(grid, values))
-        algorithm, dset = point["algorithm"], point["decision_set"]
-        if algorithm == "safe_dlucb" and dset == "box":
+        algorithm, dset, d = point["algorithm"], point["decision_set"], int(point["d"])
+        safe = algorithm == "safe_dlucb"
+        if (safe and dset == "box") or (not safe and dset == "finite_x0"):
             continue
         raw = {"topology": {"kind": point["topology"], "p": 0.5}, "N": int(point["N"]),
-               "d": int(point["d"]), "T": horizon, "algorithm": algorithm,
-               "realizations": 1,
-               "decision_set": {"variant": "finite", "num_arms": 20} if dset == "finite"
-               else "box"}
-        if algorithm == "safe_dlucb":
+               "d": d, "T": horizon, "algorithm": algorithm, "realizations": 1,
+               "decision_set": "box" if dset == "box"
+               else {"variant": "finite", "num_arms": 20}}
+        if safe:
             raw["safe"] = {"c_min": 0.3}
+            if dset == "finite_x0":
+                raw["safe"]["x0"] = [0.3] + [0.0] * (d - 1)
         yield "-".join(f"{value}" for value in values), raw, int(point["seed"])
 
 
