@@ -15,14 +15,14 @@ Ridge solves take one of two paths, by decision set:
   keeps the inverses itself, as ``rc_dlucb``'s agents do by rank-one
   updates, supplies them, and the Cholesky check is then the round's only
   LAPACK call.
-- The box: the LAPACK ``potrf``/``potrs`` that
-  ``scipy.linalg.cho_factor``/``cho_solve`` call, one matrix at a time, in
-  place: the factors in column-major buffers, each moment in a copy. Box
-  UCB's candidates tie in exact arithmetic after round 1, and which of them
-  ``argmax`` picks rests on these solves' rounding, so they stay bitwise
-  until a tie rule breaks the ties. No run imports the ``scipy.linalg``
-  package: the first box solve loads only its LAPACK extension (about
-  3 MB), and finite-arm runs load neither.
+- The box: one LAPACK ``posv`` per matrix, in place, which runs the
+  ``potrf`` and ``potrs`` that ``scipy.linalg.cho_factor`` and
+  ``cho_solve`` call: the factor in a column-major copy, the moment in a
+  copy. Box UCB's candidates tie in exact arithmetic after round 1, and
+  which of them ``argmax`` picks rests on these solves' rounding, so they
+  stay bitwise until a tie rule breaks the ties. No run imports the
+  ``scipy.linalg`` package: the first box solve loads only its LAPACK
+  extension (about 3 MB), and finite-arm runs load neither.
 
 Eigendecompositions are batched ``np.linalg`` calls, and every
 matrix-vector product is a stacked ``np.matmul`` against a trailing
@@ -49,15 +49,14 @@ def _matvec(mats, vecs):
 
 def scipy_lapack():
     """scipy's LAPACK extension ``scipy.linalg._flapack``, which the box path
-    factors and solves with, loaded on the first call.
+    solves with, loaded on the first call.
 
     Only the extension is loaded, not the ``scipy.linalg`` package: it adds
     about 3 MB to a process where the package adds about 25 MB and 0.2-0.4 s
     (2-vCPU Xeon host). The module is registered in ``sys.modules`` under
     its own name, so a later ``import scipy.linalg`` reuses it, and its
-    ``dpotrf``/``dpotrs`` are the very functions ``scipy.linalg.lapack``
-    exports. Raises ImportError if scipy's ``linalg`` directory holds no
-    such extension.
+    ``dposv`` is the very function ``scipy.linalg.lapack`` exports. Raises
+    ImportError if scipy's ``linalg`` directory holds no such extension.
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
@@ -74,46 +73,33 @@ def scipy_lapack():
     return module
 
 
-def cho_factor(mats):
-    """Lower Cholesky factor of every matrix of a stack (..., d, d).
+def cho_factor(mats, rhs):
+    """Solve A x = b for every positive-definite matrix A of a stack
+    (..., d, d) and its right-hand side b, a (..., d) stack.
 
-    The stack is copied once into a buffer whose matrices are column-major,
-    and each matrix is factored in place there by the LAPACK ``potrf`` that
-    ``scipy.linalg.cho_factor`` calls; ``mats`` itself is never written. The
-    upper triangle keeps the input's entries. Raises ValueError if an entry
-    is not finite or a matrix is not positive-definite.
+    One LAPACK ``posv`` per matrix runs the ``potrf`` and ``potrs`` that
+    ``scipy.linalg.cho_factor`` and ``cho_solve`` call, so every solution
+    equals theirs bit for bit. It factors a column-major copy of the
+    matrix, reading only its lower triangle, and solves over a C-contiguous
+    copy of ``rhs``; neither input is written. The name outlives the
+    returned factor because the benchmark's tracer counts calls to it.
+    Raises ValueError if an entry is not finite or a matrix is not
+    positive-definite.
     """
     mats = np.asarray_chkfinite(mats, dtype=float)
     factors = np.empty(mats.shape).swapaxes(-1, -2)
     factors[...] = mats
-    if factors.size == 0:  # an empty stack, or d = 0
-        return factors
-    d = mats.shape[-1]
-    # f2py would factor a silent copy of a matrix that is not F-contiguous;
-    # every matrix of the buffer is, so potrf overwrites it
-    lapack = scipy_lapack()
-    info = max(lapack.dpotrf(f, lower=1, clean=0, overwrite_a=1)[1]
-               for f in factors.reshape(-1, d, d))
-    if info > 0:
-        raise ValueError("Gram matrix is not positive-definite")
-    return factors
-
-
-def cho_solve(factors, rhs):
-    """Solve L L^T x = b for every factor L of ``cho_factor`` and its
-    right-hand side b, a (..., d) stack.
-
-    Each solution is written in place over a C-contiguous copy of ``rhs`` by
-    the LAPACK ``potrs`` that ``scipy.linalg.cho_solve`` calls, one call per
-    factor; ``rhs`` itself is never written.
-    """
     out = np.asarray_chkfinite(rhs, dtype=float).copy()
     if out.size == 0:  # an empty stack, or d = 0
         return out
-    d = factors.shape[-1]
+    d = mats.shape[-1]
+    # f2py would solve silent copies of a matrix that is not F-contiguous;
+    # every matrix of the buffer is, so posv overwrites it and its moment
     lapack = scipy_lapack()
-    for f, o in zip(factors.reshape(-1, d, d), out.reshape(-1, d), strict=True):
-        lapack.dpotrs(f, o, lower=1, overwrite_b=1)
+    info = max(lapack.dposv(f, o, lower=1, overwrite_a=1, overwrite_b=1)[2]
+               for f, o in zip(factors.reshape(-1, d, d), out.reshape(-1, d), strict=True))
+    if info > 0:
+        raise ValueError("Gram matrix is not positive-definite")
     return out
 
 
@@ -126,7 +112,7 @@ def _solve_finite(gram, moment, arms, inverse=None):
     One batched ``np.linalg.cholesky`` checks that every matrix is
     positive-definite; one batched inverse, or the given ``inverse`` of
     ``gram``, and one product give the solutions. Raises ValueError like
-    ``cho_factor`` and ``cho_solve``.
+    ``cho_factor``.
     """
     gram = np.asarray_chkfinite(gram, dtype=float)
     try:
@@ -183,16 +169,15 @@ class ConfidenceSet:
         Given finite ``arms`` (K, d), the center and the arms' solves come
         from one batched numpy pass over the stack, which multiplies by
         ``inverse``, the inverses of ``gram``, when given instead of
-        inverting. The box (``arms`` None) solves through scipy's
-        ``potrf``/``potrs``, bitwise as box UCB's ties need (module
-        docstring), and takes no inverse. Raises ValueError when a Gram
-        matrix is not positive-definite, an input is not finite, or a solve
-        leaves a large residual: the checks read ``gram``, not
-        ``inverse``."""
+        inverting. The box (``arms`` None) solves through scipy's ``posv``,
+        bitwise as box UCB's ties need (module docstring), and takes no
+        inverse. Raises ValueError when a Gram matrix is not
+        positive-definite, an input is not finite, or a solve leaves a large
+        residual: the checks read ``gram``, not ``inverse``."""
         if arms is None:
             if inverse is not None:
                 raise ValueError("the box solves by factoring: give an inverse only with arms")
-            center = cho_solve(cho_factor(gram), moment)
+            center = cho_factor(gram, moment)
             arm_solves = None
         else:
             center, arm_solves = _solve_finite(gram, moment, np.asarray(arms, dtype=float),

@@ -19,7 +19,6 @@ from gossipbandits.bandit import (
     SafeGeometry,
     beta_radius,
     cho_factor,
-    cho_solve,
     greedy_box,
     inv_sqrt_psd,
     mixing_delay_pairs,
@@ -76,28 +75,25 @@ def _laid_out(values, layout, core=2):
        layouts=st.tuples(*[st.sampled_from(["C", "F", "sliced", "broadcast"])] * 2),
        seed=st.integers(0, 2**32 - 1))
 def test_cho_stack_matches_scipy_per_matrix(lead, d, layouts, seed):
-    """Every factor and solution of a stack equals scipy's on that matrix
-    alone, bit for bit, whatever the inputs' layout; the inputs are not
-    written and the factors keep the input's upper triangle."""
+    """Every solution of a stack equals scipy's factor-and-solve on that
+    matrix alone, bit for bit, whatever the inputs' layout, and the inputs
+    are not written."""
     rng = np.random.default_rng(seed)
     m = rng.standard_normal(lead + (d, d + 2))
     gram = m @ np.swapaxes(m, -1, -2) + 0.1 * np.eye(d)
-    # potrf reads only the lower triangle: junk above it must come back as is
+    # posv reads only the lower triangle: junk above it must not matter
     values = np.tril(gram) + np.triu(rng.standard_normal(gram.shape), 1)
     mats, mats_owner = _laid_out(values, layouts[0])
     rhs, rhs_owner = _laid_out(rng.standard_normal(lead + (d,)), layouts[1], core=1)
     before = mats_owner.tobytes(), rhs_owner.tobytes()
 
-    factors = cho_factor(mats)
-    solved = cho_solve(factors, rhs)
+    solved = cho_factor(mats, rhs)
 
     assert (mats_owner.tobytes(), rhs_owner.tobytes()) == before
-    assert factors.shape == mats.shape and solved.shape == rhs.shape
+    assert solved.shape == rhs.shape
     for idx in np.ndindex(lead):
-        own, lower = scipy_linalg.cho_factor(np.array(mats[idx]), lower=True)
-        assert np.array_equal(factors[idx], own)
-        assert np.array_equal(np.triu(factors[idx], 1), np.triu(mats[idx], 1))
-        expected = scipy_linalg.cho_solve((own, lower), np.array(rhs[idx]))
+        own = scipy_linalg.cho_factor(np.array(mats[idx]), lower=True)
+        expected = scipy_linalg.cho_solve(own, np.array(rhs[idx]))
         assert np.array_equal(solved[idx], expected)
 
 
@@ -106,15 +102,16 @@ def test_cho_stack_matches_scipy_per_matrix(lead, d, layouts, seed):
 def test_cho_factor_rejects_a_bad_matrix_anywhere_in_the_stack(bad, where):
     mats = np.stack([(1.0 + i) * np.eye(3) for i in range(5)])
     mats[where] = np.nan if bad == "nan" else np.diag([1.0, 1.0, -1.0])
-    before = mats.tobytes()
+    rhs = np.ones((5, 3))
+    before = mats.tobytes(), rhs.tobytes()
     with pytest.raises(ValueError):
-        cho_factor(mats)
-    assert mats.tobytes() == before
+        cho_factor(mats, rhs)
+    assert (mats.tobytes(), rhs.tobytes()) == before
 
 
-def test_cho_solve_rejects_a_nan_right_hand_side():
+def test_cho_factor_rejects_a_nan_right_hand_side():
     with pytest.raises(ValueError):
-        cho_solve(cho_factor(np.eye(3)), np.array([1.0, np.nan, 0.0]))
+        cho_factor(np.eye(3), np.array([1.0, np.nan, 0.0]))
 
 
 # Run in a fresh interpreter, where nothing of scipy.linalg is loaded yet,
@@ -137,17 +134,14 @@ else:
     m = rng.standard_normal((2, 3, 6, 8))
     mats = m @ m.swapaxes(-1, -2) + 0.1 * np.eye(6)
     rhs = rng.standard_normal((2, 3, 6))
-    factors = bandit.cho_factor(mats)
-    solved = bandit.cho_solve(factors, rhs)
+    solved = bandit.cho_factor(mats, rhs)
     assert "scipy.linalg" not in sys.modules
     import scipy.linalg
     assert scipy.linalg.lapack._flapack is lapack
     for idx in np.ndindex(2, 3):
         own = scipy.linalg.cho_factor(mats[idx], lower=True)
-        assert np.array_equal(factors[idx], own[0])
         assert np.array_equal(solved[idx], scipy.linalg.cho_solve(own, rhs[idx]))
-for routine in ("dpotrf", "dpotrs"):
-    assert getattr(scipy.linalg.lapack, routine) is getattr(bandit.scipy_lapack(), routine)
+assert scipy.linalg.lapack.dposv is bandit.scipy_lapack().dposv
 print("ok")
 """
 
@@ -434,6 +428,18 @@ def test_ts_covariance_monte_carlo():
     draws = np.concatenate([ts_perturb(cs, [rng]) for _ in range(100_000)])
     cov = np.cov(draws.T)
     assert np.abs(cov - 0.25 * np.eye(2)).max() < 0.05 * 0.25
+    # R rho draws the covariance radius^2 R R^T. On 4I the roots A^-1/2,
+    # L^-T and L^-1 (A = L L^T) all give radius^2 A^-1; on a skewed A, L^-1
+    # is 25% off it and R = A^-1 161% off. 100,000 learners share one
+    # generator
+    n, center, radius = 100_000, np.array([0.3, -0.2]), 0.7
+    gram = np.array([[4.0, 1.5], [1.5, 1.0]])
+    cs = ConfidenceSet(center=np.tile(center, (n, 1)), radius=radius,
+                       gram=np.broadcast_to(gram, (n, 2, 2)))
+    draws = ts_perturb(cs, [np.random.default_rng(7)] * n)
+    expected = radius**2 * np.linalg.inv(gram)
+    assert np.abs(np.cov(draws.T) - expected).max() < 0.03 * np.abs(expected).max()
+    assert np.abs(draws.mean(axis=0) - center).max() < 0.01
 
 
 # ------------------------------------------------------------------ safe geometry

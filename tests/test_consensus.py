@@ -303,6 +303,19 @@ def test_recursion_equals_closed_form_polynomial():
         q_rec = mixing_polynomial(comm, plan)
         q_eig = mixing_polynomial_eig(comm.entries, comm.lambda2_abs, plan.s_rounds)
         assert np.abs(q_rec - q_eig).max() < 1e-8
+    # realistic N at eps = 1/(4d+1) for d = 5: up to S = 705 rounds (path,
+    # N = 200), and S = 1 on the complete graph, whose |lambda_2| is 0 and
+    # whose U is then P itself
+    graphs = [build_topology(kind, n) for kind in ("ring", "path") for n in (100, 200)]
+    graphs += [build_topology(kind, 200) for kind in ("star", "complete")]
+    graphs.append(build_topology("erdos_renyi", 200, p=0.5, rng=rng))
+    for topo in graphs:
+        comm = build_comm_matrix(topo)
+        plan = MixingPlan.for_network(comm, 1.0 / 21)
+        q_rec = mixing_polynomial(comm, plan)
+        q_ref = comm.entries if comm.lambda2_abs == 0 else \
+            mixing_polynomial_eig(comm.entries, comm.lambda2_abs, plan.s_rounds)
+        assert np.abs(q_rec - q_ref).max() <= 1e-9 * np.abs(q_ref).max()
 
 
 def _recording_steps(monkeypatch):

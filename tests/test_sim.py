@@ -392,12 +392,14 @@ def test_aggregate_two_point_formula():
     ("dlucb", 6, 5), ("rc_dlucb", 6, 5), ("safe_dlucb", 6, 5),
 ])
 def test_lapack_calls_per_selection_round(monkeypatch, algorithm, arms, learners):
-    # A box learner is one scipy potrf and one potrs per selection round.
-    # Finite arms call no scipy LAPACK: one batched numpy Cholesky checks all
-    # learners, and the safe filter reads UCB's arm solves
-    calls = {"dpotrf": 0, "dpotrs": 0, "cholesky": 0}
+    # A box learner is one scipy posv per selection round, and never a
+    # separate potrf or potrs. Finite arms call no scipy LAPACK: one batched
+    # numpy Cholesky checks all learners, and the safe filter reads UCB's
+    # arm solves
+    calls = {"dposv": 0, "dpotrf": 0, "dpotrs": 0, "cholesky": 0}
     lapack = bandit.scipy_lapack()
-    for module, name in ((lapack, "dpotrf"), (lapack, "dpotrs"), (np.linalg, "cholesky")):
+    for module, name in ((lapack, "dposv"), (lapack, "dpotrf"), (lapack, "dpotrs"),
+                         (np.linalg, "cholesky")):
         def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
@@ -418,7 +420,7 @@ def test_lapack_calls_per_selection_round(monkeypatch, algorithm, arms, learners
     else:
         assert len(rounds) == 60
     scipy_calls = learners * len(rounds) if arms is None else 0
-    assert calls == {"dpotrf": scipy_calls, "dpotrs": scipy_calls,
+    assert calls == {"dposv": scipy_calls, "dpotrf": 0, "dpotrs": 0,
                      "cholesky": 0 if arms is None else len(rounds)}
 
 
