@@ -146,12 +146,15 @@ class RcDlucbAgent:
         return self.v_syn + self.v_new
 
     def refresh(self):
-        """Derive ``inverse`` and ``logdet`` from the Gram matrices, with one
-        batched inverse and one batched log-determinant."""
+        """Certify the Gram matrices positive-definite with one batched
+        Cholesky, which finite selection trusts, then derive ``inverse`` and
+        ``logdet`` with one batched inverse and log-determinant."""
         gram = self.gram
-        sign, self.logdet = np.linalg.slogdet(gram)
-        if np.any(sign <= 0):
-            raise RuntimeError("Gram matrix lost positive-definiteness")
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            raise RuntimeError("Gram matrix lost positive-definiteness") from None
+        self.logdet = np.linalg.slogdet(gram)[1]
         self.inverse = np.linalg.inv(gram)
         self.updates = 0
 

@@ -13,8 +13,8 @@ Ridge solves take one of two paths, by decision set:
   gives the center and the arm solves that finite UCB and the safe filter
   read. Every agent is solved in the same few numpy calls. A caller that
   keeps the inverses itself, as ``rc_dlucb``'s agents do by rank-one
-  updates, supplies them, and the Cholesky check is then the round's only
-  LAPACK call.
+  updates, supplies them and has certified the matrices, so the round
+  makes no LAPACK call.
 - The box: one LAPACK ``posv`` per matrix, in place, which runs the
   ``potrf`` and ``potrs`` that ``scipy.linalg.cho_factor`` and
   ``cho_solve`` call: the factor in a column-major copy, the moment in a
@@ -109,24 +109,24 @@ def _solve_finite(gram, moment, arms, inverse=None):
     a (..., d, K) stack of column-major matrices, the layout that fixes the
     order in which reductions over them sum.
 
-    One batched ``np.linalg.cholesky`` checks that every matrix is
-    positive-definite; one batched inverse, or the given ``inverse`` of
-    ``gram``, and one product give the solutions. Raises ValueError like
-    ``cho_factor``.
+    Unless the caller gives the ``inverse`` of ``gram``, which it has
+    certified, one batched ``np.linalg.cholesky`` checks that every matrix
+    is positive-definite and one batched inverse follows; one product gives
+    the solutions. Raises ValueError like ``cho_factor``.
     """
     gram = np.asarray_chkfinite(gram, dtype=float)
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise ValueError("Gram matrix is not positive-definite") from None
+    if inverse is None:
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            raise ValueError("Gram matrix is not positive-definite") from None
+        inverse = np.linalg.inv(gram)
     rhs = np.empty(moment.shape[:-1] + (1 + len(arms), moment.shape[-1]))
     rhs[..., 0, :] = moment
     rhs[..., 1:, :] = arms
     rhs = np.asarray_chkfinite(rhs)
     # row k of rhs @ inverse^T is inverse @ rhs[k]: the solutions lie
     # along the rows, which makes the arms' (d, K) solves column-major
-    if inverse is None:
-        inverse = np.linalg.inv(gram)
     solved = rhs @ np.swapaxes(inverse, -1, -2)
     return solved[..., 0, :].copy(), np.swapaxes(solved[..., 1:, :], -1, -2)
 
@@ -229,16 +229,15 @@ def inv_sqrt_psd(mat):
     return (vecs / np.sqrt(vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
 
 
-def ucb_select_box(cs, scale=1.0):
-    """Optimistic maximizer of <theta_hat, x> + scale * radius * ||A^{-1/2} x||_inf
+def ucb_select_box(cs):
+    """Optimistic maximizer of <theta_hat, x> + sqrt(d) * radius * ||A^{-1/2} x||_inf
     over the box [-1, 1]^d, for every agent of ``cs``.
 
     The sup-norm bonus is a max of 2d linear functions, each maximized at a sign
-    vector, so enumerating the 2d candidates is exact. The l1-ball confidence
-    set that contains the ellipsoid (Dani, Hayes & Kakade, COLT 2008) is
-    ``scale`` = sqrt(d) times wider; the simulator passes that scale.
+    vector, so enumerating the 2d candidates is exact. Widened by sqrt(d), the
+    set is the l1 ball that contains the ellipsoid (Dani, Hayes & Kakade, 2008).
     """
-    step = scale * cs.radius * np.swapaxes(inv_sqrt_psd(cs.gram), -1, -2)
+    step = math.sqrt(cs.center.shape[-1]) * cs.radius * np.swapaxes(inv_sqrt_psd(cs.gram), -1, -2)
     center = cs.center[..., None, :]
     candidates = np.concatenate([center + step, center - step], axis=-2)
     values = np.abs(candidates).sum(axis=-1)

@@ -17,7 +17,7 @@ action entry is exactly +1 or -1 and releases as exactly +U or -U: every
 entry of a payload runs the same S-step recursion from its own seed, and
 rounding to nearest is sign-symmetric. The pipeline keeps the network and
 mixing plan that U was built from, so each round hands it only that
-round's own rows.
+round's own rows, and its clock tells when the oldest generation is due.
 
 The box reward column is the one exception. Box UCB's exact ties read it
 to the last bit, so a ``mix_last`` pipeline replaces the last column of
@@ -59,44 +59,36 @@ per holder (its k neighbor rows, its product, its previous row and that row
 scaled). It also bounds the payload of one pipeline batch."""
 
 
-def chebyshev_weights(s_rounds, lambda2_abs):
-    """Weights w_0..w_S of the accelerated recursion: w_l = T_l(1/|lambda2|).
-
-    w_0 = 1 and w_1 = 1/|lambda2|; the two-term recursion
-    w_{l+1} = 2 w_l / |lambda2| - w_{l-1} continues the sequence. Weights
-    past the float range come out inf or nan.
-    """
-    if s_rounds < 1:
-        raise ValueError("need at least one mixing round")
-    if not 0 < lambda2_abs < 1:
-        raise ValueError("|lambda2| must lie in (0, 1) for Chebyshev weights")
-    w = np.empty(s_rounds + 1)
-    w[0] = 1.0
-    w[1] = 1.0 / lambda2_abs
-    with np.errstate(over="ignore", invalid="ignore"):
-        for ell in range(1, s_rounds):
-            w[ell + 1] = 2.0 * w[ell] / lambda2_abs - w[ell - 1]
-    return w
-
-
 @dataclass
 class MixingPlan:
-    """Mixing horizon S with the acceleration weights for a given tolerance."""
+    """Mixing horizon S with the acceleration weights w_0..w_S for a given
+    tolerance: w_l = T_l(1/|lambda2|) by w_0 = 1, w_1 = 1/|lambda2| and
+    w_{l+1} = 2 w_l / |lambda2| - w_{l-1}, or None when |lambda2| = 0."""
 
     epsilon: float
     s_rounds: int
     lambda2_abs: float
-    weights: np.ndarray | None = field(default=None, init=False, repr=False)  # None: |lambda2| = 0
+    weights: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.lambda2_abs > 0:
-            self.weights = chebyshev_weights(self.s_rounds, self.lambda2_abs)
-            if not np.all(np.isfinite(self.weights)):
-                raise ConfigError(f"epsilon {self.epsilon:g} needs S = {self.s_rounds} gossip "
-                                  "rounds, whose Chebyshev weights overflow")
-            diffs = np.diff(self.weights[1:])
-            if self.weights[0] != 1.0 or np.any(self.weights < 1.0) or np.any(diffs <= 0):
-                raise ValueError("invalid Chebyshev weight sequence")
+        if self.s_rounds < 1:
+            raise ValueError("need at least one mixing round")
+        if not 0 <= self.lambda2_abs < 1:
+            raise ValueError("|lambda2| must lie in [0, 1)")
+        if self.lambda2_abs == 0:
+            return
+        w = np.empty(self.s_rounds + 1)
+        w[0] = 1.0
+        w[1] = 1.0 / self.lambda2_abs
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ell in range(1, self.s_rounds):
+                w[ell + 1] = 2.0 * w[ell] / self.lambda2_abs - w[ell - 1]
+        if not np.all(np.isfinite(w)):
+            raise ConfigError(f"epsilon {self.epsilon:g} needs S = {self.s_rounds} gossip "
+                              "rounds, whose Chebyshev weights overflow")
+        if np.any(np.diff(w) <= 0):
+            raise ValueError("Chebyshev weights must increase strictly")
+        self.weights = w
 
     @classmethod
     def for_network(cls, comm, epsilon):
@@ -183,11 +175,10 @@ def new_pipeline(comm, plan, unit, mix_last=False):
     of each release is mixed over ``comm`` instead.
 
     The pipeline is the list [flight, clock, unit, comm, plan, mix_last].
-    ``clock`` counts the gossip rounds run. ``flight`` holds [start, own,
-    mixed] for every generation started and not yet released, oldest first:
-    the clock when it started, its (N, width) own rows, and its mixed (N, N)
-    last column, a view into its batch's payload, once that is mixed (else
-    None).
+    ``clock`` counts the gossip rounds run. ``flight`` holds [own, mixed] for
+    every generation started and not yet released, oldest first: its
+    (N, width) own rows, and its mixed (N, N) last column, a view into its
+    batch's payload, once that is mixed (else None).
     """
     return [deque(), 0, unit, comm, plan, mix_last]
 
@@ -218,28 +209,29 @@ def advance_queues(queue, own):
 
     ``own`` (N, width) holds each agent's action, reward and optionally
     safety feedback; agent i's copy holds only row i. None starts nothing,
-    as after round T - S. A generation started S - 1 rounds ago is released:
-    its (N, N, width) payload, whose entry i holds (a_ik / N) times agent k's
-    data in row k, computed as U times the own rows (see the module
-    docstring). When the oldest generation of a ``mix_last`` pipeline is due
-    and still unmixed, the last columns of the oldest B in flight are first
-    mixed for all S rounds together. Every step publishes all agents' values
-    first, then each update reads only the frozen published set, so the
-    exchange is synchronous and deterministic.
+    as after round T - S. From round S on, the oldest generation is released:
+    with one started per round until then, it started S - 1 rounds ago. Its
+    (N, N, width) payload's entry i holds (a_ik / N) times agent k's data in
+    row k, computed as U times the own rows (see the module docstring). When
+    the oldest generation of a ``mix_last`` pipeline is due and still
+    unmixed, the last columns of the oldest B in flight are first mixed for
+    all S rounds together. Every step publishes all agents' values first,
+    then each update reads only the frozen published set, so the exchange is
+    synchronous and deterministic.
     """
     flight, clock, unit, comm, plan, mix_last = queue
     if own is not None:
-        flight.append([clock, np.array(own, dtype=float), None])
+        flight.append([np.array(own, dtype=float), None])
     clock = queue[1] = clock + 1
-    if not flight or flight[0][0] + plan.s_rounds != clock:
+    if not flight or clock < plan.s_rounds:
         return None
-    if mix_last and flight[0][2] is None:
+    if mix_last and flight[0][1] is None:
         n = comm.n
         batch = list(islice(flight, max(1, min(plan.s_rounds, BLOCK_BYTES // (n * n * 8)))))
-        now = _mix(np.column_stack([rows[:, -1] for _, rows, _ in batch]), comm, plan)
+        now = _mix(np.column_stack([rows[:, -1] for rows, _ in batch]), comm, plan)
         for k, generation in enumerate(batch):
-            generation[2] = now[:, k * n:(k + 1) * n]
-    _, rows, mixed = flight.popleft()
+            generation[1] = now[:, k * n:(k + 1) * n]
+    rows, mixed = flight.popleft()
     released = unit[:, :, None] * rows
     if mixed is not None:
         released[..., -1] = mixed

@@ -254,23 +254,21 @@ class CommMatrix:
     Construction computes the matrix of ``scheme`` for the topology and its
     eigenvalues once, sorted by magnitude and cached, and lists every violated
     requirement in ``problems`` (see ``check_assumption``) without raising;
-    ``build_comm_matrix`` rejects a matrix with problems. Instances are
-    immutable in spirit: safe to share read-only across realizations.
+    ``build_comm_matrix`` rejects a matrix with problems. The topology is not
+    kept: its closed neighborhoods are the supports of the rows of ``entries``.
+    Instances are immutable in spirit: safe to share read-only across realizations.
     """
 
     def __init__(self, topology, scheme="laplacian"):
         self.entries = _comm_entries(topology, scheme)
-        self.topology = topology
         self.n = topology.n_nodes
         self.eigenvalues = _spectrum(self.entries)
         self.problems = check_assumption(self.entries, topology, self.eigenvalues)
         lam2 = float(abs(self.eigenvalues[1])) if self.n > 1 else 0.0
         # exact-averaging matrices report a clean zero
         self.lambda2_abs = 0.0 if lam2 < 1e-12 else lam2
-        # per-node closed neighborhoods, used by the gossip step to keep reads
-        # local, and the holder blocks it mixes them in
-        self.neighborhoods = [np.flatnonzero(row) for row in topology.adjacency + np.eye(self.n)]
-        self.blocks = _holder_blocks(self.entries, self.neighborhoods)
+        neighborhoods = [np.flatnonzero(row) for row in topology.adjacency + np.eye(self.n)]
+        self.blocks = _holder_blocks(self.entries, neighborhoods)
 
 
 def build_comm_matrix(topology, scheme="laplacian"):
@@ -293,8 +291,8 @@ def compute_mixing_rounds(n, epsilon, lambda2_abs):
     round and floored at one, then extends the horizon until the worst-case
     deviation bound N / T_S(1/|lambda2|) * sqrt(1 - 1/N) provable from the
     second eigenvalue alone drops below epsilon. |lambda2| = 0 means one
-    multiplication by the gossip matrix already averages exactly.
-    """
+    multiplication by the gossip matrix already averages exactly. An epsilon
+    for which 2N/epsilon overflows is a ``ConfigError``."""
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
     if not 0 <= lambda2_abs < 1:
@@ -302,6 +300,8 @@ def compute_mixing_rounds(n, epsilon, lambda2_abs):
     if lambda2_abs == 0.0:
         return 1
     raw = math.log(2.0 * n / epsilon) / math.sqrt(2.0 * math.log(1.0 / lambda2_abs))
+    if math.isinf(raw):
+        raise ConfigError(f"epsilon {epsilon:g} is too small: 2N/epsilon overflows for N = {n}")
     s = max(1, int(math.floor(raw + 0.5)))
     if n > 1:
         acosh = math.acosh(1.0 / lambda2_abs)

@@ -7,7 +7,6 @@ across worker processes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
@@ -370,8 +369,7 @@ def _select(agents, beta, arms, geo, rngs):
             return greedy_box(tilde)
         return arms[np.argmax((arms @ tilde[..., None])[..., 0], axis=-1)]
     if arms is None:
-        # the l1-ball confidence set of a box: sqrt(d) times the ridge radius
-        return ucb_select_box(cs, scale=math.sqrt(cs.center.shape[-1]))[0]
+        return ucb_select_box(cs)[0]
     return arms[ucb_select_finite(arms, cs)[0]]
 
 

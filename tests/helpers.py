@@ -102,7 +102,7 @@ def oracle_comm_step(now, prev, ell, comm, plan, out=None):
         c_now = 2.0 * w[ell - 1] / (plan.lambda2_abs * w[ell])
         c_prev = w[ell - 2] / w[ell]
     for i in range(comm.n):
-        idx = comm.neighborhoods[i]
+        idx = np.flatnonzero(comm.entries[i])
         mixed = np.tensordot(comm.entries[i, idx], now[idx], axes=(0, 0))
         if ell == 1:
             out[i] = mixed

@@ -320,6 +320,15 @@ def test_rank_one_update_rejects_a_non_positive_gain(corruption):
         agent.record_play(np.ones((3, 2)), np.ones(3))
 
 
+def test_refresh_rejects_a_gram_with_two_negative_eigenvalues():
+    # diag(-2, -2, 1) has a positive determinant, which a sign test passes;
+    # finite selection trusts the refresh's certificate, so it must not
+    agent = RcDlucbAgent(n_agents=2, d=3, lam=1.0, threshold=5.0)
+    agent.w_new[1] = np.diag([-3.0, -3.0, 0.0])
+    with pytest.raises(RuntimeError, match="positive-definite"):
+        agent.refresh()
+
+
 def test_warmup_reset_versus_keep():
     def run(keep):
         config = cfg_for(T=12, keep_warmup_data=keep)

@@ -380,11 +380,12 @@ def test_box_greedy_when_radius_zero():
 
 
 def test_box_hand_example():
-    # identity gram, radius 0.5: best candidate is the sign vector of theta
+    # identity gram, radius 0.5 widened by sqrt(2): the best candidates lie
+    # along the sign vector of theta, at ||theta||_1 + sqrt(2) * 0.5
     cs = ConfidenceSet(center=np.array([0.6, -0.2]), radius=0.5, gram=np.eye(2))
     x, value = ucb_select_box(cs)
     assert np.array_equal(x, [1.0, -1.0])
-    assert abs(value - 1.3) < 1e-12
+    assert abs(value - (0.8 + 0.5 * math.sqrt(2.0))) < 1e-12
 
 
 def test_box_matches_lattice_oracle():
@@ -401,7 +402,7 @@ def test_box_matches_lattice_oracle():
             root = (vecs / np.sqrt(vals)) @ vecs.T
             axes = [np.linspace(-1, 1, 41)] * d
             grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-            objective = grid @ center + radius * np.abs(grid @ root.T).max(axis=1)
+            objective = grid @ center + math.sqrt(d) * radius * np.abs(grid @ root.T).max(axis=1)
             # the maximizer sits at a corner, which the lattice contains
             assert value >= objective.max() - 1e-9
             assert abs(value - objective.max()) < 1e-9
@@ -694,7 +695,7 @@ def test_batched_selection_matches_per_agent_oracle(n, d, k, zero_x0, seed):
     # the center and the arms solved together, by numpy for the whole stack
     merged = ConfidenceSet.from_stats(grams, moments, beta, arms=arms)
     finite_idx, finite_value = ucb_select_finite(arms, merged, scale=1.3)
-    box_x, box_value = ucb_select_box(cs, scale=math.sqrt(d))
+    box_x, box_value = ucb_select_box(cs)
     tilde = ts_perturb(cs, [np.random.default_rng(s) for s in streams])
     certified = safe_filter(arms, merged, safety, geo)
     agents = SimpleNamespace(gram=grams, moment=moments, safety=safety, inverse=None)
@@ -712,7 +713,7 @@ def test_batched_selection_matches_per_agent_oracle(n, d, k, zero_x0, seed):
             assert np.abs(ours - theirs).max() <= 1e-12 * np.abs(theirs).max()
         idx, value = oracle_select_finite(arms, grams[i], moments[i], beta, scale=1.3)
         assert finite_idx[i] == idx and finite_value[i] == value
-        x, value = oracle_select_box(grams[i], center, beta * math.sqrt(d))
+        x, value = oracle_select_box(grams[i], center, beta, scale=math.sqrt(d))
         assert np.array_equal(box_x[i], x) and box_value[i] == value
         own = np.random.default_rng(streams[i])
         assert np.array_equal(tilde[i], oracle_ts_perturb(grams[i], center, beta, own))

@@ -505,6 +505,9 @@ def test_network_errors_leave_no_output(tmp_path, capsys, command, config, flags
     # S = 467 rounds: T_S(1/|lambda2|) is past the float range
     ("run", ["--epsilon", "1e-300"], "epsilon"),
     ("graph-info", ["--epsilon", "1e-300"], "epsilon"),
+    # 2N/epsilon is past it, so S cannot be computed
+    ("run", ["--epsilon", "1e-310"], "epsilon"),
+    ("graph-info", ["--epsilon", "1e-310"], "epsilon"),
     # the log argument of beta_T is past it
     ("run", ["--delta", "1e-310"], "delta"),
 ])

@@ -12,7 +12,6 @@ from gossipbandits.config import parse_config
 from gossipbandits.consensus import (
     MixingPlan,
     advance_queues,
-    chebyshev_weights,
     comm_step,
     mixing_polynomial,
     new_pipeline,
@@ -41,26 +40,28 @@ def make(kind, n, eps=0.1):
 
 
 def test_weights_match_defining_recursion_at_half():
-    assert np.array_equal(chebyshev_weights(3, 0.5), [1.0, 2.0, 7.0, 26.0])
+    assert np.array_equal(MixingPlan(0.1, 3, 0.5).weights, [1.0, 2.0, 7.0, 26.0])
 
 
 def test_weight_zero_is_one():
     for lam2 in (0.2, 0.5, 0.9674):
-        assert chebyshev_weights(4, lam2)[0] == 1.0
+        assert MixingPlan(0.1, 4, lam2).weights[0] == 1.0
 
 
 def test_weights_match_closed_form():
-    w = chebyshev_weights(26, 0.9674)
+    w = MixingPlan(0.1, 26, 0.9674).weights
     exact = np.array([chebyshev_closed_form(ell, np.array([1.0 / 0.9674]))[0]
                       for ell in range(27)])
     assert np.abs(w / exact - 1.0).max() < 1e-10
 
 
 def test_weights_domain():
+    # |lambda2| = 0: one gossip product averages exactly, no weights needed
+    assert MixingPlan(0.1, 3, 0.0).weights is None
     with pytest.raises(ValueError):
-        chebyshev_weights(3, 1.0)
+        MixingPlan(0.1, 3, 1.0)
     with pytest.raises(ValueError):
-        chebyshev_weights(3, 0.0)
+        MixingPlan(0.1, 0, 0.5)
 
 
 def test_constant_payload_is_fixed_point_at_every_round():
@@ -112,7 +113,7 @@ def test_locality_never_reads_non_neighbors():
         clean = comm_step(base_now, base_prev, ell, comm, plan)
         for i in range(6):
             poisoned = base_now.copy()
-            allowed = set(comm.neighborhoods[i])
+            allowed = set(np.flatnonzero(comm.entries[i]))
             for j in range(6):
                 if j not in allowed:
                     poisoned[j] = np.nan
@@ -202,7 +203,7 @@ def test_holder_blocks_partition_the_holders(comm):
     for block in comm.blocks:
         h, k = block.rows.shape
         for i, row in zip(block.holders, block.rows):
-            assert np.array_equal(row, comm.neighborhoods[i])
+            assert np.array_equal(row, np.flatnonzero(comm.entries[i]))
         assert np.array_equal(block.weights[:, 0], comm.entries[block.holders[:, None], block.rows])
         if block.window:
             r = k // 2
@@ -345,7 +346,7 @@ def test_enqueue_builds_single_row_slot(monkeypatch):
     assert advance_queues(queue, own) is None
     sent = own.copy()
     own[:] = 0.0  # the pipeline keeps its own copy of the raw rows
-    assert np.array_equal(queue[0][0][1], sent)
+    assert np.array_equal(queue[0][0][0], sent)
     for _ in range(s - 1):
         released = advance_queues(queue, None)
     # the batch of this one generation was mixed in S steps
@@ -397,8 +398,8 @@ def _check_depth_and_mixing_counts(comm, plan, unit, room, steps):
         # after round t, the generations started after round t - S + 1 are in
         # flight, min(t, S - 1) while they start, then the pipeline drains
         assert len(flight) == max(0, min(t, horizon - s) - max(0, t - s + 1))
-        for start, rows, _ in flight:
-            assert np.array_equal(rows, sent[start])
+        for k, (rows, _) in enumerate(flight):
+            assert np.array_equal(rows, sent[len(sent) - len(flight) + k])
         # the first release follows round S, then one per round up to T - 1
         assert (released is not None) == (s <= t < horizon)
         if released is not None:
@@ -456,7 +457,7 @@ def test_pipeline_memory_does_not_grow_with_s_n_squared():
         for _ in range(1, s):
             assert advance_queues(queue, own) is None
         _, filled = tracemalloc.get_traced_memory()
-        arrays = [rows for _, rows, _ in queue[0]] + [own]
+        arrays = [rows for rows, _ in queue[0]] + [own]
         # round S starts the S-th generation, mixes the oldest batch in two
         # payloads and releases its first generation, with at most
         # BLOCK_BYTES of gossip temporaries and the released copy
@@ -492,7 +493,7 @@ def _list_pipeline_oracle(comm, plan, stream):
             ell = depth - g
             mixed = np.empty_like(now)
             for i in range(n):
-                idx = comm.neighborhoods[i]
+                idx = np.flatnonzero(comm.entries[i])
                 mixed[i] = np.tensordot(comm.entries[i, idx], now[idx], axes=(0, 0))
             if ell > 1:
                 c_now = 2.0 * w[ell - 1] / (lam2 * w[ell])

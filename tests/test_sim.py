@@ -395,11 +395,12 @@ def test_lapack_calls_per_selection_round(monkeypatch, algorithm, arms, learners
     # A box learner is one scipy posv per selection round, and never a
     # separate potrf or potrs. Finite arms call no scipy LAPACK: one batched
     # numpy Cholesky checks all learners, and the safe filter reads UCB's
-    # arm solves
-    calls = {"dposv": 0, "dpotrf": 0, "dpotrs": 0, "cholesky": 0}
+    # arm solves. rc_dlucb's learners certify their Gram matrices with one
+    # Cholesky per refresh of their inverses, which selection trusts
+    calls = {"dposv": 0, "dpotrf": 0, "dpotrs": 0, "cholesky": 0, "refresh": 0}
     lapack = bandit.scipy_lapack()
     for module, name in ((lapack, "dposv"), (lapack, "dpotrf"), (lapack, "dpotrs"),
-                         (np.linalg, "cholesky")):
+                         (np.linalg, "cholesky"), (RcDlucbAgent, "refresh")):
         def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
@@ -415,13 +416,17 @@ def test_lapack_calls_per_selection_round(monkeypatch, algorithm, arms, learners
     monkeypatch.setattr(sim, "_select", counting_select)
     extra = {} if arms is None else {"decision_set": {"variant": "finite", "num_arms": arms}}
     trace = run_realization(cfg(algorithm=algorithm, T=60, **extra), master_seed=1)
+    refreshes = calls.pop("refresh")
     if algorithm == "rc_dlucb":  # communication-phase rounds select nothing
         assert trace.phase_count > 0 and len(rounds) < 60
+        assert 0 < refreshes < len(rounds)
+        checks = refreshes
     else:
-        assert len(rounds) == 60
+        assert len(rounds) == 60 and refreshes == 0
+        checks = len(rounds)
     scipy_calls = learners * len(rounds) if arms is None else 0
     assert calls == {"dposv": scipy_calls, "dpotrf": 0, "dpotrs": 0,
-                     "cholesky": 0 if arms is None else len(rounds)}
+                     "cholesky": 0 if arms is None else checks}
 
 
 def test_rc_inverts_only_at_refreshes(monkeypatch):
