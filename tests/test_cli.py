@@ -505,11 +505,11 @@ def test_network_errors_leave_no_output(tmp_path, capsys, command, config, flags
     # S = 467 rounds: T_S(1/|lambda2|) is past the float range
     ("run", ["--epsilon", "1e-300"], "epsilon"),
     ("graph-info", ["--epsilon", "1e-300"], "epsilon"),
+    # the log argument of beta_T is past it
+    ("run", ["--delta", "1e-310"], "delta"),
     # 2N/epsilon is past it, so S cannot be computed
     ("run", ["--epsilon", "1e-310"], "epsilon"),
     ("graph-info", ["--epsilon", "1e-310"], "epsilon"),
-    # the log argument of beta_T is past it
-    ("run", ["--delta", "1e-310"], "delta"),
 ])
 def test_radius_past_the_float_range_exits_2(tmp_path, capsys, command, flags, key):
     args = [command, "--topology", "ring", "--n", "4", *flags]
