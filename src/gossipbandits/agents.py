@@ -161,7 +161,8 @@ class RcDlucbAgent:
     def record_play(self, actions, rewards):
         """Add the round's (N, d) plays to the unshared sums, and fold each
         play x into its agent's A^-1 and log det A: with u = A^-1 x and
-        g = 1 + x^T u, A^-1 loses u u^T / g and log det A gains log g."""
+        g = 1 + x^T u, A^-1 loses u u^T / g and log det A gains log g; a g
+        that is not positive and finite raises RuntimeError."""
         self.w_new += actions[:, :, None] * actions[:, None, :]
         self.v_new += rewards[:, None] * actions
         u = (self.inverse @ actions[:, :, None])[..., 0]
@@ -189,7 +190,9 @@ class RcDlucbAgent:
 
     def absorb_phase(self, mixed_w, mixed_v, frozen, reward_sums, s_rounds, t_end):
         """Fold the gossiped (N, ...) sums in and restart the epoch with the S
-        frozen plays: agent i replayed ``frozen[i]`` for ``reward_sums[i]``."""
+        frozen plays: agent i replayed ``frozen[i]`` for ``reward_sums[i]``.
+        Both change A by more than rank one, so A^-1 and log det A are
+        refreshed, and the new log det A starts the epoch."""
         n = len(frozen)
         self.w_syn += n * mixed_w
         self.v_syn += n * mixed_v

@@ -24,10 +24,14 @@ Ridge solves take one of two paths, by decision set:
   ``scipy.linalg`` package: the first box solve loads only its LAPACK
   extension (about 3 MB), and finite-arm runs load neither.
 
+Finite UCB ties in round 1: every learner holds lam I and a zero moment, so
+an arm's score is beta ||x|| / sqrt(lam), and unit arms' scores differ only
+in their last bits.
+
 Eigendecompositions are batched ``np.linalg`` calls, and every
 matrix-vector product is a stacked ``np.matmul`` against a trailing
 (..., d, 1) column, which runs each slice through the same BLAS call as the
-unbatched product.
+unbatched product, as ``einsum`` and 2-D products over the stack would not.
 """
 
 from __future__ import annotations
@@ -77,11 +81,9 @@ def cho_factor(mats, rhs):
     """Solve A x = b for every positive-definite matrix A of a stack
     (..., d, d) and its right-hand side b, a (..., d) stack.
 
-    One LAPACK ``posv`` per matrix runs the ``potrf`` and ``potrs`` that
-    ``scipy.linalg.cho_factor`` and ``cho_solve`` call, so every solution
-    equals theirs bit for bit. It factors a column-major copy of the
-    matrix, reading only its lower triangle, and solves over a C-contiguous
-    copy of ``rhs``; neither input is written. The name outlives the
+    This is the box path of the module docstring: every solution equals
+    scipy's bit for bit. ``posv`` reads only the lower triangle of the
+    matrix, and neither input is written. The name outlives the
     returned factor because the benchmark's tracer counts calls to it.
     Raises ValueError if an entry is not finite or a matrix is not
     positive-definite.
@@ -105,14 +107,10 @@ def cho_factor(mats, rhs):
 
 def _solve_finite(gram, moment, arms, inverse=None):
     """Solutions of gram @ X = [moment | arms^T] for every Gram matrix of the
-    stack: the moment's, a contiguous (..., d) array, and the (K, d) arms',
-    a (..., d, K) stack of column-major matrices, the layout that fixes the
-    order in which reductions over them sum.
-
-    Unless the caller gives the ``inverse`` of ``gram``, which it has
-    certified, one batched ``np.linalg.cholesky`` checks that every matrix
-    is positive-definite and one batched inverse follows; one product gives
-    the solutions. Raises ValueError like ``cho_factor``.
+    stack, by the finite path of the module docstring: the moment's, a
+    contiguous (..., d) array, and the (K, d) arms', a (..., d, K) stack of
+    column-major matrices, the layout that fixes the order in which
+    reductions over them sum. Raises ValueError like ``cho_factor``.
     """
     gram = np.asarray_chkfinite(gram, dtype=float)
     if inverse is None:
@@ -166,14 +164,12 @@ class ConfidenceSet:
         """The set of radius ``beta`` around the ridge estimate solving
         gram @ theta = moment for every agent.
 
-        Given finite ``arms`` (K, d), the center and the arms' solves come
-        from one batched numpy pass over the stack, which multiplies by
-        ``inverse``, the inverses of ``gram``, when given instead of
-        inverting. The box (``arms`` None) solves through scipy's ``posv``,
-        bitwise as box UCB's ties need (module docstring), and takes no
-        inverse. Raises ValueError when a Gram matrix is not
-        positive-definite, an input is not finite, or a solve leaves a large
-        residual: the checks read ``gram``, not ``inverse``."""
+        Finite ``arms`` (K, d) get their solves too, by ``inverse``, the
+        inverses of ``gram``, when given; the box (``arms`` None) takes no
+        inverse (the solve paths are the module docstring's). Raises
+        ValueError when a Gram matrix is not positive-definite, an input is
+        not finite, or a solve leaves a large residual: the checks read
+        ``gram``, not ``inverse``."""
         if arms is None:
             if inverse is not None:
                 raise ValueError("the box solves by factoring: give an inverse only with arms")

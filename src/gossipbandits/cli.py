@@ -152,8 +152,8 @@ SWEEP_AXES = ("T", "N", "algorithm", "topology")
 
 def _split_values(text):
     """The items of a ``--values`` list: each is a JSON value followed by a
-    comma or the end of ``text``, else a bare string up to the next comma.
-    Empty items are dropped."""
+    comma or the end of ``text``, else (also when past a decoder limit) a
+    bare string up to the next comma. Empty items are dropped."""
     decoder, items = json.JSONDecoder(), []
     while text:
         end = (text + ",").index(",")
@@ -161,7 +161,7 @@ def _split_values(text):
             json_end = decoder.raw_decode(text)[1]
             if text[json_end:json_end + 1] in ("", ","):
                 end = json_end
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # JSONDecodeError is a ValueError
             pass
         items.append(text[:end])
         text = text[end + 1:]
@@ -174,7 +174,7 @@ def _sweep_point(base_raw, axis, text):
     section: a string sets its kind, an object the keys it names."""
     try:
         value = json.loads(text)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         value = text
     if axis == "topology":
         value = {**as_mapping(base_raw.get(axis), axis), **as_mapping(value, axis)}

@@ -260,12 +260,12 @@ def _check_domains(config):
 def read_config(path):
     """The raw config mapping in the JSON file at ``path``."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"{path}: cannot read config file ({exc.strerror})") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8 or JSON, or past a decoder limit
+        raise ConfigError(f"{path}: cannot decode JSON ({exc})") from exc
     return as_mapping(data)
 
 

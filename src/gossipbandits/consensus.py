@@ -12,7 +12,8 @@ released as U times each agent's own rows, where U = q_S(P) is
 ``mixing_polynomial``, the (N, N) S-step mix of a unit seed in a payload
 laid out as any other (see below), which the simulator computes once per
 realization. That is what S gossip rounds over the generation give, up to
-about 1e-13 of its largest entry. On the box every play is a corner, so an
+about 1e-13 of its largest entry (3e-13 on a path of N = 200, S = 705),
+which moves no finite-arm trace. On the box every play is a corner, so an
 action entry is exactly +1 or -1 and releases as exactly +U or -U: every
 entry of a payload runs the same S-step recursion from its own seed, and
 rounding to nearest is sign-symmetric. The pipeline keeps the network and
@@ -26,15 +27,17 @@ read only its own earlier values, so the pipeline mixes just in time and in
 batches: when the oldest generation is due, the last columns of the oldest
 B generations in flight are mixed together, S ``comm_step`` calls over one
 (holder, generation x source) payload, after which one of them is released
-per round. B = min(S, BLOCK_BYTES // (N^2 * 8)) keeps the payload about
-cache-sized. Each batch allocates its two payloads, ``now`` and ``prev``;
-``prev`` is freed when the batch is mixed and ``now`` when its last
-generation is released, before the next batch is due. So the pipeline
-holds at most two payloads and S raw rows, whatever S * N^2 is. A holder's
-rows of the batch form one contiguous payload row, and a step is one
-stacked BLAS product per block of holders with equal-size neighborhoods
-(see ``graph.HolderBlock``). The step writes in place over ``prev``
-(``out=prev``), which is safe because holder i's update reads only
+per round. B = max(1, min(S, BLOCK_BYTES // (N^2 * 8))) keeps the payload
+about cache-sized. Each batch allocates its two payloads, ``now`` and
+``prev``; ``prev`` is freed when the batch is mixed and ``now`` when its
+last generation is released, before the next batch is due. So the pipeline
+holds at most 2 (B N^2 + 3N) + S N width floats while it mixes a batch and
+B N^2 + 3N + S N width otherwise, whatever S N^2 is: about 7 MB at ring
+N = 200, d = 5 (S = 353), where two (S, N, N, width) arrays take 1.36 GB.
+A holder's rows of the batch form one contiguous payload row, and a step
+is one stacked BLAS product per block of holders with equal-size
+neighborhoods (see ``graph.HolderBlock``). The step writes in place over
+``prev`` (``out=prev``), which is safe because holder i's update reads only
 ``prev[i]``; then ``now`` and ``prev`` swap roles. Each holder row ends in
 zero pad to a multiple of 4 entries, so no entry takes the path by which
 OpenBLAS's dgemv sums a row's last (length mod 4) entries, and every entry
@@ -168,11 +171,10 @@ def comm_step(now, prev, ell, comm, plan, out=None):
     return out
 
 
-def new_pipeline(comm, plan, unit, mix_last=False):
-    """An empty pipeline over the network ``comm`` with mixing ``plan`` that
-    releases every generation as U, the (N, N) ``mixing_polynomial(comm,
-    plan)`` ``unit``, times its own rows; with ``mix_last`` the last column
-    of each release is mixed over ``comm`` instead.
+def new_pipeline(comm, plan, unit, mix_last):
+    """An empty pipeline over the network ``comm`` with mixing ``plan``, whose
+    U is ``unit`` (None when nothing is ever released), with or without
+    ``mix_last`` (see the module docstring).
 
     The pipeline is the list [flight, clock, unit, comm, plan, mix_last].
     ``clock`` counts the gossip rounds run. ``flight`` holds [own, mixed] for
@@ -212,12 +214,10 @@ def advance_queues(queue, own):
     as after round T - S. From round S on, the oldest generation is released:
     with one started per round until then, it started S - 1 rounds ago. Its
     (N, N, width) payload's entry i holds (a_ik / N) times agent k's data in
-    row k, computed as U times the own rows (see the module docstring). When
-    the oldest generation of a ``mix_last`` pipeline is due and still
-    unmixed, the last columns of the oldest B in flight are first mixed for
-    all S rounds together. Every step publishes all agents' values first,
-    then each update reads only the frozen published set, so the exchange is
-    synchronous and deterministic.
+    row k, computed as U times the own rows, its last column mixed in a
+    batch with ``mix_last`` (see the module docstring). Every step publishes
+    all agents' values first, then each update reads only the frozen
+    published set, so the exchange is synchronous and deterministic.
     """
     flight, clock, unit, comm, plan, mix_last = queue
     if own is not None:

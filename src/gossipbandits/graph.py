@@ -214,7 +214,8 @@ class HolderBlock(NamedTuple):
     and ``weights`` (h, 1, k) their gossip weights. ``window`` is True when
     the holders are consecutive and each one's neighborhood is the k = 2r + 1
     consecutive nodes centred on it, so that their rows can be read as a
-    strided view; the rows of other blocks are gathered.
+    strided view, as in ring and path interiors; the rows of other blocks
+    are gathered, such as ring and path ends and complete-graph holders.
     """
 
     holders: np.ndarray

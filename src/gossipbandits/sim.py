@@ -57,17 +57,14 @@ class Environment:
     noise_z: np.ndarray | None = field(default=None, repr=False)
 
 
-def sample_environment(d, safe, rng, c_min=0.0, x0=None):
+def sample_environment(d, safe, rng, c_min, x0):
     """Draw the hidden reward (and constraint) directions, unit-normalized.
 
     In safe mode the constraint level is uniform on [c_min, 1], redrawn until
-    it clears the known safe action's constraint value and the safe action has
-    non-negative reward.
+    it clears the known safe action ``x0``'s constraint value and ``x0`` has
+    non-negative reward; otherwise ``c_min`` and ``x0`` go unread.
     """
-    if d < 1:
-        raise ValueError("need d >= 1")
     if safe:
-        x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float)
         for _ in range(ENV_TRIES):
             theta = rng.standard_normal(d)
             theta /= np.linalg.norm(theta)
@@ -95,22 +92,20 @@ def feedback(env, actions, t):
     return y, (actions[:, None, :] @ env.mu_star[:, None])[:, 0, 0] + env.noise_z[:, t - 1]
 
 
-def optimal_value(env, arms, safe=False):
-    """Best achievable expected reward over the (K, d) finite ``arms``, or
-    over the box when ``arms`` is None (over the safe subset when requested)."""
+def optimal_value(env, arms, safe):
+    """v*, the best expected reward over the (K, d) finite ``arms``, or over
+    the box when ``arms`` is None (over the true safe subset when ``safe``)."""
     theta = env.theta_star
     if arms is None:
         if safe:
             raise ValueError("safe optimum needs a finite decision set")
-        return greedy_box(theta), float(np.abs(theta).sum())
+        return float(np.abs(theta).sum())
     if safe:
         mask = arms @ env.mu_star <= env.c
         if not mask.any():
             raise ValueError("true safe set is empty")
         arms = arms[mask]
-    values = arms @ theta
-    best = int(np.argmax(values))
-    return arms[best].copy(), float(values[best])
+    return float(np.max(arms @ theta))
 
 
 @dataclass
@@ -193,7 +188,7 @@ def build_environment(config, master_seed, realization):
     safe = config.algorithm == "safe_dlucb"
     x0 = config.safe_x0_vector() if safe else None
     env = sample_environment(config.d, safe, _stream(master_seed, realization, _ENV),
-                             c_min=config.safe_c_min(), x0=x0)
+                             config.safe_c_min(), x0)
     if config.decision_set.variant == "box":
         env.action_norm_bound = float(np.sqrt(config.d))
     # every agent draws its (reward, safety) noise pairs from its own stream;
@@ -218,10 +213,12 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
     differ only in their agents (see ``_agents``) and in what they share:
     gossip algorithms start a pipeline generation each round, ``rc_dlucb``
     runs a communication phase when its trigger fires, and the baselines
-    share nothing. A phase is up to S rounds of this loop in which every agent
-    replays its last action; after the S-th, each agent folds in its row of
-    q_S(P) = ``mixing_polynomial`` times the stacked unshared sums W and V, as
-    S rounds of accelerated gossip would, and a phase cut short mixes nothing.
+    share nothing. A phase fired in round t < T is rounds t + 1 to t + S of
+    this loop, which book its messages and in which every agent replays its
+    last action, skipping only selection and the statistics update; after
+    round t + S each agent folds in its row of q_S(P) = ``mixing_polynomial``
+    times the stacked unshared sums W and V, as S rounds of accelerated
+    gossip would (Montijano et al., 2013). A phase cut short mixes nothing.
 
     ``probe``, when given, is called as probe(t, info) in every round, after
     the plays are recorded and before any statistics update. ``info`` holds
@@ -246,7 +243,7 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
     rngs = None
     if config.algorithm == "dlts":
         rngs = [_stream(master_seed, realization, _ALGO, i) for i in range(n)]
-    _, v_star = optimal_value(env, arms, safe=safe)
+    v_star = optimal_value(env, arms, safe)
     # own-data rows: action, reward, then the safe agent's shifted feedback
     width = d + 1 + (1 if safe else 0)
     edges = int(topology.adjacency.sum())
@@ -284,7 +281,7 @@ def run_realization(config, master_seed=None, realization=0, probe=None):
         if safe:
             own[:, d + 1] = geo.shifted_feedback(actions, z)
         trace.inst_regret[t - 1] = (v_star - actions @ env.theta_star).sum()
-        if env.mu_star is not None:
+        if safe:
             trace.violations[t - 1] = int((actions @ env.mu_star - env.c > VIOLATION_TOL).sum())
         if probe is not None:
             probe(t, _probe_info(actions, agents))

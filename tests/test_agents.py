@@ -130,7 +130,7 @@ def test_random_action_streams_keep_the_gram_sandwich(n, d, horizon, keep, seed)
     s = plan.s_rounds
     lo, hi = (1 - eps) ** 2, (1 + eps) ** 2
     agents = DlucbAgent(np.arange(n), d, 1.0, s, keep_warmup_data=keep)
-    queue = new_pipeline(comm, plan, mixing_polynomial(comm, plan))
+    queue = new_pipeline(comm, plan, mixing_polynomial(comm, plan), mix_last=False)
     actions = rng.uniform(-1.0, 1.0, (horizon, n, d))
     rewards = rng.standard_normal((horizon, n))
     star = np.eye(d)
@@ -196,7 +196,8 @@ def test_stacked_agents_match_per_agent_oracle(n, d, horizon, keep, zero_x0, alg
         if safe:
             assert np.array_equal(stacked.safety, [a.safety for a in oracle])
 
-    queue = new_pipeline(comm, plan, mixing_polynomial(comm, plan)) if gossip else None
+    queue = (new_pipeline(comm, plan, mixing_polynomial(comm, plan), mix_last=False)
+             if gossip else None)
     released = None
     for t in range(1, horizon + 1):
         x, y = actions[t - 1], rewards[t - 1]

@@ -567,6 +567,37 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+SMALL = json.dumps({"topology": "ring", "N": 4, "d": 2, "T": 5, "algorithm": "no_comm",
+                    "realizations": 1})
+
+
+@pytest.mark.parametrize("command, config, values", [
+    ("run", b'\xff\xfe{"N": 3}', None),
+    ("sweep", b'\xff\xfe{"N": 3}', None),
+    ("run", ('{"N": ' + "[" * 3000 + "]" * 3000 + "}").encode(), None),
+    ("sweep", SMALL.encode(), "[" * 5000 + "]" * 5000),
+    # integers past Python's 4,300-digit conversion limit
+    ("run", ('{"N": ' + "1" * 5000 + "}").encode(), None),
+    ("sweep", SMALL.encode(), "1" * 5000),
+], ids=["run-not-utf8", "sweep-not-utf8", "run-nested-3000", "sweep-value-nested-5000",
+        "run-5000-digits", "sweep-value-5000-digits"])
+def test_undecodable_json_exits_2(tmp_path, capsys, command, config, values):
+    """JSON from outside that cannot be decoded is a config error: a config
+    file that is not UTF-8, and a config file or sweep value nested past the
+    recursion limit or holding an integer past the digit limit."""
+    path = tmp_path / "config.json"
+    path.write_bytes(config)
+    args = [command, "--config", str(path), "--out", str(tmp_path / "o"), "--workers", "1"]
+    if command == "sweep":
+        args += ["--axis", "T", "--values", values or "4"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    if values is None:
+        assert str(path) in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_out_path_that_is_a_file_exits_2(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"topology": "ring", "N": 4, "d": 2, "T": 5,

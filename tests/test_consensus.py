@@ -644,9 +644,9 @@ def test_closed_form_release_is_u_times_the_own_rows(graph, width, seed, extra):
     else:
         want = _mixed_releases(comm, plan, stream, horizon - s)
     # a round with nothing in flight releases nothing, whatever U is
-    empty = new_pipeline(comm, plan, None)
+    empty = new_pipeline(comm, plan, None, mix_last=False)
     assert advance_queues(empty, None) is None and not empty[0]
-    queue = new_pipeline(comm, plan, unit)
+    queue = new_pipeline(comm, plan, unit, mix_last=False)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(consensus, "comm_step", None)  # a gossip step would raise
         for t in range(1, horizon + 1):

@@ -1,7 +1,8 @@
 """Golden traces: small runs of every algorithm must reproduce bit for bit.
 
 The frozen arrays in ``golden_traces.npz`` were produced by the per-agent queue
-implementation of the consensus pipeline. A refactor of the round loop or the
+implementation of the consensus pipeline; a case added later was frozen from
+the code before the change that added it. A refactor of the round loop or the
 gossip pipeline has to leave cumulative regret, communicated scalars and safety
 violations bitwise unchanged. Regenerate (only when behaviour is meant to
 change) with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -49,8 +50,12 @@ CONFIGS = {
     "rc_dlucb_ring_box": {"topology": "ring", "N": 6, "d": 3, "T": 120, "algorithm": "rc_dlucb"},
     "no_comm_ring_box": {"topology": "ring", "N": 4, "d": 3, "T": 60,
                          "algorithm": "no_comm"},
+    "no_comm_er_finite": {"topology": ER, "N": 5, "d": 3, "T": 60, "algorithm": "no_comm",
+                          "decision_set": finite(10)},
     "centralized_er_finite": {"topology": ER, "N": 5, "d": 3, "T": 60,
                               "algorithm": "centralized", "decision_set": finite(10)},
+    "centralized_ring_box": {"topology": "ring", "N": 5, "d": 3, "T": 60,
+                             "algorithm": "centralized"},
 }
 
 

@@ -1,7 +1,10 @@
-"""Every imported name is used by the module that imports it, and every
-name ``src/`` defines is used outside the tests."""
+"""Every imported name is used by the module that imports it, every name
+``src/`` defines is used outside the tests, and every code pointer in the
+README resolves."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -84,3 +87,29 @@ def test_every_src_name_has_a_user_outside_the_tests():
         unused += [f"{path.relative_to(ROOT)}:{name}"
                    for name in sorted(defined_names(trees[path]) - own - others)]
     assert unused == []
+
+
+# `module.name[.attr]`, optionally followed by a call's "(", in a README code span
+POINTER = re.compile(r"(agents|bandit|cli|config|consensus|graph|sim)\.(\w+(?:\.\w+)?)(?:\(|$)")
+
+
+def readme_pointers():
+    """(module, dotted name) of every pointer in an inline code span of the
+    README, fenced blocks and ``.py`` file names left out."""
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(), flags=re.S)
+    matches = (POINTER.match(span) for span in re.findall(r"`([^`]+)`", text))
+    return [match.groups() for match in matches if match and match[2] != "py"]
+
+
+def test_readme_pointers_resolve():
+    pointers = readme_pointers()
+    assert pointers
+    missing = []
+    for module, dotted in pointers:
+        target = importlib.import_module(f"gossipbandits.{module}")
+        try:
+            for attr in dotted.split("."):
+                target = getattr(target, attr)
+        except AttributeError:
+            missing.append(f"{module}.{dotted}")
+    assert missing == []

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gossipbandits import bandit, consensus, sim
 from gossipbandits.agents import ALGORITHMS, REFRESH_UPDATES, RcDlucbAgent
-from gossipbandits.bandit import ConfidenceSet
+from gossipbandits.bandit import ConfidenceSet, greedy_box
 from gossipbandits.config import parse_config
 from gossipbandits.sim import (
     Environment,
@@ -37,26 +37,27 @@ def cfg(**overrides):
 def test_theta_star_is_unit_norm():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        env = sample_environment(5, False, rng)
+        env = sample_environment(5, False, rng, 0.0, None)
         assert abs(np.linalg.norm(env.theta_star) - 1.0) < 1e-12
 
 
 def test_environment_reproducible():
-    a = sample_environment(4, False, np.random.default_rng(3))
-    b = sample_environment(4, False, np.random.default_rng(3))
+    a = sample_environment(4, False, np.random.default_rng(3), 0.0, None)
+    b = sample_environment(4, False, np.random.default_rng(3), 0.0, None)
     assert np.array_equal(a.theta_star, b.theta_star)
 
 
 def test_theta_star_isotropic():
     rng = np.random.default_rng(0)
-    draws = np.stack([sample_environment(5, False, rng).theta_star for _ in range(10_000)])
+    draws = np.stack([sample_environment(5, False, rng, 0.0, None).theta_star
+                      for _ in range(10_000)])
     assert np.linalg.norm(draws.mean(axis=0)) <= 0.02
 
 
 def test_safe_environment_margin():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        env = sample_environment(3, True, rng, c_min=0.3)
+        env = sample_environment(3, True, rng, 0.3, np.zeros(3))
         assert abs(np.linalg.norm(env.mu_star) - 1.0) < 1e-12
         assert env.c > 0.0 and env.c >= 0.3
 
@@ -102,8 +103,8 @@ def test_feedback_rejects_oversized_action():
 
 def test_optimal_value_box_sign_rule():
     env = Environment(theta_star=np.array([0.6, -0.8]))
-    x_star, value = optimal_value(env, None)
-    assert np.array_equal(x_star, [1.0, -1.0])
+    value = optimal_value(env, None, False)
+    assert np.array_equal(greedy_box(env.theta_star), [1.0, -1.0])
     assert abs(value - 1.4) < 1e-12
 
 
@@ -112,7 +113,7 @@ def test_optimal_value_finite_matches_enumeration():
     arms = rng.standard_normal((3, 4))
     arms /= np.linalg.norm(arms, axis=1, keepdims=True)
     env = Environment(theta_star=arms[1])
-    _, value = optimal_value(env, arms)
+    value = optimal_value(env, arms, False)
     assert abs(value - (arms @ arms[1]).max()) < 1e-12
 
 
@@ -122,9 +123,9 @@ def test_safe_optimum_never_beats_unconstrained():
         arms = rng.standard_normal((6, 3))
         arms /= np.linalg.norm(arms, axis=1, keepdims=True)
         arms = np.vstack([arms, np.zeros(3)])
-        env = sample_environment(3, True, rng)
-        _, free = optimal_value(env, arms)
-        _, safe = optimal_value(env, arms, safe=True)
+        env = sample_environment(3, True, rng, 0.0, np.zeros(3))
+        free = optimal_value(env, arms, False)
+        safe = optimal_value(env, arms, True)
         assert safe <= free + 1e-12
 
 

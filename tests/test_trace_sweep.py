@@ -31,7 +31,8 @@ def test_sweep_lists_the_runs_that_moved(tmp_path, capsys):
     assert f"moved: {BOX} (cum_regret)" in out
     assert f"moved: {FINITE} ({', '.join(trace_sweep.ARRAYS)})" in out
     assert "2/2 runs moved" in out
-    assert out.endswith("moved per algorithm: rc_dlucb 2/2\nmoved per d: 2 2/2\n")
+    assert out.endswith("moved per algorithm: rc_dlucb 2/2\nmoved per d: 2 2/2\n"
+                        "moved per decision_set: box 1/1, finite 1/1\n")
     # a run whose regret is untouched but whose phase rounds moved counts too
     runs = {key: values.copy() for key, values in recorded.items()}
     phase_id = runs[f"{FINITE}:phase_id"]
@@ -44,6 +45,7 @@ def test_sweep_lists_the_runs_that_moved(tmp_path, capsys):
     assert f"moved: {FINITE} (phase_id)" in out and f"moved: {BOX}" not in out
     assert "1/2 runs moved" in out
     assert "moved per algorithm: rc_dlucb 1/2" in out and "moved per d: 2 1/2" in out
+    assert "moved per decision_set: box 0/1, finite 1/1" in out
 
 
 def test_moved_runs_are_counted_per_axis_value():

@@ -16,9 +16,9 @@ The file holds each of a run's ``ARRAYS`` under the key ``run:array``. With
 ``--compare`` the script lists every run with an array that is not
 ``array_equal`` to the other file's, or that the other file lacks, naming
 those arrays, and exits 1 if there is any; runs only the other file holds
-are ignored. It ends with the count of moved runs per algorithm and per d,
-each as moved/runs, so a change that moves one slice of the grid shows
-which one.
+are ignored. It ends with the count of moved runs per algorithm, per d
+and per decision set, each as moved/runs, so a change that moves one slice
+of the grid shows which one.
 """
 
 import argparse
@@ -120,7 +120,7 @@ def main(argv):
     for name, arrays in changed:
         print(f"moved: {name} ({', '.join(arrays)})")
     print(f"{len(changed)}/{len(traces)} runs moved")
-    for axis in ("algorithm", "d"):
+    for axis in ("algorithm", "d", "decision_set"):
         print(f"moved per {axis}: {moved_per_value(traces, changed, grid, axis)}")
     return 1 if changed else 0
 
