@@ -41,10 +41,3 @@ for ell in range(1, plan.s_rounds + 1):
 gain = comm.n * gb.mixing_polynomial(comm, plan)
 print(f"pairwise gains a_ij after S rounds: min {gain.min():.4f}, max {gain.max():.4f}"
       f" (all within {EPS:.4f} of 1)")
-
-print()
-print("=== The doubly stochastic requirement has teeth ===")
-try:
-    gb.build_comm_matrix(gb.build_topology("star", 20), "normalized_laplacian")
-except ValueError as exc:
-    print(f"star + normalized_laplacian rejected:\n  {exc}")

@@ -32,21 +32,20 @@ class DlucbAgent:
     matrix and one moment per feedback signal, ``moments`` (signals, L, d),
     the reward's first. During warmup (t <= S) the statistics hold only the
     learners' own observations; at the first main round they are reset to
-    the ridge prior unless ``keep_warmup_data`` is set, after which only fully
-    mixed network information is absorbed. The baselines set S = T, so their
-    warm-up never ends and they learn only from the plays recorded with them.
+    the ridge prior, after which only fully mixed network information is
+    absorbed. The baselines set S = T, so their warm-up never ends and they
+    learn only from the plays recorded with them.
     """
 
     signals = 1
     inverse = None  # keeps no Gram inverses, unlike RcDlucbAgent
 
-    def __init__(self, owner, d, lam, s_rounds, *, keep_warmup_data=False):
+    def __init__(self, owner, d, lam, s_rounds):
         self.owner = np.asarray(owner)
         self.n = len(self.owner)
         self.d = d
         self.lam = lam
         self.s_rounds = s_rounds
-        self.keep_warmup_data = keep_warmup_data
         self.learners = int(self.owner.max()) + 1
         if lam < 1:
             raise ValueError("ridge parameter must be >= 1")
@@ -67,7 +66,7 @@ class DlucbAgent:
         only), every agent its own slot. Row k of ``released[i]`` holds
         (a_ik / N) times agent k's action, then its signals from round t - S.
         """
-        if t == self.s_rounds + 1 and not self.keep_warmup_data:
+        if t == self.s_rounds + 1:
             self._reset()
         if released is not None:
             # rows carry (a_ik / N) x_k: N^2-scaled products give the gain-weighted sums

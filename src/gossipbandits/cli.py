@@ -21,9 +21,8 @@ import scipy
 from . import __version__
 from .bandit import theoretical_regret_bound
 from .config import KEYS, ConfigError, as_mapping, parse_config, read_config, resolved_dict
-from .consensus import MixingPlan
-from .graph import CommMatrix, load_edge_list
-from .sim import aggregate, build_graph, build_network, run_experiment
+from .graph import load_edge_list
+from .sim import aggregate, build_network, run_experiment
 
 TRACE_COLUMNS = (
     "t",
@@ -102,7 +101,7 @@ def _summary(config, traces, curves):
         "violations_total_mean": float(curves["violations_cum"][-1]) if horizon else 0.0,
         "S": traces[0].s_rounds,
         "lambda2_abs": traces[0].lambda2_abs,
-        # a resampled graph has its own S and |lambda2| in every realization
+        # an erdos_renyi graph, drawn anew per realization, has its own S and |lambda2|
         "per_realization": {"S": [tr.s_rounds for tr in traces],
                             "lambda2_abs": [tr.lambda2_abs for tr in traces]},
         "realizations": config.realizations,
@@ -219,21 +218,11 @@ def cmd_graph_info(raw):
     if "N" not in raw and topo["kind"] == "explicit" and "edge_file" in topo:
         raw["N"] = load_edge_list(topo["edge_file"]).n_nodes
     config = parse_config({**_GRAPH_INFO_RUN, **raw})
-    topology = build_graph(config, config.master_seed, 0)
-    comm = CommMatrix(topology, config.comm_scheme)
-    epsilon = config.epsilon
+    topology, comm, plan = build_network(config, config.master_seed, 0)
     print(f"nodes:        {topology.n_nodes}")
     print(f"max degree:   {int(topology.max_degree)}")
-    print(f"scheme:       {config.comm_scheme}")
     print(f"|lambda_2|:   {comm.lambda2_abs:.6f}")
-    if not comm.problems:
-        print(f"S (eps={epsilon:.6g}): {MixingPlan.for_network(comm, epsilon).s_rounds}")
-        print("doubly stochastic check: PASS")
-    else:
-        print(f"S (eps={epsilon:.6g}): n/a")
-        print("doubly stochastic check: FAIL")
-        for problem in comm.problems:
-            print(f"  - {problem}")
+    print(f"S (eps={config.epsilon:.6g}): {plan.s_rounds}")
     return 0
 
 
@@ -247,16 +236,14 @@ def _number(text):
     return text
 
 
-def _add_flag(parser, key, flag=None, **kwargs):
+def _add_flag(parser, key, **kwargs):
     """The flag that sets config ``key``; its value is stored under the key."""
     text = f"{key.help} (config key {key.name})"
     if isinstance(key.type, tuple):
         text += f"; one of {', '.join(key.type)}"
-    if key.type is bool:
-        kwargs.update(action="store_true", default=None)
-    elif key.type in (int, float):
+    if key.type in (int, float):
         kwargs["type"] = _number
-    parser.add_argument(flag or key.flag, dest=key.name, help=text, **kwargs)
+    parser.add_argument(key.flag, dest=key.name, help=text, **kwargs)
 
 
 def _build_parser():
@@ -289,9 +276,8 @@ def _build_parser():
     info_p = sub.add_parser("graph-info", help="spectral diagnostics for a topology")
     for key in KEYS:
         if key.name in ("topology.kind", "topology.p", "topology.edge_file", "N",
-                        "epsilon", "seed", "comm_scheme"):
-            _add_flag(info_p, key, "--scheme" if key.name == "comm_scheme" else None,
-                      required=key.name == "topology.kind")
+                        "epsilon", "seed"):
+            _add_flag(info_p, key, required=key.name == "topology.kind")
     return parser
 
 

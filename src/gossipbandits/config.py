@@ -20,7 +20,6 @@ from .agents import ALGORITHMS
 from .bandit import beta_radius
 
 TOPOLOGY_KINDS = ("ring", "star", "complete", "path", "erdos_renyi", "explicit")
-COMM_SCHEMES = ("laplacian", "normalized_laplacian")
 
 
 class ConfigError(ValueError):
@@ -61,17 +60,11 @@ class ExperimentConfig:
     epsilon: float | None = None  # None: 1 / (4d + 1)
     realizations: int = 20
     master_seed: int = 0
-    keep_warmup_data: bool = False
-    comm_scheme: str = "laplacian"
-    resample_graph: bool | None = None  # None: resample for erdos_renyi only
     safe: SafeSpec | None = None
 
     def __post_init__(self):
         if self.epsilon is None:
             self.epsilon = 1.0 / (4 * self.d + 1)
-        if self.resample_graph is None:
-            # no other topology kind reads the graph stream
-            self.resample_graph = self.topology.kind == "erdos_renyi"
 
     def safe_c_min(self):
         return self.safe.c_min if self.safe is not None else 0.0
@@ -87,7 +80,7 @@ class Key(NamedTuple):
 
     name: str
     field: str  # the field it sets on the section's (or the root's) dataclass
-    type: object  # int, float, bool, str, a tuple of allowed strings, or object
+    type: object  # int, float, str, a tuple of allowed strings, or object
     flag: str | None = None  # the run/sweep command line flag that sets it
     help: str = ""
     low: int | None = None  # the least value a number may take
@@ -120,17 +113,12 @@ KEYS = (
     Key("epsilon", "epsilon", float, "--epsilon", "mixing tolerance"),
     Key("realizations", "realizations", int, "--realizations", "number of realizations", 1),
     Key("seed", "master_seed", int, "--seed", "master seed", 0),
-    Key("keep_warmup_data", "keep_warmup_data", bool, "--keep-warmup-data",
-        "keep own pre-mixing observations past round S"),
-    Key("comm_scheme", "comm_scheme", COMM_SCHEMES, "--comm-scheme", "gossip matrix scheme"),
-    Key("resample_graph", "resample_graph", bool),
     Key("safe.c_min", "c_min", float, "--safe-c-min", "lower end of the safety level"),
     Key("safe.x0", "x0", object),  # "zero" or a vector: checked with the other safe values
 )
 
 _SECTIONS = {"topology": TopologySpec, "decision_set": DecisionSetSpec, "safe": SafeSpec}
 _SHORTHANDS = {"topology": "kind", "decision_set": "variant"}
-_TYPE_NAMES = {bool: "a boolean", str: "a string"}
 
 
 def as_mapping(value, name="config root"):
@@ -167,7 +155,7 @@ def _typed(name, value, kind, low=None):
             raise ConfigError(f"{name} must be >= {low}")
         return kind(value)
     if not isinstance(value, kind):
-        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {value!r}")
+        raise ConfigError(f"{name} must be a string, got {value!r}")
     return value
 
 

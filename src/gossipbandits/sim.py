@@ -141,21 +141,22 @@ class Trace:
 
 
 def build_graph(config, master_seed, realization):
-    """The topology of one realization."""
+    """The topology of one realization: erdos_renyi draws its own graph in
+    every realization, and no other kind reads the graph stream."""
     spec = config.topology
-    if config.n_agents == 1:
-        # degenerate single-node network: every kind collapses to it
-        return GraphTopology(np.zeros((1, 1)), kind=spec.kind)
-    if spec.kind == "explicit":
+    if spec.kind == "explicit":  # an edge spans two nodes, so N = 1 is rejected
         return load_edge_list(spec.edge_file, config.n_agents)
-    rng = _stream(master_seed, realization if config.resample_graph else 0, _GRAPH)
+    if config.n_agents == 1:
+        # degenerate single-node network: every generated kind collapses to it
+        return GraphTopology(np.zeros((1, 1)), kind=spec.kind)
+    rng = _stream(master_seed, realization, _GRAPH)
     return build_topology(spec.kind, config.n_agents, p=spec.p, rng=rng)
 
 
 def build_network(config, master_seed, realization):
     """Topology, gossip matrix, and mixing plan for one realization."""
     topology = build_graph(config, master_seed, realization)
-    comm = build_comm_matrix(topology, config.comm_scheme)
+    comm = build_comm_matrix(topology)
     plan = MixingPlan.for_network(comm, config.epsilon)
     return topology, comm, plan
 
@@ -325,7 +326,7 @@ def _agents(config, plan, geo):
     if config.algorithm == "no_comm":
         return DlucbAgent(np.arange(n), d, lam, config.horizon)
     gossip = DlucbAgent if geo is None else SafeDlucbAgent
-    return gossip(np.arange(n), d, lam, plan.s_rounds, keep_warmup_data=config.keep_warmup_data)
+    return gossip(np.arange(n), d, lam, plan.s_rounds)
 
 
 def _probe_info(actions, agents):

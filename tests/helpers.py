@@ -235,14 +235,13 @@ def oracle_safe_select(arms, gram, safety, moment, beta, geo):
 class OracleDlucbAgent:
     """One agent of the gossiped UCB (or TS) protocol, or a baseline learner."""
 
-    def __init__(self, n_agents, d, lam, s_rounds, keep_warmup_data=False):
+    def __init__(self, n_agents, d, lam, s_rounds):
         self.n, self.d, self.lam, self.s_rounds = n_agents, d, lam, s_rounds
-        self.keep_warmup_data = keep_warmup_data
         self.gram = lam * np.eye(d)
         self.moment = np.zeros(d)
 
     def begin_round(self, t, slot):
-        if t == self.s_rounds + 1 and not self.keep_warmup_data:
+        if t == self.s_rounds + 1:
             self.gram = self.lam * np.eye(self.d)
             self.moment = np.zeros(self.d)
         if slot is not None:
@@ -259,13 +258,13 @@ class OracleDlucbAgent:
 class OracleSafeDlucbAgent(OracleDlucbAgent):
     """One gossiped UCB agent that also gathers the safety moment."""
 
-    def __init__(self, n_agents, d, lam, s_rounds, geo, keep_warmup_data=False):
-        super().__init__(n_agents, d, lam, s_rounds, keep_warmup_data)
+    def __init__(self, n_agents, d, lam, s_rounds, geo):
+        super().__init__(n_agents, d, lam, s_rounds)
         self.geo = geo
         self.safety = np.zeros(d)
 
     def begin_round(self, t, slot):
-        if t == self.s_rounds + 1 and not self.keep_warmup_data:
+        if t == self.s_rounds + 1:
             self.safety = np.zeros(self.d)
         super().begin_round(t, slot)
         if slot is not None:

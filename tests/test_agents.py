@@ -117,49 +117,42 @@ def random_network(n, d, rng):
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 12), d=st.integers(1, 6), horizon=st.integers(1, 40),
-       keep=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_random_action_streams_keep_the_gram_sandwich(n, d, horizon, keep, seed):
+       seed=st.integers(0, 2**32 - 1))
+def test_random_action_streams_keep_the_gram_sandwich(n, d, horizon, seed):
     """Agents fed an arbitrary action stream through the gossip pipeline, as
-    the round loop feeds them, hold (1-eps)^2 A* <= A_i - K_i <= (1+eps)^2 A*
+    the round loop feeds them, hold (1-eps)^2 A* <= A_i <= (1+eps)^2 A*
     after warm-up. A* is the omniscient Gram matrix of every play up to round
-    t - S and K_i agent i's own warm-up plays, kept only with
-    ``keep_warmup_data``."""
+    t - S."""
     rng = np.random.default_rng(seed)
     comm, plan = random_network(n, d, rng)
     eps = plan.epsilon
     s = plan.s_rounds
     lo, hi = (1 - eps) ** 2, (1 + eps) ** 2
-    agents = DlucbAgent(np.arange(n), d, 1.0, s, keep_warmup_data=keep)
+    agents = DlucbAgent(np.arange(n), d, 1.0, s)
     queue = new_pipeline(comm, plan, mixing_polynomial(comm, plan), mix_last=False)
     actions = rng.uniform(-1.0, 1.0, (horizon, n, d))
     rewards = rng.standard_normal((horizon, n))
     star = np.eye(d)
-    own = np.zeros((n, d, d))
     released = None
     for t in range(1, horizon + 1):
         agents.begin_round(t, released)
         if t > s:
             star += np.einsum("nd,ne->de", actions[t - s - 1], actions[t - s - 1])
             scale = max(1.0, np.linalg.norm(star, 2))
-            for i in range(n):
-                gram = agents.gram[i] - (own[i] if keep else 0.0)
+            for gram in agents.gram:
                 assert np.linalg.eigvalsh(gram - lo * star).min() >= -1e-9 * scale
                 assert np.linalg.eigvalsh(hi * star - gram).min() >= -1e-9 * scale
         agents.finish_round(t, actions[t - 1], rewards[t - 1])
-        for i in range(n):
-            if t <= s:
-                own[i] += np.outer(actions[t - 1, i], actions[t - 1, i])
         sent = np.column_stack([actions[t - 1], rewards[t - 1]]) if t <= horizon - s else None
         released = advance_queues(queue, sent)
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 12), d=st.integers(1, 6), horizon=st.integers(1, 30),
-       keep=st.booleans(), zero_x0=st.booleans(),
+       zero_x0=st.booleans(),
        algorithm=st.sampled_from(("dlucb", "safe_dlucb", "no_comm", "centralized")),
        seed=st.integers(0, 2**32 - 1))
-def test_stacked_agents_match_per_agent_oracle(n, d, horizon, keep, zero_x0, algorithm,
-                                               seed):
+def test_stacked_agents_match_per_agent_oracle(n, d, horizon, zero_x0, algorithm, seed):
     """Fed the same plays, rewards and safety readings, through the gossip
     pipeline as the round loop feeds them, the stacked state holds every
     learner's statistics bit for bit as the per-agent objects of
@@ -177,11 +170,11 @@ def test_stacked_agents_match_per_agent_oracle(n, d, horizon, keep, zero_x0, alg
     gossip = algorithm in ("dlucb", "safe_dlucb")
     safe = algorithm == "safe_dlucb"
     if safe:
-        stacked = SafeDlucbAgent(np.arange(n), d, 1.0, s, keep_warmup_data=keep)
-        oracle = [OracleSafeDlucbAgent(n, d, 1.0, s, geo, keep) for _ in range(n)]
+        stacked = SafeDlucbAgent(np.arange(n), d, 1.0, s)
+        oracle = [OracleSafeDlucbAgent(n, d, 1.0, s, geo) for _ in range(n)]
     elif gossip:
-        stacked = DlucbAgent(np.arange(n), d, 1.0, s, keep_warmup_data=keep)
-        oracle = [OracleDlucbAgent(n, d, 1.0, s, keep) for _ in range(n)]
+        stacked = DlucbAgent(np.arange(n), d, 1.0, s)
+        oracle = [OracleDlucbAgent(n, d, 1.0, s) for _ in range(n)]
     elif algorithm == "no_comm":
         stacked = DlucbAgent(np.arange(n), d, 1.0, horizon)
         oracle = [OracleDlucbAgent(n, d, 1.0, horizon) for _ in range(n)]
@@ -331,24 +324,22 @@ def test_refresh_rejects_a_gram_with_two_negative_eigenvalues():
 
 
 def test_warmup_reset_versus_keep():
-    def run(keep):
-        config = cfg_for(T=12, keep_warmup_data=keep)
-        trace, rows = capture_run(config, seed=1)
-        return trace.s_rounds, rows
-
-    s, rows_reset = run(False)
-    _, rows_keep = run(True)
-    # warmup trajectories coincide; the flag only changes the reset at t = S+1
-    for r_reset, r_keep in zip(rows_reset[:s], rows_keep[:s]):
-        assert np.array_equal(r_reset["actions"], r_keep["actions"])
-    own_warmup = [np.zeros((2, 2)) for _ in range(3)]
-    for r in rows_reset[:s]:
-        for i in range(3):
-            own_warmup[i] += np.outer(r["actions"][i], r["actions"][i])
-    gram_reset = rows_reset[s]["grams"]
-    gram_keep = rows_keep[s]["grams"]
+    """At round S + 1 each learner resets rather than keeps its own warm-up
+    plays: it holds the ridge prior plus the first mixed generation, agent
+    k's round-1 play weighted by its squared gain a_ik^2 = (N U_ik)^2."""
+    config = cfg_for(T=12)
+    trace, rows = capture_run(config, seed=1)
+    s = trace.s_rounds
+    _, comm, plan = sim.build_network(config, 1, 0)
+    gains = (comm.n * mixing_polynomial(comm, plan)) ** 2
+    first = rows[0]["actions"]
     for i in range(3):
-        assert np.abs((gram_keep[i] - gram_reset[i]) - own_warmup[i]).max() < 1e-10
+        # round S still reads the prior and the own plays of rounds 1 to S - 1
+        own = sum((np.outer(r["actions"][i], r["actions"][i]) for r in rows[:s - 1]),
+                  np.zeros((2, 2)))
+        assert np.abs(rows[s - 1]["grams"][i] - np.eye(2) - own).max() < 1e-10
+        mixed = np.eye(2) + np.einsum("k,kd,ke->de", gains[i], first, first)
+        assert np.abs(rows[s]["grams"][i] - mixed).max() < 1e-10
 
 
 def test_rc_agent_bookkeeping():

@@ -575,20 +575,19 @@ def test_safe_filter_monotone_in_beta():
 
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(2, 6), zero_x0=st.booleans(), seed=st.integers(0, 2**32 - 1),
-       n_warmup=st.integers(0, 8), n_slots=st.integers(0, 4), keep_warmup=st.booleans())
-def test_restricted_statistics_match_projected_replay(d, zero_x0, seed, n_warmup,
-                                                      n_slots, keep_warmup):
+       n_warmup=st.integers(0, 8), n_slots=st.integers(0, 4))
+def test_restricted_statistics_match_projected_replay(d, zero_x0, seed, n_warmup, n_slots):
     # rebuild the complement statistics of the projected actions independently,
     # lam (I - u u^T) + sum x_perp x_perp^T and the moment sum z x_perp:
-    # warm-up plays first, then absorbed mixed slots
+    # warm-up plays first, dropped at the reset of round S + 1, then absorbed
+    # mixed slots
     rng = np.random.default_rng(seed)
     n, lam = 3, 1.0
     x0 = np.zeros(d) if zero_x0 else rng.standard_normal(d)
     x0 *= rng.uniform(0.1, 1.0) / max(np.linalg.norm(x0), 1e-300)
     geo = SafeGeometry(x0=x0, c0=0.0 if zero_x0 else float(rng.uniform(-0.3, 0.3)), c=0.5)
     # n agents that all play and receive the same: row 0 is the agent checked
-    agent = SafeDlucbAgent(np.arange(n), d, lam, s_rounds=n_warmup,
-                           keep_warmup_data=keep_warmup)
+    agent = SafeDlucbAgent(np.arange(n), d, lam, s_rounds=n_warmup)
     unit = geo.x0_unit
     projector = np.eye(d) - np.outer(unit, unit)
     gram_perp = lam * projector
@@ -600,8 +599,7 @@ def test_restricted_statistics_match_projected_replay(d, zero_x0, seed, n_warmup
                            np.full(n, z))
         gram_perp += np.outer(projector @ x, projector @ x)
         moment_perp += z * (projector @ x)
-    if not keep_warmup:
-        gram_perp, moment_perp = lam * projector, np.zeros(d)
+    gram_perp, moment_perp = lam * projector, np.zeros(d)
     for k in range(max(n_slots, 1)):
         slot = rng.standard_normal((n, d + 2)) / n if k < n_slots else None
         agent.begin_round(n_warmup + 1 + k, None if slot is None else np.stack([slot] * n))

@@ -18,8 +18,8 @@ import gossipbandits
 from gossipbandits import cli, sim
 from gossipbandits.agents import ALGORITHMS
 from gossipbandits.cli import main
+from gossipbandits import graph
 from gossipbandits.config import (
-    COMM_SCHEMES,
     KEYS,
     ConfigError,
     DecisionSetSpec,
@@ -43,9 +43,7 @@ def test_minimal_config_defaults():
     assert config.delta == 0.1
     assert config.epsilon == 1.0 / 21.0
     assert config.realizations == 20
-    assert config.comm_scheme == "laplacian"
     assert config.decision_set.variant == "box"
-    assert config.keep_warmup_data is False
 
 
 def test_direct_config_resolves_default_epsilon():
@@ -190,16 +188,19 @@ SAFE = {"topology": "ring", "N": 4, "d": 2, "T": 10, "algorithm": "safe_dlucb",
     pytest.param({"topology": {"kind": "explicit", "edge_file": 5}},
                  "topology.edge_file must be a string, got 5", id="edge_file-int"),
     # wrongly typed values are rejected by their declared type, never converted
-    pytest.param({"keep_warmup_data": "false"},
-                 "keep_warmup_data must be a boolean, got 'false'", id="keep_warmup_data-str"),
     pytest.param({"realizations": True}, "realizations must be a number, got True",
                  id="realizations-bool"),
     pytest.param({"N": "4"}, "N must be a number, got '4'", id="N-numeric-str"),
     pytest.param({"sigma": True}, "sigma must be a number, got True", id="sigma-bool"),
     pytest.param({"decision_set": {"variant": "box", "num_arms": "abc"}},
                  "decision_set.num_arms must be a number, got 'abc'", id="num_arms-box-str"),
-    pytest.param({"resample_graph": 1}, "resample_graph must be a boolean, got 1",
+    # the keys that were removed are unknown
+    pytest.param({"keep_warmup_data": "false"},
+                 "unknown key(s) in config: keep_warmup_data", id="keep_warmup_data-str"),
+    pytest.param({"resample_graph": 1}, "unknown key(s) in config: resample_graph",
                  id="resample_graph-int"),
+    pytest.param({"comm_scheme": "laplacian"}, "unknown key(s) in config: comm_scheme",
+                 id="comm_scheme-str"),
 ])
 def test_bad_safe_config_exits_2(tmp_path, capsys, change, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -290,19 +291,10 @@ def test_graph_info_reference_topologies(capsys):
     lambda2 = float(next(l for l in out.splitlines() if "lambda_2" in l).split()[-1])
     assert abs(lambda2 - 0.9674) < 5e-4
     assert "S (eps=0.047619): 26" in out
-    assert "PASS" in out
 
     assert main(["graph-info", "--topology", "complete", "--n", "20"]) == 0
     out = capsys.readouterr().out
     assert "S (eps=0.047619): 1" in out
-
-
-def test_graph_info_normalized_scheme_verdict(capsys):
-    assert main(["graph-info", "--topology", "path", "--n", "3",
-                 "--scheme", "normalized_laplacian"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" in out
-    assert "row sums" in out
 
 
 def test_flags_override_config(tmp_path):
@@ -521,17 +513,6 @@ def test_radius_past_the_float_range_exits_2(tmp_path, capsys, command, flags, k
     assert "config error" in err and key in err
 
 
-@pytest.mark.parametrize("topology, resample", [
-    ("ring", False),
-    ({"kind": "erdos_renyi", "p": 0.5}, True),
-])
-def test_resample_graph_echo_is_a_boolean(topology, resample):
-    echo = resolved_dict(parse_config({**MINIMAL, "topology": topology}))
-    assert echo["resample_graph"] is resample
-    explicit = {**MINIMAL, "topology": topology, "resample_graph": not resample}
-    assert resolved_dict(parse_config(explicit))["resample_graph"] is (not resample)
-
-
 def test_runtime_failure_exits_3(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("invariant breached")
@@ -706,8 +687,11 @@ A_DIRECTORY = object()
     (None, 2, None),
     (A_DIRECTORY, 2, None),
     (b"0 1\n1 \xff\n", 3, None),
+    # an explicit topology reads its edge file for N = 1 too
+    (None, 1, None),
+    ("0 1\n", 1, None),
 ], ids=["non-integer", "three-tokens", "self-loop", "negative", "disconnected", "empty",
-        "missing", "directory", "not-utf8"])
+        "missing", "directory", "not-utf8", "missing-n1", "two-nodes-n1"])
 def test_malformed_edge_file_exits_2(tmp_path, capsys, command, text, n, line):
     edges = tmp_path / "edges.txt"
     if text is A_DIRECTORY:
@@ -727,14 +711,38 @@ def test_malformed_edge_file_exits_2(tmp_path, capsys, command, text, n, line):
         assert f"{edges}:{line}:" in err
 
 
-def test_irregular_normalized_laplacian_exits_2(tmp_path, capsys):
-    with pytest.raises(ConfigError, match="row sums"):
-        build_comm_matrix(build_topology("path", 4), "normalized_laplacian")
-    code, _ = run_cli(tmp_path, {"topology": "path", "N": 4, "d": 2, "T": 5,
-                                 "algorithm": "dlucb", "comm_scheme": "normalized_laplacian",
-                                 "realizations": 1})
+def test_gossip_matrix_without_spectral_gap_exits_2(tmp_path, monkeypatch, capsys):
+    """A gossip matrix whose |lambda_2| is not below 1 in floating point has no
+    mixing horizon: building it is a config error, found before any output."""
+    spectrum = graph._spectrum
+
+    def gapless(entries):
+        eigenvalues = spectrum(entries)
+        eigenvalues[1] = 1.0 - 1e-13
+        return eigenvalues
+
+    monkeypatch.setattr(graph, "_spectrum", gapless)
+    with pytest.raises(ConfigError, match=re.escape("|lambda_2|")):
+        build_comm_matrix(build_topology("path", 4))
+    code, out = run_cli(tmp_path, {"topology": "path", "N": 4, "d": 2, "T": 5,
+                                   "algorithm": "dlucb", "realizations": 1})
     assert code == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and "|lambda_2|" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["run", "--comm-scheme", "laplacian"],
+    ["run", "--keep-warmup-data"],
+    ["sweep", "--keep-warmup-data", "--axis", "T", "--values", "3"],
+    ["graph-info", "--scheme", "laplacian"],
+], ids=["comm-scheme", "keep-warmup-data", "sweep-keep-warmup-data", "graph-info-scheme"])
+def test_removed_flags_exit_2(capsys, args):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*args, "--topology", "ring", "--n", "4"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [
@@ -781,8 +789,6 @@ FLAG_CASES = [
     ("--epsilon", "0.1", "epsilon", 0.1),
     ("--realizations", "2", "realizations", 2),
     ("--seed", "3", "seed", 3),
-    ("--keep-warmup-data", None, "keep_warmup_data", True),
-    ("--comm-scheme", "normalized_laplacian", "comm_scheme", "normalized_laplacian"),
     ("--safe-c-min", "0.3", "safe.c_min", 0.3),
 ]
 
@@ -806,6 +812,23 @@ def test_flag_sets_its_config_key(tmp_path, capsys, flag, text, key, expected):
     entry = re.search(rf"\n  {re.escape(flag)}\b(.*?)(?=\n  -|\Z)", capsys.readouterr().out,
                       re.S).group(1)
     assert f"(config key {key})" in " ".join(entry.split())
+
+
+def test_readme_lists_only_live_keys_and_flags():
+    """The README's config schema quotes only config keys and section names,
+    and its flag table names only parser flags and every flag of a key."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    schema = re.search(r"```jsonc\n(.*?)```", readme, re.S).group(1)
+    names = {key.leaf for key in KEYS} | {key.section for key in KEYS}
+    assert set(re.findall(r'"(\w+)":', schema)) <= names
+    table = re.search(r"\n\| flag \| key \|.*?\n\n", readme, re.S).group(0)
+    listed = set(re.findall(r"`(--[a-z-]+)`", table))
+    subparsers = next(action for action in cli._build_parser()._actions
+                      if isinstance(action.choices, dict))
+    defined = {flag for parser in subparsers.choices.values() for action in parser._actions
+               for flag in action.option_strings}
+    assert listed <= defined
+    assert {key.flag for key in KEYS if key.flag} <= listed
 
 
 @pytest.mark.parametrize("flags, key, expected", [
@@ -879,9 +902,6 @@ def raw_configs(draw):
         "delta": draw(st.floats(0.001, 0.999)),
         "epsilon": draw(st.none() | st.floats(0.001, 0.999)),
         "realizations": draw(st.integers(1, 50)), "seed": draw(st.integers(0, 2**63 - 1)),
-        "keep_warmup_data": draw(st.booleans()),
-        "comm_scheme": draw(st.sampled_from(COMM_SCHEMES)),
-        "resample_graph": draw(st.sampled_from([None, True, False])),
     }
     if algorithm == "safe_dlucb" or draw(st.booleans()):
         bound = d ** -0.5  # entries within 1/sqrt(d) keep the norm at most 1

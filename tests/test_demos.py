@@ -35,7 +35,7 @@ def frozen(script):
 
 
 @pytest.mark.parametrize("script, expected", [
-    ("01_graphs_and_mixing.py", "star + normalized_laplacian rejected"),
+    ("01_graphs_and_mixing.py", "pairwise gains a_ij after S rounds"),
     ("04_safe_exploration.py", "constraint violations: 0 "),
 ])
 def test_demo_exits_0(script, expected):

@@ -33,8 +33,7 @@ CONFIGS = {
                         "decision_set": finite(10)},
     # odd N: every holder row of a reward batch ends in pad entries
     "dlucb_ring7_box": {"topology": "ring", "N": 7, "d": 3, "T": 60, "algorithm": "dlucb"},
-    "dlucb_path_keep_warmup": {"topology": "path", "N": 4, "d": 2, "T": 50,
-                               "algorithm": "dlucb", "keep_warmup_data": True},
+    "dlucb_path_box": {"topology": "path", "N": 4, "d": 2, "T": 50, "algorithm": "dlucb"},
     "dlts_ring_box": {"topology": "ring", "N": 5, "d": 3, "T": 60, "algorithm": "dlts"},
     "dlts_er_finite": {"topology": ER, "N": 6, "d": 3, "T": 60, "algorithm": "dlts",
                        "decision_set": finite(8)},

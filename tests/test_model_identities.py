@@ -51,15 +51,14 @@ def _close(got, want, rtol):
 
 
 @settings(max_examples=25, deadline=None)
-@given(run=small_runs(), algorithm=st.sampled_from(["dlucb", "dlts"]), keep=st.booleans(),
+@given(run=small_runs(), algorithm=st.sampled_from(["dlucb", "dlts"]),
        extra=st.integers(1, 12))
-def test_gossip_learner_holds_the_squared_gain_sums(run, algorithm, keep, extra):
+def test_gossip_learner_holds_the_squared_gain_sums(run, algorithm, extra):
     """After the warm-up, gram_i(t) = lambda I + sum over rounds s <= t - S
     and agents k of (N U_ik)^2 x_ks x_ks^T, the reward moment likewise with
-    y_ks x_ks, plus agent i's own warm-up data with ``keep_warmup_data``.
-    During the warm-up each agent holds only its own data."""
+    y_ks x_ks. During the warm-up each agent holds only its own data."""
     raw, seed = run
-    raw = {**raw, "algorithm": algorithm, "keep_warmup_data": keep}
+    raw = {**raw, "algorithm": algorithm}
     _, _, plan = build_network(parse_config({**raw, "T": 1}), seed, 0)
     s = plan.s_rounds
     config, unit, x, y, grams, moments = _record({**raw, "T": s + extra}, seed)
@@ -75,8 +74,6 @@ def test_gossip_learner_holds_the_squared_gain_sums(run, algorithm, keep, extra)
             seen = slice(0, t - s)  # rounds 1..t - S
             gram = lam * np.eye(d) + np.einsum("ik,skd,ske->ide", gains, x[seen], x[seen])
             moment = np.einsum("ik,sk,skd->id", gains, y[seen], x[seen])
-            if keep:
-                gram, moment = gram + own_gram[s - 1], moment + own_moment[s - 1]
         _close(grams[t - 1], np.broadcast_to(gram, (n, d, d)), 1e-10)
         if t > 1:
             _close(moments[t - 1], moment, 1e-10)

@@ -555,13 +555,9 @@ def test_pool_opens_at_most_one_process_per_realization(monkeypatch, workers,
 
 
 def test_erdos_renyi_graph_resampling_flag():
-    base = {"topology": {"kind": "erdos_renyi", "p": 0.5}, "N": 8, "d": 2, "T": 5,
-            "algorithm": "dlucb", "realizations": 1}
-    resampled = parse_config(base)
-    s_values = {run_realization(resampled, master_seed=0, realization=r).lambda2_abs
+    """An erdos_renyi graph is drawn anew in every realization."""
+    config = parse_config({"topology": {"kind": "erdos_renyi", "p": 0.5}, "N": 8, "d": 2,
+                           "T": 5, "algorithm": "dlucb", "realizations": 1})
+    s_values = {run_realization(config, master_seed=0, realization=r).lambda2_abs
                 for r in range(6)}
     assert len(s_values) > 1
-    fixed = parse_config({**base, "resample_graph": False})
-    s_fixed = {run_realization(fixed, master_seed=0, realization=r).lambda2_abs
-               for r in range(6)}
-    assert len(s_fixed) == 1
