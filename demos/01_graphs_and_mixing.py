@@ -25,7 +25,7 @@ print(f"{'random':<12} {comm.lambda2_abs:>10.4f} {s:>4}")
 print()
 print("=== Accelerated consensus on the ring ===")
 comm = gb.build_comm_matrix(gb.build_topology("ring", 20))
-plan = gb.MixingPlan.for_network(comm, EPS)
+plan = gb.MixingPlan(comm, EPS)
 print(f"ring N=20: mixing for S = {plan.s_rounds} rounds targets error {EPS:.4f}")
 
 # one agent holds the value 20, everyone else 0; the average is 1

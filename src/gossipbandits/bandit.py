@@ -328,39 +328,21 @@ def safe_filter(arms, cs, safety, geo):
     return values <= geo.c
 
 
-def mixing_delay_pairs(s_rounds, d, n_agents, horizon, lam):
-    """Count of agent/round pairs the delay analysis cannot control."""
-    if horizon == 0:
-        return 0.0
-    return s_rounds * d * math.log(1.0 + n_agents * horizon / (d * lam))
-
-
 def rc_comm_threshold(horizon, n_agents, d, lam):
     """Log-determinant growth budget that triggers a communication phase."""
     return horizon * math.log(1.0 + n_agents * horizon / (d * lam)) / (d * n_agents)
 
 
-def theoretical_regret_bound(
-    variant,
-    *,
-    s_rounds,
-    d,
-    n_agents,
-    horizon,
-    lam,
-    delta,
-    sigma,
-    epsilon,
-    kappa_r=None,
-    general_form=False,
-):
-    """Closed-form high-probability regret bound for the given algorithm variant.
+def theoretical_regret_bound(variant, *, s_rounds, d, n_agents, horizon, lam, delta, sigma,
+                             epsilon):
+    """Closed-form high-probability regret bound of ``dlucb`` or ``rc_dlucb``.
 
-    The theorem-specific forms restrict epsilon (below 1/(4d+1), or 1/(2d+1)
-    for the rarely-communicating variant); ``general_form`` evaluates the
-    looser bound valid for any epsilon in (0, 1).
+    Each is its theorem's form, which restricts epsilon: to at most 1/(4d+1)
+    for ``dlucb`` and 1/(2d+1) for ``rc_dlucb``. The ``dlucb`` bound adds
+    the regret of delay, 2 S d log(1 + NT/(d lam)), to the
+    O(beta_T sqrt(d NT log(NT))) regret of the gossiped confidence sets.
     """
-    if variant not in ("dlucb", "rc_dlucb", "safe_dlucb"):
+    if variant not in ("dlucb", "rc_dlucb"):
         raise ValueError(f"no closed-form bound for variant {variant!r}")
     if horizon == 0:
         return 0.0
@@ -374,23 +356,10 @@ def theoretical_regret_bound(
             s_rounds * n_agents * d * log_term / math.sqrt(lam)
             + 4.0 * log_term**1.5 * math.sqrt(d * n_agents * horizon)
         )
-    if general_form:
-        if variant != "dlucb":
-            raise ValueError("general-epsilon form only available for dlucb")
-        first = 2.0 * s_rounds * d * math.log(1.0 + n_agents * horizon / (d * s_rounds))
-        growth = ((1.0 + epsilon) / (1.0 - epsilon)) ** d
-        second = 2.0 * beta_T * growth * math.sqrt(
-            2.0 * math.e * d * n_agents * horizon * math.log(lam + nt_over_d)
-        )
-        return first + second
     if epsilon > 1.0 / (4 * d + 1):
-        raise ValueError("epsilon above 1/(4d+1): use general_form for the loose bound")
-    first = 2.0 * mixing_delay_pairs(s_rounds, d, n_agents, horizon, lam)
+        raise ValueError("epsilon above 1/(4d+1): no theorem-form bound")
+    first = 2.0 * (s_rounds * d * math.log(1.0 + n_agents * horizon / (d * lam)))
     second = 2.0 * math.e * beta_T * math.sqrt(
         2.0 * d * n_agents * horizon * math.log(lam + nt_over_d)
     )
-    if variant == "safe_dlucb":
-        if kappa_r is None:
-            raise ValueError("safe bound needs kappa_r")
-        second *= kappa_r
     return first + second

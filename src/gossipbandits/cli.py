@@ -129,8 +129,6 @@ def _prepare_out(out_dir, overwrite):
 
 
 def cmd_run(config, out_dir, workers, overwrite):
-    # a network that cannot be built is a config error: find it before any output
-    build_network(config, config.master_seed, 0)
     _prepare_out(out_dir, overwrite)
     traces = run_experiment(config, workers=workers)
     curves = aggregate(traces)
@@ -310,6 +308,8 @@ def main(argv=None):
         workers = args.workers or os.cpu_count() or 1
         if args.command == "run":
             config = parse_config(raw)
+            # a network that cannot be built is a config error: find it before any output
+            build_network(config, config.master_seed, 0)
             cmd_run(config, args.out, workers, args.overwrite)
             return 0
         values = _split_values(args.values)

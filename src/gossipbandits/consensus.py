@@ -47,7 +47,6 @@ is mixed bit for bit as it would be alone.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
@@ -62,22 +61,18 @@ per holder (its k neighbor rows, its product, its previous row and that row
 scaled). It also bounds the payload of one pipeline batch."""
 
 
-@dataclass
 class MixingPlan:
-    """Mixing horizon S with the acceleration weights w_0..w_S for a given
-    tolerance: w_l = T_l(1/|lambda2|) by w_0 = 1, w_1 = 1/|lambda2| and
-    w_{l+1} = 2 w_l / |lambda2| - w_{l-1}, or None when |lambda2| = 0."""
+    """Mixing horizon S of the network ``comm`` for tolerance ``epsilon``, from
+    ``compute_mixing_rounds``, with the acceleration weights w_0..w_S:
+    w_l = T_l(1/|lambda2|) by w_0 = 1, w_1 = 1/|lambda2| and
+    w_{l+1} = 2 w_l / |lambda2| - w_{l-1}, or None when |lambda2| = 0.
+    Weights past the float range are a ``ConfigError``."""
 
-    epsilon: float
-    s_rounds: int
-    lambda2_abs: float
-    weights: np.ndarray | None = field(default=None, init=False, repr=False)
-
-    def __post_init__(self):
-        if self.s_rounds < 1:
-            raise ValueError("need at least one mixing round")
-        if not 0 <= self.lambda2_abs < 1:
-            raise ValueError("|lambda2| must lie in [0, 1)")
+    def __init__(self, comm, epsilon):
+        self.epsilon = epsilon
+        self.lambda2_abs = comm.lambda2_abs
+        self.s_rounds = compute_mixing_rounds(comm.n, epsilon, comm.lambda2_abs)
+        self.weights = None
         if self.lambda2_abs == 0:
             return
         w = np.empty(self.s_rounds + 1)
@@ -87,16 +82,9 @@ class MixingPlan:
             for ell in range(1, self.s_rounds):
                 w[ell + 1] = 2.0 * w[ell] / self.lambda2_abs - w[ell - 1]
         if not np.all(np.isfinite(w)):
-            raise ConfigError(f"epsilon {self.epsilon:g} needs S = {self.s_rounds} gossip "
+            raise ConfigError(f"epsilon {epsilon:g} needs S = {self.s_rounds} gossip "
                               "rounds, whose Chebyshev weights overflow")
-        if np.any(np.diff(w) <= 0):
-            raise ValueError("Chebyshev weights must increase strictly")
         self.weights = w
-
-    @classmethod
-    def for_network(cls, comm, epsilon):
-        s_rounds = compute_mixing_rounds(comm.n, epsilon, comm.lambda2_abs)
-        return cls(epsilon=epsilon, s_rounds=s_rounds, lambda2_abs=comm.lambda2_abs)
 
 
 def comm_step(now, prev, ell, comm, plan, out=None):

@@ -269,9 +269,8 @@ def compute_mixing_rounds(n, epsilon, lambda2_abs):
     if math.isinf(raw):
         raise ConfigError(f"epsilon {epsilon:g} is too small: 2N/epsilon overflows for N = {n}")
     s = max(1, int(math.floor(raw + 0.5)))
-    if n > 1:
-        acosh = math.acosh(1.0 / lambda2_abs)
-        slack = math.sqrt(1.0 - 1.0 / n)
-        while s * acosh <= 60.0 and n * slack / math.cosh(s * acosh) > epsilon:
-            s += 1
+    acosh = math.acosh(1.0 / lambda2_abs)
+    slack = math.sqrt(1.0 - 1.0 / n)
+    while s * acosh <= 60.0 and n * slack / math.cosh(s * acosh) > epsilon:
+        s += 1
     return s

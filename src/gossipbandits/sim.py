@@ -157,7 +157,7 @@ def build_network(config, master_seed, realization):
     """Topology, gossip matrix, and mixing plan for one realization."""
     topology = build_graph(config, master_seed, realization)
     comm = build_comm_matrix(topology)
-    plan = MixingPlan.for_network(comm, config.epsilon)
+    plan = MixingPlan(comm, config.epsilon)
     return topology, comm, plan
 
 

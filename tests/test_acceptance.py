@@ -60,7 +60,7 @@ def test_criterion_2_consensus_mixing():
     for name, topo in graphs:
         comm = gb.build_comm_matrix(topo)
         for eps in (0.3, 0.1, 1 / 21):
-            plan = gb.MixingPlan.for_network(comm, eps)
+            plan = gb.MixingPlan(comm, eps)
             gain = comm.n * gb.mixing_polynomial(comm, plan)
             dev = float(np.linalg.norm(gain - 1.0, axis=0).max())
             if eps - dev < worst[0]:
@@ -214,7 +214,7 @@ def test_criterion_8_confidence_coverage():
     actions = rng.standard_normal((horizon, n, d))
     actions /= np.linalg.norm(actions, axis=2, keepdims=True)
     comm = gb.build_comm_matrix(gb.build_topology("ring", 20))
-    plan = gb.MixingPlan.for_network(comm, eps)
+    plan = gb.MixingPlan(comm, eps)
     gains_sq = (comm.n * gb.mixing_polynomial(comm, plan)[0]) ** 2  # agent 0's pairwise gains
     noise = sigma * rng.standard_normal((redraws, horizon, n))
 

@@ -112,7 +112,7 @@ def random_network(n, d, rng):
     for i in range(1, n):  # a random spanning tree keeps the graph connected
         adjacency[rng.integers(0, i), i] = 1.0
     comm = build_comm_matrix(GraphTopology(adjacency + adjacency.T))
-    return comm, MixingPlan.for_network(comm, 1.0 / (4 * d + 1))
+    return comm, MixingPlan(comm, 1.0 / (4 * d + 1))
 
 
 @settings(max_examples=40, deadline=None)

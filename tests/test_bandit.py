@@ -21,7 +21,6 @@ from gossipbandits.bandit import (
     cho_factor,
     greedy_box,
     inv_sqrt_psd,
-    mixing_delay_pairs,
     safe_filter,
     theoretical_regret_bound,
     ts_perturb,
@@ -751,21 +750,35 @@ def test_bound_zero_horizon():
                                         lam=1.0, delta=0.1, sigma=0.1, epsilon=0.01) == 0.0
 
 
+# (variant, S, d, N, T, lambda, bound) at delta = sigma = 0.1 and the variant's
+# largest epsilon, frozen from an earlier transcription of the bound and
+# compared with ==, so that a reordered product shows
+BOUND_TABLE = [
+    ("dlucb", 1, 2, 1, 100, 1.0, 320.4977691452046),
+    ("rc_dlucb", 1, 2, 1, 100, 1.0, 2597.592673806338),
+    ("dlucb", 26, 5, 20, 1000, 1.0, 15358.317118070272),
+    ("rc_dlucb", 26, 5, 20, 1000, 1.0, 398087.27361581166),
+    ("dlucb", 8, 4, 6, 500, 0.5, 3596.9218475402354),
+    ("rc_dlucb", 8, 4, 6, 500, 0.5, 54838.97419124762),
+    ("dlucb", 92, 5, 60, 460, 2.0, 26755.84712135022),
+    ("rc_dlucb", 92, 5, 60, 460, 2.0, 1941723.730085717),
+    ("dlucb", 3, 3, 20, 0, 1.0, 0.0),
+    ("rc_dlucb", 3, 3, 20, 0, 1.0, 0.0),
+    ("dlucb", 153, 10, 100, 2000, 0.1, 97502.5068025965),
+    ("rc_dlucb", 153, 10, 100, 2000, 0.1, 35582405.88089046),
+]
+
+
 def test_bound_frozen_reference_value():
     # regression constant computed once from an independent transcription
     value = theoretical_regret_bound("dlucb", s_rounds=26, d=5, n_agents=20, horizon=1000,
                                      lam=1.0, delta=0.1, sigma=0.1, epsilon=1 / 21)
     assert abs(value / 15358.317118070272 - 1.0) < 1e-9
-
-
-def test_safe_bound_second_term_ratio_is_kappa():
-    params = dict(s_rounds=8, d=4, n_agents=6, horizon=500, lam=1.0, delta=0.1,
-                  sigma=0.1, epsilon=1 / 18)
-    first = 2.0 * mixing_delay_pairs(8, 4, 6, 500, 1.0)
-    plain = theoretical_regret_bound("dlucb", **params)
-    for kappa in (2.0, 5.0):
-        safe = theoretical_regret_bound("safe_dlucb", kappa_r=kappa, **params)
-        assert abs((safe - first) / (plain - first) - kappa) < 1e-12
+    for variant, s_rounds, d, n, horizon, lam, frozen in BOUND_TABLE:
+        epsilon = 1 / (4 * d + 1) if variant == "dlucb" else 1 / (2 * d + 1)
+        assert theoretical_regret_bound(variant, s_rounds=s_rounds, d=d, n_agents=n,
+                                        horizon=horizon, lam=lam, delta=0.1, sigma=0.1,
+                                        epsilon=epsilon) == frozen, (variant, s_rounds, d, n)
 
 
 def test_bound_epsilon_domains():
@@ -774,12 +787,11 @@ def test_bound_epsilon_domains():
         theoretical_regret_bound("dlucb", epsilon=0.2, **common)
     with pytest.raises(ValueError):
         theoretical_regret_bound("rc_dlucb", epsilon=1 / 10.9, **common)
-    # boundary values are accepted, larger epsilon falls back to the general form
-    theoretical_regret_bound("dlucb", epsilon=1 / 21, **common)
-    theoretical_regret_bound("rc_dlucb", epsilon=1 / 11, **common)
-    loose = theoretical_regret_bound("dlucb", epsilon=0.2, general_form=True, **common)
-    tight = theoretical_regret_bound("dlucb", epsilon=1 / 21, **common)
-    assert loose > 0 and tight > 0
+    with pytest.raises(ValueError):  # no other variant has a closed form
+        theoretical_regret_bound("safe_dlucb", epsilon=1 / 21, **common)
+    # boundary values are accepted
+    assert theoretical_regret_bound("dlucb", epsilon=1 / 21, **common) > 0
+    assert theoretical_regret_bound("rc_dlucb", epsilon=1 / 11, **common) > 0
 
 
 def test_greedy_box_maps_zeros_up():

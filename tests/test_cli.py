@@ -395,6 +395,28 @@ def test_sweep_checks_every_point_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags, builds", [
+    ("run", [], 1),
+    ("sweep", ["--axis", "T", "--values", "4,8"], 2),
+])
+def test_cli_builds_each_network_once_before_running(tmp_path, monkeypatch, command, flags,
+                                                     builds):
+    # the runs build their own networks in sim; the CLI's check is once per point
+    calls = []
+
+    def counting(config, master_seed, realization):
+        calls.append(realization)
+        return build_network(config, master_seed, realization)
+
+    monkeypatch.setattr(cli, "build_network", counting)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"topology": "ring", "N": 5, "d": 2, "T": 4,
+                                "algorithm": "dlucb", "realizations": 2}))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out"),
+                 "--workers", "1", *flags]) == 0
+    assert calls == [0] * builds
+
+
 def test_sweep_values_keep_json_values_whole(tmp_path):
     # a JSON item ends at its closing bracket, a bare string at the next comma
     assert cli._split_values("4,8") == ["4", "8"]

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,20 +37,26 @@ from helpers import (
 
 def make(kind, n, eps=0.1):
     comm = build_comm_matrix(build_topology(kind, n))
-    return comm, MixingPlan.for_network(comm, eps)
+    return comm, MixingPlan(comm, eps)
+
+
+def network(n, lambda2_abs):
+    """A stand-in for the gossip matrix: ``MixingPlan`` reads only these two."""
+    return SimpleNamespace(n=n, lambda2_abs=lambda2_abs)
 
 
 def test_weights_match_defining_recursion_at_half():
-    assert np.array_equal(MixingPlan(0.1, 3, 0.5).weights, [1.0, 2.0, 7.0, 26.0])
+    # S = 3 at N = 2, epsilon = 0.1
+    assert np.array_equal(MixingPlan(network(2, 0.5), 0.1).weights, [1.0, 2.0, 7.0, 26.0])
 
 
 def test_weight_zero_is_one():
     for lam2 in (0.2, 0.5, 0.9674):
-        assert MixingPlan(0.1, 4, lam2).weights[0] == 1.0
+        assert MixingPlan(network(20, lam2), 0.1).weights[0] == 1.0
 
 
 def test_weights_match_closed_form():
-    w = MixingPlan(0.1, 26, 0.9674).weights
+    w = MixingPlan(network(20, 0.9674), 1 / 21).weights  # S = 26
     exact = np.array([chebyshev_closed_form(ell, np.array([1.0 / 0.9674]))[0]
                       for ell in range(27)])
     assert np.abs(w / exact - 1.0).max() < 1e-10
@@ -57,11 +64,9 @@ def test_weights_match_closed_form():
 
 def test_weights_domain():
     # |lambda2| = 0: one gossip product averages exactly, no weights needed
-    assert MixingPlan(0.1, 3, 0.0).weights is None
-    with pytest.raises(ValueError):
-        MixingPlan(0.1, 3, 1.0)
-    with pytest.raises(ValueError):
-        MixingPlan(0.1, 0, 0.5)
+    assert MixingPlan(network(20, 0.0), 0.1).weights is None
+    with pytest.raises(ValueError):  # raised by compute_mixing_rounds
+        MixingPlan(network(20, 1.0), 0.1)
 
 
 def test_constant_payload_is_fixed_point_at_every_round():
@@ -167,7 +172,7 @@ def test_comm_step_matches_per_holder_oracle(comm, data):
     every payload layout the simulator uses, on slices like the pipeline's
     and on strided payloads, with and without out=prev, and at both extremes
     of the chunk size."""
-    plan = MixingPlan.for_network(comm, 0.05)
+    plan = MixingPlan(comm, 0.05)
     n, s = comm.n, plan.s_rounds
     layout = data.draw(st.sampled_from(["scalar", "matrix", "pipeline"]))
     if layout == "scalar":
@@ -225,7 +230,7 @@ def test_window_neighborhoods_match_the_oracle():
     comm = CommMatrix(GraphTopology(((distance >= 1) & (distance <= 2)).astype(float)))
     assert [block.holders.tolist() for block in comm.blocks if block.window] == [
         list(range(2, 11))]
-    plan = MixingPlan.for_network(comm, 0.05)
+    plan = MixingPlan(comm, 0.05)
     rng = np.random.default_rng(8)
     for now, prev, ell in [(rng.standard_normal(13), rng.standard_normal(13), 2),
                            (rng.standard_normal(26)[::2], rng.standard_normal(26)[::2], 3),
@@ -286,7 +291,7 @@ def test_random_graphs_keep_the_gain_band(n, span, p, d, seed):
         a[rng.integers(max(0, i - span), i), i] = 1.0
     comm = build_comm_matrix(GraphTopology(a + a.T))
     eps = 1.0 / (4 * d + 1)
-    plan = MixingPlan.for_network(comm, eps)
+    plan = MixingPlan(comm, eps)
     assert np.abs(n * mixing_polynomial(comm, plan) - 1.0).max() <= eps
     if plan.lambda2_abs > 0:
         stretch = plan.s_rounds * math.acosh(1.0 / plan.lambda2_abs)
@@ -300,7 +305,7 @@ def test_recursion_equals_closed_form_polynomial():
                for _ in range(5)]
     for topo in graphs:
         comm = build_comm_matrix(topo)
-        plan = MixingPlan.for_network(comm, 0.1)
+        plan = MixingPlan(comm, 0.1)
         q_rec = mixing_polynomial(comm, plan)
         q_eig = mixing_polynomial_eig(comm.entries, comm.lambda2_abs, plan.s_rounds)
         assert np.abs(q_rec - q_eig).max() < 1e-8
@@ -312,7 +317,7 @@ def test_recursion_equals_closed_form_polynomial():
     graphs.append(build_topology("erdos_renyi", 200, p=0.5, rng=rng))
     for topo in graphs:
         comm = build_comm_matrix(topo)
-        plan = MixingPlan.for_network(comm, 1.0 / 21)
+        plan = MixingPlan(comm, 1.0 / 21)
         q_rec = mixing_polynomial(comm, plan)
         q_ref = comm.entries if comm.lambda2_abs == 0 else \
             mixing_polynomial_eig(comm.entries, comm.lambda2_abs, plan.s_rounds)
@@ -427,7 +432,7 @@ def test_queue_pipeline_depth_and_mixing_counts():
     columns in which every step ell leaves q_ell(P)-scaled data: with B = S,
     and with BLOCK_BYTES too small for S generations."""
     comm = build_comm_matrix(build_topology("ring", 4))
-    plan = MixingPlan.for_network(comm, 0.1)
+    plan = MixingPlan(comm, 0.1)
     assert plan.s_rounds > 2
     unit = mixing_polynomial(comm, plan)
     for batch in (None, 2, 1):
@@ -445,7 +450,7 @@ def test_pipeline_memory_does_not_grow_with_s_n_squared():
     BLOCK_BYTES each, never an array of S * N^2 entries (the S-slot pipeline
     held 1.36 GB)."""
     comm = build_comm_matrix(build_topology("ring", 200))
-    plan = MixingPlan.for_network(comm, 1.0 / 21.0)
+    plan = MixingPlan(comm, 1.0 / 21.0)
     n, width, s = 200, 6, plan.s_rounds
     assert s == 353
     bound = 2 * consensus.BLOCK_BYTES + s * n * width * 8
@@ -508,7 +513,7 @@ def _box_stream(n, width, seed, extra):
     plays are, then the reward."""
     rng = np.random.default_rng(seed)
     comm = build_comm_matrix(GraphTopology(random_connected_adjacency(n, 0.4, rng)))
-    plan = MixingPlan.for_network(comm, 0.3)
+    plan = MixingPlan(comm, 0.3)
     horizon = plan.s_rounds + 1 + extra
     stream = rng.standard_normal((horizon, n, width))
     stream[..., :-1] = rng.choice([-1.0, 1.0], size=(horizon, n, width - 1))
@@ -567,7 +572,7 @@ def test_batched_columns_mix_as_alone():
     rng = np.random.default_rng(29)
     for n in range(2, 14):
         comm = build_comm_matrix(GraphTopology(random_connected_adjacency(n, 0.4, rng)))
-        plan = MixingPlan.for_network(comm, 0.1)
+        plan = MixingPlan(comm, 0.1)
         seeds = rng.standard_normal((n, 5))
         alone = [consensus._mix(seeds[:, [k]], comm, plan) for k in range(5)]
         for b in range(1, 6):
@@ -634,7 +639,7 @@ def test_closed_form_release_is_u_times_the_own_rows(graph, width, seed, extra):
     rng = np.random.default_rng(seed)
     comm = build_comm_matrix(GraphTopology(random_connected_adjacency(n, 0.4, rng))
                              if kind == "random" else build_topology(kind, n))
-    plan = MixingPlan.for_network(comm, 0.3)
+    plan = MixingPlan(comm, 0.3)
     s = plan.s_rounds
     horizon = s + 1 + extra
     stream = rng.standard_normal((horizon, n, width))

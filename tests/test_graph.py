@@ -177,6 +177,8 @@ def test_mixing_rounds_reference_values():
     assert compute_mixing_rounds(20, 1 / 21, 0.9674) == 26
     assert compute_mixing_rounds(20, 1 / 21, 0.9500) == 21
     assert compute_mixing_rounds(20, 1 / 21, 0.0) == 1
+    # one node: the deviation bound is 0, so S is the rounded start
+    assert compute_mixing_rounds(1, 1 / 21, 0.5) == 3
 
 
 def test_mixing_rounds_monotonicity():

@@ -1,6 +1,6 @@
 """Every imported name is used by the module that imports it, every name
-``src/`` defines is used outside the tests, and every code pointer in the
-README resolves."""
+``src/`` defines and every defaulted parameter it declares is used outside
+the tests, and every code pointer in the README resolves."""
 
 import ast
 import importlib
@@ -113,3 +113,66 @@ def test_readme_pointers_resolve():
         except AttributeError:
             missing.append(f"{module}.{dotted}")
     assert missing == []
+
+
+def defaulted_parameters(tree):
+    """(callee name, offset, parameter -> positional index or None when
+    keyword-only) of each function in ``tree`` with defaulted parameters. A
+    class's ``__init__`` is read under the class name. ``offset`` is the index
+    of the first parameter that a call's positional arguments fill: 1 for a
+    method, whose ``self`` or ``cls`` is bound."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Module, ast.ClassDef)):
+            continue
+        for func in node.body:
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            args = func.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            params = {a.arg: i for i, a in enumerate(positional) if i >= first}
+            params.update((a.arg, None) for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                          if default is not None)
+            offset = 0 if isinstance(node, ast.Module) else 1
+            name = node.name if func.name == "__init__" else func.name
+            if params:
+                found.append((name, offset, params))
+    return found
+
+
+def passed_arguments(trees):
+    """callee name -> (most positional arguments, keyword names) over the
+    calls in ``trees``; a ``*args`` or ``**kwargs`` call passes everything."""
+    passed = {}
+    for node in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        count, keywords = passed.get(name, (0, set()))
+        keywords |= {k.arg for k in node.keywords}  # None for **kwargs
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            keywords.add(None)
+        passed[name] = (max(count, len(node.args)), keywords)
+    return passed
+
+
+def test_the_scan_finds_the_defaulted_and_the_passed_parameters():
+    tree = ast.parse("def f(a, b=1, *, c=2): pass\n"
+                     "class K:\n    def __init__(self, x=0): pass\n"
+                     "f(1, 2)\nK(**{})\n")
+    assert defaulted_parameters(tree) == [("f", 0, {"b": 1, "c": None}), ("K", 1, {"x": 1})]
+    assert passed_arguments([tree]) == {"f": (2, set()), "K": (0, {None})}
+
+
+def test_every_defaulted_parameter_is_set_outside_the_tests():
+    """Each parameter with a default in ``src/`` is passed, by keyword or by
+    position, by some call in ``src/``, a demo or the benchmark: no
+    parameter exists only for the tests."""
+    passed = passed_arguments([ast.parse(path.read_text()) for path in USERS])
+    unset = []
+    for path in MODULES:
+        for name, offset, params in defaulted_parameters(ast.parse(path.read_text())):
+            count, keywords = passed.get(name, (0, set()))
+            unset += [f"{name}: {param}" for param, index in params.items()
+                      if None not in keywords and param not in keywords
+                      and (index is None or index - offset >= count)]
+    assert unset == []
