@@ -179,8 +179,6 @@ def _sweep_point(base_raw, axis, text):
 
 
 def cmd_sweep(base_raw, axis, values, out_dir, workers, overwrite):
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}")
     if not values:
         raise ConfigError("sweep needs a non-empty value list")
     # every point and its network are checked before the first one runs

@@ -1,9 +1,10 @@
 """Experiment configuration: JSON schema, strict validation, and defaults.
 
-``KEYS`` lists every config key once, with the dataclass field it sets, the
-type its value must have and its command line flag; defaults live only in the
-dataclasses. Parsing, the resolved echo and the command line all read that
-table.
+``ExperimentConfig`` holds one field per config key; the JSON sections live
+only in the key names ("topology.kind", "safe.c_min", ...). ``KEYS`` lists
+every key once, with the field it sets, the type its value must have and its
+command line flag; defaults live only in ``ExperimentConfig``. Parsing, the
+resolved echo and the command line all read that table.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -27,59 +28,41 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class TopologySpec:
-    kind: str
-    p: float | None = None
-    edge_file: str | None = None
-
-
-@dataclass
-class DecisionSetSpec:
-    variant: str
-    num_arms: int | None = None
-    arm_seed: int = 0
-
-
-@dataclass
-class SafeSpec:
-    c_min: float = 0.0
-    x0: str | list = "zero"
-
-
-@dataclass
 class ExperimentConfig:
-    topology: TopologySpec
+    topology: str  # the topology kind
     n_agents: int
     d: int
     horizon: int
     algorithm: str
-    decision_set: DecisionSetSpec = field(default_factory=lambda: DecisionSetSpec("box"))
+    p: float | None = None
+    edge_file: str | None = None
+    decision_set: str = "box"  # the decision-set variant
+    num_arms: int | None = None
+    arm_seed: int = 0
     sigma: float = 0.1
     lam: float = 1.0
     delta: float = 0.1
     epsilon: float | None = None  # None: 1 / (4d + 1)
     realizations: int = 20
     master_seed: int = 0
-    safe: SafeSpec | None = None
+    c_min: float = 0.0
+    x0: str | list = "zero"
 
     def __post_init__(self):
         if self.epsilon is None:
             self.epsilon = 1.0 / (4 * self.d + 1)
 
-    def safe_c_min(self):
-        return self.safe.c_min if self.safe is not None else 0.0
-
-    def safe_x0_vector(self):
-        if self.safe is None or self.safe.x0 == "zero":
+    def x0_vector(self):
+        if self.x0 == "zero":
             return np.zeros(self.d)
-        return np.asarray(self.safe.x0, dtype=float)
+        return np.asarray(self.x0, dtype=float)
 
 
 class Key(NamedTuple):
     """One config key: its JSON name, "section.key" inside a section."""
 
     name: str
-    field: str  # the field it sets on the section's (or the root's) dataclass
+    field: str  # the ExperimentConfig field it sets
     type: object  # int, float, str, a tuple of allowed strings, or object
     flag: str | None = None  # the run/sweep command line flag that sets it
     help: str = ""
@@ -95,7 +78,7 @@ class Key(NamedTuple):
 
 
 KEYS = (
-    Key("topology.kind", "kind", TOPOLOGY_KINDS, "--topology", "topology kind"),
+    Key("topology.kind", "topology", TOPOLOGY_KINDS, "--topology", "topology kind"),
     Key("topology.p", "p", float, "--p", "edge probability for erdos_renyi"),
     Key("topology.edge_file", "edge_file", str, "--edge-file",
         "edge list file for explicit topologies"),
@@ -103,7 +86,7 @@ KEYS = (
     Key("d", "d", int, "--d", "action dimension", 1),
     Key("T", "horizon", int, "--t", "horizon in rounds", 0),
     Key("algorithm", "algorithm", ALGORITHMS, "--algorithm", "algorithm name"),
-    Key("decision_set.variant", "variant", ("box", "finite")),
+    Key("decision_set.variant", "decision_set", ("box", "finite")),
     Key("decision_set.num_arms", "num_arms", int, "--arms",
         "finite decision set with this many arms"),
     Key("decision_set.arm_seed", "arm_seed", int, "--arm-seed", "seed of the finite arms", 0),
@@ -117,7 +100,8 @@ KEYS = (
     Key("safe.x0", "x0", object),  # "zero" or a vector: checked with the other safe values
 )
 
-_SECTIONS = {"topology": TopologySpec, "decision_set": DecisionSetSpec, "safe": SafeSpec}
+_SECTIONS = ("topology", "decision_set", "safe")
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 _SHORTHANDS = {"topology": "kind", "decision_set": "variant"}
 
 
@@ -159,20 +143,19 @@ def _typed(name, value, kind, low=None):
     return value
 
 
-def _values(cls, name, raw):
+def _values(name, raw):
     """The typed values of section ``name``'s keys ("" for the root) in
-    ``raw``, by field of ``cls``. Null counts as absent: the dataclass
-    default applies."""
+    ``raw``, by field. Null counts as absent: the field's default applies,
+    but a given section must name its kind or variant."""
     keys = [key for key in KEYS if key.section == name]
     unknown = set(raw) - {key.leaf for key in keys}
     if unknown:
         raise ConfigError(f"unknown key(s) in {name or 'config'}: {', '.join(sorted(unknown))}")
-    defaults = {f.name: f.default for f in fields(cls)}
     values = {}
     for key in keys:
         if raw.get(key.leaf) is not None:
             values[key.field] = _typed(key.name, raw[key.leaf], key.type, key.low)
-        elif defaults[key.field] is MISSING:
+        elif _DEFAULTS[key.field] is MISSING or key.leaf == _SHORTHANDS.get(name):
             raise ConfigError(f"missing required key {key.name!r}")
     return values
 
@@ -181,13 +164,11 @@ def parse_config(data):
     """Validate a raw config mapping and apply defaults; unknown keys are rejected."""
     data = as_mapping(data)
     raw = {name: data.pop(name, None) for name in _SECTIONS}
-    values = _values(ExperimentConfig, "", data)
-    if values["algorithm"] == "safe_dlucb" and raw["safe"] is None:
-        raw["safe"] = {}
-    for name, cls in _SECTIONS.items():
-        # an absent section takes its default; topology is the required one
+    values = _values("", data)
+    for name in _SECTIONS:
+        # an absent section takes its defaults; topology is the required one
         if raw[name] is not None or name == "topology":
-            values[name] = cls(**_values(cls, name, as_mapping(raw[name], name)))
+            values.update(_values(name, as_mapping(raw[name], name)))
     config = ExperimentConfig(**values)
     _check_domains(config)
     return config
@@ -195,13 +176,13 @@ def parse_config(data):
 
 def _check_domains(config):
     """Raise a ConfigError for the first value outside its domain."""
-    topo, dset, safe = config.topology, config.decision_set, config.safe
     if not 0 < config.delta < 1:
         raise ConfigError("delta must lie in (0, 1)")
     if not 0 < config.epsilon < 1:
         raise ConfigError("epsilon must lie in (0, 1)")
     # bytes of the (N, N) gossip matrix, (N, T, 2) noise, (N, d, d) Grams, (N, d, K) arm solves
-    n, k = config.n_agents, (dset.num_arms or 0) if dset.variant == "finite" else 0
+    finite = config.decision_set == "finite"
+    n, k = config.n_agents, (config.num_arms or 0) if finite else 0
     if 8 * n * max(n, 2 * config.horizon, config.d * max(config.d, k)) > np.iinfo(np.intp).max:
         raise ConfigError(f"N = {n}, d = {config.d}, T = {config.horizon} and num_arms = {k} "
                           "need arrays larger than numpy can index")
@@ -215,29 +196,27 @@ def _check_domains(config):
     if not math.isfinite(beta):
         raise ConfigError(f"delta {config.delta:g}, lambda {config.lam:g} and sigma "
                           f"{config.sigma:g} give a confidence radius beta_T that is not finite")
-    if topo.kind == "erdos_renyi" and (topo.p is None or not 0 < topo.p <= 1):
+    if config.topology == "erdos_renyi" and (config.p is None or not 0 < config.p <= 1):
         raise ConfigError("erdos_renyi topology requires p in (0, 1]")
-    if topo.kind == "explicit" and not topo.edge_file:
+    if config.topology == "explicit" and not config.edge_file:
         raise ConfigError("explicit topology requires edge_file")
-    if topo.kind == "ring" and config.n_agents == 2:
+    if config.topology == "ring" and config.n_agents == 2:
         raise ConfigError("ring topology needs N >= 3 (or N = 1)")
-    if dset.variant == "finite" and (dset.num_arms is None or dset.num_arms < 1):
+    if finite and (config.num_arms is None or config.num_arms < 1):
         raise ConfigError("finite decision set requires num_arms >= 1")
-    if config.algorithm == "safe_dlucb" and dset.variant != "finite":
+    if config.algorithm == "safe_dlucb" and not finite:
         raise ConfigError(
             "safe_dlucb requires a finite decision set: the safe filter is exact "
             "only over an explicit arm list"
         )
-    if config.algorithm == "safe_dlucb" and dset.num_arms < 2:
+    if config.algorithm == "safe_dlucb" and config.num_arms < 2:
         raise ConfigError("safe_dlucb requires num_arms >= 2: one arm besides the safe action")
-    if safe is None:
-        return
-    if not 0.0 <= safe.c_min < 1.0:
+    if not 0.0 <= config.c_min < 1.0:
         raise ConfigError("safe.c_min must lie in [0, 1)")
-    if safe.x0 != "zero":
-        if not isinstance(safe.x0, (list, tuple)):
+    if config.x0 != "zero":
+        if not isinstance(config.x0, (list, tuple)):
             raise ConfigError("safe.x0 must be 'zero' or an explicit vector")
-        vector = [_typed("safe.x0", v, float) for v in safe.x0]
+        vector = [_typed("safe.x0", v, float) for v in config.x0]
         if len(vector) != config.d:
             raise ConfigError(f"safe.x0 must have {config.d} entries, got {len(vector)}")
         # the safe action is played, and finite plays lie in the unit ball
@@ -259,11 +238,9 @@ def read_config(path):
 
 def resolved_dict(config):
     """Fully resolved, JSON-serializable echo of the configuration, one entry
-    per key (no safe section when ``config.safe`` is None)."""
+    per key."""
     out = {}
     for key in KEYS:
-        holder = getattr(config, key.section) if key.section else config
-        if holder is not None:
-            target = out.setdefault(key.section, {}) if key.section else out
-            target[key.leaf] = getattr(holder, key.field)
+        target = out.setdefault(key.section, {}) if key.section else out
+        target[key.leaf] = getattr(config, key.field)
     return out

@@ -97,14 +97,9 @@ def optimal_value(env, arms, safe):
     the box when ``arms`` is None (over the true safe subset when ``safe``)."""
     theta = env.theta_star
     if arms is None:
-        if safe:
-            raise ValueError("safe optimum needs a finite decision set")
         return float(np.abs(theta).sum())
     if safe:
-        mask = arms @ env.mu_star <= env.c
-        if not mask.any():
-            raise ValueError("true safe set is empty")
-        arms = arms[mask]
+        arms = arms[arms @ env.mu_star <= env.c]
     return float(np.max(arms @ theta))
 
 
@@ -143,14 +138,13 @@ class Trace:
 def build_graph(config, master_seed, realization):
     """The topology of one realization: erdos_renyi draws its own graph in
     every realization, and no other kind reads the graph stream."""
-    spec = config.topology
-    if spec.kind == "explicit":  # an edge spans two nodes, so N = 1 is rejected
-        return load_edge_list(spec.edge_file, config.n_agents)
+    if config.topology == "explicit":  # an edge spans two nodes, so N = 1 is rejected
+        return load_edge_list(config.edge_file, config.n_agents)
     if config.n_agents == 1:
         # degenerate single-node network: every generated kind collapses to it
-        return GraphTopology(np.zeros((1, 1)), kind=spec.kind)
+        return GraphTopology(np.zeros((1, 1)), kind=config.topology)
     rng = _stream(master_seed, realization, _GRAPH)
-    return build_topology(spec.kind, config.n_agents, p=spec.p, rng=rng)
+    return build_topology(config.topology, config.n_agents, p=config.p, rng=rng)
 
 
 def build_network(config, master_seed, realization):
@@ -168,17 +162,16 @@ def build_decision_set(config):
     action is certifiable from the ridge prior alone) and the known safe
     action is appended as the final arm.
     """
-    spec = config.decision_set
-    if spec.variant == "box":
+    if config.decision_set == "box":
         return None
-    rng = np.random.default_rng(spec.arm_seed)
+    rng = np.random.default_rng(config.arm_seed)
     if config.algorithm == "safe_dlucb":
-        k = spec.num_arms - 1
+        k = config.num_arms - 1
         dirs = rng.standard_normal((k, config.d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         radii = np.arange(1, k + 1) / k
-        return np.vstack([dirs * radii[:, None], config.safe_x0_vector()])
-    arms = rng.standard_normal((spec.num_arms, config.d))
+        return np.vstack([dirs * radii[:, None], config.x0_vector()])
+    arms = rng.standard_normal((config.num_arms, config.d))
     arms /= np.linalg.norm(arms, axis=1, keepdims=True)
     return arms
 
@@ -187,10 +180,10 @@ def build_environment(config, master_seed, realization):
     """The hidden environment of one realization, its noise drawn, and for
     ``safe_dlucb`` the known safe geometry (else None)."""
     safe = config.algorithm == "safe_dlucb"
-    x0 = config.safe_x0_vector() if safe else None
+    x0 = config.x0_vector() if safe else None
     env = sample_environment(config.d, safe, _stream(master_seed, realization, _ENV),
-                             config.safe_c_min(), x0)
-    if config.decision_set.variant == "box":
+                             config.c_min, x0)
+    if config.decision_set == "box":
         env.action_norm_bound = float(np.sqrt(config.d))
     # every agent draws its (reward, safety) noise pairs from its own stream;
     # only safe runs keep the safety half
@@ -388,7 +381,7 @@ def run_experiment(config, master_seed=None, workers=1):
     jobs = [(config, master_seed, r) for r in range(config.realizations)]
     if workers <= 1 or config.realizations == 1:
         return [_realization_job(job) for job in jobs]
-    if config.decision_set.variant == "box":
+    if config.decision_set == "box":
         # box selection solves with scipy's LAPACK extension, loaded alone
         # (about 3 MB; the scipy.linalg package is never imported): load it
         # once here, so that forked workers inherit it instead of each

@@ -22,9 +22,7 @@ from gossipbandits import graph
 from gossipbandits.config import (
     KEYS,
     ConfigError,
-    DecisionSetSpec,
     ExperimentConfig,
-    TopologySpec,
     as_mapping,
     parse_config,
     resolved_dict,
@@ -43,13 +41,13 @@ def test_minimal_config_defaults():
     assert config.delta == 0.1
     assert config.epsilon == 1.0 / 21.0
     assert config.realizations == 20
-    assert config.decision_set.variant == "box"
+    assert config.decision_set == "box"
+    assert (config.c_min, config.x0) == (0.0, "zero")
 
 
 def test_direct_config_resolves_default_epsilon():
-    config = ExperimentConfig(topology=TopologySpec("ring"), n_agents=4, d=3, horizon=12,
-                              algorithm="dlucb", decision_set=DecisionSetSpec("box"),
-                              realizations=1)
+    config = ExperimentConfig(topology="ring", n_agents=4, d=3, horizon=12,
+                              algorithm="dlucb", decision_set="box", realizations=1)
     assert config.epsilon == 1.0 / 13.0
     assert config == parse_config({"topology": "ring", "N": 4, "d": 3, "T": 12,
                                    "algorithm": "dlucb", "realizations": 1})
@@ -201,6 +199,14 @@ SAFE = {"topology": "ring", "N": 4, "d": 2, "T": 10, "algorithm": "safe_dlucb",
                  id="resample_graph-int"),
     pytest.param({"comm_scheme": "laplacian"}, "unknown key(s) in config: comm_scheme",
                  id="comm_scheme-str"),
+    # a given section names its kind or variant: it never falls back to the default
+    pytest.param({"decision_set": {"num_arms": 6}},
+                 "missing required key 'decision_set.variant'", id="variant-missing"),
+    pytest.param({"decision_set": {}}, "missing required key 'decision_set.variant'",
+                 id="decision_set-empty"),
+    pytest.param({"topology": {"p": 0.5}}, "missing required key 'topology.kind'",
+                 id="kind-missing"),
+    pytest.param({"N": None}, "missing required key 'N'", id="N-null"),
 ])
 def test_bad_safe_config_exits_2(tmp_path, capsys, change, message):
     with pytest.raises(ConfigError, match=re.escape(message)):
@@ -250,6 +256,20 @@ def test_non_numeric_scalar_is_config_error(tmp_path, capsys, key, value, messag
                      "--out", str(tmp_path / "sweep"), "--workers", "1"]) == 2
     if isinstance(value, float) and key in ("N", "T"):  # an integral float still counts
         assert parse_config({**SAFE, key: float(SAFE[key])}) == parse_config(SAFE)
+
+
+@pytest.mark.parametrize("algorithm", ["dlucb", "rc_dlucb"])
+def test_bound_is_null_outside_the_theorem_epsilon_range(tmp_path, algorithm):
+    # at d = 2, epsilon = 0.15 lies between dlucb's 1/(4d+1) and rc_dlucb's 1/(2d+1)
+    config = {"topology": "ring", "N": 4, "d": 2, "T": 10, "algorithm": algorithm,
+              "epsilon": 0.15, "realizations": 2}
+    code, out = run_cli(tmp_path, config)
+    assert code == 0
+    bound = json.loads((out / "summary.json").read_text())["theoretical_bound"]
+    if algorithm == "dlucb":
+        assert bound == {"mean": None, "seeds_within_bound": None}
+    else:
+        assert type(bound["mean"]) is float and bound["seeds_within_bound"] == 2
 
 
 def test_run_refuses_to_clobber_without_overwrite(tmp_path):

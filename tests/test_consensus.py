@@ -106,6 +106,9 @@ def test_comm_step_validates_inputs():
         comm_step(good, good, plan.s_rounds + 1, comm, plan)
     with pytest.raises(ValueError, match="outside"):
         comm_step(good, good, 0, comm, plan)
+    for payload in (np.zeros(3), np.zeros((5, 2))):  # equal shapes, but not one row per agent
+        with pytest.raises(ValueError, match="leading axis"):
+            comm_step(payload, payload, 1, comm, plan)
 
 
 def test_locality_never_reads_non_neighbors():

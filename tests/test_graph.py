@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -93,6 +94,19 @@ def test_topology_validation():
         GraphTopology(np.array([[0, 1], [0, 0]]))
     with pytest.raises(ValueError, match="diagonal"):
         GraphTopology(np.eye(2))
+    with pytest.raises(ValueError, match="square"):
+        GraphTopology(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="at least one node"):
+        GraphTopology(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="0 or 1"):
+        GraphTopology(np.array([[0, 2], [2, 0]]))
+    with pytest.raises(ValueError, match="unknown topology kind"):
+        build_topology("torus", 5)
+    for p in (None, 0.0):
+        with pytest.raises(ValueError, match=re.escape("p in (0, 1]")):
+            build_topology("erdos_renyi", 5, p=p, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="seeded rng"):
+        build_topology("erdos_renyi", 5, p=0.5)
 
 
 def test_edge_list_roundtrip(tmp_path):

@@ -5,9 +5,12 @@ the tests, and every code pointer in the README resolves."""
 import ast
 import importlib
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from gossipbandits.config import KEYS, ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 # the package's imports are its re-exported API
@@ -176,3 +179,33 @@ def test_every_defaulted_parameter_is_set_outside_the_tests():
                       if None not in keywords and param not in keywords
                       and (index is None or index - offset >= count)]
     assert unset == []
+
+
+def config_reads(tree, name="config"):
+    """The attributes ``tree`` reads off the name ``name``."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == name and isinstance(node.ctx, ast.Load)}
+
+
+def test_the_scan_finds_the_config_reads():
+    tree = ast.parse("config.d + config.x0_vector()\nconfig.n = 1\ngeo.x0\n")
+    assert config_reads(tree) == {"d", "x0_vector"}
+
+
+def test_every_config_field_is_read_by_the_simulator():
+    """Each ``ExperimentConfig`` field is read as ``config.<field>`` in
+    ``src/`` outside ``config.py``, or by an ``ExperimentConfig`` method read
+    so: no key exists only to be validated and echoed. ``KEYS`` sets each
+    field once."""
+    config_py = ROOT / "src/gossipbandits/config.py"
+    read = set().union(*(config_reads(ast.parse(path.read_text()))
+                         for path in MODULES if path != config_py))
+    cls = next(node for node in ast.walk(ast.parse(config_py.read_text()))
+               if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig")
+    for method in cls.body:
+        if isinstance(method, ast.FunctionDef) and method.name in read:
+            read |= config_reads(method, "self")
+    names = [f.name for f in fields(ExperimentConfig)]
+    assert [name for name in names if name not in read] == []
+    assert sorted(key.field for key in KEYS) == sorted(names)
